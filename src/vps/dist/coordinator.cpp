@@ -38,6 +38,11 @@ using support::ensure;
 
 using Clock = std::chrono::steady_clock;
 
+/// Checkpoint driver tag, deliberately ParallelCampaign's: the two batched
+/// drivers share one generation/learning cadence, so their checkpoints are
+/// interchangeable.
+constexpr const char* kCheckpointDriver = "parallel_campaign";
+
 struct DistCampaign::Worker {
   pid_t pid = -1;
   std::unique_ptr<Channel> channel;
@@ -160,18 +165,6 @@ void DistCampaign::ensure_coordinator() {
   ensure(coordinator_ != nullptr, "DistCampaign: scenario factory returned null");
 }
 
-void DistCampaign::write_checkpoint(const CampaignResult& partial) const {
-  CampaignCheckpoint cp;
-  // Deliberately "parallel_campaign": the two batched drivers share one
-  // generation/learning cadence, so their checkpoints are interchangeable.
-  cp.driver = "parallel_campaign";
-  cp.scenario = coordinator_->name();
-  cp.config = config_.campaign;
-  cp.golden = golden_;
-  cp.records = partial.records;
-  save_checkpoint(cp, config_.campaign.checkpoint_path);
-}
-
 CampaignResult DistCampaign::run() {
   ensure_coordinator();
   if (!golden_valid_) {
@@ -186,7 +179,7 @@ CampaignResult DistCampaign::run() {
 
 CampaignResult DistCampaign::resume(const CampaignCheckpoint& checkpoint) {
   ensure_coordinator();
-  fault::detail::validate_checkpoint(checkpoint, "parallel_campaign", coordinator_->name(),
+  fault::detail::validate_checkpoint(checkpoint, kCheckpointDriver, coordinator_->name(),
                                      config_.campaign);
   golden_ = checkpoint.golden;
   golden_valid_ = true;
@@ -280,7 +273,9 @@ CampaignResult DistCampaign::execute(std::size_t start_run, CampaignResult resul
   // --- batch loop ----------------------------------------------------------
   const support::Xorshift base(cc.seed);
   const std::size_t batch = cc.batch_size == 0 ? kDefaultBatch : cc.batch_size;
-  const bool checkpointing = cc.checkpoint_every != 0 && !cc.checkpoint_path.empty();
+  std::optional<fault::CheckpointWriter> checkpoint = fault::detail::checkpoint_writer(
+      cc, kCheckpointDriver, coordinator_->name(), golden_);
+  const bool checkpointing = checkpoint.has_value() && cc.checkpoint_every != 0;
 
   std::size_t next_run = start_run;
   std::size_t executed_this_call = 0;
@@ -542,13 +537,13 @@ CampaignResult DistCampaign::execute(std::size_t start_run, CampaignResult resul
     if (checkpointing) {
       runs_since_checkpoint += processed;
       if (runs_since_checkpoint >= cc.checkpoint_every) {
-        write_checkpoint(result);
+        checkpoint->save(result.records);
         runs_since_checkpoint = 0;
       }
     }
     if (!stopped && cc.preempt_after != 0 && executed_this_call >= cc.preempt_after &&
         next_run < cc.runs) {
-      if (!cc.checkpoint_path.empty()) write_checkpoint(result);
+      if (checkpoint) checkpoint->save(result.records);
       result.interrupted = true;
       break;
     }
@@ -752,7 +747,9 @@ CampaignResult DistCampaign::execute_remote(std::size_t start_run, CampaignResul
   // --- batch loop: identical generation/fold cadence to the local fleet ----
   const support::Xorshift base(cc.seed);
   const std::size_t batch = cc.batch_size == 0 ? kDefaultBatch : cc.batch_size;
-  const bool checkpointing = cc.checkpoint_every != 0 && !cc.checkpoint_path.empty();
+  std::optional<fault::CheckpointWriter> checkpoint = fault::detail::checkpoint_writer(
+      cc, kCheckpointDriver, coordinator_->name(), golden_);
+  const bool checkpointing = checkpoint.has_value() && cc.checkpoint_every != 0;
   // The server absorbs worker death internally (requeue or synthesized
   // kSimCrash), so the client only fails once the server itself has been
   // silent for several heartbeat windows.
@@ -882,13 +879,13 @@ CampaignResult DistCampaign::execute_remote(std::size_t start_run, CampaignResul
     if (checkpointing) {
       runs_since_checkpoint += processed;
       if (runs_since_checkpoint >= cc.checkpoint_every) {
-        write_checkpoint(result);
+        checkpoint->save(result.records);
         runs_since_checkpoint = 0;
       }
     }
     if (!stopped && cc.preempt_after != 0 && executed_this_call >= cc.preempt_after &&
         next_run < cc.runs) {
-      if (!cc.checkpoint_path.empty()) write_checkpoint(result);
+      if (checkpoint) checkpoint->save(result.records);
       result.interrupted = true;
       break;
     }

@@ -140,7 +140,6 @@ class DistCampaign {
   struct Fleet;
 
   void ensure_coordinator();
-  void write_checkpoint(const fault::CampaignResult& partial) const;
   [[nodiscard]] fault::CampaignResult execute(std::size_t start_run,
                                               fault::CampaignResult result,
                                               fault::CampaignState& state);

@@ -22,6 +22,7 @@
 #include "vps/obs/dist_trace.hpp"
 #include "vps/obs/trace.hpp"
 #include "vps/support/ensure.hpp"
+#include "vps/support/file.hpp"
 #include "vps/support/stats.hpp"
 
 namespace vps::dist {
@@ -156,19 +157,9 @@ struct CampaignServer::Impl {
       line += '}';
       out += codec::with_crc(line) + "\n";
     }
-    const std::string path = state_path();
-    const std::string tmp = path + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "vps-serverd: cannot open %s — state not persisted\n", tmp.c_str());
-      return;
-    }
-    const std::size_t written = std::fwrite(out.data(), 1, out.size(), f);
-    const bool flushed = std::fflush(f) == 0;
-    std::fclose(f);
-    if (written != out.size() || !flushed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::fprintf(stderr, "vps-serverd: short write/rename on %s — state not persisted\n",
-                   path.c_str());
+    std::string error;
+    if (!support::write_file_atomic(state_path(), {out}, &error)) {
+      std::fprintf(stderr, "vps-serverd: %s — state not persisted\n", error.c_str());
     }
   }
 

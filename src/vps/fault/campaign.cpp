@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "vps/fault/checkpoint.hpp"
@@ -439,16 +440,6 @@ void Campaign::ensure_golden() {
   ensure(golden_.completed, "Campaign: golden run did not complete for " + scenario_.name());
 }
 
-void Campaign::write_checkpoint(const CampaignResult& partial) const {
-  CampaignCheckpoint cp;
-  cp.driver = "campaign";
-  cp.scenario = scenario_.name();
-  cp.config = config_;
-  cp.golden = golden_;
-  cp.records = partial.records;
-  save_checkpoint(cp, config_.checkpoint_path);
-}
-
 CampaignResult Campaign::run() {
   ensure_golden();
   return execute(0, CampaignResult{}, rng_, state_);
@@ -484,7 +475,9 @@ CampaignResult Campaign::execute(std::size_t start_run, CampaignResult result,
   const auto elapsed = [&started] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
   };
-  const bool checkpointing = config_.checkpoint_every != 0 && !config_.checkpoint_path.empty();
+  std::optional<CheckpointWriter> checkpoint =
+      detail::checkpoint_writer(config_, "campaign", scenario_.name(), golden_);
+  const bool checkpointing = checkpoint.has_value() && config_.checkpoint_every != 0;
   std::size_t executed_this_call = 0;
   for (std::size_t i = start_run; i < config_.runs; ++i) {
     if (stop_condition_met(config_, result)) break;  // resumed past the stop
@@ -500,12 +493,12 @@ CampaignResult Campaign::execute(std::size_t start_run, CampaignResult result,
                                               state.coverage().coverage(), elapsed()));
     }
     if (checkpointing && result.runs_executed % config_.checkpoint_every == 0) {
-      write_checkpoint(result);
+      checkpoint->save(result.records);
     }
     if (stop_condition_met(config_, result)) break;
     if (config_.preempt_after != 0 && executed_this_call >= config_.preempt_after &&
         i + 1 < config_.runs) {
-      if (!config_.checkpoint_path.empty()) write_checkpoint(result);
+      if (checkpoint) checkpoint->save(result.records);
       result.interrupted = true;
       break;
     }

@@ -302,7 +302,6 @@ class Campaign {
 
  private:
   void ensure_golden();
-  void write_checkpoint(const CampaignResult& partial) const;
   [[nodiscard]] CampaignResult execute(std::size_t start_run, CampaignResult result,
                                        support::Xorshift& rng, CampaignState& state);
 
@@ -357,7 +356,6 @@ class ParallelCampaign {
 
  private:
   void ensure_coordinator();
-  void write_checkpoint(const CampaignResult& partial) const;
   [[nodiscard]] CampaignResult execute(std::size_t start_run, CampaignResult result,
                                        CampaignState& state);
 

@@ -3,9 +3,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "vps/fault/codec.hpp"
 #include "vps/support/ensure.hpp"
+#include "vps/support/file.hpp"
 
 namespace vps::fault {
 
@@ -26,45 +28,86 @@ bool next_line(const std::string& text, std::size_t& pos, std::string& line) {
   return true;
 }
 
-}  // namespace
+// --- the line encoder: the one serializer behind to_jsonl() and
+// CheckpointWriter, so both produce the same bytes by construction ----------
 
-std::string to_jsonl(const CampaignCheckpoint& checkpoint) {
+/// Appends `object` (a complete "{...}" line) with its CRC trailer and a
+/// newline.
+void append_line(std::string& out, const std::string& object) {
+  out += codec::with_crc(object);
+  out += '\n';
+}
+
+/// Header, config and golden lines.
+std::string head_lines(const std::string& driver, const std::string& scenario,
+                       const CampaignConfig& config, const Observation& golden) {
   std::string out;
-  // Header.
   std::string header = "{\"schema\":\"";
   header += kSchemaName;
   header += "\",\"version\":" + std::to_string(CampaignCheckpoint::kVersion);
-  codec::append_str(header, "driver", checkpoint.driver);
-  codec::append_str(header, "scenario", checkpoint.scenario);
+  codec::append_str(header, "driver", driver);
+  codec::append_str(header, "scenario", scenario);
   header += '}';
-  out += codec::with_crc(header) + "\n";
+  append_line(out, header);
 
-  // Config (the determinism-relevant fields plus crash handling; workers and
-  // checkpoint cadence are resume-time choices and deliberately absent).
+  // The determinism-relevant config fields plus crash handling; workers and
+  // checkpoint cadence are resume-time choices and deliberately absent.
   std::string cfg = "{\"kind\":\"config\"";
-  codec::append_config(cfg, checkpoint.config);
+  codec::append_config(cfg, config);
   cfg += '}';
-  out += codec::with_crc(cfg) + "\n";
+  append_line(out, cfg);
 
-  // Golden observation.
   std::string gold = "{\"kind\":\"golden\"";
-  codec::append_observation(gold, checkpoint.golden);
+  codec::append_observation(gold, golden);
   gold += '}';
-  out += codec::with_crc(gold) + "\n";
-
-  // Records, one per completed run, in run order.
-  for (std::size_t i = 0; i < checkpoint.records.size(); ++i) {
-    std::string rec = "{\"kind\":\"record\"";
-    codec::append_record(rec, checkpoint.records[i], i);
-    rec += '}';
-    out += codec::with_crc(rec) + "\n";
-  }
-
-  // Truncation guard.
-  out += codec::with_crc("{\"kind\":\"end\",\"records\":" +
-                         std::to_string(checkpoint.records.size()) + "}") +
-         "\n";
+  append_line(out, gold);
   return out;
+}
+
+/// One completed run's line.
+void append_record_line(std::string& out, const RunRecord& record, std::size_t run_index) {
+  std::string rec = "{\"kind\":\"record\"";
+  codec::append_record(rec, record, run_index);
+  rec += '}';
+  append_line(out, rec);
+}
+
+/// The truncation guard: the number of record lines before it.
+std::string end_line(std::size_t records) {
+  std::string out;
+  append_line(out, "{\"kind\":\"end\",\"records\":" + std::to_string(records) + "}");
+  return out;
+}
+
+}  // namespace
+
+std::string to_jsonl(const CampaignCheckpoint& checkpoint) {
+  std::string out =
+      head_lines(checkpoint.driver, checkpoint.scenario, checkpoint.config, checkpoint.golden);
+  for (std::size_t i = 0; i < checkpoint.records.size(); ++i) {
+    append_record_line(out, checkpoint.records[i], i);
+  }
+  out += end_line(checkpoint.records.size());
+  return out;
+}
+
+CheckpointWriter::CheckpointWriter(std::string path, const std::string& driver,
+                                   const std::string& scenario, const CampaignConfig& config,
+                                   const Observation& golden)
+    : path_(std::move(path)), lines_(head_lines(driver, scenario, config, golden)) {
+  ensure(!path_.empty(), "save_checkpoint: empty path");
+}
+
+void CheckpointWriter::save(const std::vector<RunRecord>& records) {
+  ensure(records.size() >= records_,
+         "CheckpointWriter: record prefix shrank from " + std::to_string(records_) + " to " +
+             std::to_string(records.size()) + " (records are append-only)");
+  for (; records_ < records.size(); ++records_) {
+    append_record_line(lines_, records[records_], records_);
+  }
+  std::string error;
+  const bool written = support::write_file_atomic(path_, {lines_, end_line(records_)}, &error);
+  ensure(written, "save_checkpoint: " + error);
 }
 
 CampaignCheckpoint checkpoint_from_jsonl(const std::string& text, CheckpointRecovery* recovery) {
@@ -157,17 +200,9 @@ CampaignCheckpoint checkpoint_from_jsonl(const std::string& text, CheckpointReco
 }
 
 void save_checkpoint(const CampaignCheckpoint& checkpoint, const std::string& path) {
-  ensure(!path.empty(), "save_checkpoint: empty path");
-  const std::string tmp = path + ".tmp";
-  const std::string payload = to_jsonl(checkpoint);
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  ensure(f != nullptr, "save_checkpoint: cannot open " + tmp);
-  const std::size_t written = std::fwrite(payload.data(), 1, payload.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  ensure(written == payload.size() && flushed, "save_checkpoint: short write to " + tmp);
-  ensure(std::rename(tmp.c_str(), path.c_str()) == 0,
-         "save_checkpoint: rename to " + path + " failed");
+  CheckpointWriter(path, checkpoint.driver, checkpoint.scenario, checkpoint.config,
+                   checkpoint.golden)
+      .save(checkpoint.records);
 }
 
 CampaignCheckpoint load_checkpoint(const std::string& path, CheckpointRecovery* recovery) {

@@ -17,8 +17,8 @@
 ///
 /// On-disk format: JSONL (one flat JSON object per line) with a versioned
 /// header line and a trailing end line that guards against truncation
-/// (e.g. SIGKILL mid-write; save_checkpoint additionally writes to a temp
-/// file and renames). Doubles are serialized as C99 hexfloat strings so the
+/// (e.g. SIGKILL mid-write; every save additionally writes to a temp file
+/// and renames). Doubles are serialized as C99 hexfloat strings so the
 /// round trip is bitwise exact. Since v3 every line also carries a CRC-32
 /// trailer (fault::codec::with_crc), so a flipped bit anywhere in a record
 /// is detected instead of silently mis-parsed; load_checkpoint() recovers
@@ -78,7 +78,37 @@ struct CheckpointRecovery {
 
 /// Atomic save: writes `path` + ".tmp" then renames over `path`, so a kill
 /// mid-write leaves either the previous checkpoint or a complete new one.
+/// A failed save throws and leaves the previous file and no temp file.
 void save_checkpoint(const CampaignCheckpoint& checkpoint, const std::string& path);
+
+/// Incremental checkpointing of one campaign execution — what every driver
+/// saves through at its barriers. The header, config and golden lines are
+/// encoded once, at construction, and each record line once, by the first
+/// save that includes it. A save writes the cached lines plus a fresh end
+/// line atomically (as save_checkpoint), so it costs the encoding of the
+/// new records plus one sequential file write, not a re-encoding of the
+/// whole prefix. Every file it writes is byte-identical to to_jsonl() of
+/// the same prefix.
+///
+/// Records are append-only: a saved record is never read again, so editing
+/// it has no effect on later files, and save() ensure()-fails when the
+/// prefix shrinks. A writer belongs to one run()/resume() call, so a later
+/// resume never sees a stale cache.
+class CheckpointWriter {
+ public:
+  CheckpointWriter(std::string path, const std::string& driver, const std::string& scenario,
+                   const CampaignConfig& config, const Observation& golden);
+
+  /// Replaces the file at `path` with the checkpoint of `records` (runs
+  /// 0..records.size()-1). Throws support::InvariantError when the prefix
+  /// is shorter than the last save's or the file cannot be written.
+  void save(const std::vector<RunRecord>& records);
+
+ private:
+  std::string path_;
+  std::string lines_;        ///< header, config, golden and every saved record line
+  std::size_t records_ = 0;  ///< record lines in lines_
+};
 
 /// Loads with record-corruption recovery: a corrupt record line is reported
 /// (stderr + `recovery` when given) and the file is rewritten truncated to

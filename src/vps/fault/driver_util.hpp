@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -64,6 +65,18 @@ inline void finalize(CampaignResult& result, const CampaignState& state) {
   result.coverage = std::make_shared<coverage::FaultSpaceCoverage>(state.coverage());
   result.hazard_probability =
       support::wilson_interval(result.count(Outcome::kHazard), result.runs_executed);
+}
+
+/// The checkpoint writer of one execute() call, or none when the campaign
+/// has no checkpoint path. Scoped to the call, so a later resume() starts
+/// from a fresh cache of encoded records.
+inline std::optional<CheckpointWriter> checkpoint_writer(const CampaignConfig& config,
+                                                         const char* driver,
+                                                         const std::string& scenario_name,
+                                                         const Observation& golden) {
+  if (config.checkpoint_path.empty()) return std::nullopt;
+  return std::optional<CheckpointWriter>(std::in_place, config.checkpoint_path, driver,
+                                         scenario_name, config, golden);
 }
 
 inline void validate_checkpoint(const CampaignCheckpoint& cp, const char* driver,

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -69,16 +70,6 @@ void ParallelCampaign::ensure_coordinator() {
   coordinator_->set_snapshot_replay(config_.snapshot_replay);
 }
 
-void ParallelCampaign::write_checkpoint(const CampaignResult& partial) const {
-  CampaignCheckpoint cp;
-  cp.driver = "parallel_campaign";
-  cp.scenario = coordinator_->name();
-  cp.config = config_;
-  cp.golden = golden_;
-  cp.records = partial.records;
-  save_checkpoint(cp, config_.checkpoint_path);
-}
-
 CampaignResult ParallelCampaign::run() {
   ensure_coordinator();
   if (!golden_valid_) {
@@ -119,7 +110,9 @@ CampaignResult ParallelCampaign::execute(std::size_t start_run, CampaignResult r
   // so neither scheduling nor the worker count can perturb it.
   const support::Xorshift base(config_.seed);
   const std::size_t batch = config_.batch_size == 0 ? kDefaultBatch : config_.batch_size;
-  const bool checkpointing = config_.checkpoint_every != 0 && !config_.checkpoint_path.empty();
+  std::optional<CheckpointWriter> checkpoint =
+      detail::checkpoint_writer(config_, "parallel_campaign", coordinator_->name(), golden_);
+  const bool checkpointing = checkpoint.has_value() && config_.checkpoint_every != 0;
 
   std::size_t next_run = start_run;
   std::size_t executed_this_call = 0;
@@ -171,13 +164,13 @@ CampaignResult ParallelCampaign::execute(std::size_t start_run, CampaignResult r
     if (checkpointing) {
       runs_since_checkpoint += processed;
       if (runs_since_checkpoint >= config_.checkpoint_every) {
-        write_checkpoint(result);
+        checkpoint->save(result.records);
         runs_since_checkpoint = 0;
       }
     }
     if (!stopped && config_.preempt_after != 0 && executed_this_call >= config_.preempt_after &&
         next_run < config_.runs) {
-      if (!config_.checkpoint_path.empty()) write_checkpoint(result);
+      if (checkpoint) checkpoint->save(result.records);
       result.interrupted = true;
       break;
     }

@@ -1,0 +1,22 @@
+#pragma once
+
+/// Crash-safe whole-file replacement, shared by every persistence surface
+/// that rewrites a file in place: campaign checkpoints (fault/checkpoint)
+/// and the campaign server's job table (dist/server).
+
+#include <initializer_list>
+#include <string>
+#include <string_view>
+
+namespace vps::support {
+
+/// Writes `parts` back to back into `path` + ".tmp", flushes it and renames
+/// it over `path`, so a process killed mid-write leaves either the previous
+/// file or the complete new one. Returns false on any failure, with what
+/// failed (and the OS reason) in `error`; the temp file is then removed and
+/// `path` is untouched. Callers choose whether a failure is fatal.
+[[nodiscard]] bool write_file_atomic(const std::string& path,
+                                     std::initializer_list<std::string_view> parts,
+                                     std::string* error = nullptr);
+
+}  // namespace vps::support

@@ -16,6 +16,7 @@
 #include <fcntl.h>
 #include <sys/socket.h>
 
+#include "checkpoint_saves.hpp"
 #include "vps/apps/caps.hpp"
 #include "vps/apps/registry.hpp"
 #include "vps/dist/coordinator.hpp"
@@ -650,6 +651,41 @@ TEST(DistCampaignTest, CheckpointResumeCrossesDriversAndFleetSizes) {
 
   std::remove(cut.checkpoint_path.c_str());
   (void)uninterrupted;  // cadence differs (batch 32) — compared via baseline_b8
+}
+
+TEST(DistCampaignTest, FleetCheckpointSavesEqualToJsonlOfTheSamePrefix) {
+  const std::string path = temp_path("dist_fleet_saves.jsonl");
+  std::remove(path.c_str());
+  const ScenarioFactory factory = [] { return vps::apps::make_scenario("bms:runaway:prov"); };
+  CampaignConfig cfg;
+  cfg.runs = 64;
+  cfg.seed = 2026;
+  cfg.strategy = Strategy::kGuided;
+  cfg.location_buckets = 8;
+  cfg.batch_size = 8;
+  cfg.checkpoint_every = 16;
+  cfg.preempt_after = 40;  // a barrier off the save cadence
+  cfg.checkpoint_path = path;
+  DistConfig dc;
+  dc.campaign = cfg;
+  dc.workers = 3;
+  dc.scenario_spec = "bms:runaway:prov";
+  DistCampaign campaign(factory, dc);
+  vps_test::CheckpointSaveRecorder recorder(path);
+  campaign.set_monitor(&recorder);
+  const CampaignResult partial = campaign.run();
+  recorder.finish();
+  ASSERT_TRUE(partial.interrupted);
+  ASSERT_EQ(partial.runs_executed, 40u);
+  EXPECT_FALSE(partial.provenance_jsonl().empty()) << "the saved records must carry provenance";
+
+  CampaignCheckpoint head;
+  head.driver = "parallel_campaign";
+  head.scenario = factory()->name();
+  head.config = cfg;
+  head.golden = campaign.golden();
+  vps_test::expect_saves_are_prefixes(recorder.saves(), head, partial.records, {16, 32, 40});
+  std::remove(path.c_str());
 }
 
 // --------------------------------------------------------------------------

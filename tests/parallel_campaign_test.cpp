@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -16,7 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "checkpoint_saves.hpp"
 #include "vps/apps/caps.hpp"
+#include "vps/apps/registry.hpp"
 #include "vps/coverage/coverage.hpp"
 #include "vps/fault/campaign.hpp"
 #include "vps/fault/checkpoint.hpp"
@@ -531,6 +534,77 @@ TEST(ParallelCampaignTest, ProvenanceExportsAreWorkerCountInvariant) {
   }
   EXPECT_GT(traced, 0u);
   EXPECT_LE(traced, w1.runs_executed);
+}
+
+// --------------------------------------------------------------------------
+// Checkpoint saves at the batch barriers
+// --------------------------------------------------------------------------
+
+TEST(ParallelCampaignTest, CheckpointSavesEqualToJsonlOfTheSamePrefix) {
+  const std::string path = ::testing::TempDir() + "/vps_par_saves.jsonl";
+  std::remove(path.c_str());
+  const ScenarioFactory factory = [] { return vps::apps::make_scenario("bms:runaway:prov"); };
+  CampaignConfig cfg;
+  cfg.runs = 64;
+  cfg.seed = 2026;
+  cfg.strategy = Strategy::kGuided;
+  cfg.location_buckets = 8;
+  cfg.batch_size = 8;
+  cfg.workers = 4;
+  cfg.checkpoint_every = 16;
+  cfg.preempt_after = 40;  // a barrier off the save cadence
+  cfg.checkpoint_path = path;
+  ParallelCampaign campaign(factory, cfg);
+  vps_test::CheckpointSaveRecorder recorder(path);
+  campaign.set_monitor(&recorder);
+  const CampaignResult partial = campaign.run();
+  recorder.finish();
+  ASSERT_TRUE(partial.interrupted);
+  ASSERT_EQ(partial.runs_executed, 40u);
+  EXPECT_FALSE(partial.provenance_jsonl().empty()) << "the saved records must carry provenance";
+
+  CampaignCheckpoint head;
+  head.driver = "parallel_campaign";
+  head.scenario = factory()->name();
+  head.config = cfg;
+  head.golden = campaign.golden();
+  vps_test::expect_saves_are_prefixes(recorder.saves(), head, partial.records, {16, 32, 40});
+  std::remove(path.c_str());
+}
+
+TEST(ParallelCampaignTest, MidBatchHazardStopSavesTheCutPrefix) {
+  const std::string path = ::testing::TempDir() + "/vps_par_stop_saves.jsonl";
+  std::remove(path.c_str());
+  const ScenarioFactory factory = [] { return vps::apps::make_scenario("bms:runaway:prov"); };
+  CampaignConfig cfg;
+  cfg.runs = 100;
+  cfg.seed = 2;  // first hazard at run 59, inside the eighth batch
+  cfg.location_buckets = 8;
+  cfg.batch_size = 8;
+  cfg.workers = 4;
+  cfg.stop_after_hazards = 1;
+  cfg.checkpoint_every = 1;  // every barrier saves, the cut one included
+  cfg.checkpoint_path = path;
+  ParallelCampaign campaign(factory, cfg);
+  vps_test::CheckpointSaveRecorder recorder(path);
+  campaign.set_monitor(&recorder);
+  const CampaignResult result = campaign.run();
+  recorder.finish();
+  ASSERT_EQ(result.count(Outcome::kHazard), 1u);
+  ASSERT_NE(result.runs_executed % cfg.batch_size, 0u) << "the stop must cut a batch short";
+
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = cfg.batch_size; n < result.runs_executed; n += cfg.batch_size) {
+    sizes.push_back(n);
+  }
+  sizes.push_back(result.runs_executed);
+  CampaignCheckpoint head;
+  head.driver = "parallel_campaign";
+  head.scenario = factory()->name();
+  head.config = cfg;
+  head.golden = campaign.golden();
+  vps_test::expect_saves_are_prefixes(recorder.saves(), head, result.records, sizes);
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, V2RoundTripsProvenanceRecords) {

@@ -1,12 +1,15 @@
 // Fault-tolerant campaign execution: kernel watchdog budgets terminating
 // livelocked models as kTimeout, crash-isolated replays quarantining
-// throwing scenarios as kSimCrash, and checkpoint/resume producing results
-// byte-identical to an uninterrupted campaign for both drivers.
+// throwing scenarios as kSimCrash, checkpoint/resume producing results
+// byte-identical to an uninterrupted campaign for both drivers, and the
+// incremental CheckpointWriter whose every save equals to_jsonl() of the
+// same record prefix.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -14,10 +17,12 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint_saves.hpp"
 #include "vps/apps/caps.hpp"
 #include "vps/fault/campaign.hpp"
 #include "vps/fault/checkpoint.hpp"
 #include "vps/fault/codec.hpp"
+#include "vps/obs/provenance.hpp"
 #include "vps/sim/kernel.hpp"
 #include "vps/support/crc.hpp"
 #include "vps/support/ensure.hpp"
@@ -383,6 +388,119 @@ TEST(Checkpoint, V2FilesWithoutCrcFieldsStillLoad) {
 }
 
 // --------------------------------------------------------------------------
+// CheckpointWriter: incremental saves, byte-identical to to_jsonl
+// --------------------------------------------------------------------------
+
+/// sample_checkpoint()'s two records (escapes, crash_what) grown to `n`:
+/// magnitudes that only hexfloat holds exactly, crash diagnostics on every
+/// third run, and a provenance DAG on every fourth.
+std::vector<RunRecord> writer_records(std::size_t n) {
+  std::vector<RunRecord> records = sample_checkpoint().records;
+  for (std::size_t i = records.size(); i < n; ++i) {
+    RunRecord r;
+    r.fault.id = i + 1;
+    r.fault.type = FaultType::kSensorOffset;
+    r.fault.inject_at = Time::us(i);
+    r.fault.location = "sensor/bucket" + std::to_string(i % 8);
+    r.fault.magnitude = 1.0 / static_cast<double>(i + 3);
+    r.outcome = Outcome::kNoEffect;
+    if (i % 3 == 0) {
+      r.outcome = Outcome::kSimCrash;
+      r.crash_what = "model crash @" + std::to_string(i);
+    }
+    if (i % 4 == 0) {
+      vps::obs::FaultProvenance fp;
+      fp.fault_id = i + 1;
+      fp.label = "sensor_offset#" + std::to_string(i);
+      fp.nodes.push_back(vps::obs::ProvenanceNode{"inject:sensor_offset",
+                                                  vps::obs::HopKind::kInjection, Time::us(i), -1, 0});
+      r.provenance.push_back(fp);
+    }
+    records.push_back(r);
+  }
+  return records;
+}
+
+TEST(CheckpointWriter, EverySaveEqualsToJsonlOfTheSamePrefix) {
+  const std::string path = ::testing::TempDir() + "/vps_writer_prefix.jsonl";
+  CampaignCheckpoint head = sample_checkpoint();
+  const std::vector<RunRecord> all = writer_records(12);
+  CheckpointWriter writer(path, head.driver, head.scenario, head.config, head.golden);
+  // Uneven growth, including an empty prefix and an unchanged one.
+  for (const std::size_t n : {0, 1, 1, 4, 5, 9, 12}) {
+    SCOPED_TRACE(std::to_string(n) + " records");
+    head.records.assign(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(n));
+    writer.save(head.records);
+    EXPECT_EQ(vps_test::read_file(path), to_jsonl(head));
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointWriter, RecordsAreEncodedOnceOnTheirFirstSave) {
+  const std::string path = ::testing::TempDir() + "/vps_writer_once.jsonl";
+  CampaignCheckpoint head = sample_checkpoint();
+  const std::vector<RunRecord> original = writer_records(6);
+  std::vector<RunRecord> records(original.begin(), original.begin() + 4);
+  CheckpointWriter writer(path, head.driver, head.scenario, head.config, head.golden);
+  writer.save(records);
+
+  // Edit already-saved records in place, then grow the prefix: the later
+  // files keep the lines as first saved.
+  records[0].outcome = Outcome::kHazard;
+  records[1].crash_what = "rewritten";
+  records[3].fault.magnitude = 42.0;
+  records.push_back(original[4]);
+  writer.save(records);
+  records.push_back(original[5]);
+  writer.save(records);
+
+  head.records = original;
+  EXPECT_EQ(vps_test::read_file(path), to_jsonl(head));
+  head.records = records;
+  EXPECT_NE(vps_test::read_file(path), to_jsonl(head));
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointWriter, ShrinkingPrefixIsRejected) {
+  const std::string path = ::testing::TempDir() + "/vps_writer_shrink.jsonl";
+  const CampaignCheckpoint head = sample_checkpoint();
+  std::vector<RunRecord> records = writer_records(5);
+  CheckpointWriter writer(path, head.driver, head.scenario, head.config, head.golden);
+  writer.save(records);
+  const std::string saved = vps_test::read_file(path);
+
+  records.pop_back();
+  EXPECT_THROW(writer.save(records), InvariantError);
+  EXPECT_EQ(vps_test::read_file(path), saved) << "a rejected save must not touch the file";
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, FailedSaveLeavesThePreviousFileAndNoTempFile) {
+  // The target is an existing non-empty directory: the temp file gets
+  // written, then renaming it over the directory fails.
+  const std::string dir = ::testing::TempDir() + "/vps_checkpoint_target_dir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directory(dir);
+  std::ofstream(dir + "/previous") << "keep me";
+
+  const CampaignCheckpoint cp = sample_checkpoint();
+  try {
+    save_checkpoint(cp, dir);
+    ADD_FAILURE() << "saving over a directory must throw";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("rename"), std::string::npos) << e.what();
+  }
+  CheckpointWriter writer(dir, cp.driver, cp.scenario, cp.config, cp.golden);
+  EXPECT_THROW(writer.save(cp.records), InvariantError);
+
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+  EXPECT_EQ(vps_test::read_file(dir + "/previous"), "keep me");
+  EXPECT_FALSE(std::filesystem::exists(dir + ".tmp")) << "a failed save must not leave its temp file";
+  std::filesystem::remove_all(dir);
+}
+
+// --------------------------------------------------------------------------
 // Resume == uninterrupted (both drivers)
 // --------------------------------------------------------------------------
 
@@ -525,6 +643,36 @@ TEST(Resilience, PeriodicCheckpointsAreWrittenDuringTheRun) {
   CapsScenario rest(CapsConfig{.duration = Time::ms(10)});
   const auto resumed = Campaign(rest, cfg).resume(cp);
   expect_identical(resumed, result);
+  std::remove(path.c_str());
+}
+
+TEST(Resilience, SequentialSavesEqualToJsonlOfTheSamePrefix) {
+  const std::string path = ::testing::TempDir() + "/vps_seq_saves.jsonl";
+  std::remove(path.c_str());
+  CampaignConfig cfg;
+  cfg.runs = 20;
+  cfg.seed = 5;
+  cfg.location_buckets = 8;
+  cfg.crash_retries = 1;
+  cfg.checkpoint_every = 3;
+  cfg.preempt_after = 10;  // the cut is off the save cadence
+  cfg.checkpoint_path = path;
+  CrashyCaps scenario(3);
+  Campaign campaign(scenario, cfg);
+  vps_test::CheckpointSaveRecorder recorder(path);
+  campaign.set_monitor(&recorder);
+  const CampaignResult partial = campaign.run();
+  recorder.finish();
+  ASSERT_TRUE(partial.interrupted);
+  ASSERT_EQ(partial.runs_executed, 10u);
+  ASSERT_EQ(partial.quarantine.size(), 3u);  // crash_what records are among the saved ones
+
+  CampaignCheckpoint head;
+  head.driver = "campaign";
+  head.scenario = scenario.name();
+  head.config = cfg;
+  head.golden = campaign.golden();
+  vps_test::expect_saves_are_prefixes(recorder.saves(), head, partial.records, {3, 6, 9, 10});
   std::remove(path.c_str());
 }
 

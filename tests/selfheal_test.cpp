@@ -10,7 +10,10 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -24,6 +27,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "checkpoint_saves.hpp"
 #include "vps/apps/registry.hpp"
 #include "vps/dist/chaos.hpp"
 #include "vps/dist/coordinator.hpp"
@@ -631,6 +635,80 @@ TEST(SelfHealingTest, PreemptedServerCampaignResumesFromCheckpointIdentically) {
   server.stop();
   for (pid_t pid : pool) reap(pid);
   expect_identical(solo, resumed);
+}
+
+TEST(SelfHealingTest, ServerModeCheckpointSavesEqualToJsonlOfTheSamePrefix) {
+  const std::string path = ::testing::TempDir() + "/vps_server_saves.jsonl";
+  std::remove(path.c_str());
+  const ScenarioFactory factory = [] { return vps::apps::make_scenario("bms:runaway:prov"); };
+
+  CampaignServer server{ServerConfig{}};
+  std::vector<pid_t> pool;
+  for (int i = 0; i < 2; ++i) pool.push_back(fork_reconnecting_worker(server.port()));
+  server.start();
+
+  DistConfig dc;
+  dc.campaign.runs = 64;
+  dc.campaign.seed = 2026;
+  dc.campaign.location_buckets = 8;
+  dc.campaign.batch_size = 8;
+  dc.campaign.checkpoint_every = 16;
+  dc.campaign.preempt_after = 40;  // a barrier off the save cadence
+  dc.campaign.checkpoint_path = path;
+  dc.server_host = kHost;
+  dc.server_port = server.port();
+  dc.tenant = "saves";
+  dc.scenario_spec = "bms:runaway:prov";
+  DistCampaign campaign(factory, dc);
+  vps_test::CheckpointSaveRecorder recorder(path);
+  campaign.set_monitor(&recorder);
+  const CampaignResult partial = campaign.run();
+  recorder.finish();
+  server.stop();
+  for (pid_t pid : pool) reap(pid);
+  ASSERT_TRUE(partial.interrupted);
+  ASSERT_EQ(partial.runs_executed, 40u);
+  EXPECT_FALSE(partial.provenance_jsonl().empty()) << "the saved records must carry provenance";
+
+  vps::fault::CampaignCheckpoint head;
+  head.driver = "parallel_campaign";
+  head.scenario = factory()->name();
+  head.config = dc.campaign;
+  head.golden = campaign.golden();
+  vps_test::expect_saves_are_prefixes(recorder.saves(), head, partial.records, {16, 32, 40});
+  std::remove(path.c_str());
+}
+
+// --------------------------------------------------------------------------
+// A failed state persist warns and leaves no temp file behind
+// --------------------------------------------------------------------------
+
+TEST(CampaignServerTest, FailedStatePersistKeepsServingAndLeavesNoTempFile) {
+  char state_template[] = "/tmp/vps_state_XXXXXX";
+  char* state_dir = ::mkdtemp(state_template);
+  ASSERT_NE(state_dir, nullptr);
+  // The job table's path is an existing non-empty directory: every persist
+  // writes its temp file, then fails to rename it over the directory.
+  const std::string table = std::string(state_dir) + "/jobs.jsonl";
+  std::filesystem::create_directory(table);
+  std::ofstream(table + "/previous") << "keep me";
+
+  ServerConfig sc;
+  sc.state_dir = state_dir;
+  CampaignServer server{sc};
+  server.start();
+  Channel c(tcp_connect(kHost, server.port()));
+  ASSERT_TRUE(c.send_frame(MsgType::kSubmit, encode_submit(tiny_submit("unpersisted"))));
+  const auto accept = c.wait_frame(5000);
+  ASSERT_TRUE(accept.has_value());
+  EXPECT_EQ(accept->type, MsgType::kAccept) << "a failed persist must not cost the admission";
+  ASSERT_TRUE(c.send_frame(MsgType::kRelease, encode_job(JobMsg{decode_accept(accept->payload).job})));
+  server.stop();
+
+  EXPECT_TRUE(std::filesystem::is_directory(table));
+  EXPECT_EQ(vps_test::read_file(table + "/previous"), "keep me");
+  EXPECT_FALSE(std::filesystem::exists(table + ".tmp")) << "a failed persist must not leave its temp file";
+  std::filesystem::remove_all(state_dir);
 }
 
 }  // namespace
