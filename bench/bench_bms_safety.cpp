@@ -134,7 +134,15 @@ void report_fmeda(const MissionResult& runaway, double mission_s) {
               metrics.lfm, metrics.pmhf_fit, metrics.meets(safety::Asil::kC) ? "yes" : "NO");
 }
 
-void bench_fork_cost(std::size_t runs) {
+bool same_observation(const fault::Observation& a, const fault::Observation& b) {
+  return a.output_signature == b.output_signature && a.completed == b.completed &&
+         a.hazard == b.hazard && a.detected == b.detected && a.corrected == b.corrected &&
+         a.resets == b.resets && a.deadline_misses == b.deadline_misses &&
+         a.provenance.size() == b.provenance.size();
+}
+
+/// Returns the number of forked replays that differ from their full replay.
+std::size_t bench_fork_cost(std::size_t runs) {
   const apps::BmsConfig config = mission_config(apps::BmsMission::kThermalRunaway, false);
   apps::BmsScenario full(config);
   apps::BmsScenario forked(config);
@@ -166,14 +174,14 @@ void bench_fork_cost(std::size_t runs) {
     t0 = Clock::now();
     const auto b = forked.run(&f, cfg.seed);
     t_forked.push_back(seconds_since(t0));
-    mismatches += a.output_signature != b.output_signature || a.hazard != b.hazard ||
-                  a.detected != b.detected;
+    mismatches += same_observation(a, b) ? 0 : 1;
   }
   const double mf = median(t_full), mk = median(t_forked);
   std::printf("== snapshot-and-fork replay cost (runaway, %zu faults) ==\n\n", faults.size());
   std::printf("  full replay     median %7.2f ms/run\n", mf * 1e3);
   std::printf("  forked replay   median %7.2f ms/run   speedup %.2fx   mismatches: %zu\n\n",
               mk * 1e3, mk > 0 ? mf / mk : 0.0, mismatches);
+  return mismatches;
 }
 
 }  // namespace
@@ -219,7 +227,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", per_type.render().c_str());
 
   report_fmeda(runaway, 12.0);
-  bench_fork_cost(std::min<std::size_t>(runs, 32));
+  const std::size_t mismatches = bench_fork_cost(std::min<std::size_t>(runs, 32));
 
   std::printf(
       "Expected shape: UART line errors are caught by the parity/framing/CRC\n"
@@ -231,5 +239,9 @@ int main(int argc, char** argv) {
       "detection is fast. Killing the thermal task is the dangerous\n"
       "population: the runaway reaches the hazard temperature with the\n"
       "contactor still closed.\n");
+  if (mismatches != 0) {
+    std::printf("BUG: %zu forked replays differ from their full replay\n", mismatches);
+    return 1;
+  }
   return 0;
 }

@@ -28,12 +28,8 @@ using namespace vps;
 
 namespace {
 
-fault::ScenarioFactory factory(const std::string& spec, bool snapshot_replay) {
-  return [spec, snapshot_replay] {
-    auto scenario = apps::make_scenario(spec);
-    scenario->set_snapshot_replay(snapshot_replay);
-    return scenario;
-  };
+fault::ScenarioFactory factory(const std::string& spec) {
+  return [spec] { return apps::make_scenario(spec); };
 }
 
 std::string to_jsonl(const fault::CampaignResult& result) {
@@ -58,8 +54,12 @@ bool check(const std::string& spec, std::size_t runs, const std::string& jsonl_d
   cfg.workers = 4;
   cfg.batch_size = 8;
 
-  const auto golden = fault::ParallelCampaign(factory(spec, false), cfg).run();
-  auto forked = fault::ParallelCampaign(factory(spec, true), cfg).run();
+  // The driver applies the config's replay mode to every scenario it
+  // builds, so the reference is forced through the config, not the factory.
+  fault::CampaignConfig full_cfg = cfg;
+  full_cfg.snapshot_replay = false;
+  const auto golden = fault::ParallelCampaign(factory(spec), full_cfg).run();
+  auto forked = fault::ParallelCampaign(factory(spec), cfg).run();
 
   const std::string golden_jsonl = to_jsonl(golden);
   const std::string forked_jsonl = to_jsonl(forked);

@@ -5,6 +5,7 @@
 
 #include "vps/ecu/os.hpp"
 #include "vps/fault/injector.hpp"
+#include "vps/fault/snapshot_replay.hpp"
 #include "vps/support/crc.hpp"
 #include "vps/support/rng.hpp"
 
@@ -34,8 +35,6 @@ struct Plant {
   }
 };
 
-}  // namespace
-
 /// One quiescent golden-run snapshot of the ACC system (see the CAPS twin
 /// in caps.cpp for the replay-engine rationale). Plain data only.
 struct AccEpochSnapshot {
@@ -51,18 +50,6 @@ struct AccEpochSnapshot {
   std::uint8_t leader_phase = 0;
   bool monitor_pending = false;
 };
-
-/// Golden epoch snapshots for one seed; the golden prefix is fault-id
-/// independent, so one segmented golden run serves every forked replay.
-struct AccReplayCache {
-  std::uint64_t seed = 0;
-  bool valid = false;
-  std::vector<AccEpochSnapshot> epochs;
-};
-
-namespace {
-
-constexpr std::size_t kReplayEpochs = 8;
 
 /// The complete ACC system VP. Spawn order matches the pre-refactor inline
 /// build (plant integrator, leader event, control task, actuator monitor,
@@ -89,7 +76,7 @@ struct AccSystem {
   std::uint8_t leader_phase = 0;
   bool monitor_pending = false;
 
-  AccSystem(const AccConfig& cfg, std::uint64_t seed)
+  AccSystem(const AccConfig& cfg, std::uint64_t seed, const FaultDescriptor*)
       : os(kernel, "acc_os"),
         plant{cfg.initial_gap_m, cfg.ego_speed_mps, 0.0,
               cfg.ego_speed_mps, 0.0, cfg.initial_gap_m},
@@ -228,7 +215,10 @@ struct AccSystem {
 
 }  // namespace
 
-AccScenario::AccScenario(AccConfig config) : config_(config) {}
+struct AccScenario::Replay : fault::SnapshotReplay<AccSystem, AccEpochSnapshot> {};
+
+AccScenario::AccScenario(AccConfig config)
+    : config_(config), replay_(std::make_unique<Replay>()) {}
 AccScenario::~AccScenario() = default;
 
 std::vector<FaultType> AccScenario::fault_types() const {
@@ -236,67 +226,12 @@ std::vector<FaultType> AccScenario::fault_types() const {
           FaultType::kSensorStuck};
 }
 
-Observation AccScenario::run(const FaultDescriptor* fault_in, std::uint64_t seed) {
-  if (!snapshot_replay()) return run_full(fault_in, seed, /*capture_epochs=*/false);
-  if (fault_in == nullptr) return run_full(nullptr, seed, /*capture_epochs=*/true);
-  if (cache_ == nullptr || !cache_->valid || cache_->seed != seed) {
-    (void)run_full(nullptr, seed, /*capture_epochs=*/true);
-  }
-  const AccEpochSnapshot* best = nullptr;
-  if (cache_ != nullptr && cache_->valid && cache_->seed == seed) {
-    for (const AccEpochSnapshot& e : cache_->epochs) {
-      if (e.kernel.now < fault_in->inject_at) best = &e;
-    }
-  }
-  if (best == nullptr) return run_full(fault_in, seed, /*capture_epochs=*/false);
-  return run_forked(*best, *fault_in, seed);
-}
-
-Observation AccScenario::run_full(const FaultDescriptor* fault_in, std::uint64_t seed,
-                                  bool capture_epochs) {
-  AccSystem sys(config_, seed);
-  if (fault_in != nullptr) sys.inject(*fault_in, /*pinned=*/false, 0);
-
-  sim::RunStatus status{};
-  if (capture_epochs) {
-    if (cache_ == nullptr) cache_ = std::make_unique<AccReplayCache>();
-    cache_->valid = false;
-    cache_->seed = seed;
-    cache_->epochs.clear();
-    cache_->epochs.reserve(kReplayEpochs - 1);
-    bool aborted = false;
-    for (std::size_t k = 1; k < kReplayEpochs; ++k) {
-      status = sys.kernel.run(config_.duration * k / kReplayEpochs, config_.run_budget);
-      if (status.budget_exhausted()) {
-        cache_->epochs.clear();
-        aborted = true;
-        break;
-      }
-      cache_->epochs.emplace_back();
-      sys.capture(cache_->epochs.back());
-    }
-    if (!aborted) {
-      status = sys.kernel.run(config_.duration, config_.run_budget);
-      cache_->valid = !status.budget_exhausted();
-    }
-  } else {
-    status = sys.kernel.run(config_.duration, config_.run_budget);
-  }
-
-  last_min_gap_ = sys.plant.min_gap;
-  last_misses_ = sys.os.total_deadline_misses();
-  return sys.observe(status);
-}
-
-Observation AccScenario::run_forked(const AccEpochSnapshot& epoch, const FaultDescriptor& fault,
-                                    std::uint64_t seed) {
-  AccSystem sys(config_, seed);
-  sys.restore(epoch);
-  sys.inject(fault, /*pinned=*/true, epoch.kernel.init_seq_mark);
-  const sim::RunStatus status = sys.kernel.run(config_.duration, config_.run_budget);
-  last_min_gap_ = sys.plant.min_gap;
-  last_misses_ = sys.os.total_deadline_misses();
-  return sys.observe(status);
+Observation AccScenario::run(const FaultDescriptor* fault, std::uint64_t seed) {
+  return replay_->run(config_, fault, seed, snapshot_replay(),
+                      [this](AccSystem& sys, sim::RunStatus status) {
+                        last_min_gap_ = sys.plant.min_gap;
+                        return sys.observe(status);
+                      });
 }
 
 }  // namespace vps::apps

@@ -30,11 +30,6 @@ struct AccConfig {
   sim::RunBudget run_budget{.max_deltas_without_advance = std::uint64_t{1} << 20};
 };
 
-/// Opaque per-seed golden epoch snapshots for snapshot-and-fork replay
-/// (defined in acc.cpp; see the CAPS twin for the pattern).
-struct AccEpochSnapshot;
-struct AccReplayCache;
-
 class AccScenario final : public fault::Scenario {
  public:
   explicit AccScenario(AccConfig config);
@@ -49,18 +44,14 @@ class AccScenario final : public fault::Scenario {
 
   /// Minimum gap observed in the most recent run (diagnostics/benches).
   [[nodiscard]] double last_min_gap_m() const noexcept { return last_min_gap_; }
-  [[nodiscard]] std::uint64_t last_deadline_misses() const noexcept { return last_misses_; }
 
  private:
-  fault::Observation run_full(const fault::FaultDescriptor* fault, std::uint64_t seed,
-                              bool capture_epochs);
-  fault::Observation run_forked(const AccEpochSnapshot& epoch,
-                                const fault::FaultDescriptor& fault, std::uint64_t seed);
+  /// fault::SnapshotReplay over the system model (defined in acc.cpp).
+  struct Replay;
 
   AccConfig config_;
-  std::unique_ptr<AccReplayCache> cache_;
+  std::unique_ptr<Replay> replay_;
   double last_min_gap_ = 0.0;
-  std::uint64_t last_misses_ = 0;
 };
 
 }  // namespace vps::apps

@@ -6,6 +6,7 @@
 
 #include "vps/ecu/os.hpp"
 #include "vps/fault/injector.hpp"
+#include "vps/fault/snapshot_replay.hpp"
 #include "vps/hw/uart.hpp"
 #include "vps/obs/provenance.hpp"
 #include "vps/sim/signal.hpp"
@@ -194,7 +195,6 @@ using bms::State;
 
 constexpr std::size_t kChannelCount = 2 * kCells + 1;  // voltages, temps, current
 constexpr std::size_t kRunawayCell = 2;
-constexpr std::size_t kReplayEpochs = 8;
 
 /// 4-cell series pack with a lumped thermal node per cell, integrated at a
 /// fixed 10 ms step. The runaway self-heat models an internal soft short
@@ -315,8 +315,6 @@ struct EcuState {
   return stable;
 }
 
-}  // namespace
-
 /// One quiescent golden-run snapshot of the BMS system (see the CAPS twin
 /// in caps.cpp for the replay-engine rationale). Plain data only.
 struct BmsEpochSnapshot {
@@ -330,16 +328,6 @@ struct BmsEpochSnapshot {
   CorrelationEngine::Snapshot engine;
   EcuState ecu;
 };
-
-/// Golden epoch snapshots for one seed; the golden prefix is fault-id
-/// independent, so one segmented golden run serves every forked replay.
-struct BmsReplayCache {
-  std::uint64_t seed = 0;
-  bool valid = false;
-  std::vector<BmsEpochSnapshot> epochs;
-};
-
-namespace {
 
 /// The complete BMS system VP. Construction order is fixed — kernel
 /// ordinal identity (processes, events) is what lets a forked replay
@@ -364,7 +352,7 @@ struct BmsSystem {
   ecu::TaskId soc_task = 0;
   ecu::TaskId telemetry_task = 0;
 
-  BmsSystem(const BmsConfig& config, std::uint64_t seed)
+  BmsSystem(const BmsConfig& config, std::uint64_t seed, const FaultDescriptor*)
       : cfg(config),
         os(kernel, "bms_os"),
         noise(seed),
@@ -679,7 +667,10 @@ struct BmsSystem {
 
 }  // namespace
 
-BmsScenario::BmsScenario(BmsConfig config) : config_(config) {}
+struct BmsScenario::Replay : fault::SnapshotReplay<BmsSystem, BmsEpochSnapshot> {};
+
+BmsScenario::BmsScenario(BmsConfig config)
+    : config_(config), replay_(std::make_unique<Replay>()) {}
 BmsScenario::~BmsScenario() = default;
 
 std::string BmsScenario::name() const {
@@ -691,65 +682,12 @@ std::vector<FaultType> BmsScenario::fault_types() const {
           FaultType::kTaskKill, FaultType::kExecutionSlowdown};
 }
 
-Observation BmsScenario::run(const FaultDescriptor* fault_in, std::uint64_t seed) {
-  if (!snapshot_replay()) return run_full(fault_in, seed, /*capture_epochs=*/false);
-  if (fault_in == nullptr) return run_full(nullptr, seed, /*capture_epochs=*/true);
-  if (cache_ == nullptr || !cache_->valid || cache_->seed != seed) {
-    (void)run_full(nullptr, seed, /*capture_epochs=*/true);
-  }
-  const BmsEpochSnapshot* best = nullptr;
-  if (cache_ != nullptr && cache_->valid && cache_->seed == seed) {
-    for (const BmsEpochSnapshot& e : cache_->epochs) {
-      if (e.kernel.now < fault_in->inject_at) best = &e;
-    }
-  }
-  if (best == nullptr) return run_full(fault_in, seed, /*capture_epochs=*/false);
-  return run_forked(*best, *fault_in, seed);
-}
-
-Observation BmsScenario::run_full(const FaultDescriptor* fault_in, std::uint64_t seed,
-                                  bool capture_epochs) {
-  BmsSystem sys(config_, seed);
-  if (fault_in != nullptr) sys.inject(*fault_in, /*pinned=*/false, 0);
-
-  sim::RunStatus status{};
-  if (capture_epochs) {
-    if (cache_ == nullptr) cache_ = std::make_unique<BmsReplayCache>();
-    cache_->valid = false;
-    cache_->seed = seed;
-    cache_->epochs.clear();
-    cache_->epochs.reserve(kReplayEpochs - 1);
-    bool aborted = false;
-    for (std::size_t k = 1; k < kReplayEpochs; ++k) {
-      status = sys.kernel.run(config_.duration * k / kReplayEpochs, config_.run_budget);
-      if (status.budget_exhausted()) {
-        cache_->epochs.clear();
-        aborted = true;
-        break;
-      }
-      cache_->epochs.emplace_back();
-      sys.capture(cache_->epochs.back());
-    }
-    if (!aborted) {
-      status = sys.kernel.run(config_.duration, config_.run_budget);
-      cache_->valid = !status.budget_exhausted();
-    }
-  } else {
-    status = sys.kernel.run(config_.duration, config_.run_budget);
-  }
-
-  last_ = read_diagnostics(sys);
-  return sys.observe(status);
-}
-
-Observation BmsScenario::run_forked(const BmsEpochSnapshot& epoch, const FaultDescriptor& fault,
-                                    std::uint64_t seed) {
-  BmsSystem sys(config_, seed);
-  sys.restore(epoch);
-  sys.inject(fault, /*pinned=*/true, epoch.kernel.init_seq_mark);
-  const sim::RunStatus status = sys.kernel.run(config_.duration, config_.run_budget);
-  last_ = read_diagnostics(sys);
-  return sys.observe(status);
+Observation BmsScenario::run(const FaultDescriptor* fault, std::uint64_t seed) {
+  return replay_->run(config_, fault, seed, snapshot_replay(),
+                      [this](BmsSystem& sys, sim::RunStatus status) {
+                        last_ = read_diagnostics(sys);
+                        return sys.observe(status);
+                      });
 }
 
 }  // namespace vps::apps

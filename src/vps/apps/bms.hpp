@@ -185,11 +185,6 @@ struct BmsConfig {
   sim::RunBudget run_budget{.max_deltas_without_advance = std::uint64_t{1} << 20};
 };
 
-/// Opaque per-seed golden epoch snapshots for snapshot-and-fork replay
-/// (defined in bms.cpp; see the CAPS twin for the pattern).
-struct BmsEpochSnapshot;
-struct BmsReplayCache;
-
 /// Per-run diagnostics of the most recent run (tests/benches).
 struct BmsDiagnostics {
   bms::State final_state = bms::State::kNormal;
@@ -226,13 +221,11 @@ class BmsScenario final : public fault::Scenario {
   [[nodiscard]] const BmsDiagnostics& last_diagnostics() const noexcept { return last_; }
 
  private:
-  fault::Observation run_full(const fault::FaultDescriptor* fault, std::uint64_t seed,
-                              bool capture_epochs);
-  fault::Observation run_forked(const BmsEpochSnapshot& epoch,
-                                const fault::FaultDescriptor& fault, std::uint64_t seed);
+  /// fault::SnapshotReplay over the system model (defined in bms.cpp).
+  struct Replay;
 
   BmsConfig config_;
-  std::unique_ptr<BmsReplayCache> cache_;
+  std::unique_ptr<Replay> replay_;
   BmsDiagnostics last_;
 };
 

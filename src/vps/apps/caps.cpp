@@ -5,6 +5,7 @@
 #include "vps/can/bus.hpp"
 #include "vps/ecu/platform.hpp"
 #include "vps/fault/injector.hpp"
+#include "vps/fault/snapshot_replay.hpp"
 #include "vps/obs/provenance.hpp"
 #include "vps/support/crc.hpp"
 #include "vps/support/rng.hpp"
@@ -180,11 +181,12 @@ class SensorNode final : public can::CanNode {
   std::uint8_t corrupt_value_ = 0;
 };
 
-}  // namespace
-
 /// One quiescent golden-run snapshot: everything a forked replay must
 /// overlay onto a freshly built (shape-identical) system. Plain data only —
-/// the cache outlives any individual system instance.
+/// the cache outlives any individual system instance. The golden prefix is
+/// identical for every fault (the only fault-dependent pre-injection state,
+/// the sensor corruption stream, is excluded from the images), so one
+/// segmented golden run serves every forked replay of the campaign.
 struct CapsEpochSnapshot {
   sim::KernelSnapshot kernel;
   can::CanBus::Snapshot bus;
@@ -195,23 +197,6 @@ struct CapsEpochSnapshot {
   bool sensor_sample_pending = false;
   sim::Time deploy_time = sim::Time::max();
 };
-
-/// Golden epoch snapshots for one seed. The golden prefix is identical for
-/// every fault (the only fault-dependent pre-injection state, the sensor
-/// corruption stream, is excluded from the images), so one segmented golden
-/// run serves every forked replay of the campaign.
-struct CapsReplayCache {
-  std::uint64_t seed = 0;
-  bool valid = false;
-  std::vector<CapsEpochSnapshot> epochs;  ///< quiescent at epochs[i].kernel.now, increasing
-};
-
-namespace {
-
-/// Number of segments the golden run is cut into; interior boundaries
-/// (1..kReplayEpochs-1) each yield a snapshot, so a late injection forks
-/// from at most 1/kReplayEpochs of the run away.
-constexpr std::size_t kReplayEpochs = 8;
 
 [[nodiscard]] constexpr std::uint64_t fault_salt_of(const FaultDescriptor* fault) noexcept {
   return fault != nullptr ? fault->id * 0x9E3779B97F4A7C15ULL : 0;
@@ -236,7 +221,7 @@ struct CapsSystem {
   obs::ProvenanceTracker tracker;
   obs::ProvenanceTracker* prov = nullptr;
 
-  CapsSystem(const CapsConfig& cfg, std::uint64_t seed, std::uint64_t fault_salt)
+  CapsSystem(const CapsConfig& cfg, std::uint64_t seed, const FaultDescriptor* fault)
       : bus(kernel, "can0", 500000),
         airbag(kernel, "airbag", platform_config(cfg)),
         wired((airbag.attach_can(bus),
@@ -254,7 +239,7 @@ struct CapsSystem {
         // buffer byte sticks, at which value), so mixing the fault id in
         // keeps golden runs untouched while giving every injection its own
         // corruption pattern.
-        sensor_rng(seed ^ 0xABCDEF ^ fault_salt),
+        sensor_rng(seed ^ 0xABCDEF ^ fault_salt_of(fault)),
         sensor(kernel, bus, accel, sensor_rng.fork()),
         hub(airbag),
         tracker(kernel) {
@@ -297,9 +282,7 @@ struct CapsSystem {
   /// `pinned_seq` carrying the timed-queue sequence number the injection
   /// holds in a full replay (the golden snapshot's init_seq_mark) so the
   /// suffix interleaves identically.
-  void inject(const CapsConfig& cfg, FaultDescriptor fault, bool pinned,
-              std::uint64_t pinned_seq) {
-    (void)cfg;
+  void inject(FaultDescriptor fault, bool pinned, std::uint64_t pinned_seq) {
     // Memory faults are drawn over the *occupied* image (firmware + data),
     // not the whole address space: flipping bits in never-read RAM tells a
     // campaign nothing (standard occupancy weighting).
@@ -396,7 +379,10 @@ struct CapsSystem {
 
 }  // namespace
 
-CapsScenario::CapsScenario(CapsConfig config) : config_(config) {}
+struct CapsScenario::Replay : fault::SnapshotReplay<CapsSystem, CapsEpochSnapshot> {};
+
+CapsScenario::CapsScenario(CapsConfig config)
+    : config_(config), replay_(std::make_unique<Replay>()) {}
 CapsScenario::~CapsScenario() = default;
 
 std::string CapsScenario::name() const {
@@ -413,66 +399,11 @@ std::vector<FaultType> CapsScenario::fault_types() const {
           FaultType::kSupplyBrownout};
 }
 
-Observation CapsScenario::run(const FaultDescriptor* fault_in, std::uint64_t seed) {
-  if (!snapshot_replay()) return run_full(fault_in, seed, /*capture_epochs=*/false);
-  // Golden runs are segmented to (re)fill the epoch cache as a side effect —
-  // the campaign drivers always run golden first, so forks hit a warm cache.
-  if (fault_in == nullptr) return run_full(nullptr, seed, /*capture_epochs=*/true);
-  if (cache_ == nullptr || !cache_->valid || cache_->seed != seed) {
-    (void)run_full(nullptr, seed, /*capture_epochs=*/true);
-  }
-  const CapsEpochSnapshot* best = nullptr;
-  if (cache_ != nullptr && cache_->valid && cache_->seed == seed) {
-    // Largest epoch strictly before the injection instant: everything at
-    // exactly inject_at must still execute *after* the injection entry.
-    for (const CapsEpochSnapshot& e : cache_->epochs) {
-      if (e.kernel.now < fault_in->inject_at) best = &e;
-    }
-  }
-  if (best == nullptr) return run_full(fault_in, seed, /*capture_epochs=*/false);
-  return run_forked(*best, *fault_in, seed);
-}
-
-Observation CapsScenario::run_full(const FaultDescriptor* fault_in, std::uint64_t seed,
-                                   bool capture_epochs) {
-  CapsSystem sys(config_, seed, fault_salt_of(fault_in));
-  if (fault_in != nullptr) sys.inject(config_, *fault_in, /*pinned=*/false, 0);
-
-  sim::RunStatus status{};
-  if (capture_epochs) {
-    if (cache_ == nullptr) cache_ = std::make_unique<CapsReplayCache>();
-    cache_->valid = false;
-    cache_->seed = seed;
-    cache_->epochs.clear();
-    cache_->epochs.reserve(kReplayEpochs - 1);
-    bool aborted = false;
-    for (std::size_t k = 1; k < kReplayEpochs; ++k) {
-      status = sys.kernel.run(config_.duration * k / kReplayEpochs, config_.run_budget);
-      if (status.budget_exhausted()) {  // a golden livelock: no cache, report as-is
-        cache_->epochs.clear();
-        aborted = true;
-        break;
-      }
-      cache_->epochs.emplace_back();
-      sys.capture(cache_->epochs.back());
-    }
-    if (!aborted) {
-      status = sys.kernel.run(config_.duration, config_.run_budget);
-      cache_->valid = !status.budget_exhausted();
-    }
-  } else {
-    status = sys.kernel.run(config_.duration, config_.run_budget);
-  }
-  return sys.observe(config_, status);
-}
-
-Observation CapsScenario::run_forked(const CapsEpochSnapshot& epoch, const FaultDescriptor& fault,
-                                     std::uint64_t seed) {
-  CapsSystem sys(config_, seed, fault_salt_of(&fault));
-  sys.restore(epoch);
-  sys.inject(config_, fault, /*pinned=*/true, epoch.kernel.init_seq_mark);
-  const sim::RunStatus status = sys.kernel.run(config_.duration, config_.run_budget);
-  return sys.observe(config_, status);
+Observation CapsScenario::run(const FaultDescriptor* fault, std::uint64_t seed) {
+  return replay_->run(config_, fault, seed, snapshot_replay(),
+                      [this](CapsSystem& sys, sim::RunStatus status) {
+                        return sys.observe(config_, status);
+                      });
 }
 
 }  // namespace vps::apps

@@ -45,11 +45,6 @@ struct CapsConfig {
   sim::RunBudget run_budget{.max_deltas_without_advance = std::uint64_t{1} << 20};
 };
 
-/// Opaque per-seed golden epoch snapshots for snapshot-and-fork replay
-/// (defined in caps.cpp; the snapshot types live with the system model).
-struct CapsEpochSnapshot;
-struct CapsReplayCache;
-
 class CapsScenario final : public fault::Scenario {
  public:
   explicit CapsScenario(CapsConfig config);
@@ -64,20 +59,11 @@ class CapsScenario final : public fault::Scenario {
   [[nodiscard]] const CapsConfig& config() const noexcept { return config_; }
 
  private:
-  /// Classic path: build a fresh system, inject, run t=0..duration. With
-  /// `capture_epochs` the golden run is segmented and quiescent snapshots
-  /// are cached for later forks — bit-identical either way (segmentation
-  /// only changes where run() returns, never the event order).
-  fault::Observation run_full(const fault::FaultDescriptor* fault, std::uint64_t seed,
-                              bool capture_epochs);
-  /// Fork path: rebuild the system shape, overlay the cached epoch state,
-  /// schedule the injection with its full-replay sequence number pinned and
-  /// execute only the divergent suffix.
-  fault::Observation run_forked(const CapsEpochSnapshot& epoch,
-                                const fault::FaultDescriptor& fault, std::uint64_t seed);
+  /// fault::SnapshotReplay over the system model (defined in caps.cpp).
+  struct Replay;
 
   CapsConfig config_;
-  std::unique_ptr<CapsReplayCache> cache_;
+  std::unique_ptr<Replay> replay_;
 };
 
 }  // namespace vps::apps

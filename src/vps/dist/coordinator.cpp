@@ -121,7 +121,9 @@ pid_t spawn_worker(std::size_t index, const std::vector<SocketPair>& all_pairs,
     int code = 3;
     {
       Channel channel(my_fd);
-      code = serve(channel, [&factory](const SetupMsg&) { return factory(); });
+      code = serve(channel, [&factory, &config](const SetupMsg&) {
+        return fault::detail::build_scenario(factory, config.campaign, "DistCampaign");
+      });
     }
     ::_exit(code);
   }
@@ -161,8 +163,7 @@ DistCampaign::DistCampaign(fault::ScenarioFactory factory, DistConfig config)
 
 void DistCampaign::ensure_coordinator() {
   if (coordinator_ != nullptr) return;
-  coordinator_ = factory_();
-  ensure(coordinator_ != nullptr, "DistCampaign: scenario factory returned null");
+  coordinator_ = fault::detail::build_scenario(factory_, config_.campaign, "DistCampaign");
 }
 
 CampaignResult DistCampaign::run() {

@@ -80,7 +80,11 @@ struct CampaignConfig {
   /// snapshots per seed and execute only the divergent suffix of each
   /// faulty replay. Purely an execution optimization — results are bitwise
   /// identical either way (the snapshot-equivalence tests enforce this), so
-  /// like `workers` it is not part of the checkpoint identity.
+  /// like `workers` it is not part of the checkpoint identity. The drivers
+  /// apply it to every scenario they build (Campaign: to the one it is
+  /// given), overriding whatever the factory set. Exec-mode
+  /// (DistConfig::worker_path) and server-pool workers rebuild their
+  /// scenario from the registry spec and always fork.
   bool snapshot_replay = true;
 };
 

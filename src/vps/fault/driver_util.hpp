@@ -36,6 +36,17 @@ inline bool same_fault(const FaultDescriptor& a, const FaultDescriptor& b) noexc
          a.address == b.address && a.bit == b.bit && a.magnitude == b.magnitude;
 }
 
+/// Builds one scenario through the campaign's factory and applies the
+/// campaign's replay mode to it: the config, not the factory, decides
+/// whether replays fork. `driver` names the caller in the null-factory error.
+inline std::unique_ptr<Scenario> build_scenario(const ScenarioFactory& factory,
+                                                const CampaignConfig& config, const char* driver) {
+  std::unique_ptr<Scenario> scenario = factory();
+  support::ensure(scenario != nullptr, std::string(driver) + ": scenario factory returned null");
+  scenario->set_snapshot_replay(config.snapshot_replay);
+  return scenario;
+}
+
 inline bool stop_condition_met(const CampaignConfig& config,
                                const CampaignResult& result) noexcept {
   return config.stop_after_hazards != 0 &&

@@ -26,8 +26,8 @@ namespace {
 /// sequential driver reuses one scenario for every replay.
 class ScenarioPool {
  public:
-  ScenarioPool(const ScenarioFactory& factory, bool snapshot_replay)
-      : factory_(factory), snapshot_replay_(snapshot_replay) {}
+  ScenarioPool(const ScenarioFactory& factory, const CampaignConfig& config)
+      : factory_(factory), config_(config) {}
 
   std::unique_ptr<Scenario> acquire() {
     {
@@ -38,10 +38,7 @@ class ScenarioPool {
         return s;
       }
     }
-    auto fresh = factory_();
-    ensure(fresh != nullptr, "ParallelCampaign: scenario factory returned null");
-    fresh->set_snapshot_replay(snapshot_replay_);
-    return fresh;
+    return detail::build_scenario(factory_, config_, "ParallelCampaign");
   }
 
   void release(std::unique_ptr<Scenario> scenario) {
@@ -51,7 +48,7 @@ class ScenarioPool {
 
  private:
   const ScenarioFactory& factory_;
-  bool snapshot_replay_;
+  const CampaignConfig& config_;
   std::mutex mutex_;
   std::vector<std::unique_ptr<Scenario>> idle_;
 };
@@ -65,9 +62,7 @@ ParallelCampaign::ParallelCampaign(ScenarioFactory factory, CampaignConfig confi
 
 void ParallelCampaign::ensure_coordinator() {
   if (coordinator_ != nullptr) return;
-  coordinator_ = factory_();
-  ensure(coordinator_ != nullptr, "ParallelCampaign: scenario factory returned null");
-  coordinator_->set_snapshot_replay(config_.snapshot_replay);
+  coordinator_ = detail::build_scenario(factory_, config_, "ParallelCampaign");
 }
 
 CampaignResult ParallelCampaign::run() {
@@ -104,7 +99,7 @@ CampaignResult ParallelCampaign::execute(std::size_t start_run, CampaignResult r
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
   };
   support::ThreadPool pool(std::max<std::size_t>(1, config_.workers));
-  ScenarioPool scenarios(factory_, config_.snapshot_replay);
+  ScenarioPool scenarios(factory_, config_);
 
   // Every random draw of run i comes from a stream forked on the run index,
   // so neither scheduling nor the worker count can perturb it.

@@ -1,0 +1,109 @@
+#pragma once
+
+/// Snapshot-and-fork replay core shared by every scenario twin (DESIGN.md
+/// sec. 6 "Replay engine"). A twin defines only its system model; this class
+/// owns the per-seed golden epoch cache, the choice of the epoch a faulty
+/// replay forks from, and the full-replay fallbacks.
+///
+/// System contract:
+///   - `System(const Config&, std::uint64_t seed, const FaultDescriptor* fault)`
+///     builds a fresh system in a fixed construction order (kernel ordinal
+///     identity is the restore precondition); `fault` is null on golden runs;
+///   - a `sim::Kernel kernel` member;
+///   - `inject(const FaultDescriptor&, bool pinned, std::uint64_t pinned_seq)`
+///     schedules the fault — during elaboration on a full replay, right after
+///     restore() on a fork, with the timed-queue seq the injection holds in a
+///     full replay pinned so the suffix interleaves identically;
+///   - `capture(Snapshot&) const` / `restore(const Snapshot&)` image the
+///     system at a quiescent instant; `Snapshot` has a `sim::KernelSnapshot
+///     kernel` member.
+/// `Config` has `duration` and `run_budget` members.
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "vps/fault/descriptor.hpp"
+#include "vps/fault/scenario.hpp"
+#include "vps/sim/kernel.hpp"
+
+namespace vps::fault {
+
+/// Number of segments the golden run is cut into; interior boundaries
+/// (1..kReplayEpochs-1) each yield a snapshot, so a late injection forks
+/// from at most 1/kReplayEpochs of the run away.
+inline constexpr std::size_t kReplayEpochs = 8;
+
+template <class System, class Snapshot>
+class SnapshotReplay {
+ public:
+  /// Builds a fresh system, replays `fault` (null = golden) under `seed`, and
+  /// returns `finish(System&, sim::RunStatus)` on the finished system. With
+  /// `fork` off every run is a full replay. With it on, golden runs are
+  /// segmented to refill the epoch cache as a side effect (the drivers run
+  /// golden first, so forks hit a warm cache), and a faulty run executes only
+  /// the suffix after the largest epoch strictly before its injection —
+  /// everything at exactly inject_at must still execute after the injection.
+  /// A cold cache or one for another seed is captured first; with no epoch
+  /// before the injection, or after a golden livelock, the run is a full
+  /// replay. Bitwise identical results either way.
+  template <class Config, class Finish>
+  Observation run(const Config& cfg, const FaultDescriptor* fault, std::uint64_t seed, bool fork,
+                  Finish&& finish) {
+    if (fork && fault != nullptr && !(valid_ && seed_ == seed)) {
+      System golden(cfg, seed, nullptr);
+      (void)capture(golden, cfg, seed);
+    }
+    const Snapshot* epoch = nullptr;
+    if (fork && fault != nullptr && valid_) {
+      for (const Snapshot& e : epochs_) {
+        if (e.kernel.now < fault->inject_at) epoch = &e;
+      }
+    }
+
+    System sys(cfg, seed, fault);
+    sim::RunStatus status{};
+    if (epoch != nullptr) {
+      sys.restore(*epoch);
+      sys.inject(*fault, /*pinned=*/true, epoch->kernel.init_seq_mark);
+      status = sys.kernel.run(cfg.duration, cfg.run_budget);
+    } else if (fork && fault == nullptr) {
+      status = capture(sys, cfg, seed);
+    } else {
+      if (fault != nullptr) sys.inject(*fault, /*pinned=*/false, 0);
+      status = sys.kernel.run(cfg.duration, cfg.run_budget);
+    }
+    return finish(sys, status);
+  }
+
+ private:
+  /// Runs the fresh golden `sys` to the end in kReplayEpochs segments and
+  /// caches a snapshot at each interior boundary. Segmenting changes only
+  /// where Kernel::run returns, never the event order. A budget trip (a
+  /// golden livelock) leaves no cache and is reported as-is.
+  template <class Config>
+  sim::RunStatus capture(System& sys, const Config& cfg, std::uint64_t seed) {
+    valid_ = false;
+    seed_ = seed;
+    epochs_.clear();
+    epochs_.reserve(kReplayEpochs - 1);
+    for (std::size_t k = 1; k < kReplayEpochs; ++k) {
+      const sim::RunStatus status =
+          sys.kernel.run(cfg.duration * k / kReplayEpochs, cfg.run_budget);
+      if (status.budget_exhausted()) {
+        epochs_.clear();
+        return status;
+      }
+      sys.capture(epochs_.emplace_back());
+    }
+    const sim::RunStatus status = sys.kernel.run(cfg.duration, cfg.run_budget);
+    valid_ = !status.budget_exhausted();
+    return status;
+  }
+
+  std::uint64_t seed_ = 0;
+  bool valid_ = false;
+  std::vector<Snapshot> epochs_;  ///< quiescent at epochs_[i].kernel.now, increasing
+};
+
+}  // namespace vps::fault

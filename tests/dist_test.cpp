@@ -547,6 +547,61 @@ TEST(DistCampaignTest, StaggeredTimeoutIsDetectedAtTheEarliestFleetDeadline) {
 }
 
 // --------------------------------------------------------------------------
+// Replay mode: CampaignConfig::snapshot_replay reaches every built scenario
+// --------------------------------------------------------------------------
+
+/// Folds a hazard for every faulty run executed with snapshot replay on, so
+/// a campaign with snapshot_replay = false folds zero hazards only if every
+/// scenario the driver built got the config's replay mode.
+class ReplayModeProbe final : public Scenario {
+ public:
+  [[nodiscard]] std::string name() const override { return "replay_mode_probe"; }
+  [[nodiscard]] Time duration() const override { return Time::ms(1); }
+  [[nodiscard]] std::vector<FaultType> fault_types() const override {
+    return {FaultType::kMemoryBitFlip};
+  }
+  [[nodiscard]] Observation run(const FaultDescriptor* fault, std::uint64_t) override {
+    Observation obs;
+    obs.completed = true;
+    obs.output_signature = 1;
+    obs.hazard = fault != nullptr && snapshot_replay();
+    return obs;
+  }
+};
+
+/// The factory asks for forking; the campaign config must override it.
+std::unique_ptr<Scenario> forking_probe() {
+  auto probe = std::make_unique<ReplayModeProbe>();
+  probe->set_snapshot_replay(true);
+  return probe;
+}
+
+CampaignConfig full_replay_config() {
+  CampaignConfig cfg;
+  cfg.runs = 16;
+  cfg.seed = 5;
+  cfg.snapshot_replay = false;
+  return cfg;
+}
+
+TEST(ReplayModeTest, ParallelCampaignAppliesTheConfigOverTheFactory) {
+  CampaignConfig cfg = full_replay_config();
+  cfg.workers = 2;
+  const CampaignResult result = ParallelCampaign(forking_probe, cfg).run();
+  EXPECT_EQ(result.runs_executed, cfg.runs);
+  EXPECT_EQ(result.count(Outcome::kHazard), 0u);
+}
+
+TEST(ReplayModeTest, ForkModeFleetWorkersApplyTheConfig) {
+  DistConfig dc;
+  dc.campaign = full_replay_config();
+  dc.workers = 2;
+  const CampaignResult result = DistCampaign(forking_probe, dc).run();
+  EXPECT_EQ(result.runs_executed, dc.campaign.runs);
+  EXPECT_EQ(result.count(Outcome::kHazard), 0u);
+}
+
+// --------------------------------------------------------------------------
 // Exec-mode workers (the vps-worker binary)
 // --------------------------------------------------------------------------
 

@@ -13,7 +13,9 @@
 #include "vps/apps/registry.hpp"
 #include "vps/fault/campaign.hpp"
 #include "vps/fault/scenario.hpp"
+#include "vps/fault/snapshot_replay.hpp"
 #include "vps/obs/provenance.hpp"
+#include "vps/sim/kernel.hpp"
 #include "vps/support/rng.hpp"
 
 namespace {
@@ -154,6 +156,179 @@ TEST(SnapshotReplay, ParallelCampaignEquivalenceAcrossWorkers) {
     fault::ParallelCampaign campaign([&spec] { return apps::make_scenario(spec); }, config);
     expect_same_records(want, campaign.run(), "workers=" + std::to_string(workers));
   }
+}
+
+// --------------------------------------------------------------------------
+// The replay core on a toy system: branches no twin reaches
+// --------------------------------------------------------------------------
+
+/// What the toy system's restore() saw: how often it ran, and the instant
+/// of the last epoch it overlaid.
+struct ToyProbe {
+  std::size_t restores = 0;
+  Time restored_from = Time::max();
+};
+
+struct ToyConfig {
+  Time duration = Time::ms(80);
+  sim::RunBudget run_budget{.max_deltas_without_advance = 1000};
+  /// Golden livelock: a delta-notification storm from this instant on.
+  Time storm_at = Time::max();
+  ToyProbe* probe = nullptr;
+};
+
+struct ToySnapshot {
+  sim::KernelSnapshot kernel;
+  std::uint64_t counter = 0;
+  bool tick_pending = false;
+};
+
+/// The smallest system the replay core accepts: a 1 ms tick folds the time
+/// into a seed-dependent counter, and the fault XORs its id into the counter
+/// at inject_at. The tick does not commute with the XOR, so an injection
+/// ordered one event early or late changes the result.
+struct ToySystem {
+  sim::Kernel kernel;
+  sim::Event storm{kernel, "toy.storm"};
+  ToyProbe* probe;
+  std::uint64_t counter;
+  bool tick_pending = false;
+
+  ToySystem(const ToyConfig& cfg, std::uint64_t seed, const FaultDescriptor*)
+      : probe(cfg.probe), counter(seed) {
+    kernel.spawn("toy.tick", tick_loop());
+    if (cfg.storm_at != Time::max()) {
+      kernel.method("toy.feedback", [this] { storm.notify(); }, {&storm}, /*initialize=*/false);
+      storm.notify(cfg.storm_at);
+    }
+  }
+
+  [[nodiscard]] sim::Coro tick_loop() {
+    for (;;) {
+      if (tick_pending) {
+        tick_pending = false;
+        counter = counter * 6364136223846793005ULL + kernel.now().picoseconds();
+      }
+      tick_pending = true;
+      co_await sim::delay(Time::ms(1));
+    }
+  }
+
+  void inject(const FaultDescriptor& fault, bool pinned, std::uint64_t pinned_seq) {
+    kernel.spawn("toy.fault",
+                 [](ToySystem& s, std::uint64_t id, Time delay, bool pinned,
+                    std::uint64_t seq) -> sim::Coro {
+                   if (pinned) {
+                     co_await sim::delay_pinned(delay, seq);
+                   } else {
+                     co_await sim::delay(delay);
+                   }
+                   s.counter ^= id;
+                 }(*this, fault.id, fault.inject_at - kernel.now(), pinned, pinned_seq));
+  }
+
+  void capture(ToySnapshot& s) const {
+    s.kernel = kernel.snapshot();
+    s.counter = counter;
+    s.tick_pending = tick_pending;
+  }
+
+  void restore(const ToySnapshot& s) {
+    kernel.restore(s.kernel);
+    counter = s.counter;
+    tick_pending = s.tick_pending;
+    ++probe->restores;
+    probe->restored_from = s.kernel.now;
+  }
+};
+
+using ToyReplay = fault::SnapshotReplay<ToySystem, ToySnapshot>;
+
+Observation toy_observe(ToySystem& sys, sim::RunStatus status) {
+  Observation obs;
+  obs.completed = !status.budget_exhausted();
+  obs.output_signature = static_cast<std::uint32_t>(sys.counter ^ (sys.counter >> 32));
+  return obs;
+}
+
+FaultDescriptor toy_fault(std::uint64_t id, Time inject_at) {
+  FaultDescriptor fault;
+  fault.id = id;
+  fault.inject_at = inject_at;
+  return fault;
+}
+
+/// Replays `fault` (null = golden) on `forked` with forking on and on a
+/// fresh instance with it off; the two observations must be identical.
+Observation check_toy(ToyReplay& forked, const ToyConfig& cfg, const FaultDescriptor* fault,
+                      std::uint64_t seed, const std::string& context) {
+  ToyReplay full;
+  const Observation want = full.run(cfg, fault, seed, /*fork=*/false, toy_observe);
+  const Observation got = forked.run(cfg, fault, seed, /*fork=*/true, toy_observe);
+  expect_identical(want, got, context);
+  return got;
+}
+
+TEST(SnapshotReplayCore, InjectionAtAnEpochInstantForksFromTheEpochBefore) {
+  ToyProbe probe;
+  const ToyConfig cfg{.probe = &probe};
+  ToyReplay forked;
+  (void)check_toy(forked, cfg, nullptr, 5, "golden");
+  for (std::size_t k = 1; k < fault::kReplayEpochs; ++k) {
+    const FaultDescriptor fault = toy_fault(k, cfg.duration * k / fault::kReplayEpochs);
+    const std::size_t restores_before = probe.restores;
+    (void)check_toy(forked, cfg, &fault, 5, "inject at epoch " + std::to_string(k));
+    if (k == 1) {
+      EXPECT_EQ(probe.restores, restores_before) << "no epoch lies strictly before the first";
+    } else {
+      EXPECT_EQ(probe.restores, restores_before + 1) << "epoch " << k;
+      EXPECT_EQ(probe.restored_from, cfg.duration * (k - 1) / fault::kReplayEpochs)
+          << "epoch " << k;
+    }
+  }
+}
+
+TEST(SnapshotReplayCore, InjectionBeforeTheFirstEpochRunsAsAFullReplay) {
+  ToyProbe probe;
+  const ToyConfig cfg{.probe = &probe};
+  ToyReplay forked;
+  (void)check_toy(forked, cfg, nullptr, 5, "golden");
+  const Time first_epoch = cfg.duration / fault::kReplayEpochs;
+  for (const Time at : {Time::zero(), Time::ms(3), first_epoch - Time::us(1)}) {
+    const FaultDescriptor fault = toy_fault(9, at);
+    (void)check_toy(forked, cfg, &fault, 5, "inject at " + at.to_string());
+  }
+  EXPECT_EQ(probe.restores, 0u);
+}
+
+TEST(SnapshotReplayCore, AlternatingSeedsRecaptureOnOneInstance) {
+  ToyProbe probe;
+  const ToyConfig cfg{.probe = &probe};
+  ToyReplay forked;  // cold, like a freshly forked worker: no golden run first
+  const FaultDescriptor fault = toy_fault(3, cfg.duration * 3 / 4 + Time::us(500));
+  std::size_t restores = 0;
+  for (const std::uint64_t seed : {std::uint64_t{11}, std::uint64_t{22}, std::uint64_t{11}}) {
+    (void)check_toy(forked, cfg, &fault, seed, "seed " + std::to_string(seed));
+    EXPECT_EQ(probe.restores, ++restores) << "seed " << seed;
+  }
+}
+
+TEST(SnapshotReplayCore, GoldenLivelockLeavesNoCache) {
+  ToyProbe probe;
+  ToyConfig cfg{.probe = &probe};
+  // The storm trips the budget in the fourth capture segment, after three
+  // epochs were already imaged.
+  cfg.storm_at = cfg.duration * 3 / fault::kReplayEpochs + Time::ms(2);
+  ToyReplay forked;
+  EXPECT_FALSE(check_toy(forked, cfg, nullptr, 5, "golden").completed);
+  // The first injection could fork from an epoch imaged before the trip;
+  // with no cache left, it and every later one replay in full.
+  for (const std::size_t k : {std::size_t{2}, std::size_t{7}}) {
+    const FaultDescriptor fault =
+        toy_fault(k, cfg.duration * k / fault::kReplayEpochs + Time::ms(1));
+    (void)check_toy(forked, cfg, &fault, 5, "inject after epoch " + std::to_string(k));
+  }
+  EXPECT_EQ(probe.restores, 0u);
 }
 
 }  // namespace
