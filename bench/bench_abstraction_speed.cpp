@@ -115,5 +115,9 @@ int main() {
   std::printf("%s\n", table.render().c_str());
   std::printf("Expected shape (paper): each step up in abstraction buys one or more\n"
               "orders of magnitude of simulation speed at identical function.\n");
+  if (levels[0].fires != levels[2].fires || levels[1].fires != levels[2].fires) {
+    std::printf("BUG: the abstraction levels disagree on the fire count\n");
+    return 1;
+  }
   return 0;
 }

@@ -73,8 +73,12 @@ int main() {
   const Sample reference = run_with_quantum(sim::Time::zero());
   support::Table table({"quantum", "wall [s]", "speedup", "MIPS", "kernel activations",
                         "QK syncs", "result identical"});
+  std::size_t mismatches = 0;
   for (const auto q : quanta) {
     const Sample s = run_with_quantum(q);
+    const bool identical =
+        s.result == reference.result && s.instructions == reference.instructions;
+    if (!identical) ++mismatches;
     char wall[32], speedup[32], mips[32];
     std::snprintf(wall, sizeof wall, "%.4f", s.wall_seconds);
     std::snprintf(speedup, sizeof speedup, "%.1fx", reference.wall_seconds / s.wall_seconds);
@@ -82,9 +86,7 @@ int main() {
                   static_cast<double>(s.instructions) / s.wall_seconds / 1e6);
     table.add_row({q == sim::Time::zero() ? "sync-every-instr" : q.to_string(), wall, speedup,
                    mips, std::to_string(s.kernel_activations), std::to_string(s.quantum_syncs),
-                   s.result == reference.result && s.instructions == reference.instructions
-                       ? "yes"
-                       : "NO"});
+                   identical ? "yes" : "NO"});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf("Expected shape (paper): speedup grows with the quantum and saturates\n"
@@ -93,5 +95,10 @@ int main() {
               "QK syncs counts actual kernel yields only — flush calls with no\n"
               "accumulated local time are free and not counted.\n\n");
   std::printf("%s\n", obs::Profiler::instance().report().c_str());
+  if (mismatches != 0) {
+    std::printf("BUG: %zu quantum settings changed the result or the instruction count\n",
+                mismatches);
+    return 1;
+  }
   return 0;
 }

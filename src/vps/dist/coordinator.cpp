@@ -454,9 +454,10 @@ CampaignResult DistCampaign::execute(std::size_t start_run, CampaignResult resul
               break;  // liveness only; last_heard update above is the point
             case MsgType::kResult: {
               ResultMsg msg = decode_result(frame->payload);
-              ensure(msg.run >= next_run && msg.run < next_run + n,
-                     "dist: RESULT for run " + std::to_string(msg.run) +
-                         " outside the current batch");
+              if (msg.run < next_run || msg.run >= next_run + n) [[unlikely]] {
+                support::fail("dist: RESULT for run " + std::to_string(msg.run) +
+                              " outside the current batch");
+              }
               const std::size_t slot = msg.run - next_run;
               auto it = std::find(w.inflight.begin(), w.inflight.end(), slot);
               if (it != w.inflight.end()) w.inflight.erase(it);

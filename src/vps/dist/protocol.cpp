@@ -85,7 +85,9 @@ std::optional<Frame> FrameReader::next() {
   const std::uint32_t magic = get_u32(h);
   ensure(magic == kFrameMagic, "dist: bad frame magic — stream corrupted or misaligned");
   const std::uint8_t type = static_cast<std::uint8_t>(h[4]);
-  ensure(valid_type(type), "dist: unknown frame type " + std::to_string(type));
+  if (!valid_type(type)) [[unlikely]] {
+    support::fail("dist: unknown frame type " + std::to_string(type));
+  }
   const std::uint32_t length = get_u32(h + 5);
   ensure(length <= kMaxFramePayload, "dist: frame length exceeds kMaxFramePayload");
   const std::uint32_t crc = get_u32(h + 9);
@@ -94,8 +96,9 @@ std::optional<Frame> FrameReader::next() {
   Frame frame;
   frame.type = static_cast<MsgType>(type);
   frame.payload.assign(buf_, pos_ + kFrameHeaderSize, length);
-  ensure(payload_crc(frame.payload) == crc,
-         std::string("dist: payload CRC mismatch on ") + to_string(frame.type) + " frame");
+  if (payload_crc(frame.payload) != crc) [[unlikely]] {
+    support::fail(std::string("dist: payload CRC mismatch on ") + to_string(frame.type) + " frame");
+  }
   pos_ += kFrameHeaderSize + length;
   return frame;
 }

@@ -164,9 +164,10 @@ SessionEnd serve_pool_session(Channel& channel, const ScenarioBuilder& build,
       case MsgType::kAssign: {
         const AssignMsg assign = decode_assign(frame->payload);
         const auto it = jobs.find(assign.job);
-        support::ensure(it != jobs.end(), "vps-worker: ASSIGN for job " +
-                                              std::to_string(assign.job) +
-                                              " this worker was never SETUP for");
+        if (it == jobs.end()) [[unlikely]] {
+          support::fail("vps-worker: ASSIGN for job " + std::to_string(assign.job) +
+                        " this worker was never SETUP for");
+        }
         const JobState& job = it->second;
         if (!channel.send_frame(MsgType::kHeartbeat, encode_heartbeat({runs_done})))
           return SessionEnd::kLost;

@@ -73,12 +73,15 @@ void append_double(std::string& line, const char* key, double value) {
 // --- flat-JSON line parsing ------------------------------------------------
 
 LineParser::LineParser(const std::string& line) : line_(line) {
-  ensure(!line_.empty() && line_.front() == '{' && line_.back() == '}',
-         "codec: malformed line: " + line_);
+  if (line_.empty() || line_.front() != '{' || line_.back() != '}') [[unlikely]] {
+    support::fail("codec: malformed line: " + line_);
+  }
   std::size_t pos = 1;
   while (pos < line_.size() - 1) {
     const std::string key = parse_string(pos);
-    ensure(pos < line_.size() && line_[pos] == ':', "codec: expected ':' in " + line_);
+    if (pos >= line_.size() || line_[pos] != ':') [[unlikely]] {
+      support::fail("codec: expected ':' in " + line_);
+    }
     ++pos;
     if (line_[pos] == '"') {
       strings_.emplace_back(key, parse_string(pos));
@@ -141,13 +144,15 @@ const std::string& LineParser::number(const char* key) const {
 }
 
 std::string LineParser::parse_string(std::size_t& pos) {
-  ensure(pos < line_.size() && line_[pos] == '"', "codec: expected '\"' in " + line_);
+  if (pos >= line_.size() || line_[pos] != '"') [[unlikely]] {
+    support::fail("codec: expected '\"' in " + line_);
+  }
   ++pos;
   std::string out;
   while (pos < line_.size() && line_[pos] != '"') {
     char c = line_[pos];
     if (c == '\\') {
-      ensure(pos + 1 < line_.size(), "codec: dangling escape in " + line_);
+      if (pos + 1 >= line_.size()) [[unlikely]] support::fail("codec: dangling escape in " + line_);
       const char e = line_[pos + 1];
       pos += 2;
       switch (e) {
@@ -157,19 +162,21 @@ std::string LineParser::parse_string(std::size_t& pos) {
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          ensure(pos + 4 <= line_.size(), "codec: bad \\u escape in " + line_);
+          if (pos + 4 > line_.size()) [[unlikely]] {
+            support::fail("codec: bad \\u escape in " + line_);
+          }
           out += static_cast<char>(std::strtoul(line_.substr(pos, 4).c_str(), nullptr, 16));
           pos += 4;
           break;
         }
-        default: ensure(false, "codec: unknown escape in " + line_);
+        default: support::fail("codec: unknown escape in " + line_);
       }
     } else {
       out += c;
       ++pos;
     }
   }
-  ensure(pos < line_.size(), "codec: unterminated string in " + line_);
+  if (pos >= line_.size()) [[unlikely]] support::fail("codec: unterminated string in " + line_);
   ++pos;  // closing quote
   return out;
 }

@@ -10,7 +10,7 @@ std::string GenericPayload::to_string() const {
                                                   : "I";
   char buf[96];
   std::snprintf(buf, sizeof buf, "%s@0x%08llx len=%zu resp=%s%s", cmd,
-                static_cast<unsigned long long>(address_), data_.size(),
+                static_cast<unsigned long long>(address_), size_,
                 vps::tlm::to_string(response_), poisoned_ ? " POISONED" : "");
   return buf;
 }

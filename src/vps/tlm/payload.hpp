@@ -1,9 +1,11 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
+
+#include "vps/support/ensure.hpp"
 
 namespace vps::tlm {
 
@@ -34,12 +36,19 @@ enum class Response : std::uint8_t {
 
 /// Memory-mapped transaction payload. Owns its data buffer (unlike TLM-2.0's
 /// raw pointer) so fault injectors can corrupt payloads without lifetime
-/// hazards, and carries injection metadata for fault-effect tracking.
+/// hazards, and carries injection metadata for fault-effect tracking. The
+/// bytes live inline: every bus access in the framework is a 1-4 byte
+/// scalar, so a payload never touches the heap.
 class GenericPayload {
  public:
+  /// Largest payload in bytes (one 64-bit scalar).
+  static constexpr std::size_t kMaxSize = 8;
+
   GenericPayload() = default;
   GenericPayload(Command cmd, std::uint64_t address, std::size_t size)
-      : command_(cmd), address_(address), data_(size, 0) {}
+      : command_(cmd), address_(address), size_(size) {
+    support::ensure(size <= kMaxSize, "GenericPayload: size exceeds kMaxSize (8 bytes)");
+  }
 
   [[nodiscard]] Command command() const noexcept { return command_; }
   void set_command(Command c) noexcept { command_ = c; }
@@ -47,11 +56,11 @@ class GenericPayload {
   [[nodiscard]] std::uint64_t address() const noexcept { return address_; }
   void set_address(std::uint64_t a) noexcept { address_ = a; }
 
-  [[nodiscard]] std::span<const std::uint8_t> data() const noexcept { return data_; }
-  [[nodiscard]] std::span<std::uint8_t> data() noexcept { return data_; }
-  [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
-  void set_data(std::span<const std::uint8_t> bytes) { data_.assign(bytes.begin(), bytes.end()); }
-  void resize(std::size_t n) { data_.resize(n, 0); }
+  [[nodiscard]] std::span<const std::uint8_t> data() const noexcept {
+    return {data_.data(), size_};
+  }
+  [[nodiscard]] std::span<std::uint8_t> data() noexcept { return {data_.data(), size_}; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   [[nodiscard]] Response response() const noexcept { return response_; }
   void set_response(Response r) noexcept { response_ = r; }
@@ -77,11 +86,11 @@ class GenericPayload {
   /// Little-endian scalar access helpers (the AR32 substrate is LE).
   [[nodiscard]] std::uint64_t value_le() const noexcept {
     std::uint64_t v = 0;
-    for (std::size_t i = data_.size(); i-- > 0;) v = (v << 8) | data_[i];
+    for (std::size_t i = size_; i-- > 0;) v = (v << 8) | data_[i];
     return v;
   }
   void set_value_le(std::uint64_t v) noexcept {
-    for (auto& byte : data_) {
+    for (auto& byte : data()) {
       byte = static_cast<std::uint8_t>(v);
       v >>= 8;
     }
@@ -92,7 +101,8 @@ class GenericPayload {
  private:
   Command command_ = Command::kIgnore;
   std::uint64_t address_ = 0;
-  std::vector<std::uint8_t> data_;
+  std::array<std::uint8_t, kMaxSize> data_{};
+  std::size_t size_ = 0;
   Response response_ = Response::kIncomplete;
   bool dmi_allowed_ = false;
   bool poisoned_ = false;

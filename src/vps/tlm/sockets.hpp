@@ -103,14 +103,16 @@ class InitiatorSocket {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   void b_transport(GenericPayload& payload, sim::Time& delay) {
-    support::ensure(target_ != nullptr && target_->blocking_ != nullptr,
-                    "b_transport on unbound socket " + name_);
+    if (target_ == nullptr || target_->blocking_ == nullptr) [[unlikely]] {
+      support::fail("b_transport on unbound socket " + name_);
+    }
     target_->blocking_->b_transport(payload, delay);
   }
 
   Sync nb_transport_fw(GenericPayload& payload, Phase& phase, sim::Time& delay) {
-    support::ensure(target_ != nullptr && target_->nonblocking_ != nullptr,
-                    "nb_transport_fw on unbound socket " + name_);
+    if (target_ == nullptr || target_->nonblocking_ == nullptr) [[unlikely]] {
+      support::fail("nb_transport_fw on unbound socket " + name_);
+    }
     return target_->nonblocking_->nb_transport_fw(payload, phase, delay);
   }
 

@@ -1,0 +1,184 @@
+// Allocation budget of the simulation hot path. This binary replaces the
+// global operator new/delete with counting versions, which is why it is an
+// executable of its own. A passing check, a TLM bus access and a simulated
+// quantum must not touch the heap: a message composed eagerly on a
+// per-event path (ensure(ok, "lit" + name)) or a heap-backed payload shows
+// up here as thousands of extra allocations per simulated second, long
+// before it shows up as replay time.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "vps/apps/acc.hpp"
+#include "vps/apps/bms.hpp"
+#include "vps/apps/caps.hpp"
+#include "vps/hw/memory.hpp"
+#include "vps/hw/peripherals.hpp"
+#include "vps/sim/kernel.hpp"
+#include "vps/support/ensure.hpp"
+#include "vps/tlm/payload.hpp"
+#include "vps/tlm/router.hpp"
+#include "vps/tlm/sockets.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* counted_aligned_alloc(std::size_t n, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  return std::aligned_alloc(a, (n + a - 1) / a * a);  // size must be a multiple of a
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  if (void* p = counted_aligned_alloc(n, a)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  if (void* p = counted_aligned_alloc(n, a)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
+namespace {
+
+using namespace vps;
+using sim::Time;
+
+/// Heap allocations made while `body` runs.
+template <typename Fn>
+std::uint64_t allocations_during(Fn&& body) {
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  body();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(AllocBudget, CounterSeesHeapAllocations) {
+  // Guards the guard: a replacement that never ran would pass every case.
+  std::vector<std::uint64_t> v;  // outlives the window, so the allocation cannot be elided
+  const std::uint64_t n = allocations_during([&] { v.resize(64); });
+  EXPECT_GE(n, 1u);
+  EXPECT_EQ(v.size(), 64u);
+}
+
+TEST(AllocBudget, PassingEnsureWithLiteralAllocatesNothing) {
+  volatile bool ok = true;  // keeps the check (and its message) from folding away
+  const std::uint64_t n = allocations_during([&] {
+    for (int i = 0; i < 100; ++i) {
+      support::ensure(ok, "a passing check with a message past the SSO buffer");
+    }
+  });
+  EXPECT_EQ(n, 0u);
+}
+
+TEST(AllocBudget, BusAccessesThroughRouterAllocateNothing) {
+  sim::Kernel kernel;
+  hw::Watchdog watchdog(kernel, "wdt");
+  hw::Memory ram("ram", 4096, Time::ns(5));
+  tlm::Router bus("bus", Time::ns(2));
+  bus.map(0x0, 4096, ram.socket());
+  bus.map(0x4000'0000, 0x10, watchdog.socket());
+  tlm::InitiatorSocket cpu("cpu.isock");
+  cpu.bind(bus.target_socket());
+
+  Time delay = Time::zero();
+  std::uint64_t checksum = 0;
+  bool all_ok = true;
+  const auto round = [&](std::uint32_t i) {
+    tlm::GenericPayload w(tlm::Command::kWrite, (i * 4) % 4096, 4);
+    w.set_value_le(i);
+    cpu.b_transport(w, delay);
+    tlm::GenericPayload r(tlm::Command::kRead, (i * 4) % 4096, 4);
+    cpu.b_transport(r, delay);
+    checksum += r.value_le();
+    tlm::GenericPayload kick(tlm::Command::kWrite, 0x4000'0000 + hw::Watchdog::kKick, 4);
+    kick.set_value_le(1);
+    cpu.b_transport(kick, delay);
+    tlm::GenericPayload count(tlm::Command::kRead, 0x4000'0000 + hw::Watchdog::kTimeoutCount, 4);
+    cpu.b_transport(count, delay);
+    checksum += count.value_le();
+    all_ok = all_ok && w.ok() && r.ok() && kick.ok() && count.ok();
+  };
+  round(0);  // the first kick queues the watchdog's delta notification once
+
+  const std::uint64_t n = allocations_during([&] {
+    for (std::uint32_t i = 1; i <= 1000; ++i) round(i);
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(checksum, 1000u * 1001u / 2u);  // every read saw its write
+}
+
+/// Allocations of the extra `d` in a full (fork-off) golden run: the run at
+/// 2d minus the run at d. Construction, the firmware load and first-use
+/// statics cancel out; what is left grows with simulated time.
+template <typename Scenario, typename Config>
+std::uint64_t allocations_per_extra_duration(Config config, Time d) {
+  const auto golden_run = [&](Time duration) {
+    config.duration = duration;
+    Scenario scenario(config);
+    scenario.set_snapshot_replay(false);
+    bool completed = false;
+    const std::uint64_t n =
+        allocations_during([&] { completed = scenario.run(nullptr, 2026).completed; });
+    EXPECT_TRUE(completed);
+    return n;
+  };
+  (void)golden_run(d);  // warm-up: lazily built statics land here
+  const std::uint64_t at_d = golden_run(d);
+  const std::uint64_t at_2d = golden_run(d + d);
+  EXPECT_GE(at_2d, at_d);
+  return at_2d - at_d;
+}
+
+TEST(AllocBudget, CapsCrashGoldenRunPerExtraTenMs) {
+  apps::CapsConfig config;
+  config.crash = true;
+  EXPECT_LE((allocations_per_extra_duration<apps::CapsScenario>(config, Time::ms(10))), 10'000u);
+}
+
+TEST(AllocBudget, BmsRunawayProvGoldenRunPerExtraTenSeconds) {
+  apps::BmsConfig config;
+  config.mission = apps::BmsMission::kThermalRunaway;
+  config.provenance = true;
+  EXPECT_LE((allocations_per_extra_duration<apps::BmsScenario>(config, Time::sec(10))), 3'000u);
+}
+
+TEST(AllocBudget, AccGoldenRunPerExtraTenSeconds) {
+  EXPECT_LE((allocations_per_extra_duration<apps::AccScenario>(apps::AccConfig{}, Time::sec(10))),
+            500u);
+}
+
+}  // namespace

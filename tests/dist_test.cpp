@@ -118,6 +118,20 @@ TEST(FrameCodec, UnknownTypeThrows) {
   EXPECT_THROW((void)reader.next(), InvariantError);
 }
 
+TEST(FrameCodec, UnknownTypeNamesTheTypeNumber) {
+  std::string wire = encode_frame(MsgType::kHello, "x");
+  wire[4] = 99;
+  FrameReader reader;
+  reader.feed(wire.data(), wire.size());
+  try {
+    (void)reader.next();
+    ADD_FAILURE() << "unknown frame type accepted";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("dist: unknown frame type 99"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FrameCodec, CorruptedPayloadFailsCrc) {
   std::string wire = encode_frame(MsgType::kResult, "{\"kind\":\"result\"}");
   wire[kFrameHeaderSize + 3] ^= 0x01;  // flip one payload bit

@@ -388,6 +388,54 @@ TEST(Checkpoint, V2FilesWithoutCrcFieldsStillLoad) {
 }
 
 // --------------------------------------------------------------------------
+// LineParser: every malformed shape throws, quoting the offending line
+// --------------------------------------------------------------------------
+
+/// Parses `line` and expects an InvariantError whose text names `problem`
+/// and quotes the whole line.
+void expect_line_rejected(const std::string& line, const std::string& problem) {
+  try {
+    const codec::LineParser parser(line);
+    ADD_FAILURE() << "accepted: " << line;
+  } catch (const InvariantError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(problem), std::string::npos) << what;
+    EXPECT_NE(what.find(line), std::string::npos) << what;
+  }
+}
+
+TEST(CodecLineParser, LineWithoutBracesIsMalformed) {
+  expect_line_rejected(R"(["kind":"header"])", "codec: malformed line: ");
+}
+
+TEST(CodecLineParser, KeyWithoutColonIsRejected) {
+  expect_line_rejected(R"({"kind"})", "codec: expected ':' in ");
+}
+
+TEST(CodecLineParser, KeyWithoutOpeningQuoteIsRejected) {
+  expect_line_rejected(R"({kind:"header"})", "codec: expected '\"' in ");
+}
+
+TEST(CodecLineParser, EscapeAtTheEndOfTheLineIsRejected) {
+  // A line must end in '}', so a backslash is never its last byte and the
+  // dangling-escape check stays a backstop: the closest input, a backslash
+  // right before the brace, escapes the brace and is rejected as such.
+  expect_line_rejected(R"({"kind":"x\})", "codec: unknown escape in ");
+}
+
+TEST(CodecLineParser, ShortUnicodeEscapeIsRejected) {
+  expect_line_rejected(R"({"kind":"\u12})", "codec: bad \\u escape in ");
+}
+
+TEST(CodecLineParser, UnknownEscapeIsRejected) {
+  expect_line_rejected(R"({"kind":"\q","run":1})", "codec: unknown escape in ");
+}
+
+TEST(CodecLineParser, UnterminatedStringIsRejected) {
+  expect_line_rejected(R"({"kind":"header})", "codec: unterminated string in ");
+}
+
+// --------------------------------------------------------------------------
 // CheckpointWriter: incremental saves, byte-identical to to_jsonl
 // --------------------------------------------------------------------------
 

@@ -31,6 +31,19 @@ TEST(Ensure, ThrowsWithLocation) {
   }
 }
 
+TEST(Ensure, FailReportsTheCallersLineAndComposedMessage) {
+  const std::string name = "cpu.isock";
+  const int line = __LINE__ + 2;
+  try {
+    fail("unbound socket " + name);
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("support_test.cpp:" + std::to_string(line) +
+                                         ": unbound socket cpu.isock"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Rng, DeterministicForSameSeed) {
   Xorshift a(42), b(42);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a.next(), b.next());

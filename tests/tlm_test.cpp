@@ -87,6 +87,29 @@ TEST(Payload, ToStringMentionsFields) {
   const auto s = p.to_string();
   EXPECT_NE(s.find("R@"), std::string::npos);
   EXPECT_NE(s.find("OK"), std::string::npos);
+  EXPECT_NE(s.find("len=4"), std::string::npos) << s;  // the payload's size, not its buffer's
+}
+
+TEST(Payload, EightBytesRoundTripAndNineAreRejected) {
+  GenericPayload p(Command::kWrite, 0, 8);
+  EXPECT_EQ(p.size(), 8u);
+  EXPECT_EQ(p.data().size(), 8u);
+  p.set_value_le(0x0123456789ABCDEFull);
+  EXPECT_EQ(p.value_le(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(p.data()[0], 0xEF);
+  EXPECT_EQ(p.data()[7], 0x01);
+  EXPECT_THROW(GenericPayload(Command::kWrite, 0, 9), vps::support::InvariantError);
+}
+
+/// what() of the InvariantError `fn` throws ("" when it does not throw).
+template <typename Fn>
+std::string invariant_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const vps::support::InvariantError& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(Sockets, UnboundTransportIsReported) {
@@ -94,6 +117,18 @@ TEST(Sockets, UnboundTransportIsReported) {
   GenericPayload p(Command::kRead, 0, 4);
   Time delay;
   EXPECT_THROW(init.b_transport(p, delay), vps::support::InvariantError);
+
+  InitiatorSocket cpu("cpu.isock");
+  const std::string blocking = invariant_message([&] { cpu.b_transport(p, delay); });
+  EXPECT_NE(blocking.find("b_transport on unbound socket cpu.isock"), std::string::npos)
+      << blocking;
+  Phase phase = Phase::kBeginReq;
+  const std::string nonblocking =
+      invariant_message([&] { (void)cpu.nb_transport_fw(p, phase, delay); });
+  EXPECT_NE(nonblocking.find("nb_transport_fw on unbound socket cpu.isock"), std::string::npos)
+      << nonblocking;
+  // The location is the caller's (sockets.hpp), not the throw helper's.
+  EXPECT_NE(nonblocking.find("sockets.hpp:"), std::string::npos) << nonblocking;
 }
 
 TEST(Sockets, BlockingRoundTrip) {
