@@ -6,13 +6,12 @@
 /// is bitwise identical to the in-process ParallelCampaign — for any fleet
 /// size, and even when workers are killed mid-campaign.
 ///
-/// Determinism contract (the same one ParallelCampaign honours): descriptors
-/// of a batch are generated on the coordinator from per-run forked RNG
-/// streams against the weights as of the last barrier; replays execute
-/// anywhere (a replay is a pure function of descriptor + seed + golden); and
-/// classification results fold — and adaptive learning applies — in
-/// run-index order at the batch barrier. Who executed a run can therefore
-/// never change what the run produced or how it folded.
+/// Determinism contract: DistCampaign runs on the same batch-barrier engine
+/// as ParallelCampaign (fault::BatchedCampaign), which generates, folds,
+/// checkpoints and preempts; this file only supplies its executors — the
+/// local fleet and the campaign-server link. A replay is a pure function
+/// of descriptor + seed + golden, so who executed a run can never change
+/// what the run produced or how it folded.
 ///
 /// Supervision: the coordinator owns the worker processes. A worker that
 /// closes its socket, exits nonzero, dies on a signal, or goes silent past
@@ -96,7 +95,7 @@ struct DistConfig {
   /// Outbound fault injection on the client→server link (seed 0 = off).
   ChaosConfig chaos;
   /// Run-lifecycle trace directory (obs/dist_trace), server mode only.
-  /// Empty = tracing off. When set, execute_remote writes
+  /// Empty = tracing off. When set, the server-mode client writes
   /// trace.client.<pid>.<job_token>.jsonl with submit/fold instants per run
   /// and reconnect events; merge with vps-tracecat. Tracing never feeds the
   /// fold — results are bitwise identical with it on or off.
@@ -108,7 +107,10 @@ struct FleetStats {
   std::uint64_t workers_spawned = 0;
   std::uint64_t worker_deaths = 0;
   std::uint64_t requeued_runs = 0;
-  std::uint64_t crashed_runs = 0;  ///< runs that exhausted max_requeues
+  /// Runs that exhausted max_requeues. Local fleet only, like the three
+  /// counters above: in server mode the pool is the server's, which counts
+  /// them as server.crashed_runs.
+  std::uint64_t crashed_runs = 0;
   std::uint64_t frames_sent = 0;
   std::uint64_t frames_received = 0;
   std::uint64_t bytes_sent = 0;
@@ -118,48 +120,20 @@ struct FleetStats {
   std::uint64_t chaos_bytes_corrupted = 0;   ///< injected by this client's policy
 };
 
-/// Distributed campaign driver. API mirrors ParallelCampaign; checkpoints
-/// are written with driver="parallel_campaign" because the two drivers share
-/// one generation/learning cadence — a campaign checkpointed under
-/// distribution resumes in-process and vice versa.
-class DistCampaign {
+/// Distributed campaign driver: a BatchedCampaign whose executor is a
+/// local fleet of worker processes or, with DistConfig::server_host set, a
+/// campaign server. Its checkpoints resume in-process and vice versa.
+class DistCampaign final : public fault::BatchedCampaign {
  public:
   DistCampaign(fault::ScenarioFactory factory, DistConfig config);
 
-  [[nodiscard]] fault::CampaignResult run();
-  [[nodiscard]] fault::CampaignResult resume(const fault::CampaignCheckpoint& checkpoint);
-
-  [[nodiscard]] const fault::Observation& golden() const noexcept { return golden_; }
   [[nodiscard]] const FleetStats& fleet_stats() const noexcept { return fleet_stats_; }
 
-  void set_monitor(obs::CampaignMonitor* monitor) noexcept { monitor_ = monitor; }
-  void set_metrics(obs::MetricRegistry* metrics) noexcept { metrics_ = metrics; }
-
  private:
-  struct Worker;
-  struct Fleet;
+  [[nodiscard]] std::unique_ptr<fault::BatchExecutor> make_executor() override;
 
-  void ensure_coordinator();
-  [[nodiscard]] fault::CampaignResult execute(std::size_t start_run,
-                                              fault::CampaignResult result,
-                                              fault::CampaignState& state);
-  /// Server-mode body of execute(): SUBMIT to the campaign server, stream
-  /// ASSIGNs per batch, fold the relayed RESULT_STREAM frames at the same
-  /// barrier the local path uses.
-  [[nodiscard]] fault::CampaignResult execute_remote(std::size_t start_run,
-                                                     fault::CampaignResult result,
-                                                     fault::CampaignState& state);
-  /// Publishes fleet counters into the attached metric registry ("dist.*").
-  void publish_fleet_metrics() const;
-
-  fault::ScenarioFactory factory_;
-  DistConfig config_;
-  std::unique_ptr<fault::Scenario> coordinator_;  // golden run + fault-space probe
-  fault::Observation golden_;
-  bool golden_valid_ = false;
+  DistConfig dist_config_;
   FleetStats fleet_stats_;
-  obs::CampaignMonitor* monitor_ = nullptr;
-  obs::MetricRegistry* metrics_ = nullptr;
 };
 
 }  // namespace vps::dist

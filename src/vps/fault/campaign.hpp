@@ -14,14 +14,17 @@
 ///   kCoverageDriven  targets unhit class x location bins first
 ///   kExhaustiveGrid  deterministic sweep over class x location x window
 ///
-/// Two drivers share the strategy machinery (CampaignState):
-///   Campaign          sequential replay on the caller's thread; learning
-///                     is applied after every run.
-///   ParallelCampaign  fans replays out over a work-stealing thread pool.
-///                     Per-run randomness comes from Xorshift::fork(key)
-///                     keyed on the run index, and adaptive learning is
-///                     applied in batched rounds at a barrier, so the
-///                     result is bitwise identical for any worker count.
+/// Three drivers share the strategy machinery (CampaignState):
+///   Campaign            sequential replay on the caller's thread; learning
+///                       is applied after every run.
+///   ParallelCampaign    batched: replays fan out over a work-stealing
+///                       thread pool.
+///   dist::DistCampaign  batched: replays run on a fleet of worker
+///                       processes or through a campaign server.
+/// The two batched drivers are executors of one engine, BatchedCampaign.
+/// Per-run randomness comes from Xorshift::fork(key) keyed on the run
+/// index, and adaptive learning is applied in batched rounds at a barrier,
+/// so their result is bitwise identical for any executor and worker count.
 
 #include <array>
 #include <cstdint>
@@ -53,11 +56,12 @@ struct CampaignConfig {
   /// ParallelCampaign only: scenario replays run on this many pool threads
   /// (0 and 1 both mean one worker). The result is identical for any value.
   std::size_t workers = 1;
-  /// ParallelCampaign only: adaptive strategies (kGuided, kCoverageDriven)
-  /// generate this many runs from the current weights before learning is
-  /// applied at the batch barrier (0 = default of 32). The batch size — not
-  /// the worker count — defines the learning cadence, so changing workers
-  /// never changes results; changing batch_size does.
+  /// Batched drivers (ParallelCampaign, DistCampaign): adaptive strategies
+  /// (kGuided, kCoverageDriven) generate this many runs from the current
+  /// weights before learning is applied at the batch barrier (0 = default
+  /// of 32). The batch size — not the worker count — defines the learning
+  /// cadence, so changing workers never changes results; changing
+  /// batch_size does.
   std::size_t batch_size = 0;
   /// A throwing scenario replay is retried this many times before the run
   /// is recorded as Outcome::kSimCrash and the descriptor quarantined.
@@ -65,14 +69,14 @@ struct CampaignConfig {
   /// deterministic simulator bug throws identically every attempt.
   std::size_t crash_retries = 1;
   /// Write a checkpoint (see fault/checkpoint.hpp) to `checkpoint_path`
-  /// every N completed runs; 0 disables checkpointing. The parallel driver
-  /// rounds the cadence up to its batch barriers.
+  /// every N completed runs; 0 disables checkpointing. The batched drivers
+  /// round the cadence up to their batch barriers.
   std::size_t checkpoint_every = 0;
   std::string checkpoint_path;
   /// Testing / preemption hook: abandon run() after this many replays in
   /// the current call (0 = run to completion), writing a final checkpoint
   /// when checkpoint_path is set. The returned partial result has
-  /// `interrupted == true`. The parallel driver preempts at the next batch
+  /// `interrupted == true`. The batched drivers preempt at the next batch
   /// barrier. This is how the CI kill-at-50% round-trip is driven without
   /// actually SIGKILLing the test runner.
   std::size_t preempt_after = 0;
@@ -196,7 +200,7 @@ struct CampaignResult {
                                            std::size_t bins = 2048) const;
 
   /// Provenance exports over all records in run order — byte-identical
-  /// across reruns and (for ParallelCampaign) across worker counts, because
+  /// across reruns and (for the batched drivers) across executors, because
   /// the records themselves are. Same per-fault schema as
   /// obs::ProvenanceTracker::to_jsonl()/to_dot().
   [[nodiscard]] std::string provenance_jsonl() const;
@@ -214,7 +218,7 @@ struct CampaignResult {
 /// (retrying up to `crash_retries` extra attempts when the replay throws)
 /// and classifies against `golden`. A replay that keeps throwing yields
 /// Outcome::kSimCrash with the captured what() text instead of propagating —
-/// the exception boundary both campaign drivers share.
+/// the exception boundary every campaign driver's replays share.
 struct ReplayResult {
   Outcome outcome = Outcome::kNoEffect;
   std::string crash_what;      ///< kSimCrash only
@@ -229,14 +233,14 @@ struct ReplayResult {
 /// Strategy state shared by the campaign drivers: fault generation under
 /// the configured strategy, the guided weak-spot weights, and fault-space
 /// coverage. Not thread-safe — drivers mutate it from one thread only (the
-/// parallel driver on the coordinator thread at batch barriers).
+/// batched engine on the calling thread at batch barriers).
 class CampaignState {
  public:
   CampaignState(std::vector<FaultType> types, sim::Time duration, const CampaignConfig& config);
 
   /// Generates the descriptor for `run_index`, drawing every random
   /// parameter from `rng` (the sequential driver passes one long-lived
-  /// stream; the parallel driver passes a per-run forked stream).
+  /// stream; the batched engine passes a per-run forked stream).
   [[nodiscard]] FaultDescriptor generate(std::size_t run_index, support::Xorshift& rng);
 
   /// Folds one classified outcome back into the guided weights and the
@@ -266,7 +270,7 @@ class CampaignState {
   std::uint64_t next_fault_id_ = 1;
 };
 
-/// Builds the obs-layer progress snapshot both campaign drivers report
+/// Builds the obs-layer progress snapshot every campaign driver reports
 /// through their monitor. `wall_seconds` is host time since run() started.
 /// `include_latency` fills the detection-latency percentiles — an O(records)
 /// pass, so drivers request it only for final (on_complete) snapshots.
@@ -324,24 +328,54 @@ class Campaign {
 /// construction of independent scenarios is.
 using ScenarioFactory = std::function<std::unique_ptr<Scenario>()>;
 
-/// Batched parallel campaign driver. Descriptors for a batch are generated
-/// on the coordinator from per-run forked RNG streams, the replays fan out
-/// across a work-stealing thread pool onto per-worker scenario instances,
-/// and classification results are reduced — and adaptive learning applied —
-/// in run-index order at the batch barrier. Consequently the full
-/// CampaignResult (records, counts, coverage curve) is bitwise identical
-/// for any CampaignConfig::workers value.
-class ParallelCampaign {
+/// What a batched driver plugs into BatchedCampaign: the means to replay a
+/// batch. It lives for one run()/resume() call.
+class BatchExecutor {
  public:
-  ParallelCampaign(ScenarioFactory factory, CampaignConfig config);
+  BatchExecutor() = default;
+  BatchExecutor(const BatchExecutor&) = delete;
+  BatchExecutor& operator=(const BatchExecutor&) = delete;
+  virtual ~BatchExecutor() = default;
+
+  /// Replays `faults`, the descriptors of runs first … first+faults.size()−1,
+  /// and returns one verdict per fault, in order. Where a replay ran must
+  /// not change its verdict.
+  [[nodiscard]] virtual std::vector<ReplayResult> replay(
+      std::size_t first, const std::vector<FaultDescriptor>& faults) = 0;
+  /// Run `run` was folded into the result at the barrier.
+  virtual void folded(std::size_t /*run*/) {}
+  /// Adds the executor's own fields to a progress snapshot.
+  virtual void annotate(obs::CampaignProgress& /*progress*/) const {}
+  /// Ends the execution after its last barrier (an orderly shutdown).
+  virtual void finish() {}
+  /// Publishes the executor's counters once the campaign completed.
+  virtual void publish(obs::MetricRegistry& /*metrics*/) const {}
+};
+
+/// The batch-barrier campaign engine behind both batched drivers. Each
+/// batch is generated on the calling thread from per-run forked RNG streams
+/// against the weights as of the last barrier, replayed by the driver's
+/// executor, and folded — adaptive learning included — in run-index order
+/// at the barrier, where the engine also reports progress, checkpoints and
+/// honours preemption. Who executed a run can therefore never change the
+/// CampaignResult (records, counts, coverage curve): it is bitwise
+/// identical for any executor, worker count or fleet size, and a
+/// checkpoint one batched driver writes, the other resumes.
+class BatchedCampaign {
+ public:
+  BatchedCampaign(const BatchedCampaign&) = delete;
+  BatchedCampaign& operator=(const BatchedCampaign&) = delete;
+  BatchedCampaign(BatchedCampaign&&) = default;
+  BatchedCampaign& operator=(BatchedCampaign&&) = default;
+  virtual ~BatchedCampaign() = default;
 
   [[nodiscard]] CampaignResult run();
 
-  /// Continues an interrupted parallel campaign from a checkpoint; the
-  /// final result is byte-identical to an uninterrupted run() for any
-  /// worker count. The checkpoint must have been cut at a batch barrier
-  /// (the parallel driver only writes them there); the golden observation
-  /// is taken from the checkpoint, so no golden re-run happens.
+  /// Continues an interrupted campaign from a checkpoint; the final result
+  /// is byte-identical to an uninterrupted run() for any executor. The
+  /// checkpoint must have been cut at a batch barrier (the engine only
+  /// writes them there); the golden observation is taken from the
+  /// checkpoint, so no golden re-run happens.
   [[nodiscard]] CampaignResult resume(const CampaignCheckpoint& checkpoint);
 
   /// The golden observation the classification compares against (valid
@@ -349,27 +383,48 @@ class ParallelCampaign {
   [[nodiscard]] const Observation& golden() const noexcept { return golden_; }
 
   /// Attaches a progress monitor: on_progress at every batch barrier (from
-  /// the coordinator thread), on_complete once at the end of run(). The
-  /// monitor must outlive run(); nullptr detaches.
+  /// the calling thread), on_complete once at the end of run(). The monitor
+  /// must outlive run(); nullptr detaches.
   void set_monitor(obs::CampaignMonitor* monitor) noexcept { monitor_ = monitor; }
 
   /// Attaches a metric registry: the finished result is published into it
-  /// once at the end of run()/resume(), from the coordinator thread. Must
+  /// once at the end of run()/resume(), from the calling thread. Must
   /// outlive run(); nullptr detaches.
   void set_metrics(obs::MetricRegistry* metrics) noexcept { metrics_ = metrics; }
 
- private:
-  void ensure_coordinator();
-  [[nodiscard]] CampaignResult execute(std::size_t start_run, CampaignResult result,
-                                       CampaignState& state);
+ protected:
+  /// `driver` names the driver in error messages.
+  BatchedCampaign(ScenarioFactory factory, CampaignConfig config, const char* driver);
 
   ScenarioFactory factory_;
   CampaignConfig config_;
   std::unique_ptr<Scenario> coordinator_;  // golden run + fault-space probe
   Observation golden_;
+
+ private:
+  /// The executor of one run()/resume() call, built once the golden
+  /// observation is known.
+  [[nodiscard]] virtual std::unique_ptr<BatchExecutor> make_executor() = 0;
+
+  void ensure_coordinator();
+  [[nodiscard]] CampaignResult execute(std::size_t start_run, CampaignResult result,
+                                       CampaignState& state);
+
+  const char* driver_ = nullptr;
   bool golden_valid_ = false;
   obs::CampaignMonitor* monitor_ = nullptr;
   obs::MetricRegistry* metrics_ = nullptr;
+};
+
+/// Batched in-process campaign driver: the replays of a batch fan out
+/// across a work-stealing thread pool (CampaignConfig::workers threads)
+/// onto per-worker scenario instances.
+class ParallelCampaign final : public BatchedCampaign {
+ public:
+  ParallelCampaign(ScenarioFactory factory, CampaignConfig config);
+
+ private:
+  [[nodiscard]] std::unique_ptr<BatchExecutor> make_executor() override;
 };
 
 }  // namespace vps::fault

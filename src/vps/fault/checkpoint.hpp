@@ -41,7 +41,9 @@ struct CampaignCheckpoint {
   ///     trailers still load, they just cannot detect in-line corruption.
   static constexpr std::uint32_t kVersion = 3;
 
-  std::string driver;    ///< "campaign" or "parallel_campaign"
+  /// "campaign" (the sequential Campaign) or "parallel_campaign" (both
+  /// batched drivers, ParallelCampaign and DistCampaign, write this tag).
+  std::string driver;
   std::string scenario;  ///< Scenario::name() of the interrupted campaign
   CampaignConfig config;
   Observation golden;

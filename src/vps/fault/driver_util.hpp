@@ -1,11 +1,9 @@
 #pragma once
 
-/// Internal helpers shared by the campaign drivers (sequential, in-process
-/// parallel, distributed). These used to be duplicated per driver file;
-/// with a third driver the duplication stopped paying for itself. Not part
-/// of the public campaign API — drivers include this, nothing else should.
+/// Internal helpers shared by the sequential Campaign, the batched engine
+/// (BatchedCampaign) and its executors. Not part of the public campaign
+/// API — drivers include this, nothing else should.
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -15,17 +13,9 @@
 #include "vps/fault/campaign.hpp"
 #include "vps/fault/checkpoint.hpp"
 #include "vps/support/ensure.hpp"
-#include "vps/support/rng.hpp"
 #include "vps/support/stats.hpp"
 
 namespace vps::fault::detail {
-
-/// Default learning cadence of the batched drivers (parallel, distributed)
-/// for adaptive strategies. Deliberately a fixed constant (never derived
-/// from the worker count): the batch size defines when guided weights
-/// update, so deriving it from `workers` would break the any-worker-count
-/// reproducibility guarantee.
-inline constexpr std::size_t kDefaultBatch = 32;
 
 /// Field-by-field descriptor identity (doubles bitwise via ==; magnitudes
 /// are never NaN). Used by resume() to verify that the deterministic
@@ -110,44 +100,6 @@ inline void validate_checkpoint(const CampaignCheckpoint& cp, const char* driver
   support::ensure(cp.records.size() <= config.runs,
                   "resume: checkpoint has more records than runs");
   support::ensure(cp.golden.completed, "resume: checkpoint golden run did not complete");
-}
-
-/// Replays a checkpointed prefix at the batched drivers' cadence:
-/// descriptors of a batch are regenerated (and verified) against the
-/// pre-batch weights, then learning folds at the barrier — exactly the
-/// cadence the interrupted run used. Returns the run index execution
-/// continues from. Shared by ParallelCampaign::resume and
-/// dist::DistCampaign::resume, which write interchangeable checkpoints.
-inline std::size_t replay_prefix_batched(const CampaignCheckpoint& checkpoint,
-                                         const CampaignConfig& config, CampaignState& state,
-                                         CampaignResult& result) {
-  const support::Xorshift base(config.seed);
-  const std::size_t batch = config.batch_size == 0 ? kDefaultBatch : config.batch_size;
-  std::size_t next = 0;
-  while (next < checkpoint.records.size()) {
-    const std::size_t n = std::min(batch, config.runs - next);
-    const std::size_t take = std::min(n, checkpoint.records.size() - next);
-    for (std::size_t b = 0; b < take; ++b) {
-      support::Xorshift run_rng = base.fork(next + b);
-      const FaultDescriptor regenerated = state.generate(next + b, run_rng);
-      support::ensure(same_fault(regenerated, checkpoint.records[next + b].fault),
-                      "resume: run " + std::to_string(next + b) +
-                          " does not regenerate the recorded descriptor — checkpoint is "
-                          "inconsistent with this scenario/config/code version");
-    }
-    for (std::size_t b = 0; b < take; ++b) {
-      fold_run(result, state, next + b, checkpoint.records[next + b],
-               static_cast<std::uint32_t>(config.crash_retries + 1));
-    }
-    next += take;
-    if (take < n) {
-      // A mid-batch cut is only ever written when the hazard stop condition
-      // ended the campaign inside that batch.
-      support::ensure(stop_condition_met(config, result),
-                      "resume: parallel checkpoint was not cut at a batch barrier");
-    }
-  }
-  return next;
 }
 
 }  // namespace vps::fault::detail

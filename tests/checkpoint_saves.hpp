@@ -1,8 +1,9 @@
 #pragma once
 
-// Shared by the save-path tests of every campaign driver: captures each
-// checkpoint file a campaign writes and checks it byte for byte against
-// to_jsonl() of the same record prefix.
+// Shared by the save-path tests of every campaign driver: per-process
+// checkpoint paths, and a recorder that captures each checkpoint file a
+// campaign writes and checks it byte for byte against to_jsonl() of the
+// same record prefix.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +14,19 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "vps/fault/checkpoint.hpp"
 #include "vps/obs/campaign_monitor.hpp"
 
 namespace vps_test {
+
+/// `name` under the test temp directory, suffixed with this process's pid:
+/// two builds of one suite (ASan and TSan, say) can run at the same time
+/// without sharing a checkpoint file.
+inline std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + name + "." + std::to_string(::getpid());
+}
 
 /// The file's bytes, or "" when it does not exist.
 inline std::string read_file(const std::string& path) {

@@ -16,11 +16,14 @@
 #include <fcntl.h>
 #include <sys/socket.h>
 
+#include "campaign_compare.hpp"
 #include "checkpoint_saves.hpp"
+#include "pool_worker.hpp"
 #include "vps/apps/caps.hpp"
 #include "vps/apps/registry.hpp"
 #include "vps/dist/coordinator.hpp"
 #include "vps/dist/protocol.hpp"
+#include "vps/dist/server.hpp"
 #include "vps/dist/transport.hpp"
 #include "vps/fault/campaign.hpp"
 #include "vps/fault/checkpoint.hpp"
@@ -48,6 +51,7 @@ using vps::obs::FaultProvenance;
 using vps::obs::HopKind;
 using vps::sim::Time;
 using vps::support::InvariantError;
+using vps_test::expect_identical;
 
 // --------------------------------------------------------------------------
 // Frame layer
@@ -351,33 +355,6 @@ ScenarioFactory caps_factory(bool crash, bool provenance = false) {
   };
 }
 
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
-  EXPECT_EQ(a.outcome_counts, b.outcome_counts);
-  EXPECT_EQ(a.runs_executed, b.runs_executed);
-  EXPECT_EQ(a.faults_to_first_hazard, b.faults_to_first_hazard);
-  EXPECT_EQ(a.final_coverage, b.final_coverage);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].fault.id, b.records[i].fault.id);
-    EXPECT_EQ(a.records[i].fault.type, b.records[i].fault.type);
-    EXPECT_EQ(a.records[i].fault.address, b.records[i].fault.address);
-    EXPECT_EQ(a.records[i].fault.bit, b.records[i].fault.bit);
-    EXPECT_EQ(a.records[i].fault.inject_at, b.records[i].fault.inject_at);
-    EXPECT_EQ(a.records[i].fault.magnitude, b.records[i].fault.magnitude);
-    EXPECT_EQ(a.records[i].outcome, b.records[i].outcome);
-    EXPECT_EQ(a.records[i].crash_what, b.records[i].crash_what);
-  }
-  ASSERT_EQ(a.coverage_curve.size(), b.coverage_curve.size());
-  for (std::size_t i = 0; i < a.coverage_curve.size(); ++i) {
-    EXPECT_EQ(a.coverage_curve[i], b.coverage_curve[i]) << "curve diverges at run " << i;
-  }
-  EXPECT_EQ(a.interrupted, b.interrupted);
-  ASSERT_EQ(a.quarantine.size(), b.quarantine.size());
-  // The full provenance payloads (node lists, timestamps) compare via the
-  // canonical export.
-  EXPECT_EQ(a.provenance_jsonl(), b.provenance_jsonl());
-}
-
 CampaignConfig small_config(Strategy strategy) {
   CampaignConfig cfg;
   cfg.runs = 24;
@@ -676,10 +653,6 @@ TEST(DistCampaignTest, ScenarioMismatchIsRejectedAtTheHandshake) {
 // Checkpoint/resume under distribution
 // --------------------------------------------------------------------------
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 TEST(DistCampaignTest, CheckpointResumeCrossesDriversAndFleetSizes) {
   CampaignConfig cfg = small_config(Strategy::kGuided);
   const CampaignResult uninterrupted = ParallelCampaign(caps_factory(false), cfg).run();
@@ -688,7 +661,7 @@ TEST(DistCampaignTest, CheckpointResumeCrossesDriversAndFleetSizes) {
   CampaignConfig cut = cfg;
   cut.batch_size = 8;
   cut.preempt_after = 10;  // preempts at the batch-16 barrier
-  cut.checkpoint_path = temp_path("dist_resume.jsonl");
+  cut.checkpoint_path = vps_test::temp_path("dist_resume.jsonl");
   DistConfig dc_cut;
   dc_cut.campaign = cut;
   dc_cut.workers = 2;
@@ -723,7 +696,7 @@ TEST(DistCampaignTest, CheckpointResumeCrossesDriversAndFleetSizes) {
 }
 
 TEST(DistCampaignTest, FleetCheckpointSavesEqualToJsonlOfTheSamePrefix) {
-  const std::string path = temp_path("dist_fleet_saves.jsonl");
+  const std::string path = vps_test::temp_path("dist_fleet_saves.jsonl");
   std::remove(path.c_str());
   const ScenarioFactory factory = [] { return vps::apps::make_scenario("bms:runaway:prov"); };
   CampaignConfig cfg;
@@ -755,6 +728,120 @@ TEST(DistCampaignTest, FleetCheckpointSavesEqualToJsonlOfTheSamePrefix) {
   head.golden = campaign.golden();
   vps_test::expect_saves_are_prefixes(recorder.saves(), head, partial.records, {16, 32, 40});
   std::remove(path.c_str());
+}
+
+// --------------------------------------------------------------------------
+// One engine, every executor: a mid-batch hazard stop folds and checkpoints
+// exactly like the one-thread reference
+// --------------------------------------------------------------------------
+
+enum class Executor { kThreads, kFleet, kServer };
+
+/// bms:runaway:prov at seed 2 finds its first hazard at run 59 (1-based),
+/// inside the eighth batch of eight, so stop_after_hazards = 1 cuts that
+/// batch short. Every barrier saves, the cut one included.
+CampaignConfig hazard_stop_config(const std::string& checkpoint_path) {
+  CampaignConfig cfg;
+  cfg.runs = 100;
+  cfg.seed = 2;
+  cfg.location_buckets = 8;
+  cfg.batch_size = 8;
+  cfg.stop_after_hazards = 1;
+  cfg.checkpoint_every = 1;
+  cfg.checkpoint_path = checkpoint_path;
+  return cfg;
+}
+
+/// Runs `cfg` — or resumes it from `checkpoint` — on `width` threads, fleet
+/// workers or server pool workers.
+CampaignResult run_on(Executor executor, std::size_t width, CampaignConfig cfg,
+                      const CampaignCheckpoint* checkpoint = nullptr) {
+  const std::string spec = "bms:runaway:prov";
+  const ScenarioFactory factory = [spec] { return vps::apps::make_scenario(spec); };
+  const auto go = [checkpoint](auto& campaign) {
+    return checkpoint != nullptr ? campaign.resume(*checkpoint) : campaign.run();
+  };
+  if (executor == Executor::kThreads) {
+    cfg.workers = width;
+    ParallelCampaign campaign(factory, cfg);
+    return go(campaign);
+  }
+  DistConfig dc;
+  dc.campaign = cfg;
+  dc.scenario_spec = spec;
+  if (executor == Executor::kFleet) {
+    dc.workers = width;
+    DistCampaign campaign(factory, dc);
+    return go(campaign);
+  }
+  CampaignServer server{ServerConfig{}};
+  std::vector<pid_t> pool;
+  for (std::size_t i = 0; i < width; ++i) pool.push_back(vps_test::fork_pool_worker(server.port()));
+  server.start();
+  dc.server_host = "127.0.0.1";
+  dc.server_port = server.port();
+  CampaignResult result;
+  {
+    DistCampaign campaign(factory, dc);
+    result = go(campaign);
+  }
+  server.stop();
+  for (const pid_t pid : pool) vps_test::reap(pid);
+  return result;
+}
+
+struct ExecutorCase {
+  std::string name;
+  Executor executor;
+  std::size_t width;
+  /// Nonzero: preempt after this many runs, then resume on the second
+  /// executor.
+  std::size_t preempt_after = 0;
+  Executor resume_executor = Executor::kThreads;
+  std::size_t resume_width = 0;
+};
+
+TEST(CampaignEngineTest, EveryExecutorMatchesTheOneThreadReferenceThroughAMidBatchStop) {
+  const std::string reference_path = vps_test::temp_path("engine_reference.jsonl");
+  std::remove(reference_path.c_str());
+  const CampaignResult reference =
+      run_on(Executor::kThreads, 1, hazard_stop_config(reference_path));
+  ASSERT_EQ(reference.count(Outcome::kHazard), 1u);
+  ASSERT_EQ(reference.faults_to_first_hazard, 59u);
+  ASSERT_NE(reference.runs_executed % 8, 0u) << "the stop must cut a batch short";
+  const std::string reference_checkpoint = vps_test::read_file(reference_path);
+  ASSERT_FALSE(reference_checkpoint.empty());
+  std::remove(reference_path.c_str());
+
+  const std::vector<ExecutorCase> cases = {
+      {"threads_4", Executor::kThreads, 4},
+      {"fleet_1", Executor::kFleet, 1},
+      {"fleet_3", Executor::kFleet, 3},
+      {"server_2", Executor::kServer, 2},
+      {"fleet_3_preempted_resumed_on_server_2", Executor::kFleet, 3, 24, Executor::kServer, 2},
+  };
+  for (const ExecutorCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path = vps_test::temp_path("engine_" + c.name + ".jsonl");
+    std::remove(path.c_str());
+    CampaignConfig cfg = hazard_stop_config(path);
+    CampaignResult result;
+    if (c.preempt_after == 0) {
+      result = run_on(c.executor, c.width, cfg);
+    } else {
+      cfg.preempt_after = c.preempt_after;
+      const CampaignResult partial = run_on(c.executor, c.width, cfg);
+      ASSERT_TRUE(partial.interrupted);
+      ASSERT_EQ(partial.runs_executed, c.preempt_after);
+      const CampaignCheckpoint checkpoint = vps::fault::load_checkpoint(path);
+      cfg.preempt_after = 0;
+      result = run_on(c.resume_executor, c.resume_width, cfg, &checkpoint);
+    }
+    expect_identical(reference, result);
+    EXPECT_EQ(vps_test::read_file(path), reference_checkpoint)
+        << "final checkpoint differs from the reference's";
+    std::remove(path.c_str());
+  }
 }
 
 // --------------------------------------------------------------------------

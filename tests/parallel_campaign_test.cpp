@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign_compare.hpp"
 #include "checkpoint_saves.hpp"
 #include "vps/apps/caps.hpp"
 #include "vps/apps/registry.hpp"
@@ -37,6 +38,7 @@ using vps::coverage::FaultSpaceCoverage;
 using vps::sim::Time;
 using vps::support::ThreadPool;
 using vps::support::Xorshift;
+using vps_test::expect_identical;
 
 // --------------------------------------------------------------------------
 // Thread pool
@@ -250,35 +252,6 @@ ScenarioFactory caps_factory(bool crash) {
     return std::make_unique<CapsScenario>(
         CapsConfig{.crash = crash, .duration = Time::ms(10)});
   };
-}
-
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
-  EXPECT_EQ(a.outcome_counts, b.outcome_counts);
-  EXPECT_EQ(a.runs_executed, b.runs_executed);
-  EXPECT_EQ(a.faults_to_first_hazard, b.faults_to_first_hazard);
-  EXPECT_EQ(a.final_coverage, b.final_coverage);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].fault.id, b.records[i].fault.id);
-    EXPECT_EQ(a.records[i].fault.type, b.records[i].fault.type);
-    EXPECT_EQ(a.records[i].fault.address, b.records[i].fault.address);
-    EXPECT_EQ(a.records[i].fault.bit, b.records[i].fault.bit);
-    EXPECT_EQ(a.records[i].fault.inject_at, b.records[i].fault.inject_at);
-    EXPECT_EQ(a.records[i].fault.magnitude, b.records[i].fault.magnitude);
-    EXPECT_EQ(a.records[i].outcome, b.records[i].outcome);
-    EXPECT_EQ(a.records[i].crash_what, b.records[i].crash_what);
-  }
-  ASSERT_EQ(a.coverage_curve.size(), b.coverage_curve.size());
-  for (std::size_t i = 0; i < a.coverage_curve.size(); ++i) {
-    EXPECT_EQ(a.coverage_curve[i], b.coverage_curve[i]) << "curve diverges at run " << i;
-  }
-  EXPECT_EQ(a.interrupted, b.interrupted);
-  ASSERT_EQ(a.quarantine.size(), b.quarantine.size());
-  for (std::size_t i = 0; i < a.quarantine.size(); ++i) {
-    EXPECT_EQ(a.quarantine[i].fault.id, b.quarantine[i].fault.id);
-    EXPECT_EQ(a.quarantine[i].what, b.quarantine[i].what);
-    EXPECT_EQ(a.quarantine[i].attempts, b.quarantine[i].attempts);
-  }
 }
 
 CampaignResult run_parallel(Strategy strategy, std::size_t workers, std::size_t runs) {
@@ -541,7 +514,7 @@ TEST(ParallelCampaignTest, ProvenanceExportsAreWorkerCountInvariant) {
 // --------------------------------------------------------------------------
 
 TEST(ParallelCampaignTest, CheckpointSavesEqualToJsonlOfTheSamePrefix) {
-  const std::string path = ::testing::TempDir() + "/vps_par_saves.jsonl";
+  const std::string path = vps_test::temp_path("vps_par_saves.jsonl");
   std::remove(path.c_str());
   const ScenarioFactory factory = [] { return vps::apps::make_scenario("bms:runaway:prov"); };
   CampaignConfig cfg;
@@ -573,7 +546,7 @@ TEST(ParallelCampaignTest, CheckpointSavesEqualToJsonlOfTheSamePrefix) {
 }
 
 TEST(ParallelCampaignTest, MidBatchHazardStopSavesTheCutPrefix) {
-  const std::string path = ::testing::TempDir() + "/vps_par_stop_saves.jsonl";
+  const std::string path = vps_test::temp_path("vps_par_stop_saves.jsonl");
   std::remove(path.c_str());
   const ScenarioFactory factory = [] { return vps::apps::make_scenario("bms:runaway:prov"); };
   CampaignConfig cfg;

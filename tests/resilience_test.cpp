@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign_compare.hpp"
 #include "checkpoint_saves.hpp"
 #include "vps/apps/caps.hpp"
 #include "vps/fault/campaign.hpp"
@@ -40,6 +41,7 @@ using vps::sim::RunStatus;
 using vps::sim::StopReason;
 using vps::sim::Time;
 using vps::support::InvariantError;
+using vps_test::expect_identical;
 namespace codec = vps::fault::codec;
 
 // --------------------------------------------------------------------------
@@ -282,7 +284,7 @@ TEST(Checkpoint, RejectsTruncationVersionSkewAndGarbage) {
 }
 
 TEST(Checkpoint, SaveLoadRoundTripsThroughDisk) {
-  const std::string path = "/tmp/vps_checkpoint_roundtrip.jsonl";
+  const std::string path = vps_test::temp_path("vps_checkpoint_roundtrip.jsonl");
   const CampaignCheckpoint cp = sample_checkpoint();
   save_checkpoint(cp, path);
   const CampaignCheckpoint back = load_checkpoint(path);
@@ -318,7 +320,7 @@ TEST(Checkpoint, EveryV3LineCarriesAVerifiableCrc) {
 }
 
 TEST(Checkpoint, CorruptRecordLineIsReportedAndFileTruncatedToLastGoodRecord) {
-  const std::string path = "/tmp/vps_checkpoint_crc_recovery.jsonl";
+  const std::string path = vps_test::temp_path("vps_checkpoint_crc_recovery.jsonl");
   save_checkpoint(sample_checkpoint(), path);
 
   // Flip one byte inside the SECOND record line on disk.
@@ -470,7 +472,7 @@ std::vector<RunRecord> writer_records(std::size_t n) {
 }
 
 TEST(CheckpointWriter, EverySaveEqualsToJsonlOfTheSamePrefix) {
-  const std::string path = ::testing::TempDir() + "/vps_writer_prefix.jsonl";
+  const std::string path = vps_test::temp_path("vps_writer_prefix.jsonl");
   CampaignCheckpoint head = sample_checkpoint();
   const std::vector<RunRecord> all = writer_records(12);
   CheckpointWriter writer(path, head.driver, head.scenario, head.config, head.golden);
@@ -486,7 +488,7 @@ TEST(CheckpointWriter, EverySaveEqualsToJsonlOfTheSamePrefix) {
 }
 
 TEST(CheckpointWriter, RecordsAreEncodedOnceOnTheirFirstSave) {
-  const std::string path = ::testing::TempDir() + "/vps_writer_once.jsonl";
+  const std::string path = vps_test::temp_path("vps_writer_once.jsonl");
   CampaignCheckpoint head = sample_checkpoint();
   const std::vector<RunRecord> original = writer_records(6);
   std::vector<RunRecord> records(original.begin(), original.begin() + 4);
@@ -511,7 +513,7 @@ TEST(CheckpointWriter, RecordsAreEncodedOnceOnTheirFirstSave) {
 }
 
 TEST(CheckpointWriter, ShrinkingPrefixIsRejected) {
-  const std::string path = ::testing::TempDir() + "/vps_writer_shrink.jsonl";
+  const std::string path = vps_test::temp_path("vps_writer_shrink.jsonl");
   const CampaignCheckpoint head = sample_checkpoint();
   std::vector<RunRecord> records = writer_records(5);
   CheckpointWriter writer(path, head.driver, head.scenario, head.config, head.golden);
@@ -527,7 +529,7 @@ TEST(CheckpointWriter, ShrinkingPrefixIsRejected) {
 TEST(Checkpoint, FailedSaveLeavesThePreviousFileAndNoTempFile) {
   // The target is an existing non-empty directory: the temp file gets
   // written, then renaming it over the directory fails.
-  const std::string dir = ::testing::TempDir() + "/vps_checkpoint_target_dir";
+  const std::string dir = vps_test::temp_path("vps_checkpoint_target_dir");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directory(dir);
   std::ofstream(dir + "/previous") << "keep me";
@@ -552,36 +554,8 @@ TEST(Checkpoint, FailedSaveLeavesThePreviousFileAndNoTempFile) {
 // Resume == uninterrupted (both drivers)
 // --------------------------------------------------------------------------
 
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
-  EXPECT_EQ(a.outcome_counts, b.outcome_counts);
-  EXPECT_EQ(a.runs_executed, b.runs_executed);
-  EXPECT_EQ(a.faults_to_first_hazard, b.faults_to_first_hazard);
-  EXPECT_EQ(a.final_coverage, b.final_coverage);
-  EXPECT_EQ(a.coverage_curve, b.coverage_curve);
-  EXPECT_EQ(a.interrupted, b.interrupted);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].fault.id, b.records[i].fault.id);
-    EXPECT_EQ(a.records[i].fault.type, b.records[i].fault.type);
-    EXPECT_EQ(a.records[i].fault.inject_at, b.records[i].fault.inject_at);
-    EXPECT_EQ(a.records[i].fault.address, b.records[i].fault.address);
-    EXPECT_EQ(a.records[i].fault.magnitude, b.records[i].fault.magnitude);
-    EXPECT_EQ(a.records[i].outcome, b.records[i].outcome);
-    EXPECT_EQ(a.records[i].crash_what, b.records[i].crash_what);
-  }
-  ASSERT_EQ(a.quarantine.size(), b.quarantine.size());
-  for (std::size_t i = 0; i < a.quarantine.size(); ++i) {
-    EXPECT_EQ(a.quarantine[i].fault.id, b.quarantine[i].fault.id);
-    EXPECT_EQ(a.quarantine[i].what, b.quarantine[i].what);
-    EXPECT_EQ(a.quarantine[i].attempts, b.quarantine[i].attempts);
-  }
-  EXPECT_EQ(a.hazard_probability.estimate, b.hazard_probability.estimate);
-  EXPECT_EQ(a.hazard_probability.lo, b.hazard_probability.lo);
-  EXPECT_EQ(a.hazard_probability.hi, b.hazard_probability.hi);
-}
-
 TEST(Resilience, SequentialResumeMatchesUninterruptedRun) {
-  const std::string path = "/tmp/vps_resume_seq.jsonl";
+  const std::string path = vps_test::temp_path("vps_resume_seq.jsonl");
   for (const auto strategy : {Strategy::kMonteCarlo, Strategy::kGuided}) {
     SCOPED_TRACE(to_string(strategy));
     CampaignConfig cfg;
@@ -615,7 +589,7 @@ TEST(Resilience, SequentialResumeMatchesUninterruptedRun) {
 }
 
 TEST(Resilience, SequentialResumeWithCrashesRebuildsQuarantine) {
-  const std::string path = "/tmp/vps_resume_crash.jsonl";
+  const std::string path = vps_test::temp_path("vps_resume_crash.jsonl");
   CampaignConfig cfg;
   cfg.runs = 20;
   cfg.seed = 5;
@@ -639,7 +613,7 @@ TEST(Resilience, SequentialResumeWithCrashesRebuildsQuarantine) {
 }
 
 TEST(Resilience, ParallelResumeMatchesUninterruptedRunForAnyWorkerCount) {
-  const std::string path = "/tmp/vps_resume_par.jsonl";
+  const std::string path = vps_test::temp_path("vps_resume_par.jsonl");
   CampaignConfig cfg;
   cfg.runs = 24;
   cfg.seed = 42;
@@ -674,7 +648,7 @@ TEST(Resilience, ParallelResumeMatchesUninterruptedRunForAnyWorkerCount) {
 }
 
 TEST(Resilience, PeriodicCheckpointsAreWrittenDuringTheRun) {
-  const std::string path = "/tmp/vps_periodic_cp.jsonl";
+  const std::string path = vps_test::temp_path("vps_periodic_cp.jsonl");
   CampaignConfig cfg;
   cfg.runs = 10;
   cfg.seed = 9;
@@ -695,7 +669,7 @@ TEST(Resilience, PeriodicCheckpointsAreWrittenDuringTheRun) {
 }
 
 TEST(Resilience, SequentialSavesEqualToJsonlOfTheSamePrefix) {
-  const std::string path = ::testing::TempDir() + "/vps_seq_saves.jsonl";
+  const std::string path = vps_test::temp_path("vps_seq_saves.jsonl");
   std::remove(path.c_str());
   CampaignConfig cfg;
   cfg.runs = 20;
@@ -725,7 +699,7 @@ TEST(Resilience, SequentialSavesEqualToJsonlOfTheSamePrefix) {
 }
 
 TEST(Resilience, ResumeRejectsMismatchedConfigScenarioOrDriver) {
-  const std::string path = "/tmp/vps_resume_reject.jsonl";
+  const std::string path = vps_test::temp_path("vps_resume_reject.jsonl");
   CampaignConfig cfg;
   cfg.runs = 8;
   cfg.seed = 2;

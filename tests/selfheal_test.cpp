@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -24,10 +23,11 @@
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
+#include "campaign_compare.hpp"
 #include "checkpoint_saves.hpp"
+#include "pool_worker.hpp"
 #include "vps/apps/registry.hpp"
 #include "vps/dist/chaos.hpp"
 #include "vps/dist/coordinator.hpp"
@@ -47,6 +47,8 @@ using vps::fault::CampaignResult;
 using vps::fault::ParallelCampaign;
 using vps::fault::ScenarioFactory;
 using vps::support::InvariantError;
+using vps_test::expect_identical;
+using vps_test::reap;
 
 constexpr const char* kHost = "127.0.0.1";
 
@@ -71,32 +73,6 @@ pid_t fork_reconnecting_worker(std::uint16_t port, std::uint64_t chaos_seed = 0)
   const int code = serve_pool(
       pc, [](const SetupMsg& setup) { return vps::apps::make_scenario(setup.scenario_spec); });
   ::_exit(code);
-}
-
-void reap(pid_t pid) {
-  int status = 0;
-  pid_t r;
-  do {
-    r = ::waitpid(pid, &status, 0);
-  } while (r < 0 && errno == EINTR);
-}
-
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
-  EXPECT_EQ(a.outcome_counts, b.outcome_counts);
-  EXPECT_EQ(a.runs_executed, b.runs_executed);
-  EXPECT_EQ(a.faults_to_first_hazard, b.faults_to_first_hazard);
-  EXPECT_EQ(a.final_coverage, b.final_coverage);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].fault.id, b.records[i].fault.id);
-    EXPECT_EQ(a.records[i].outcome, b.records[i].outcome);
-    EXPECT_EQ(a.records[i].crash_what, b.records[i].crash_what);
-  }
-  ASSERT_EQ(a.coverage_curve.size(), b.coverage_curve.size());
-  for (std::size_t i = 0; i < a.coverage_curve.size(); ++i) {
-    EXPECT_EQ(a.coverage_curve[i], b.coverage_curve[i]) << "curve diverges at run " << i;
-  }
-  EXPECT_EQ(a.provenance_jsonl(), b.provenance_jsonl());
 }
 
 // Raw metrics scrape (no HTTP client dependency). Non-throwing: a scrape
@@ -638,7 +614,7 @@ TEST(SelfHealingTest, PreemptedServerCampaignResumesFromCheckpointIdentically) {
 }
 
 TEST(SelfHealingTest, ServerModeCheckpointSavesEqualToJsonlOfTheSamePrefix) {
-  const std::string path = ::testing::TempDir() + "/vps_server_saves.jsonl";
+  const std::string path = vps_test::temp_path("vps_server_saves.jsonl");
   std::remove(path.c_str());
   const ScenarioFactory factory = [] { return vps::apps::make_scenario("bms:runaway:prov"); };
 

@@ -7,18 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
+#include "campaign_compare.hpp"
+#include "pool_worker.hpp"
 #include "vps/apps/caps.hpp"
 #include "vps/apps/registry.hpp"
 #include "vps/dist/coordinator.hpp"
@@ -40,54 +41,11 @@ using vps::fault::Outcome;
 using vps::fault::ParallelCampaign;
 using vps::fault::ScenarioFactory;
 using vps::support::InvariantError;
+using vps_test::expect_identical;
+using vps_test::fork_pool_worker;
+using vps_test::reap;
 
 constexpr const char* kHost = "127.0.0.1";
-
-// Forks one standing-pool worker that connects to the server and serves the
-// registry-built scenarios until SHUTDOWN. Must be called before any thread
-// is spawned in the test process (fork safety).
-pid_t fork_pool_worker(std::uint16_t port) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  int code = 3;
-  {
-    Channel channel(tcp_connect(kHost, port));
-    code = serve_pool(channel, [](const SetupMsg& setup) {
-      return vps::apps::make_scenario(setup.scenario_spec);
-    });
-  }
-  ::_exit(code);
-}
-
-void reap(pid_t pid) {
-  int status = 0;
-  pid_t r;
-  do {
-    r = ::waitpid(pid, &status, 0);
-  } while (r < 0 && errno == EINTR);
-}
-
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
-  EXPECT_EQ(a.outcome_counts, b.outcome_counts);
-  EXPECT_EQ(a.runs_executed, b.runs_executed);
-  EXPECT_EQ(a.faults_to_first_hazard, b.faults_to_first_hazard);
-  EXPECT_EQ(a.final_coverage, b.final_coverage);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].fault.id, b.records[i].fault.id);
-    EXPECT_EQ(a.records[i].fault.type, b.records[i].fault.type);
-    EXPECT_EQ(a.records[i].fault.address, b.records[i].fault.address);
-    EXPECT_EQ(a.records[i].fault.inject_at, b.records[i].fault.inject_at);
-    EXPECT_EQ(a.records[i].fault.magnitude, b.records[i].fault.magnitude);
-    EXPECT_EQ(a.records[i].outcome, b.records[i].outcome);
-    EXPECT_EQ(a.records[i].crash_what, b.records[i].crash_what);
-  }
-  ASSERT_EQ(a.coverage_curve.size(), b.coverage_curve.size());
-  for (std::size_t i = 0; i < a.coverage_curve.size(); ++i) {
-    EXPECT_EQ(a.coverage_curve[i], b.coverage_curve[i]) << "curve diverges at run " << i;
-  }
-  EXPECT_EQ(a.provenance_jsonl(), b.provenance_jsonl());
-}
 
 SubmitMsg tiny_submit(const std::string& tenant) {
   SubmitMsg submit;
@@ -195,6 +153,64 @@ TEST(CampaignServerTest, ThreeTenantsOnOnePoolFoldBitwiseIdenticalToSolo) {
   expect_identical(caps_solo, caps_res);
   expect_identical(acc_solo, acc_res);
   expect_identical(bms_solo, bms_res);
+}
+
+// --------------------------------------------------------------------------
+// Crash accounting: FleetStats::crashed_runs means the same in both modes
+// --------------------------------------------------------------------------
+
+/// Every faulty replay throws; the golden run completes.
+class AlwaysCrashes final : public vps::fault::Scenario {
+ public:
+  [[nodiscard]] std::string name() const override { return "always_crashes"; }
+  [[nodiscard]] vps::sim::Time duration() const override { return vps::sim::Time::ms(1); }
+  [[nodiscard]] std::vector<vps::fault::FaultType> fault_types() const override {
+    return {vps::fault::FaultType::kMemoryBitFlip};
+  }
+  [[nodiscard]] vps::fault::Observation run(const vps::fault::FaultDescriptor* fault,
+                                            std::uint64_t) override {
+    if (fault != nullptr) {
+      throw std::runtime_error("replay of fault " + std::to_string(fault->id) + " crashed");
+    }
+    vps::fault::Observation obs;
+    obs.completed = true;
+    obs.output_signature = 1;
+    return obs;
+  }
+};
+
+TEST(CampaignServerTest, CrashedRunsCountsOnlyExhaustedRequeuesInBothModes) {
+  const ScenarioFactory factory = [] { return std::make_unique<AlwaysCrashes>(); };
+  CampaignConfig cfg;
+  cfg.runs = 8;
+  cfg.seed = 3;
+  cfg.crash_retries = 0;
+
+  DistConfig fleet_dc;
+  fleet_dc.campaign = cfg;
+  fleet_dc.workers = 2;
+  DistCampaign fleet(factory, fleet_dc);
+  const CampaignResult fleet_result = fleet.run();
+
+  CampaignServer server{ServerConfig{}};
+  const pid_t worker = fork_pool_worker(
+      server.port(), [](const SetupMsg&) { return std::make_unique<AlwaysCrashes>(); });
+  server.start();
+  DistConfig server_dc;
+  server_dc.campaign = cfg;
+  server_dc.server_host = kHost;
+  server_dc.server_port = server.port();
+  DistCampaign remote(factory, server_dc);
+  const CampaignResult remote_result = remote.run();
+  server.stop();
+  reap(worker);
+
+  // Every run crashed in its replay and none was ever requeued.
+  EXPECT_EQ(fleet_result.quarantine.size(), cfg.runs);
+  expect_identical(fleet_result, remote_result);
+  EXPECT_EQ(fleet.fleet_stats().crashed_runs, 0u);
+  EXPECT_EQ(remote.fleet_stats().crashed_runs, 0u)
+      << "server mode counted kSimCrash verdicts, not exhausted requeues";
 }
 
 // --------------------------------------------------------------------------
