@@ -1,18 +1,24 @@
 // E18 — distributed campaign scaling: runs/second of the in-process
-// ParallelCampaign vs the multi-process worker fleet at 1/2/4 workers on
+// ParallelCampaign vs the multi-process worker pool at 1/2/4 workers on
 // the CAPS crash scenario, plus the per-run IPC cost (wall time and wire
 // bytes/frames per run) and a kill-one-worker resilience row. Every
-// configuration must produce the identical result — the throughput table is
-// only meaningful because the work is provably the same.
+// configuration must reproduce the baseline record for record — each
+// record's checkpoint line is compared — so the throughput table is only
+// meaningful because the work is provably the same. A mismatch, or a kill
+// row that sees no worker death, prints BUG: and exits 1.
+//
+// Usage: bench_dist_campaign [runs]   (an integer >= 3, default 96)
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "vps/apps/caps.hpp"
 #include "vps/dist/coordinator.hpp"
 #include "vps/fault/campaign.hpp"
+#include "vps/fault/codec.hpp"
 
 using namespace vps;
 using Clock = std::chrono::steady_clock;
@@ -30,10 +36,36 @@ fault::ScenarioFactory caps_factory() {
   };
 }
 
+/// Every record's checkpoint-codec line, in run order, plus the coverage
+/// curve: equal strings mean the two results fold identically.
+std::string fingerprint(const fault::CampaignResult& result) {
+  std::string out;
+  for (std::size_t i = 0; i < result.records.size(); ++i) {
+    fault::codec::append_record(out, result.records[i], i);
+    out += '\n';
+  }
+  char hex[40];
+  for (const double c : result.coverage_curve) {
+    std::snprintf(hex, sizeof hex, "%a ", c);
+    out += hex;
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 96;
+  std::size_t runs = 96;
+  if (argc > 1) {
+    char* end = nullptr;
+    const unsigned long long n = std::strtoull(argv[1], &end, 10);
+    // The kill row needs a third of the runs still ahead when it strikes.
+    if (argc > 2 || argv[1][0] < '0' || argv[1][0] > '9' || *end != '\0' || n < 3) {
+      std::fprintf(stderr, "usage: %s [runs]   (runs: an integer >= 3, default 96)\n", argv[0]);
+      return 64;  // EX_USAGE
+    }
+    runs = static_cast<std::size_t>(n);
+  }
 
   fault::CampaignConfig cfg;
   cfg.runs = runs;
@@ -49,9 +81,11 @@ int main(int argc, char** argv) {
   const auto baseline = fault::ParallelCampaign(caps_factory(), cfg).run();
   const double base_s = seconds_since(t_base);
   const double base_per_run_us = base_s / static_cast<double>(runs) * 1e6;
+  const std::string expected = fingerprint(baseline);
   std::printf("%-28s %8.1f runs/s  %9.1f us/run\n", "in-process (1 thread)",
               static_cast<double>(runs) / base_s, base_per_run_us);
 
+  bool ok = true;
   for (const std::size_t fleet : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     dist::DistConfig dc;
     dc.campaign = cfg;
@@ -60,8 +94,7 @@ int main(int argc, char** argv) {
     const auto t0 = Clock::now();
     const auto result = campaign.run();
     const double s = seconds_since(t0);
-    const bool same = result.outcome_counts == baseline.outcome_counts &&
-                      result.coverage_curve == baseline.coverage_curve;
+    const bool same = fingerprint(result) == expected;
     const auto& fs = campaign.fleet_stats();
     const double per_run_us = s / static_cast<double>(runs) * 1e6;
     char label[64];
@@ -72,8 +105,11 @@ int main(int argc, char** argv) {
                 static_cast<double>(fs.bytes_sent + fs.bytes_received) /
                     static_cast<double>(runs),
                 static_cast<unsigned long long>(fs.frames_sent + fs.frames_received),
-                same ? "yes" : "NO — BUG");
-    if (!same) return 1;
+                same ? "yes" : "NO");
+    if (!same) {
+      std::printf("BUG: %zu-worker fold differs from the in-process baseline\n", fleet);
+      ok = false;
+    }
   }
 
   // Resilience row: kill one of two workers a third of the way in; the
@@ -88,17 +124,25 @@ int main(int argc, char** argv) {
     const auto t0 = Clock::now();
     const auto result = campaign.run();
     const double s = seconds_since(t0);
-    const bool same = result.outcome_counts == baseline.outcome_counts &&
-                      result.coverage_curve == baseline.coverage_curve;
+    const bool same = fingerprint(result) == expected;
     const auto& fs = campaign.fleet_stats();
     std::printf("%-28s %8.1f runs/s  %9.1f us/run  deaths %llu, requeued %llu  identical: %s\n",
                 "distributed, 2w, 1 killed", static_cast<double>(runs) / s,
                 s / static_cast<double>(runs) * 1e6,
                 static_cast<unsigned long long>(fs.worker_deaths),
-                static_cast<unsigned long long>(fs.requeued_runs), same ? "yes" : "NO — BUG");
-    if (!same || fs.worker_deaths != 1) return 1;
+                static_cast<unsigned long long>(fs.requeued_runs), same ? "yes" : "NO");
+    if (!same) {
+      std::printf("BUG: fold with a killed worker differs from the in-process baseline\n");
+      ok = false;
+    }
+    if (fs.worker_deaths != 1) {
+      std::printf("BUG: the kill row saw %llu worker deaths, expected 1\n",
+                  static_cast<unsigned long long>(fs.worker_deaths));
+      ok = false;
+    }
   }
 
+  if (!ok) return 1;
   std::printf("\nevery distributed configuration reproduced the in-process result bitwise\n");
   return 0;
 }

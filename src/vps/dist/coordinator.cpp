@@ -5,17 +5,17 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "vps/dist/server.hpp"
 #include "vps/dist/worker.hpp"
 #include "vps/fault/driver_util.hpp"
 #include "vps/obs/dist_trace.hpp"
@@ -25,7 +25,6 @@
 namespace vps::dist {
 
 using fault::FaultDescriptor;
-using fault::Outcome;
 using fault::ReplayResult;
 using support::ensure;
 
@@ -33,51 +32,13 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-/// Forks one worker. In fork-only mode the child serves with the inherited
-/// factory; in exec mode it dup2s its socket onto fd 3 and execs the
-/// vps-worker binary. `all_pairs` is every socketpair of the fleet — the
-/// child closes all ends that are not its own, so a dead coordinator (or
-/// dead sibling) produces a visible EOF instead of a connection kept alive
-/// by an unrelated process holding a duplicate descriptor.
-pid_t spawn_worker(std::size_t index, const std::vector<SocketPair>& all_pairs,
-                   const fault::ScenarioFactory& factory, const DistConfig& config) {
-  const pid_t pid = ::fork();
-  ensure(pid >= 0, std::string("dist: fork failed: ") + std::strerror(errno));
-  if (pid != 0) return pid;
-
-  // --- child ---
-  const int my_fd = all_pairs[index].worker_fd;
-  for (std::size_t i = 0; i < all_pairs.size(); ++i) {
-    ::close(all_pairs[i].coordinator_fd);
-    if (i != index) ::close(all_pairs[i].worker_fd);
-  }
-  if (config.worker_path.empty()) {
-    // Fork-only worker: serve straight out of the fork with the inherited
-    // factory. _exit, not exit — a forked child must not run the parent's
-    // atexit handlers or flush its inherited stdio buffers twice.
-    int code = 3;
-    {
-      Channel channel(my_fd);
-      code = serve(channel, [&factory, &config](const SetupMsg&) {
-        return fault::detail::build_scenario(factory, config.campaign, "DistCampaign");
-      });
-    }
-    ::_exit(code);
-  }
-  // Exec worker: hand the socket over on fd 3 and replace the image.
-  if (my_fd != 3) {
-    if (::dup2(my_fd, 3) < 0) ::_exit(127);
-    ::close(my_fd);
-  }
-  ::execl(config.worker_path.c_str(), "vps-worker", "--fd", "3",
-          static_cast<char*>(nullptr));
-  ::_exit(127);  // exec failed: the coordinator sees EOF instead of HELLO
-}
-
-int remaining_ms(Clock::time_point deadline) noexcept {
-  const auto left =
-      std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now()).count();
-  return left <= 0 ? 0 : static_cast<int>(std::min<long long>(left, 1'000'000));
+/// Drops every descriptor a forked child inherited, the private server's
+/// listener above all: a child holding a copy would keep the listener alive
+/// after the server stops (server.cpp explains why that is a black hole).
+void close_inherited_fds() noexcept {
+  if (::close_range(3, ~0U, 0) == 0) return;
+  const long max_fd = ::sysconf(_SC_OPEN_MAX);  // kernels before 5.9
+  for (long fd = 3; fd < (max_fd > 0 ? max_fd : 1024); ++fd) ::close(static_cast<int>(fd));
 }
 
 /// Stable client-side job identity: FNV-1a over the determinism-relevant
@@ -107,14 +68,6 @@ std::uint64_t job_token_for(const SubmitMsg& submit) {
   return h == 0 ? 1 : h;  // 0 is the wire sentinel for "no token"
 }
 
-/// Adds a closing channel's transfer counters to the fleet stats.
-void add_transfer(FleetStats& stats, const Channel& channel) {
-  stats.frames_sent += channel.stats().frames_sent;
-  stats.frames_received += channel.stats().frames_received;
-  stats.bytes_sent += channel.stats().bytes_sent;
-  stats.bytes_received += channel.stats().bytes_received;
-}
-
 /// Publishes the fleet counters as "dist.*" metrics.
 void publish_fleet(const FleetStats& stats, obs::MetricRegistry& metrics) {
   metrics.counter("dist.workers_spawned").add(stats.workers_spawned);
@@ -130,316 +83,154 @@ void publish_fleet(const FleetStats& stats, obs::MetricRegistry& metrics) {
   metrics.counter("dist.chaos.bytes_corrupted").add(stats.chaos_bytes_corrupted);
 }
 
-/// The verdicts of a batch in which every slot has one, in slot order.
-std::vector<ReplayResult> take_verdicts(std::vector<std::optional<ReplayResult>>& verdicts) {
-  std::vector<ReplayResult> replays;
-  replays.reserve(verdicts.size());
-  for (std::optional<ReplayResult>& v : verdicts) replays.push_back(std::move(*v));
-  return replays;
-}
-
-struct Worker {
-  pid_t pid = -1;
-  std::unique_ptr<Channel> channel;
-  bool alive = false;
-  /// Batch slots assigned to this worker that have no RESULT yet.
-  std::vector<std::size_t> inflight;
-  Clock::time_point last_heard;
-};
-
-/// The local-fleet executor. It owns the worker processes of one
-/// run()/resume() call: start() spawns them and runs the SETUP/HELLO
-/// handshake, finish() shuts them down in order, and whatever path leaves
-/// the call — return, ensure() throw, scenario exception — the destructor
-/// SIGKILLs and reaps every child still running.
-class FleetExecutor final : public fault::BatchExecutor {
+/// The private service of a local-mode campaign: a CampaignServer on
+/// 127.0.0.1:0 and `workers` pool children forked against it. The server
+/// decides when a worker is dead; this class owns the processes. Every
+/// kill() and waitpid() runs on the client thread, and a reaped pid is
+/// never signalled again (pids get reused).
+class LocalPool {
  public:
-  FleetExecutor(const DistConfig& config, FleetStats& stats) : config_(config), stats_(stats) {}
-  ~FleetExecutor() override {
-    for (Worker& w : workers_) reap(w, /*force_kill=*/true);
+  LocalPool(const fault::ScenarioFactory& factory, const DistConfig& config)
+      : server_(private_server_config(config)) {
+    server_.on_worker_death([this](const CampaignServer::WorkerDeath& death) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      dropped_.push_back(death);
+    });
+    // Fork before the server thread exists, so a child may run any code.
+    const std::string target = "127.0.0.1:" + std::to_string(port());
+    const std::size_t size = std::max<std::size_t>(1, config.workers);
+    for (std::size_t i = 0; i < size; ++i) {
+      const pid_t pid = ::fork();
+      if (pid == 0) run_child(factory, config, port(), target);
+      if (pid < 0) {
+        const int err = errno;
+        kill_all();
+        support::fail(std::string("dist: fork failed: ") + std::strerror(err));
+      }
+      children_.push_back(pid);
+    }
+    server_.start();
   }
 
-  void start(const fault::ScenarioFactory& factory, const std::string& scenario,
-             const fault::Observation& golden);
+  /// Error path: nothing may outlive the campaign that threw.
+  ~LocalPool() { kill_all(); }
 
-  std::vector<ReplayResult> replay(std::size_t first,
-                                   const std::vector<FaultDescriptor>& faults) override {
-    first_ = first;
-    faults_ = &faults;
-    verdicts_.assign(faults.size(), std::nullopt);
-    requeues_.assign(faults.size(), 0);
-    missing_ = faults.size();
-    for (std::size_t b = 0; b < faults.size(); ++b) unassigned_.push_back(b);
-    assign_queued();
-    while (missing_ > 0) supervise();
-    return take_verdicts(verdicts_);
+  LocalPool(const LocalPool&) = delete;
+  LocalPool& operator=(const LocalPool&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const noexcept { return server_.port(); }
+  [[nodiscard]] std::size_t size() const noexcept { return children_.size(); }
+  [[nodiscard]] std::size_t alive() const noexcept {
+    return static_cast<std::size_t>(std::count_if(children_.begin(), children_.end(),
+                                                  [](pid_t pid) { return pid > 0; }));
   }
 
-  void annotate(obs::CampaignProgress& progress) const override {
-    progress.workers_alive = alive_count();
-    progress.worker_deaths = stats_.worker_deaths;
-    progress.requeued_runs = stats_.requeued_runs;
+  /// The kill_after_results hook.
+  void kill(std::size_t index) {
+    const pid_t pid = children_[index % children_.size()];
+    if (pid > 0) ::kill(pid, SIGKILL);
   }
 
-  void finish() override {
-    for (Worker& w : workers_) {
-      if (!w.alive) continue;
-      (void)w.channel->send_frame(MsgType::kShutdown, "");
-      reap(w, /*force_kill=*/false);
+  /// Counts the deaths the server declared since the last call, then
+  /// SIGKILLs and reaps those workers: a dropped worker may be wedged and
+  /// would otherwise burn a core until the campaign ends.
+  void collect_deaths(FleetStats& stats) {
+    std::vector<CampaignServer::WorkerDeath> dropped;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      dropped.swap(dropped_);
+    }
+    for (const CampaignServer::WorkerDeath& death : dropped) {
+      ++stats.worker_deaths;
+      stats.requeued_runs += death.requeued;
+      stats.crashed_runs += death.crashed;
+      for (pid_t& child : children_) {
+        if (child > 0 && static_cast<std::uint64_t>(child) == death.pid) reap(child, SIGKILL);
+      }
     }
   }
 
-  void publish(obs::MetricRegistry& metrics) const override { publish_fleet(stats_, metrics); }
+  /// Reaps the children that exited on their own; true while any is left.
+  [[nodiscard]] bool any_alive() {
+    for (pid_t& child : children_) {
+      if (child > 0 && ::waitpid(child, nullptr, WNOHANG) == child) child = -1;
+    }
+    return alive() > 0;
+  }
+
+  /// Orderly end, after the client RELEASEd its job: the server SHUTDOWNs
+  /// every live worker, and each child is waited for, never killed — a pool
+  /// worker destroys its scenarios on RELEASE and SHUTDOWN before it exits.
+  void shutdown(FleetStats& stats) {
+    server_.stop();
+    collect_deaths(stats);
+    for (pid_t& child : children_) reap(child, 0);
+  }
+
+  /// Asks the server to exit once the job table is empty, so that the
+  /// client's RELEASE ends its loop instead of the next poll timeout.
+  void drain() { server_.request_drain(); }
 
  private:
-  void reap(Worker& w, bool force_kill);
-  [[nodiscard]] std::size_t alive_count() const noexcept {
-    return static_cast<std::size_t>(
-        std::count_if(workers_.begin(), workers_.end(), [](const Worker& w) { return w.alive; }));
+  static ServerConfig private_server_config(const DistConfig& config) {
+    ServerConfig sc;
+    sc.hello_timeout_ms = config.hello_timeout_ms;
+    sc.heartbeat_timeout_ms = config.heartbeat_timeout_ms;
+    return sc;
   }
-  void assign_queued();
-  void supervise();
-  void on_death(Worker& w);
 
-  const DistConfig& config_;
-  FleetStats& stats_;
-  std::vector<Worker> workers_;
-  std::uint64_t results_total_ = 0;  ///< RESULT frames of this call (kill hook)
-  // The batch being replayed.
-  std::size_t first_ = 0;
-  const std::vector<FaultDescriptor>* faults_ = nullptr;
-  std::vector<std::optional<ReplayResult>> verdicts_;
-  std::vector<std::uint32_t> requeues_;
-  std::deque<std::size_t> unassigned_;  ///< slots waiting for a worker
-  std::size_t missing_ = 0;             ///< slots without a verdict
+  /// The body of one child: serve the private server for one session, then
+  /// _exit — never exit(), which would run the parent's atexit handlers and
+  /// flush its inherited stdio buffers a second time.
+  [[noreturn]] static void run_child(const fault::ScenarioFactory& factory,
+                                     const DistConfig& config, std::uint16_t port,
+                                     const std::string& target) {
+    close_inherited_fds();
+    if (!config.worker_path.empty()) {
+      ::execl(config.worker_path.c_str(), "vps-worker", "--connect", target.c_str(),
+              "--max-reconnects", "0", "--idle-timeout-ms", "-1", static_cast<char*>(nullptr));
+      ::_exit(127);  // exec failed: the client reports a spawn failure
+    }
+    int code = 3;
+    try {
+      Channel channel(tcp_connect("127.0.0.1", port));
+      code = serve_pool(channel, [&factory, &config](const SetupMsg&) {
+        return fault::detail::build_scenario(factory, config.campaign, "DistCampaign");
+      });
+    } catch (...) {
+      std::fprintf(stderr, "vps-worker[%d]: could not reach the private server\n", ::getpid());
+    }
+    ::_exit(code);
+  }
+
+  /// Waits for `child` after sending it `signal` (0 = none); clears the pid.
+  static void reap(pid_t& child, int signal) {
+    if (child <= 0) return;
+    if (signal != 0) ::kill(child, signal);
+    while (::waitpid(child, nullptr, 0) < 0 && errno == EINTR) {
+    }
+    child = -1;
+  }
+
+  void kill_all() {
+    server_.stop();
+    for (pid_t& child : children_) reap(child, SIGKILL);
+  }
+
+  CampaignServer server_;
+  std::vector<pid_t> children_;  ///< -1 once reaped
+  std::mutex mutex_;
+  std::vector<CampaignServer::WorkerDeath> dropped_;  ///< guarded by mutex_
 };
 
-/// Closes the channel (folding its counters into the stats), kills the
-/// process if requested, and waits for it — never leaves a zombie.
-void FleetExecutor::reap(Worker& w, bool force_kill) {
-  if (w.channel != nullptr) {
-    add_transfer(stats_, *w.channel);
-    w.channel->close();
-    w.channel.reset();
-  }
-  if (w.pid > 0) {
-    if (force_kill) ::kill(w.pid, SIGKILL);
-    int status = 0;
-    pid_t r;
-    do {
-      r = ::waitpid(w.pid, &status, 0);
-    } while (r < 0 && errno == EINTR);
-    w.pid = -1;
-  }
-  w.alive = false;
-}
-
-void FleetExecutor::start(const fault::ScenarioFactory& factory, const std::string& scenario,
-                          const fault::Observation& golden) {
-  const std::size_t fleet_size = std::max<std::size_t>(1, config_.workers);
-  std::vector<SocketPair> pairs;
-  pairs.reserve(fleet_size);
-  for (std::size_t i = 0; i < fleet_size; ++i) pairs.push_back(make_socket_pair());
-  workers_.resize(fleet_size);
-  for (std::size_t i = 0; i < fleet_size; ++i) {
-    Worker& w = workers_[i];
-    w.pid = spawn_worker(i, pairs, factory, config_);
-    ::close(pairs[i].worker_fd);
-    w.channel = std::make_unique<Channel>(pairs[i].coordinator_fd);
-    w.alive = true;
-    w.last_heard = Clock::now();
-    ++stats_.workers_spawned;
-  }
-
-  // Handshake: SETUP out, HELLO back.
-  SetupMsg setup;
-  setup.scenario_spec = config_.scenario_spec.empty() ? scenario : config_.scenario_spec;
-  setup.seed = config_.campaign.seed;
-  setup.crash_retries = config_.campaign.crash_retries;
-  setup.golden = golden;
-  const std::string setup_payload = encode_setup(setup);
-  const auto hello_deadline = Clock::now() + std::chrono::milliseconds(config_.hello_timeout_ms);
-  for (std::size_t i = 0; i < fleet_size; ++i) {
-    Worker& w = workers_[i];
-    ensure(w.channel->send_frame(MsgType::kHello, setup_payload),
-           "dist: worker " + std::to_string(i) +
-               " died before SETUP could be delivered (spawn failure — bad worker binary "
-               "path or worker crashed on startup)");
-    auto frame = w.channel->wait_frame(remaining_ms(hello_deadline));
-    ensure(frame.has_value(),
-           "dist: worker " + std::to_string(i) +
-               (w.channel->open() ? " did not answer SETUP within the hello timeout"
-                                  : " exited before completing the handshake (spawn failure — "
-                                    "bad worker binary path or worker crashed on startup)"));
-    ensure(frame->type == MsgType::kHello, std::string("dist: worker ") + std::to_string(i) +
-                                               " answered SETUP with " + to_string(frame->type));
-    const HelloMsg hello = decode_hello(frame->payload);
-    ensure(hello.version == kProtocolVersion,
-           "dist: worker " + std::to_string(i) + " speaks protocol v" +
-               std::to_string(hello.version) + ", coordinator speaks v" +
-               std::to_string(kProtocolVersion));
-    ensure(hello.scenario == scenario, "dist: worker " + std::to_string(i) + " built scenario '" +
-                                           hello.scenario + "', coordinator runs '" + scenario +
-                                           "'");
-    w.last_heard = Clock::now();
-  }
-}
-
-/// Hands every queued slot to the least-loaded live worker, ties to the
-/// lowest index: at a barrier every worker is idle, so a batch goes out
-/// round-robin. A failed send is a worker death like any other, and that
-/// worker's runs rejoin the queue.
-void FleetExecutor::assign_queued() {
-  while (!unassigned_.empty()) {
-    Worker* target = nullptr;
-    for (Worker& w : workers_) {
-      if (w.alive && (target == nullptr || w.inflight.size() < target->inflight.size())) {
-        target = &w;
-      }
-    }
-    ensure(target != nullptr, "dist: all workers died with runs still in flight");
-    const std::size_t slot = unassigned_.front();
-    AssignMsg msg;
-    msg.run = first_ + slot;
-    msg.fault = (*faults_)[slot];
-    if (target->channel->send_frame(MsgType::kAssign, encode_assign(msg))) {
-      target->inflight.push_back(slot);
-      unassigned_.pop_front();
-    } else {
-      on_death(*target);
-    }
-  }
-}
-
-/// One supervision sweep: waits for traffic or the earliest deadline in
-/// the fleet, takes in every buffered frame, declares dead every worker
-/// that hung up or overstayed the heartbeat window, and hands their runs
-/// to the survivors.
-void FleetExecutor::supervise() {
-  std::vector<struct pollfd> pfds;
-  std::vector<Worker*> polled;
-  for (Worker& w : workers_) {
-    if (!w.alive) continue;
-    pfds.push_back({w.channel->fd(), POLLIN, 0});
-    polled.push_back(&w);
-  }
-  ensure(!pfds.empty(), "dist: all workers died with runs still in flight");
-
-  // Wake at the earliest expiry across the whole fleet — a worker whose
-  // heartbeat (or partial-frame) deadline lands between fixed-cadence
-  // wakeups would otherwise be detected up to a full poll period late.
-  const auto hb_window = std::chrono::milliseconds(config_.heartbeat_timeout_ms);
-  std::vector<Clock::time_point> deadlines;
-  for (const Worker* wp : polled) {
-    if (!wp->inflight.empty()) deadlines.push_back(wp->last_heard + hb_window);
-    if (const auto since = wp->channel->partial_since()) deadlines.push_back(*since + hb_window);
-  }
-  const int timeout =
-      poll_timeout_ms(Clock::now(), deadlines, std::min(config_.heartbeat_timeout_ms, 1000));
-  if (::poll(pfds.data(), pfds.size(), timeout) < 0) {
-    if (errno == EINTR) return;
-    ensure(false, std::string("dist: poll failed: ") + std::strerror(errno));
-  }
-
-  for (std::size_t i = 0; i < polled.size(); ++i) {
-    Worker& w = *polled[i];
-    if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    const bool stream_ok = w.channel->pump();
-    // Drain every frame the pump buffered — results that raced the EOF
-    // still count, so a worker killed after finishing its work loses
-    // nothing.
-    while (auto frame = w.channel->next_frame()) {
-      w.last_heard = Clock::now();
-      switch (frame->type) {
-        case MsgType::kHeartbeat:
-          break;  // liveness only; last_heard update above is the point
-        case MsgType::kResult: {
-          ResultMsg msg = decode_result(frame->payload);
-          if (msg.run < first_ || msg.run >= first_ + verdicts_.size()) [[unlikely]] {
-            support::fail("dist: RESULT for run " + std::to_string(msg.run) +
-                          " outside the current batch");
-          }
-          const std::size_t slot = msg.run - first_;
-          auto it = std::find(w.inflight.begin(), w.inflight.end(), slot);
-          if (it != w.inflight.end()) w.inflight.erase(it);
-          if (!verdicts_[slot].has_value()) {
-            // First verdict wins; a duplicate from a requeue race is
-            // byte-identical anyway (replays are pure).
-            verdicts_[slot] = std::move(msg.replay);
-            --missing_;
-          }
-          if (++results_total_ == config_.kill_after_results) {
-            const Worker& victim = workers_[config_.kill_worker % workers_.size()];
-            if (victim.alive) ::kill(victim.pid, SIGKILL);
-          }
-          break;
-        }
-        default:
-          ensure(false, std::string("dist: unexpected ") + to_string(frame->type) +
-                            " frame from a worker");
-      }
-    }
-    if (!stream_ok) on_death(w);
-  }
-
-  // Hang detection: a worker holding work that has said nothing for the
-  // whole heartbeat window is wedged — kill it and move its work. So is
-  // a worker sitting on an incomplete frame for that long, whatever its
-  // assignment state: a truncated RESULT tail must never park the
-  // reassembly buffer (and the campaign) forever.
-  const auto now = Clock::now();
-  for (Worker& w : workers_) {
-    if (!w.alive) continue;
-    const bool busy_silent = !w.inflight.empty() && now - w.last_heard > hb_window;
-    const auto since = w.channel->partial_since();
-    const bool wedged_partial = since.has_value() && now - *since > hb_window;
-    if (busy_silent || wedged_partial) {
-      std::fprintf(stderr, "dist: worker pid %d %s past the heartbeat timeout, killing\n",
-                   static_cast<int>(w.pid), wedged_partial ? "stuck mid-frame" : "silent");
-      on_death(w);
-    }
-  }
-  assign_queued();
-}
-
-/// Declares `w` dead: kills and reaps it, and queues each of its runs that
-/// has no verdict yet for a survivor — or, once the run exhausted its
-/// requeue budget, gives it the verdict the in-process drivers give a
-/// replay that keeps throwing: kSimCrash.
-void FleetExecutor::on_death(Worker& w) {
-  const std::vector<std::size_t> orphaned = std::move(w.inflight);
-  w.inflight.clear();
-  reap(w, /*force_kill=*/true);
-  ++stats_.worker_deaths;
-  std::fprintf(stderr, "dist: worker died, requeuing %zu in-flight run(s) onto %zu survivor(s)\n",
-               orphaned.size(), alive_count());
-  for (const std::size_t slot : orphaned) {
-    if (verdicts_[slot].has_value()) continue;  // result arrived before the EOF
-    ++stats_.requeued_runs;
-    if (++requeues_[slot] <= config_.max_requeues) {
-      unassigned_.push_back(slot);
-      continue;
-    }
-    ReplayResult crash;
-    crash.outcome = Outcome::kSimCrash;
-    crash.attempts = requeues_[slot];
-    crash.crash_what = "dist: run " + std::to_string(first_ + slot) + " requeued " +
-                       std::to_string(config_.max_requeues) +
-                       " time(s), each assigned worker died before returning a result";
-    verdicts_[slot] = std::move(crash);
-    ++stats_.crashed_runs;
-    --missing_;
-  }
-}
-
-/// The campaign-server executor: SUBMITs the campaign to a running
-/// vps-serverd and streams each batch to it as ASSIGNs, collecting the
-/// relayed RESULT_STREAM frames. The server owns the worker pool and
-/// absorbs worker death itself.
+/// The campaign-server executor: SUBMITs the campaign to a campaign server
+/// — a running vps-serverd, or the private one of a LocalPool — and streams
+/// each batch to it as ASSIGNs, collecting the relayed RESULT_STREAM
+/// frames. The server owns the worker pool and absorbs worker death itself.
 class ServerExecutor final : public fault::BatchExecutor {
  public:
   ServerExecutor(const DistConfig& config, FleetStats& stats, const std::string& scenario,
-                 const fault::Observation& golden);
+                 const fault::Observation& golden, std::unique_ptr<LocalPool> pool);
 
   std::vector<ReplayResult> replay(std::size_t first,
                                    const std::vector<FaultDescriptor>& faults) override;
@@ -449,6 +240,11 @@ class ServerExecutor final : public fault::BatchExecutor {
   }
 
   void annotate(obs::CampaignProgress& progress) const override {
+    if (pool_ != nullptr) {
+      progress.workers_alive = pool_->alive();
+      progress.worker_deaths = stats_.worker_deaths;
+      progress.requeued_runs = stats_.requeued_runs;
+    }
     progress.remote_runs = timed_runs_;
     if (timed_runs_ == 0) return;  // all-v2 fleet: reporter omits the split
     progress.queue_wait_p50_ms = queue_wait_ms_.percentile(0.50);
@@ -458,12 +254,14 @@ class ServerExecutor final : public fault::BatchExecutor {
   }
 
   void finish() override {
+    if (pool_ != nullptr) pool_->drain();
     // Tell the server the job is done so pool workers can drop its scenario.
     // Best-effort: if the link is down the orphan grace timer cleans up instead.
     if (channel_.has_value() && channel_->open()) {
       (void)channel_->send_frame(MsgType::kRelease, encode_job(JobMsg{job_}));
     }
     drop_channel();
+    if (pool_ != nullptr) pool_->shutdown(stats_);
   }
 
   void publish(obs::MetricRegistry& metrics) const override {
@@ -488,17 +286,25 @@ class ServerExecutor final : public fault::BatchExecutor {
   support::Histogram queue_wait_ms_{0.0, 5000.0, 500};
   support::Histogram replay_ms_{0.0, 5000.0, 500};
   std::uint64_t timed_runs_ = 0;
+  std::unique_ptr<LocalPool> pool_;  ///< null in server mode
+  std::string host_;
+  std::uint16_t port_;
   std::optional<Channel> channel_;
   std::uint64_t job_ = 0;
   std::uint64_t connect_attempts_ = 0;
+  std::uint64_t results_ = 0;  ///< RESULT_STREAM frames of this call
   int backoff_ms_;
   support::Xorshift jitter_;
 };
 
 ServerExecutor::ServerExecutor(const DistConfig& config, FleetStats& stats,
-                               const std::string& scenario, const fault::Observation& golden)
+                               const std::string& scenario, const fault::Observation& golden,
+                               std::unique_ptr<LocalPool> pool)
     : config_(config),
       stats_(stats),
+      pool_(std::move(pool)),
+      host_(pool_ != nullptr ? "127.0.0.1" : config.server_host),
+      port_(pool_ != nullptr ? pool_->port() : config.server_port),
       backoff_ms_(std::max(1, config.reconnect_backoff_ms)),
       // Deterministic jitter: seeded from the campaign, forked by pid so two
       // clients of one server never sleep in lockstep.
@@ -526,7 +332,10 @@ ServerExecutor::ServerExecutor(const DistConfig& config, FleetStats& stats,
 /// no bytes are lost across reconnects, then drops it.
 void ServerExecutor::drop_channel() {
   if (!channel_.has_value()) return;
-  add_transfer(stats_, *channel_);
+  stats_.frames_sent += channel_->stats().frames_sent;
+  stats_.frames_received += channel_->stats().frames_received;
+  stats_.bytes_sent += channel_->stats().bytes_sent;
+  stats_.bytes_received += channel_->stats().bytes_received;
   if (channel_->chaos() != nullptr) {
     stats_.chaos_frames_dropped += channel_->chaos()->counters().frames_dropped;
     stats_.chaos_bytes_corrupted += channel_->chaos()->counters().bytes_corrupted;
@@ -545,8 +354,7 @@ void ServerExecutor::connect_and_submit() {
   for (;;) {
     std::optional<Frame> reply;
     try {
-      Channel fresh(
-          tcp_connect(config_.server_host, config_.server_port, config_.connect_timeout_ms));
+      Channel fresh(tcp_connect(host_, port_, config_.connect_timeout_ms));
       if (config_.chaos.enabled()) {
         // Distinct stream per attempt: replaying the seed replays the
         // faults, reconnecting does not replay the same fault schedule.
@@ -565,7 +373,14 @@ void ServerExecutor::connect_and_submit() {
                                     ? "dist: campaign server did not answer SUBMIT in time"
                                     : "dist: campaign server closed the connection on SUBMIT");
       channel_.emplace(std::move(fresh));
+      // Anything but an admission verdict fails the attempt: on a reattach
+      // whose ACCEPT chaos dropped, the job's relayed results come first.
+      if (reply->type != MsgType::kAccept && reply->type != MsgType::kReject) [[unlikely]] {
+        support::fail(std::string("dist: campaign server answered SUBMIT with ") +
+                      to_string(reply->type));
+      }
     } catch (const std::exception& e) {
+      drop_channel();
       if (++failures > config_.max_reconnects) {
         ensure(false,
                std::string("dist: could not reach campaign server after retries: ") + e.what());
@@ -579,11 +394,9 @@ void ServerExecutor::connect_and_submit() {
     }
     if (reply->type == MsgType::kReject) {
       drop_channel();
-      ensure(false, "dist: campaign server rejected submission: " +
-                        decode_reject(reply->payload).reason);
+      support::fail("dist: campaign server rejected submission: " +
+                    decode_reject(reply->payload).reason);
     }
-    ensure(reply->type == MsgType::kAccept,
-           std::string("dist: campaign server answered SUBMIT with ") + to_string(reply->type));
     job_ = decode_accept(reply->payload).job;
     backoff_ms_ = std::max(1, config_.reconnect_backoff_ms);
     return;
@@ -655,7 +468,14 @@ std::vector<ReplayResult> ServerExecutor::replay(std::size_t first,
       dispatched = false;
       continue;
     }
+    if (pool_ != nullptr) pool_->collect_deaths(stats_);
     if (!frame.has_value()) {
+      if (pool_ != nullptr && !pool_->any_alive()) {
+        support::fail(results_ == 0
+                          ? "dist: every worker exited before delivering a result (spawn failure "
+                            "— bad worker binary path or worker crashed on startup)"
+                          : "dist: all workers died with runs still in flight");
+      }
       if (!channel_->open()) {
         reestablish("campaign server hung up mid-campaign");
         dispatched = false;
@@ -666,9 +486,17 @@ std::vector<ReplayResult> ServerExecutor::replay(std::size_t first,
       continue;
     }
     silence_deadline = Clock::now() + silence_budget;
+    if (frame->type == MsgType::kReject) {
+      drop_channel();
+      support::fail("dist: campaign server rejected the job: " +
+                    decode_reject(frame->payload).reason);
+    }
     ensure(frame->type == MsgType::kResultStream,
            std::string("dist: unexpected ") + to_string(frame->type) +
                " frame from the campaign server");
+    if (++results_ == config_.kill_after_results && pool_ != nullptr) {
+      pool_->kill(config_.kill_worker);
+    }
     ResultMsg msg = decode_result(frame->payload);
     // A verdict from outside the current batch is a stale duplicate from a
     // pre-reconnect assignment that lost its first-verdict race — ignore.
@@ -686,7 +514,10 @@ std::vector<ReplayResult> ServerExecutor::replay(std::size_t first,
       }
     }
   }
-  return take_verdicts(verdicts);
+  std::vector<ReplayResult> replays;
+  replays.reserve(n);
+  for (std::optional<ReplayResult>& v : verdicts) replays.push_back(std::move(*v));
+  return replays;
 }
 
 }  // namespace
@@ -708,13 +539,13 @@ DistCampaign::DistCampaign(fault::ScenarioFactory factory, DistConfig config)
 }
 
 std::unique_ptr<fault::BatchExecutor> DistCampaign::make_executor() {
-  if (!dist_config_.server_host.empty()) {
-    return std::make_unique<ServerExecutor>(dist_config_, fleet_stats_, coordinator_->name(),
-                                            golden_);
+  std::unique_ptr<LocalPool> pool;
+  if (dist_config_.server_host.empty()) {
+    pool = std::make_unique<LocalPool>(factory_, dist_config_);
+    fleet_stats_.workers_spawned += pool->size();
   }
-  auto fleet = std::make_unique<FleetExecutor>(dist_config_, fleet_stats_);
-  fleet->start(factory_, coordinator_->name(), golden_);
-  return fleet;
+  return std::make_unique<ServerExecutor>(dist_config_, fleet_stats_, coordinator_->name(),
+                                          golden_, std::move(pool));
 }
 
 }  // namespace vps::dist

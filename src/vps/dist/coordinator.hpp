@@ -1,26 +1,25 @@
 #pragma once
 
 /// Coordinator side of the distributed campaign: DistCampaign shards the
-/// run indices of one fault-injection campaign across a fleet of worker
-/// processes and merges their RESULT frames back into a CampaignResult that
-/// is bitwise identical to the in-process ParallelCampaign — for any fleet
-/// size, and even when workers are killed mid-campaign.
+/// run indices of one fault-injection campaign across worker processes and
+/// merges their verdicts back into a CampaignResult that is bitwise
+/// identical to the in-process ParallelCampaign — for any fleet size, and
+/// even when workers are killed mid-campaign.
 ///
 /// Determinism contract: DistCampaign runs on the same batch-barrier engine
 /// as ParallelCampaign (fault::BatchedCampaign), which generates, folds,
-/// checkpoints and preempts; this file only supplies its executors — the
-/// local fleet and the campaign-server link. A replay is a pure function
-/// of descriptor + seed + golden, so who executed a run can never change
-/// what the run produced or how it folded.
+/// checkpoints and preempts; this file only supplies its executor — the
+/// link to a campaign server. A replay is a pure function of descriptor +
+/// seed + golden, so who executed a run can never change what the run
+/// produced or how it folded.
 ///
-/// Supervision: the coordinator owns the worker processes. A worker that
-/// closes its socket, exits nonzero, dies on a signal, or goes silent past
-/// the heartbeat timeout while holding work is declared dead, reaped with
-/// waitpid (no zombies), and its in-flight runs are requeued onto survivors.
-/// Requeues per run are bounded (DistConfig::max_requeues); a run that keeps
-/// dying with its workers is recorded as Outcome::kSimCrash and quarantined,
-/// mirroring the crash-isolation semantics of the in-process drivers. When
-/// the whole fleet is gone the campaign fails with a clean error.
+/// Supervision: the campaign server (server.hpp) is the one supervision
+/// loop. Local mode starts a private CampaignServer on 127.0.0.1 and forks
+/// its worker pool against it; the server declares workers dead and
+/// requeues their runs (bounded by DistConfig::max_requeues, then recorded
+/// as Outcome::kSimCrash and quarantined, like an in-process crash). The
+/// coordinator owns the processes: it SIGKILLs and reaps each worker the
+/// server drops, and fails within a second once no worker is left.
 
 #include <chrono>
 #include <cstdint>
@@ -33,11 +32,11 @@
 
 namespace vps::dist {
 
-/// Poll timeout for a supervision loop: milliseconds until the earliest of
-/// `deadlines`, clamped to [0, fallback_ms]. With no deadlines pending the
-/// loop just wakes at the fallback cadence. Computing the min across the
-/// whole fleet (not any single worker's deadline) is what keeps detection
-/// latency bounded by the heartbeat window itself.
+/// Poll timeout for the server's supervision loop: milliseconds until the
+/// earliest of `deadlines`, clamped to [0, fallback_ms]. With no deadlines
+/// pending the loop just wakes at the fallback cadence. Computing the min
+/// across the whole pool (not any single worker's deadline) is what keeps
+/// detection latency bounded by the heartbeat window itself.
 [[nodiscard]] int poll_timeout_ms(std::chrono::steady_clock::time_point now,
                                   const std::vector<std::chrono::steady_clock::time_point>& deadlines,
                                   int fallback_ms) noexcept;
@@ -48,16 +47,18 @@ struct DistConfig {
   /// CampaignConfig::workers (the thread-pool width) is ignored here.
   std::size_t workers = 2;
   /// Path of the vps-worker binary. Empty selects fork-only mode: the child
-  /// serves directly out of fork() with the inherited ScenarioFactory (the
-  /// default for tests — any factory works). Non-empty selects fork+exec:
-  /// the binary rebuilds the scenario from `scenario_spec` via the app
-  /// registry, in a pristine address space.
+  /// serves the private server straight out of fork() with the inherited
+  /// ScenarioFactory (the default for tests — any factory works). Non-empty
+  /// selects fork+exec of `vps-worker --connect 127.0.0.1:PORT` for one
+  /// session: the binary rebuilds the scenario from `scenario_spec` via the
+  /// app registry, in a pristine address space.
   std::string worker_path;
-  /// Registry spec (e.g. "caps:crash:15") for exec-mode workers; carried in
-  /// the SETUP message. Ignored (diagnostic only) in fork mode.
+  /// Registry spec (e.g. "caps:crash:15") for exec-mode and server-pool
+  /// workers; carried in SUBMIT and SETUP. Ignored (diagnostic only) by
+  /// fork-mode workers.
   std::string scenario_spec;
-  /// Worker must answer SETUP with HELLO within this long, or spawning
-  /// counts as failed.
+  /// Worker must answer SETUP with HELLO within this long, or it is dropped.
+  /// Also bounds the wait for the server's answer to SUBMIT.
   int hello_timeout_ms = 10'000;
   /// A worker holding assignments that stays silent this long is declared
   /// hung, SIGKILLed and its work requeued. Idle workers are exempt (they
@@ -66,12 +67,12 @@ struct DistConfig {
   /// A run may be requeued onto a survivor at most this many times before it
   /// is recorded as kSimCrash and quarantined.
   std::size_t max_requeues = 2;
-  /// Test/CI hook: after this many RESULT frames arrived in total, SIGKILL
-  /// worker `kill_worker` (0-based) — deterministic worker loss without
-  /// external orchestration. 0 disables. Local fleet mode only.
+  /// Test/CI hook: after this many RESULT_STREAM frames arrived in total,
+  /// SIGKILL worker `kill_worker` (0-based) — deterministic worker loss
+  /// without external orchestration. 0 disables. Local mode only.
   std::size_t kill_after_results = 0;
   std::size_t kill_worker = 0;
-  /// Non-empty selects server mode: instead of forking its own fleet, the
+  /// Non-empty selects server mode: instead of forking its own pool, the
   /// campaign is submitted to a running vps-serverd at server_host:server_port.
   /// Descriptors are still generated here and results still fold here at the
   /// batch barrier, so the determinism contract is unchanged — the server is
@@ -80,7 +81,7 @@ struct DistConfig {
   std::uint16_t server_port = 0;
   /// Fair-share/bookkeeping label this client submits under (server mode).
   std::string tenant;
-  /// Server-mode self-healing: a lost/corrupt/silent link to the server is
+  /// Link self-healing (both modes): a lost/corrupt/silent link to the server is
   /// healed by reconnecting and re-SUBMITting with the same job token — the
   /// server reattaches the orphaned job (or admits it anew after a stateless
   /// restart) and the client re-ASSIGNs every run of the current batch that
@@ -90,26 +91,29 @@ struct DistConfig {
   int max_reconnects = 20;
   int reconnect_backoff_ms = 100;
   int reconnect_backoff_max_ms = 2'000;
-  /// Bound on each TCP connect attempt (server mode).
+  /// Bound on each TCP connect attempt to the server.
   int connect_timeout_ms = 5'000;
-  /// Outbound fault injection on the client→server link (seed 0 = off).
+  /// Outbound fault injection on the client→server link (seed 0 = off),
+  /// in both modes: in local mode it acts on the link to the private server.
   ChaosConfig chaos;
-  /// Run-lifecycle trace directory (obs/dist_trace), server mode only.
-  /// Empty = tracing off. When set, the server-mode client writes
-  /// trace.client.<pid>.<job_token>.jsonl with submit/fold instants per run
-  /// and reconnect events; merge with vps-tracecat. Tracing never feeds the
-  /// fold — results are bitwise identical with it on or off.
+  /// Run-lifecycle trace directory (obs/dist_trace). Empty = tracing off.
+  /// When set, the client writes trace.client.<pid>.<job_token>.jsonl with
+  /// submit/fold instants per run and reconnect events, in both modes; the
+  /// private server and workers of local mode do not trace. Merge with
+  /// vps-tracecat. Tracing never feeds the fold — results are bitwise
+  /// identical with it on or off.
   std::string trace_dir;
 };
 
-/// Aggregate fleet counters of one run()/resume() call.
+/// Aggregate fleet counters of one run()/resume() call. The first four are
+/// local mode's (in server mode the pool is the server's, which counts them
+/// as server.* metrics): deaths the private server declared, the in-flight
+/// runs they orphaned, and the runs that exhausted max_requeues. The
+/// frames_* and bytes_* count the client↔server link in both modes.
 struct FleetStats {
   std::uint64_t workers_spawned = 0;
   std::uint64_t worker_deaths = 0;
   std::uint64_t requeued_runs = 0;
-  /// Runs that exhausted max_requeues. Local fleet only, like the three
-  /// counters above: in server mode the pool is the server's, which counts
-  /// them as server.crashed_runs.
   std::uint64_t crashed_runs = 0;
   std::uint64_t frames_sent = 0;
   std::uint64_t frames_received = 0;
@@ -120,9 +124,10 @@ struct FleetStats {
   std::uint64_t chaos_bytes_corrupted = 0;   ///< injected by this client's policy
 };
 
-/// Distributed campaign driver: a BatchedCampaign whose executor is a
-/// local fleet of worker processes or, with DistConfig::server_host set, a
-/// campaign server. Its checkpoints resume in-process and vice versa.
+/// Distributed campaign driver: a BatchedCampaign whose executor is the
+/// link to a campaign server — a private one with its own forked workers
+/// or, with DistConfig::server_host set, a running vps-serverd. Its
+/// checkpoints resume in-process and vice versa.
 class DistCampaign final : public fault::BatchedCampaign {
  public:
   DistCampaign(fault::ScenarioFactory factory, DistConfig config);

@@ -137,7 +137,7 @@ std::string encode_setup(const SetupMsg& m) {
 
 SetupMsg decode_setup(const std::string& payload) {
   const codec::LineParser p(payload);
-  ensure(p.str("kind") == "setup", "dist: HELLO payload from coordinator is not a setup message");
+  ensure(p.str("kind") == "setup", "dist: HELLO payload from the server is not a setup message");
   SetupMsg m;
   m.version = static_cast<std::uint32_t>(p.u64("version"));
   m.job = p.has("job") ? p.u64("job") : 0;

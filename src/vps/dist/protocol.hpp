@@ -1,23 +1,23 @@
 #pragma once
 
-/// Wire protocol of the distributed campaign fleet: a length-prefixed,
-/// CRC-guarded, versioned frame layer plus the message types the
-/// coordinator, the campaign server and the vps-worker processes exchange:
+/// Wire protocol of the distributed campaign: a length-prefixed,
+/// CRC-guarded, versioned frame layer plus the message types the campaign
+/// server exchanges with its clients (DistCampaign) and its vps-worker
+/// pool:
 ///
-///   SETUP      coordinator → worker  campaign identity: protocol version,
-///              (a HELLO frame)       job id, scenario spec, seed, crash
-///                                    retries, the golden observation
-///   HELLO      worker → coordinator  protocol version, job id, pid, the
-///                                    name of the scenario the worker built
-///   ASSIGN     coordinator → worker  one run index + its FaultDescriptor
-///   RESULT     worker → coordinator  run index + replay verdict (outcome,
-///                                    attempts, crash_what, provenance)
-///   HEARTBEAT  worker → coordinator  liveness + runs completed so far
-///   SHUTDOWN   coordinator → worker  drain and exit cleanly
+///   SETUP      server → worker  campaign identity: protocol version,
+///              (a HELLO frame)  job id, scenario spec, seed, crash
+///                               retries, the golden observation
+///   HELLO      worker → server  protocol version, job id, pid, the name
+///                               of the scenario the worker built
+///   ASSIGN     client → server  one run index + its FaultDescriptor,
+///              → worker         relayed byte for byte
+///   RESULT     worker → server  run index + replay verdict (outcome,
+///                               attempts, crash_what, provenance)
+///   HEARTBEAT  worker → server  liveness + runs completed so far
+///   SHUTDOWN   server → worker  drain and exit cleanly
 ///
-/// Protocol v2 adds the campaign-server roles (vps-serverd). Every
-/// job-scoped message above carries a `job` field (0 in the one-shot
-/// coordinator↔worker fleet, where one campaign owns the connection), plus:
+/// Every job-scoped message carries a `job` field, plus:
 ///
 ///   REGISTER       worker → server  joins the standing elastic pool
 ///   SUBMIT         client → server  one campaign: tenant label, scenario
@@ -25,7 +25,9 @@
 ///                                   relevant config, requeue budget, golden
 ///   ACCEPT         server → client  admission granted; carries the job id
 ///   REJECT         server → peer    admission denied (queue full, version
-///                                   mismatch) with a human-readable reason
+///                                   mismatch) or an admitted job dropped
+///                                   (its spec builds another scenario),
+///                                   with a human-readable reason
 ///   RESULT_STREAM  server → client  one relayed RESULT payload — results
 ///                                   stream incrementally at the batch-fold
 ///                                   cadence instead of arriving at the end
@@ -121,10 +123,10 @@ class FrameReader {
 
 // --- typed messages --------------------------------------------------------
 
-/// Coordinator/server → worker campaign identity (sent as a HELLO frame).
+/// Server → worker campaign identity (sent as a HELLO frame).
 struct SetupMsg {
   std::uint32_t version = kProtocolVersion;
-  std::uint64_t job = 0;      ///< campaign id on a shared pool (0 = one-shot fleet)
+  std::uint64_t job = 0;      ///< campaign id on the server's pool
   std::string scenario_spec;  ///< registry spec for exec workers (diagnostic for fork workers)
   std::uint64_t seed = 0;
   std::uint64_t crash_retries = 0;
@@ -134,7 +136,7 @@ struct SetupMsg {
   fault::Observation golden;
 };
 
-/// Worker → coordinator/server announcement after building a job's scenario.
+/// Worker → server announcement after building a job's scenario.
 struct HelloMsg {
   std::uint32_t version = kProtocolVersion;
   std::uint64_t job = 0;

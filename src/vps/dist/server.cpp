@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -110,6 +111,7 @@ struct CampaignServer::Impl {
   bool draining = false;
   std::uint64_t chaos_streams = 0;  ///< distinct ChaosPolicy stream per accepted conn
   std::unique_ptr<obs::DistTraceWriter> trace;  ///< null = tracing off
+  std::function<void(const WorkerDeath&)> death_hook;  ///< see on_worker_death()
 
   explicit Impl(ServerConfig cfg)
       : config(std::move(cfg)), listener(make_tcp_listener(config.host, config.port)) {
@@ -252,8 +254,8 @@ struct CampaignServer::Impl {
   }
 
   /// Sends the synthesized kSimCrash verdict for a run whose requeue budget
-  /// is exhausted — the tenant's campaign completes with the same verdict
-  /// the one-shot coordinator would record, never stalls.
+  /// is exhausted — the tenant's campaign completes with the verdict the
+  /// in-process drivers give a replay that keeps crashing, never stalls.
   void synthesize_crash(Job& job, const Inflight& entry) {
     ResultMsg crash;
     crash.job = job.id;
@@ -314,6 +316,7 @@ struct CampaignServer::Impl {
       trace->event("worker_death", 0, 0, obs::dist_now_ns(),
                    {{"pid", w.pid}, {"inflight_lost", orphaned.size()}});
     }
+    WorkerDeath death{w.pid, 0, 0};
     for (Inflight& entry : orphaned) {
       auto it = jobs.find(entry.job);
       if (it == jobs.end()) continue;  // job already released
@@ -321,12 +324,14 @@ struct CampaignServer::Impl {
       --job.inflight;
       ++entry.requeues;
       ++job.requeued;
+      ++death.requeued;
       metrics.counter("server.requeued_runs").add(1);
       if (trace != nullptr) {
         trace->event("requeue", job.submit.job_token, entry.run, obs::dist_now_ns(),
                      {{"job", job.id}, {"requeues", entry.requeues}, {"pid", w.pid}});
       }
       if (entry.requeues > job.submit.max_requeues) {
+        ++death.crashed;
         synthesize_crash(job, entry);
       } else {
         // Retry waits start now; the failed round trip is the requeue
@@ -336,6 +341,7 @@ struct CampaignServer::Impl {
         job.pending.push_front(std::move(entry));
       }
     }
+    if (death_hook) death_hook(death);
   }
 
   void on_client_death(Conn& c) {
@@ -473,18 +479,27 @@ struct CampaignServer::Impl {
         }
         w.pending_setup.erase(pending);
         auto it = jobs.find(hello.job);
-        if (it == jobs.end()) {
-          // Job released while the worker was building; tell it to drop.
-          (void)w.channel.send_frame(MsgType::kRelease, encode_job(JobMsg{hello.job}));
-          return;
+        if (it != jobs.end() && hello.scenario != it->second.submit.scenario) {
+          // The spec, not the worker, is wrong: every worker would build the
+          // same scenario. Tell the client, drop the job, keep the worker.
+          const Job& job = it->second;
+          const std::string reason = "spec '" + job.submit.scenario_spec + "' builds scenario '" +
+                                     hello.scenario + "', the campaign runs '" +
+                                     job.submit.scenario + "'";
+          std::fprintf(stderr, "vps-serverd: rejecting job %llu: %s\n",
+                       static_cast<unsigned long long>(hello.job), reason.c_str());
+          metrics.counter("server.jobs_rejected").add(1);
+          if (job.client != nullptr && !job.client->dead) {
+            (void)job.client->channel.send_frame(MsgType::kReject,
+                                                 encode_reject(RejectMsg{reason}));
+          }
+          remove_job(hello.job);
+          it = jobs.end();
         }
-        if (hello.scenario != it->second.submit.scenario) {
-          std::fprintf(stderr,
-                       "vps-serverd: worker pid %llu built scenario '%s' for job %llu, expected '%s' — dropping worker\n",
-                       static_cast<unsigned long long>(w.pid), hello.scenario.c_str(),
-                       static_cast<unsigned long long>(hello.job),
-                       it->second.submit.scenario.c_str());
-          kill_conn(w);
+        if (it == jobs.end()) {
+          // Job released (or rejected) while the worker was building; tell
+          // it to drop.
+          (void)w.channel.send_frame(MsgType::kRelease, encode_job(JobMsg{hello.job}));
           return;
         }
         w.ready_jobs.insert(hello.job);
@@ -989,6 +1004,10 @@ CampaignServer::CampaignServer(ServerConfig config)
 CampaignServer::~CampaignServer() { stop(); }
 
 std::uint16_t CampaignServer::port() const noexcept { return impl_->listener.port; }
+
+void CampaignServer::on_worker_death(std::function<void(const WorkerDeath&)> hook) {
+  impl_->death_hook = std::move(hook);
+}
 
 void CampaignServer::start() {
   ensure(!thread_.joinable(), "CampaignServer: already started");

@@ -1,7 +1,8 @@
 #pragma once
 
-/// Persistent multi-tenant campaign server (vps-serverd): promotes the
-/// one-shot coordinator fleet into a standing service many clients share.
+/// Persistent multi-tenant campaign server (vps-serverd): a standing
+/// service many clients share. A local-mode DistCampaign runs a private
+/// instance of it, so this is the one place that supervises workers.
 ///
 /// Roles on one TCP listener, told apart by the first bytes of each
 /// connection ("1SPV" frame magic → framed peer, "GET" → metrics scrape):
@@ -9,7 +10,8 @@
 ///   workers  connect, REGISTER, and join an elastic pool. Before a worker
 ///            serves a job it is SETUP for it (job-tagged, built from the
 ///            client's SUBMIT) and answers HELLO — the server validates the
-///            scenario name the worker built. Workers cache scenarios per
+///            scenario name the worker built; a mismatch REJECTs the job to
+///            its client and keeps the worker. Workers cache scenarios per
 ///            job; RELEASE drops a finished job's cache.
 ///   clients  SUBMIT one campaign (tenant label, scenario spec + expected
 ///            name, determinism-relevant config, requeue budget, golden).
@@ -32,14 +34,17 @@
 /// worker slot always goes to the admitted job with the fewest runs in
 /// flight.
 ///
-/// Supervision mirrors the one-shot coordinator: a worker that goes silent
-/// past the heartbeat window while holding work, or that sits on a partial
-/// frame that long, is declared wedged and dropped; its in-flight runs are
-/// requeued (bounded per run — exhaustion synthesizes an Outcome::kSimCrash
-/// RESULT_STREAM so the tenant's campaign completes rather than stalls).
+/// Supervision: a worker that hangs up, fails a send, goes silent past the
+/// heartbeat window while holding work, sits on a partial frame that long
+/// or leaves a SETUP unanswered past the hello timeout is declared dead and
+/// dropped; its in-flight runs are requeued (bounded per run — exhaustion
+/// synthesizes an Outcome::kSimCrash RESULT_STREAM so the tenant's campaign
+/// completes rather than stalls). The owner of the worker processes hears
+/// of each death through on_worker_death().
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -96,6 +101,16 @@ class CampaignServer {
   CampaignServer& operator=(const CampaignServer&) = delete;
 
   [[nodiscard]] std::uint16_t port() const noexcept;
+
+  /// One worker death, as the serve loop declared it.
+  struct WorkerDeath {
+    std::uint64_t pid = 0;       ///< as the worker REGISTERed it
+    std::uint64_t requeued = 0;  ///< its in-flight runs, requeued or crashed
+    std::uint64_t crashed = 0;   ///< of those, runs past their requeue budget
+  };
+  /// Called each time the serve loop declares a pool worker dead. It runs
+  /// on the loop's thread, so it must only record. Set it before start().
+  void on_worker_death(std::function<void(const WorkerDeath&)> hook);
 
   /// Spawns the serve loop on an internal thread.
   void start();

@@ -1,9 +1,9 @@
 #pragma once
 
 /// Byte transport under the framed protocol: a Channel owns one end of a
-/// stream socket — the one-shot coordinator↔worker link is a SOCK_STREAM
-/// socketpair; the campaign server and its pool workers/clients speak the
-/// same frames over loopback/LAN TCP — and moves whole frames over it.
+/// stream socket — the campaign server and its pool workers/clients speak
+/// the frames over loopback/LAN TCP, a socketpair carries them in tests —
+/// and moves whole frames over it.
 /// Writes use MSG_NOSIGNAL and the process ignores SIGPIPE
 /// (ignore_sigpipe()), so a peer that died mid-write surfaces as a
 /// ChannelClosed error the supervision loop can handle — never as a fatal

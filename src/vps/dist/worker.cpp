@@ -18,62 +18,6 @@ namespace vps::dist {
 
 namespace {
 
-int serve_impl(Channel& channel, const ScenarioBuilder& build) {
-  // 1. Coordinator speaks first: its HELLO frame carries the SETUP payload.
-  auto first = channel.wait_frame(/*timeout_ms=*/-1);
-  if (!first.has_value()) {
-    std::fprintf(stderr, "vps-worker[%d]: coordinator closed before SETUP\n", ::getpid());
-    return 2;
-  }
-  support::ensure(first->type == MsgType::kHello,
-                  std::string("vps-worker: expected SETUP/HELLO, got ") + to_string(first->type));
-  const SetupMsg setup = decode_setup(first->payload);
-  support::ensure(setup.version == kProtocolVersion,
-                  "vps-worker: protocol version mismatch (coordinator v" +
-                      std::to_string(setup.version) + ", worker v" +
-                      std::to_string(kProtocolVersion) + ")");
-
-  // 2. Build the scenario and announce ourselves.
-  std::unique_ptr<fault::Scenario> scenario = build(setup);
-  support::ensure(scenario != nullptr, "vps-worker: scenario builder returned null for spec '" +
-                                           setup.scenario_spec + "'");
-  HelloMsg hello;
-  hello.pid = static_cast<std::uint64_t>(::getpid());
-  hello.scenario = scenario->name();
-  if (!channel.send_frame(MsgType::kHello, encode_hello(hello))) return 2;
-
-  // 3. Serve assignments. The HEARTBEAT before each replay tells the
-  // coordinator "alive and working" even when a single replay is slow; the
-  // RESULT after it doubles as the next liveness signal.
-  std::uint64_t runs_done = 0;
-  for (;;) {
-    auto frame = channel.wait_frame(/*timeout_ms=*/-1);
-    if (!frame.has_value()) {
-      std::fprintf(stderr, "vps-worker[%d]: coordinator vanished after %llu runs\n", ::getpid(),
-                   static_cast<unsigned long long>(runs_done));
-      return 2;
-    }
-    switch (frame->type) {
-      case MsgType::kShutdown:
-        return 0;
-      case MsgType::kAssign: {
-        const AssignMsg assign = decode_assign(frame->payload);
-        if (!channel.send_frame(MsgType::kHeartbeat, encode_heartbeat({runs_done}))) return 2;
-        ResultMsg result;
-        result.run = assign.run;
-        result.replay = fault::replay_isolated(*scenario, assign.fault, setup.seed, setup.golden,
-                                               setup.crash_retries);
-        ++runs_done;
-        if (!channel.send_frame(MsgType::kResult, encode_result(result))) return 2;
-        break;
-      }
-      default:
-        support::ensure(false, std::string("vps-worker: unexpected ") + to_string(frame->type) +
-                                   " frame from coordinator");
-    }
-  }
-}
-
 /// How one pool session against the server ended.
 enum class SessionEnd {
   kShutdown,  ///< server asked us to drain: exit cleanly
@@ -196,18 +140,6 @@ SessionEnd serve_pool_session(Channel& channel, const ScenarioBuilder& build,
 }
 
 }  // namespace
-
-int serve(Channel& channel, const ScenarioBuilder& build) noexcept {
-  try {
-    return serve_impl(channel, build);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "vps-worker[%d]: fatal: %s\n", ::getpid(), e.what());
-    return 3;
-  } catch (...) {
-    std::fprintf(stderr, "vps-worker[%d]: fatal: unknown exception\n", ::getpid());
-    return 3;
-  }
-}
 
 int serve_pool(Channel& channel, const ScenarioBuilder& build) noexcept {
   try {

@@ -1,11 +1,12 @@
 #pragma once
 
-/// Worker side of the distributed campaign: a serve loop that speaks the
-/// framed protocol over one channel to the coordinator. The same loop backs
-/// both spawn modes — fork-only workers (the test/default path: the child
-/// inherits the ScenarioFactory and serves straight out of fork()) and the
-/// vps-worker binary (fork+exec: the scenario is rebuilt in a pristine
-/// process from the SETUP message's registry spec).
+/// Worker side of the distributed campaign: the pool worker's serve loop,
+/// which speaks the framed protocol to a campaign server — a running
+/// vps-serverd, or the private server of a local-mode DistCampaign. The
+/// same loop backs fork-only workers (the child inherits the
+/// ScenarioFactory and serves straight out of fork()) and the vps-worker
+/// binary (fork+exec, or started by hand: each scenario is rebuilt in a
+/// pristine process from the SETUP message's registry spec).
 
 #include <functional>
 #include <memory>
@@ -16,32 +17,24 @@
 
 namespace vps::dist {
 
-/// Builds the worker's scenario from the coordinator's SETUP message.
-/// Fork-mode workers ignore the message and call the inherited factory;
-/// exec-mode workers parse `setup.scenario_spec` through the app registry.
+/// Builds the worker's scenario from a job's SETUP message. Fork-mode
+/// workers ignore the message and call the inherited factory; exec-mode
+/// workers parse `setup.scenario_spec` through the app registry.
 using ScenarioBuilder = std::function<std::unique_ptr<fault::Scenario>(const SetupMsg&)>;
 
-/// Runs the worker protocol on `channel` until SHUTDOWN or coordinator EOF:
-///   1. wait for the coordinator's SETUP (sent as a HELLO frame); verify the
-///      protocol version,
-///   2. build the scenario and reply HELLO (version, pid, scenario name),
-///   3. serve ASSIGN frames — each replay is bracketed by a HEARTBEAT before
-///      and answered with a RESULT after — until SHUTDOWN.
+/// Runs one pool session on `channel`: the worker speaks first with
+/// REGISTER, then serves many campaigns at once — each job-tagged SETUP
+/// builds (and caches, keyed by job id) that job's scenario and answers
+/// HELLO; each ASSIGN is bracketed by a HEARTBEAT before the replay and a
+/// RESULT after it; RELEASE drops a finished job's cache; SHUTDOWN ends
+/// the session.
 ///
 /// Returns the process exit code: 0 after a clean SHUTDOWN, 2 when the
-/// coordinator vanished (EOF), 3 on a protocol violation or scenario-build
+/// server vanished (EOF), 3 on a protocol violation or scenario-build
 /// failure (details on stderr). Never throws — the caller is about to
 /// _exit() with the return value and must not unwind a forked child.
-[[nodiscard]] int serve(Channel& channel, const ScenarioBuilder& build) noexcept;
-
-/// Pool-worker variant for the campaign server (vps-serverd): the worker
-/// speaks first with REGISTER, then serves many campaigns at once — each
-/// job-tagged SETUP builds (and caches, keyed by job id) that job's
-/// scenario and answers HELLO; ASSIGNs are replayed against the matching
-/// cache entry; RELEASE drops a finished job's cache. Same exit codes and
-/// noexcept contract as serve(). Single session: a lost link is exit code 2,
-/// like the one-shot worker — the reconnecting variant below is what a
-/// standing pool deploys.
+/// Single session: the reconnecting variant below is what a standing pool
+/// deploys.
 [[nodiscard]] int serve_pool(Channel& channel, const ScenarioBuilder& build) noexcept;
 
 /// Self-healing pool worker: connect + serve_pool sessions in a loop.

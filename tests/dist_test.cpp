@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -15,6 +16,7 @@
 
 #include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 
 #include "campaign_compare.hpp"
 #include "checkpoint_saves.hpp"
@@ -348,6 +350,14 @@ TEST(MessageCodec, MismatchedKindIsRejected) {
 // Distributed campaign vs in-process baseline
 // --------------------------------------------------------------------------
 
+/// Workers never outlive the coordinator: after run() returns or throws,
+/// this process has no child left, not even an unreaped one.
+void expect_no_children() {
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1) << "a worker outlived its campaign";
+  EXPECT_EQ(errno, ECHILD);
+}
+
 ScenarioFactory caps_factory(bool crash, bool provenance = false) {
   return [crash, provenance] {
     return std::make_unique<CapsScenario>(
@@ -420,6 +430,7 @@ TEST(DistCampaignTest, WorkerSigkillMidCampaignDoesNotChangeTheResult) {
     EXPECT_GE(campaign.fleet_stats().requeued_runs, 1u);
     EXPECT_EQ(metrics.counter("dist.worker_deaths").value(), 1u);
     EXPECT_EQ(metrics.counter("dist.workers_spawned").value(), fleet);
+    expect_no_children();
   }
 }
 
@@ -451,6 +462,7 @@ TEST(DistCampaignTest, LosingTheWholeFleetFailsCleanly) {
   dc.kill_worker = 0;
   DistCampaign campaign(caps_factory(false), dc);
   EXPECT_THROW((void)campaign.run(), InvariantError);
+  expect_no_children();
 }
 
 // A scenario whose replay goes silent far past the heartbeat window.
@@ -486,6 +498,7 @@ TEST(DistCampaignTest, SilentWorkerIsKilledByTheHeartbeatTimeout) {
   EXPECT_EQ(result.runs_executed, 1u);
   EXPECT_EQ(result.count(Outcome::kSimCrash), 1u);
   EXPECT_EQ(campaign.fleet_stats().worker_deaths, 1u);
+  expect_no_children();
 }
 
 // Wedges only the first generated fault (ids are 1-based run order), so in
@@ -535,6 +548,7 @@ TEST(DistCampaignTest, StaggeredTimeoutIsDetectedAtTheEarliestFleetDeadline) {
   EXPECT_EQ(campaign.fleet_stats().worker_deaths, 1u);
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 1900)
       << "wedged worker was detected a full poll period late";
+  expect_no_children();
 }
 
 // --------------------------------------------------------------------------
@@ -629,6 +643,7 @@ TEST(DistCampaignTest, SpawnFailureIsACleanErrorNotAHang) {
   } catch (const InvariantError& e) {
     EXPECT_NE(std::string(e.what()).find("spawn failure"), std::string::npos) << e.what();
   }
+  expect_no_children();
 }
 
 TEST(DistCampaignTest, ScenarioMismatchIsRejectedAtTheHandshake) {
@@ -647,6 +662,7 @@ TEST(DistCampaignTest, ScenarioMismatchIsRejectedAtTheHandshake) {
   } catch (const InvariantError& e) {
     EXPECT_NE(std::string(e.what()).find("caps_normal_protected"), std::string::npos) << e.what();
   }
+  expect_no_children();
 }
 
 // --------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -272,6 +273,86 @@ TEST(CampaignServerTest, ClientModeSurfacesRejectAsACleanError) {
     EXPECT_NE(std::string(e.what()).find("rejected"), std::string::npos) << e.what();
   }
   server.stop();
+}
+
+TEST(CampaignServerTest, ScenarioMismatchRejectsTheJobAndKeepsTheWorker) {
+  // Regression: the server used to drop the worker on a mismatched HELLO and
+  // never tell the client, which then looped through silence → reconnect →
+  // reattach forever.
+  const ScenarioFactory factory = [] {
+    return std::make_unique<CapsScenario>(CapsConfig{.crash = true});
+  };
+  CampaignConfig cfg;
+  cfg.runs = 8;
+  cfg.seed = 11;
+  const CampaignResult solo = ParallelCampaign(factory, cfg).run();
+
+  CampaignServer server{ServerConfig{}};
+  const pid_t worker = fork_pool_worker(server.port());
+  server.start();
+
+  DistConfig dc;
+  dc.campaign = cfg;
+  dc.server_host = kHost;
+  dc.server_port = server.port();
+  dc.heartbeat_timeout_ms = 500;
+  dc.max_reconnects = 2;
+  dc.scenario_spec = "caps:normal";  // the client runs caps_crash_protected
+  try {
+    (void)DistCampaign(factory, dc).run();
+    ADD_FAILURE() << "a mismatched scenario must not succeed";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("caps_normal_protected"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("caps_crash_protected"), std::string::npos) << e.what();
+  }
+
+  // The same worker still serves a correct campaign.
+  dc.scenario_spec = "caps:crash";
+  const CampaignResult fixed = DistCampaign(factory, dc).run();
+  server.stop();
+  reap(worker);
+  expect_identical(solo, fixed);
+}
+
+TEST(CampaignServerTest, SubmitAnsweredWithAResultIsAFailedAttemptNotAnAbort) {
+  // A scripted peer plays the server: it answers the first SUBMIT with a
+  // RESULT_STREAM (what a reattach whose ACCEPT was lost sees first) and
+  // the second with a REJECT. The client must retry the first and surface
+  // the second.
+  const TcpListener listener = make_tcp_listener(kHost, 0);
+  std::thread peer([&listener] {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      struct pollfd pfd = {listener.fd, POLLIN, 0};
+      if (::poll(&pfd, 1, 10'000) <= 0) return;  // the client gave up
+      Channel link(tcp_accept(listener.fd));
+      const auto submit = link.wait_frame(10'000);
+      if (!submit.has_value() || submit->type != MsgType::kSubmit) return;
+      if (attempt == 0) {
+        ResultMsg stray;
+        stray.job = 1;
+        stray.replay.outcome = Outcome::kNoEffect;
+        (void)link.send_frame(MsgType::kResultStream, encode_result(stray));
+      } else {
+        (void)link.send_frame(MsgType::kReject, encode_reject(RejectMsg{"scripted peer"}));
+      }
+      (void)link.wait_frame(10'000);  // until the client hangs up
+    }
+  });
+
+  DistConfig dc;
+  dc.campaign.runs = 4;
+  dc.server_host = kHost;
+  dc.server_port = listener.port;
+  dc.max_reconnects = 2;
+  DistCampaign campaign([] { return std::make_unique<CapsScenario>(CapsConfig{}); }, dc);
+  try {
+    (void)campaign.run();
+    ADD_FAILURE() << "a rejected submission must not succeed";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("scripted peer"), std::string::npos) << e.what();
+  }
+  peer.join();
+  ::close(listener.fd);
 }
 
 // --------------------------------------------------------------------------

@@ -1,33 +1,29 @@
 // vps-worker: worker-process binary of the distributed fault-injection
-// campaign. Two modes:
+// campaign. `--connect HOST:PORT` joins a campaign server's worker pool:
+// it connects, REGISTERs, and serves many campaigns at once (job-tagged
+// SETUPs, scenario cache per job) until the server shuts it down. The
+// server is a running vps-serverd, or the private server a local-mode
+// DistCampaign starts, which fork+execs this binary with
+// `--max-reconnects 0 --idle-timeout-ms -1`: one session, no idle limit.
 //
-//   --fd N                 one-shot fleet member: the coordinator fork+execs
-//                          this with one end of a socketpair on an inherited
-//                          fd (conventionally 3) and drives it over the
-//                          framed protocol: SETUP in, HELLO out, then
-//                          ASSIGN/RESULT until SHUTDOWN.
-//   --connect HOST:PORT    standing-pool member: connects to a running
-//                          vps-serverd, REGISTERs, and serves many
-//                          campaigns at once (job-tagged SETUPs, scenario
-//                          cache per job) until the server shuts it down.
-//                          Self-healing: a lost link, a refused connect or a
-//                          restarted server is ridden out by reconnecting
-//                          with exponential backoff + deterministic jitter
-//                          and re-REGISTERing — only SHUTDOWN (or a fatal
-//                          REJECT/version mismatch) ends the process.
+// Self-healing: a lost link, a refused connect or a restarted server is
+// ridden out by reconnecting with exponential backoff + deterministic
+// jitter and re-REGISTERing — only SHUTDOWN (or a fatal REJECT/version
+// mismatch), or running out of --max-reconnects, ends the process.
 //
-// Pool-mode knobs:
+// Knobs:
 //   --retry-ms MS          initial reconnect backoff (doubles to 50x)
 //   --max-reconnects N     consecutive failed sessions before giving up
 //   --idle-timeout-ms MS   silence tolerated in a session before reconnecting
+//                          (-1 waits forever)
 //   --chaos-seed N         deterministic outbound fault injection (0 = off)
 //   --trace-dir DIR        write run-lifecycle trace JSONL (replay spans,
 //                          reconnect events) for vps-tracecat to merge
 //
-// Either way the scenario is rebuilt locally from the SETUP message's
-// registry spec, so the worker shares no address space — a replay that
-// corrupts or kills this process cannot take the coordinator, the server,
-// or its siblings down with it.
+// The scenario is rebuilt locally from the SETUP message's registry spec,
+// so the worker shares no address space — a replay that corrupts or kills
+// this process cannot take the client, the server, or its siblings down
+// with it.
 
 #include <cstdio>
 #include <cstdlib>
@@ -42,15 +38,14 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --fd N | --connect HOST:PORT [--retry-ms MS] [--max-reconnects N] "
+               "usage: %s --connect HOST:PORT [--retry-ms MS] [--max-reconnects N] "
                "[--idle-timeout-ms MS] [--chaos-seed N] [--trace-dir DIR]\n"
-               "  --fd N              serve one campaign on the socket inherited as\n"
-               "                      file descriptor N (spawned by the coordinator)\n"
-               "  --connect HOST:PORT join a vps-serverd standing worker pool\n"
+               "  --connect HOST:PORT join a campaign server's worker pool\n"
                "                      (auto-reconnects across server restarts)\n"
                "  --retry-ms MS       initial reconnect backoff (default 100)\n"
                "  --max-reconnects N  consecutive failures before giving up (default 100)\n"
-               "  --idle-timeout-ms MS longest server silence per session (default 30000)\n"
+               "  --idle-timeout-ms MS longest server silence per session (default 30000,\n"
+               "                      -1 = no limit)\n"
                "  --chaos-seed N      inject deterministic network faults (0 = off)\n"
                "  --trace-dir DIR     write run-lifecycle trace JSONL into DIR\n\n%s",
                argv0, vps::apps::registry_help().c_str());
@@ -60,16 +55,13 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int fd = -1;
   std::string connect_to;
   vps::dist::PoolConfig pool;
   for (int i = 1; i < argc; ++i) {
     const auto want_value = [&](const char* flag) {
       return std::strcmp(argv[i], flag) == 0 && i + 1 < argc;
     };
-    if (want_value("--fd")) {
-      fd = std::atoi(argv[++i]);
-    } else if (want_value("--connect")) {
+    if (want_value("--connect")) {
       connect_to = argv[++i];
     } else if (want_value("--retry-ms")) {
       pool.backoff_initial_ms = std::atoi(argv[++i]);
@@ -86,24 +78,16 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if ((fd < 0) == connect_to.empty()) return usage(argv[0]);  // exactly one mode
-
-  const auto build = [](const vps::dist::SetupMsg& setup) {
-    return vps::apps::make_scenario(setup.scenario_spec);
-  };
+  const std::size_t colon = connect_to.rfind(':');
+  if (colon == std::string::npos) return usage(argv[0]);
+  const int port = std::atoi(connect_to.c_str() + colon + 1);
+  if (port <= 0 || port > 65535) return usage(argv[0]);
+  pool.host = connect_to.substr(0, colon);
+  pool.port = static_cast<std::uint16_t>(port);
   try {
-    if (!connect_to.empty()) {
-      const std::size_t colon = connect_to.rfind(':');
-      if (colon == std::string::npos) return usage(argv[0]);
-      const std::string host = connect_to.substr(0, colon);
-      const int port = std::atoi(connect_to.c_str() + colon + 1);
-      if (port <= 0 || port > 65535) return usage(argv[0]);
-      pool.host = host;
-      pool.port = static_cast<std::uint16_t>(port);
-      return vps::dist::serve_pool(pool, build);
-    }
-    vps::dist::Channel channel(fd);
-    return vps::dist::serve(channel, build);
+    return vps::dist::serve_pool(pool, [](const vps::dist::SetupMsg& setup) {
+      return vps::apps::make_scenario(setup.scenario_spec);
+    });
   } catch (const std::exception& e) {
     std::fprintf(stderr, "vps-worker: %s\n", e.what());
     return 3;
