@@ -5,7 +5,7 @@ namespace vps::ecu {
 using sim::Time;
 
 CanController::CanController(sim::Kernel& kernel, std::string name, can::CanBus& bus)
-    : RegisterDevice(kernel, std::move(name), Time::ns(20)), bus_(bus) {
+    : RegisterDevice(kernel, std::move(name), Time::ns(20), /*pure_reads=*/true), bus_(bus) {
   bus_.attach(*this);
 }
 

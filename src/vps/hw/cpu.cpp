@@ -262,6 +262,7 @@ void Cpu::fault(FaultCause cause, std::uint32_t address) {
   stopped_event_.notify();
 }
 
+template <bool kFastForward>
 bool Cpu::bus_read(std::uint32_t address, std::size_t size, std::uint32_t& value) {
   if (config_.use_dmi && dmi_.allows_read && dmi_.covers(address, size)) {
     ++stats_.dmi_accesses;
@@ -276,15 +277,18 @@ bool Cpu::bus_read(std::uint32_t address, std::size_t size, std::uint32_t& value
   sim::Time delay = sim::Time::zero();
   socket_.b_transport(payload, delay);
   qk_.inc(delay);
+  if constexpr (kFastForward) record_access(payload);
   if (!payload.ok()) return false;
   if (provenance_ != nullptr && payload.poisoned()) load_poison_ = payload.poison_id();
   value = static_cast<std::uint32_t>(payload.value_le());
   if (config_.use_dmi && payload.dmi_allowed() && !dmi_.covers(address, size)) {
     (void)socket_.get_direct_mem_ptr(address, dmi_);
+    anchor_.fixed = false;  // later iterations take the DMI path instead
   }
   return true;
 }
 
+template <bool kFastForward>
 bool Cpu::bus_write(std::uint32_t address, std::size_t size, std::uint32_t value) {
   if (config_.use_dmi && dmi_.allows_write && dmi_.covers(address, size)) {
     ++stats_.dmi_accesses;
@@ -292,6 +296,7 @@ bool Cpu::bus_write(std::uint32_t address, std::size_t size, std::uint32_t value
     for (std::size_t i = 0; i < size; ++i) p[i] = static_cast<std::uint8_t>(value >> (8 * i));
     qk_.inc(dmi_.write_latency);
     if (store_poison_ != 0) store_poison_ = 0;  // DMI bypasses the payload
+    if constexpr (kFastForward) anchor_.fixed = false;
     return true;
   }
   ++stats_.bus_accesses;
@@ -304,10 +309,67 @@ bool Cpu::bus_write(std::uint32_t address, std::size_t size, std::uint32_t value
   sim::Time delay = sim::Time::zero();
   socket_.b_transport(payload, delay);
   qk_.inc(delay);
+  if constexpr (kFastForward) record_access(payload);
   return payload.ok();
 }
 
+void Cpu::record_access(const tlm::GenericPayload& payload) noexcept {
+  if (!payload.repeatable() || anchor_.accesses == kMaxLoopAccesses) {
+    anchor_.fixed = false;
+    return;
+  }
+  anchor_.access[anchor_.accesses++] = {static_cast<std::uint32_t>(payload.address()),
+                                        static_cast<std::uint8_t>(payload.size()),
+                                        payload.command()};
+}
+
+void Cpu::close_iteration() {
+  if (anchor_.fixed && anchor_.pc == pc_) {
+    anchor_.misses = 0;
+    fast_forward();
+  } else {
+    ++anchor_.misses;
+  }
+  anchor_.fixed = true;
+  anchor_.pc = pc_;
+  anchor_.stats = stats_;
+  anchor_.local = qk_.local_time();
+  anchor_.accesses = 0;
+}
+
+void Cpu::fast_forward() {
+  // The system is back in the state it had at the anchor, except for
+  // counters, and nothing else runs or advances time during this
+  // activation. So every further iteration repeats this one exactly, and
+  // the k that still end before the quantum (which per-instruction
+  // stepping would also run) can be applied at once.
+  const sim::Time local = qk_.local_time();
+  const sim::Time period = local - anchor_.local;
+  if (period == sim::Time::zero() || local >= config_.quantum) return;
+  const std::uint64_t k = (config_.quantum - local - sim::Time::ps(1)) / period;
+  if (k == 0) return;
+  const auto repeat = [k](std::uint64_t& now, std::uint64_t at_anchor) {
+    now += k * (now - at_anchor);
+  };
+  const Stats& a = anchor_.stats;
+  fast_forwarded_ += k * (stats_.instructions - a.instructions);
+  repeat(stats_.instructions, a.instructions);
+  repeat(stats_.loads, a.loads);
+  repeat(stats_.stores, a.stores);
+  repeat(stats_.branches_taken, a.branches_taken);
+  repeat(stats_.irqs_taken, a.irqs_taken);
+  repeat(stats_.dmi_accesses, a.dmi_accesses);
+  repeat(stats_.bus_accesses, a.bus_accesses);
+  qk_.inc(period * k);
+  for (std::size_t i = 0; i < anchor_.accesses; ++i) {
+    const LoopAccess& access = anchor_.access[i];
+    tlm::GenericPayload payload(access.command, access.address, access.size);
+    socket_.repeat(payload, k);
+  }
+}
+
 void Cpu::enter_irq() {
+  anchor_.fixed = false;
   ++stats_.irqs_taken;
   saved_pc_ = pc_;
   pc_ = config_.irq_vector;
@@ -316,6 +378,7 @@ void Cpu::enter_irq() {
   qk_.inc(config_.cycle_time * 4);  // pipeline flush + vector fetch cost
 }
 
+template <bool kFastForward>
 bool Cpu::step() {
   // Interrupt check between instructions (level-sensitive).
   if (irq_enabled_ && irq_line_ != nullptr && irq_line_->read()) enter_irq();
@@ -325,7 +388,7 @@ bool Cpu::step() {
     fault(FaultCause::kMisaligned, pc_);
     return false;
   }
-  if (!bus_read(pc_, 4, word)) {
+  if (!bus_read<kFastForward>(pc_, 4, word)) {
     fault(FaultCause::kBusError, pc_);
     return false;
   }
@@ -344,7 +407,9 @@ bool Cpu::step() {
   const std::uint32_t b = regs_[d.rs2];
   const std::uint32_t rdv = regs_[d.rd];
   auto wr = [&](std::uint32_t v) {
-    if (d.rd != 0) regs_[d.rd] = v;
+    if (d.rd == 0) return;
+    if constexpr (kFastForward) anchor_.fixed = anchor_.fixed && regs_[d.rd] == v;
+    regs_[d.rd] = v;
   };
 
   switch (d.opcode) {
@@ -358,12 +423,19 @@ bool Cpu::step() {
       qk_.inc(config_.cycle_time);
       state_ = State::kSleeping;
       return false;
-    case Opcode::kEi: irq_enabled_ = true; break;
-    case Opcode::kDi: irq_enabled_ = false; break;
+    case Opcode::kEi:
+      irq_enabled_ = true;
+      anchor_.fixed = false;
+      break;
+    case Opcode::kDi:
+      irq_enabled_ = false;
+      anchor_.fixed = false;
+      break;
     case Opcode::kReti:
       next_pc = saved_pc_;
       irq_enabled_ = true;
       in_irq_ = false;
+      anchor_.fixed = false;
       cycles = 2;
       break;
 
@@ -402,7 +474,7 @@ bool Cpu::step() {
                                : (d.opcode == Opcode::kLh || d.opcode == Opcode::kLhu) ? 2
                                                                                        : 1;
       std::uint32_t v = 0;
-      if (!bus_read(addr, size, v)) {
+      if (!bus_read<kFastForward>(addr, size, v)) {
         fault(FaultCause::kBusError, addr);
         return false;
       }
@@ -418,7 +490,7 @@ bool Cpu::step() {
       ++stats_.stores;
       const std::uint32_t addr = a + static_cast<std::uint32_t>(d.simm());
       const std::size_t size = d.opcode == Opcode::kSw ? 4 : d.opcode == Opcode::kSh ? 2 : 1;
-      if (!bus_write(addr, size, rdv)) {
+      if (!bus_write<kFastForward>(addr, size, rdv)) {
         fault(FaultCause::kBusError, addr);
         return false;
       }
@@ -473,8 +545,12 @@ bool Cpu::step() {
     load_poison_ = 0;
   }
 
+  const bool backward = next_pc <= pc_;
   pc_ = next_pc;
   qk_.inc(config_.cycle_time * cycles);
+  if constexpr (kFastForward) {
+    if (backward) close_iteration();
+  }
   return state_ == State::kRunning;
 }
 
@@ -520,14 +596,33 @@ void Cpu::restore(const Snapshot& s) {
   if (s.dmi_held) (void)socket_.get_direct_mem_ptr(s.dmi_start, dmi_);
 }
 
+template <bool kFastForward>
+void Cpu::run_quantum() {
+  if constexpr (kFastForward) {
+    anchor_.fixed = false;  // no anchor yet in this activation
+    anchor_.misses = 0;
+  }
+  while (state_ == State::kRunning) {
+    if (!step<kFastForward>()) return;
+    if (config_.quantum == sim::Time::zero() || qk_.need_sync()) return;
+    if constexpr (kFastForward) {
+      if (anchor_.misses == kMaxLoopMisses) return run_quantum<false>();
+    }
+  }
+}
+
 sim::Coro Cpu::main_loop() {
   for (;;) {
     switch (state_) {
       case State::kRunning: {
         // Execute a decoupled batch, then hand time back to the kernel.
-        while (state_ == State::kRunning) {
-          if (!step()) break;
-          if (config_.quantum == sim::Time::zero() || qk_.need_sync()) break;
+        // Loop fast-forward is decided once per activation: it stays off
+        // while something must see every instruction or every access, and
+        // a zero quantum leaves no iteration to skip.
+        if (!trace_hook_ && provenance_ == nullptr && config_.quantum != sim::Time::zero()) {
+          run_quantum<true>();
+        } else {
+          run_quantum<false>();
         }
         co_await qk_.sync();
         break;

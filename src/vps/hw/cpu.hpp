@@ -54,6 +54,10 @@ class Cpu final : public sim::Module {
   [[nodiscard]] std::uint32_t fault_address() const noexcept { return fault_address_; }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] tlm::QuantumKeeper& quantum_keeper() noexcept { return qk_; }
+  /// Diagnostic: instructions retired by loop fast-forward rather than
+  /// interpreted (see main_loop). Included in stats().instructions; not part
+  /// of a Snapshot.
+  [[nodiscard]] std::uint64_t fast_forwarded() const noexcept { return fast_forwarded_; }
 
   [[nodiscard]] std::uint32_t pc() const noexcept { return pc_; }
   void set_pc(std::uint32_t pc) noexcept { pc_ = pc; }
@@ -80,7 +84,8 @@ class Cpu final : public sim::Module {
 
   /// Attaches a provenance tracker. Disabled cost: one branch per executed
   /// instruction (taint mask test) plus one per bus access, mirroring the
-  /// trace-hook pattern. nullptr detaches and drops all taint.
+  /// trace-hook pattern. nullptr detaches and drops all taint. An attached
+  /// tracker turns loop fast-forward off.
   void set_provenance(obs::ProvenanceTracker* tracker) noexcept {
     provenance_ = tracker;
     if (tracker == nullptr) {
@@ -91,7 +96,8 @@ class Cpu final : public sim::Module {
   }
 
   /// Optional per-instruction hook (pc, decoded instruction). Used by
-  /// coverage collectors; adds one branch to the hot loop when unset.
+  /// coverage collectors; adds one branch to the hot loop when unset. A set
+  /// hook sees every instruction, so it turns loop fast-forward off.
   void set_trace_hook(std::function<void(std::uint32_t, const Decoded&)> hook) {
     trace_hook_ = std::move(hook);
   }
@@ -123,8 +129,14 @@ class Cpu final : public sim::Module {
 
  private:
   [[nodiscard]] sim::Coro main_loop();
+  /// Steps until the quantum is used up or execution pauses. kFastForward
+  /// records loop iterations and applies the repeats of a fixed point, until
+  /// kMaxLoopMisses iterations in a row were none.
+  template <bool kFastForward>
+  void run_quantum();
   /// Executes one instruction; returns false when execution must pause
   /// (halt/fault/sleep). Accumulates local time into the quantum keeper.
+  template <bool kFastForward>
   bool step();
   /// Cold taint bookkeeping, entered only while registers are tainted:
   /// records first consumption of a corrupted register, forwards taint to
@@ -133,8 +145,20 @@ class Cpu final : public sim::Module {
   void enter_irq();
   void fault(FaultCause cause, std::uint32_t address);
 
+  template <bool kFastForward>
   bool bus_read(std::uint32_t address, std::size_t size, std::uint32_t& value);
+  template <bool kFastForward>
   bool bus_write(std::uint32_t address, std::size_t size, std::uint32_t value);
+
+  /// Notes a bus access of the iteration being recorded.
+  void record_access(const tlm::GenericPayload& payload) noexcept;
+  /// At a control transfer to pc_ <= the transferring instruction: applies
+  /// the further iterations that fit in the quantum when the one since the
+  /// anchor was a fixed point, then re-anchors at pc_.
+  void close_iteration();
+  /// Applies the k repeats of the fixed-point iteration just closed that
+  /// end before the quantum does.
+  void fast_forward();
 
   Config config_;
   tlm::InitiatorSocket socket_;
@@ -164,6 +188,32 @@ class Cpu final : public sim::Module {
   std::array<std::uint64_t, kRegisterCount> reg_taint_{};
   std::uint64_t store_poison_ = 0;
   std::uint64_t load_poison_ = 0;
+
+  // Loop fast-forward. The anchor lives for one activation only and never
+  // enters a Snapshot: it is the state at backward-branch target pc, and
+  // `fixed` stays true while the iteration since then wrote only values
+  // registers already held, changed no IRQ state, wrote and acquired no
+  // DMI, and made only accesses its targets flagged repeatable.
+  struct LoopAccess {
+    std::uint32_t address = 0;
+    std::uint8_t size = 0;
+    tlm::Command command = tlm::Command::kIgnore;
+  };
+  static constexpr std::size_t kMaxLoopAccesses = 32;
+  /// Consecutive iterations that were no fixed point after which the rest
+  /// of the activation steps without recording: such a loop computes.
+  static constexpr std::uint32_t kMaxLoopMisses = 8;
+  struct LoopAnchor {
+    bool fixed = false;
+    std::uint32_t misses = 0;
+    std::uint32_t pc = 0;
+    Stats stats;
+    sim::Time local;
+    std::size_t accesses = 0;
+    std::array<LoopAccess, kMaxLoopAccesses> access{};
+  };
+  LoopAnchor anchor_;
+  std::uint64_t fast_forwarded_ = 0;
 };
 
 [[nodiscard]] const char* to_string(Cpu::State s) noexcept;

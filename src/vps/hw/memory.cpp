@@ -103,25 +103,24 @@ void Memory::add_write_watch(std::uint64_t address, std::function<void(std::uint
   write_watches_.emplace_back(address / 4, std::move(callback));
 }
 
-std::uint32_t Memory::read_word(std::uint64_t word_index, bool& uncorrectable) {
+std::uint32_t Memory::read_word(std::uint64_t word_index, EccStatus& status) {
   if (ecc_ == EccMode::kNone) {
     const std::uint64_t a = word_index * 4;
-    uncorrectable = false;
+    status = EccStatus::kOk;
     return static_cast<std::uint32_t>(plain_[a]) | (static_cast<std::uint32_t>(plain_[a + 1]) << 8) |
            (static_cast<std::uint32_t>(plain_[a + 2]) << 16) |
            (static_cast<std::uint32_t>(plain_[a + 3]) << 24);
   }
   const auto decoded = ecc_decode(codewords_[word_index]);
+  status = decoded.status;
   if (decoded.status == EccStatus::kCorrected) {
     ++corrected_;
     // Write-back repair (scrubbing) so the error does not accumulate.
     codewords_[word_index] = ecc_encode(decoded.data);
   } else if (decoded.status == EccStatus::kUncorrectable) {
     ++uncorrectable_;
-    uncorrectable = true;
     return 0;
   }
-  uncorrectable = false;
   return decoded.data;
 }
 
@@ -148,31 +147,26 @@ void Memory::b_transport(tlm::GenericPayload& payload, sim::Time& delay) {
   const int shift = 8 * static_cast<int>(addr % 4);
   const std::uint32_t mask = n == 4 ? 0xFFFFFFFFu : ((1u << (8 * n)) - 1u) << shift;
 
-  bool uncorrectable = false;
+  EccStatus status = EccStatus::kOk;
   if (payload.command() == tlm::Command::kRead) {
     ++reads_;
-    std::uint32_t word;
-    if (provenance_ == nullptr) {
-      word = read_word(w, uncorrectable);
-    } else {
-      // Cold path: note whether *this* read scrubbed/flagged a poisoned word
-      // so the ECC event can be attributed as a detection of that fault.
-      const std::uint64_t corrected_before = corrected_;
-      word = read_word(w, uncorrectable);
-      provenance_read(w, payload, uncorrectable, corrected_ != corrected_before);
-    }
-    if (uncorrectable) {
+    const std::uint32_t word = read_word(w, status);
+    // Cold path: *this* read's scrub/flag of a poisoned word is attributed
+    // as a detection of that fault.
+    if (provenance_ != nullptr) provenance_read(w, payload, status);
+    if (status == EccStatus::kUncorrectable) {
       payload.set_response(tlm::Response::kGenericError);
       return;
     }
     std::uint32_t v = (word & mask) >> shift;
     for (std::size_t i = 0; i < n; ++i) payload.data()[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    payload.set_repeatable(status == EccStatus::kOk && provenance_ == nullptr);
   } else if (payload.command() == tlm::Command::kWrite) {
     ++writes_;
     std::uint32_t word = 0;
     if (n != 4) {
-      word = read_word(w, uncorrectable);
-      if (uncorrectable) {
+      word = read_word(w, status);
+      if (status == EccStatus::kUncorrectable) {
         payload.set_response(tlm::Response::kGenericError);
         return;
       }
@@ -193,16 +187,16 @@ void Memory::b_transport(tlm::GenericPayload& payload, sim::Time& delay) {
 }
 
 void Memory::provenance_read(std::uint64_t word_index, tlm::GenericPayload& payload,
-                             bool uncorrectable, bool corrected) {
+                             EccStatus status) {
   const auto it = word_poison_.find(word_index);
   if (it == word_poison_.end()) return;
   const std::uint64_t fault_id = it->second;
   provenance_->touch(fault_id, "mem:" + name_);
-  if (corrected) {
+  if (status == EccStatus::kCorrected) {
     // SEC-DED corrected and scrubbed the word: the fault is contained here.
     provenance_->detect(fault_id, "hw.ecc:" + name_, "mem:" + name_);
     word_poison_.erase(it);
-  } else if (uncorrectable) {
+  } else if (status == EccStatus::kUncorrectable) {
     provenance_->detect(fault_id, "hw.ecc:" + name_ + ".ue", "mem:" + name_);
   } else {
     // Raw SRAM (or a check-bit-only flip that decoded clean): the corrupted
@@ -222,6 +216,8 @@ void Memory::provenance_write(std::uint64_t word_index, std::size_t n,
     word_poison_.erase(word_index);
   }
 }
+
+void Memory::repeat(tlm::GenericPayload& /*payload*/, std::uint64_t k) { reads_ += k; }
 
 bool Memory::get_direct_mem_ptr(std::uint64_t /*address*/, tlm::DmiRegion& region) {
   if (ecc_ != EccMode::kNone) return false;  // reads must pass the decoder

@@ -102,15 +102,20 @@ class Memory final : public tlm::BlockingTransport, public tlm::DmiProvider {
   [[nodiscard]] std::uint64_t corrected_errors() const noexcept { return corrected_; }
   [[nodiscard]] std::uint64_t uncorrectable_errors() const noexcept { return uncorrectable_; }
 
+  /// A read that decodes clean (ECC included) with no tracker attached is
+  /// flagged repeatable(): it changed nothing but reads().
   void b_transport(tlm::GenericPayload& payload, sim::Time& delay) override;
+  /// Counts k more reads; only reads are ever flagged.
+  void repeat(tlm::GenericPayload& payload, std::uint64_t k) override;
   bool get_direct_mem_ptr(std::uint64_t address, tlm::DmiRegion& region) override;
 
  private:
-  [[nodiscard]] std::uint32_t read_word(std::uint64_t word_index, bool& uncorrectable);
+  /// Decodes a word; kCorrected scrubs it, kUncorrectable returns 0.
+  [[nodiscard]] std::uint32_t read_word(std::uint64_t word_index, EccStatus& status);
   void write_word(std::uint64_t word_index, std::uint32_t value);
   // Cold provenance paths, entered only when a tracker is attached.
   void provenance_read(std::uint64_t word_index, tlm::GenericPayload& payload,
-                       bool uncorrectable, bool corrected);
+                       EccStatus status);
   void provenance_write(std::uint64_t word_index, std::size_t n,
                         const tlm::GenericPayload& payload);
 

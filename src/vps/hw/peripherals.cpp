@@ -12,9 +12,11 @@ using sim::Time;
 // RegisterDevice
 // ---------------------------------------------------------------------------
 
-RegisterDevice::RegisterDevice(sim::Kernel& kernel, std::string name, Time access_latency)
+RegisterDevice::RegisterDevice(sim::Kernel& kernel, std::string name, Time access_latency,
+                               bool pure_reads)
     : Module(kernel, std::move(name)),
       access_latency_(access_latency),
+      pure_reads_(pure_reads),
       socket_(this->name() + ".tsock") {
   socket_.set_blocking(*this);
 }
@@ -27,12 +29,20 @@ void RegisterDevice::b_transport(tlm::GenericPayload& payload, Time& delay) {
     return;
   }
   const auto offset = static_cast<std::uint32_t>(addr);
+  bool pure = false;
   if (payload.command() == tlm::Command::kRead) {
+    pure = pure_reads_;
     payload.set_value_le(read_register(offset, delay));
   } else if (payload.command() == tlm::Command::kWrite) {
+    pure = pure_write(offset);
     write_register(offset, static_cast<std::uint32_t>(payload.value_le()), delay);
   }
   payload.set_response(tlm::Response::kOk);
+  payload.set_repeatable(pure);
+}
+
+void RegisterDevice::repeat(tlm::GenericPayload& payload, std::uint64_t k) {
+  repeat_access(payload.command(), static_cast<std::uint32_t>(payload.address()), k);
 }
 
 // ---------------------------------------------------------------------------
@@ -40,7 +50,7 @@ void RegisterDevice::b_transport(tlm::GenericPayload& payload, Time& delay) {
 // ---------------------------------------------------------------------------
 
 InterruptController::InterruptController(sim::Kernel& kernel, std::string name)
-    : RegisterDevice(kernel, std::move(name), Time::ns(20)),
+    : RegisterDevice(kernel, std::move(name), Time::ns(20), /*pure_reads=*/true),
       irq_out_(kernel, this->name() + ".irq", false) {}
 
 void InterruptController::raise(unsigned line) {
@@ -91,7 +101,7 @@ void InterruptController::write_register(std::uint32_t offset, std::uint32_t val
 // ---------------------------------------------------------------------------
 
 Timer::Timer(sim::Kernel& kernel, std::string name)
-    : RegisterDevice(kernel, std::move(name), Time::ns(20)),
+    : RegisterDevice(kernel, std::move(name), Time::ns(20), /*pure_reads=*/true),
       reconfigured_(kernel, this->name() + ".reconfig") {
   spawn("tick", run());
 }
@@ -153,7 +163,7 @@ void Timer::write_register(std::uint32_t offset, std::uint32_t value, Time& /*de
 // ---------------------------------------------------------------------------
 
 Watchdog::Watchdog(sim::Kernel& kernel, std::string name)
-    : RegisterDevice(kernel, std::move(name), Time::ns(20)),
+    : RegisterDevice(kernel, std::move(name), Time::ns(20), /*pure_reads=*/true),
       kick_event_(kernel, this->name() + ".kick"),
       reconfigured_(kernel, this->name() + ".reconfig") {
   spawn("guard", run());
@@ -205,12 +215,17 @@ void Watchdog::write_register(std::uint32_t offset, std::uint32_t value, Time& /
   }
 }
 
+void Watchdog::repeat_access(tlm::Command cmd, std::uint32_t offset, std::uint64_t k) {
+  if (cmd != tlm::Command::kWrite || offset != kKick) return;
+  for (std::uint64_t i = 0; i < k; ++i) kick_event_.notify();
+}
+
 // ---------------------------------------------------------------------------
 // Gpio
 // ---------------------------------------------------------------------------
 
 Gpio::Gpio(sim::Kernel& kernel, std::string name)
-    : RegisterDevice(kernel, std::move(name), Time::ns(20)),
+    : RegisterDevice(kernel, std::move(name), Time::ns(20), /*pure_reads=*/true),
       out_(kernel, this->name() + ".out", 0),
       in_(kernel, this->name() + ".in", 0) {}
 

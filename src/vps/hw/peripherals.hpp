@@ -20,11 +20,18 @@ namespace vps::hw {
 /// alignment checks, concrete devices implement word read/write.
 class RegisterDevice : public sim::Module, public tlm::BlockingTransport {
  public:
-  RegisterDevice(sim::Kernel& kernel, std::string name, sim::Time access_latency);
+  /// `pure_reads`: no register read changes device state, so every read is
+  /// flagged repeatable() (see Cpu loop fast-forward). A device with a read
+  /// side effect (a conversion, a pop, clear-on-read) passes false.
+  RegisterDevice(sim::Kernel& kernel, std::string name, sim::Time access_latency,
+                 bool pure_reads = false);
 
   [[nodiscard]] tlm::TargetSocket& socket() noexcept { return socket_; }
 
+  /// Flags pure reads, and writes pure_write() called pure beforehand,
+  /// repeatable().
   void b_transport(tlm::GenericPayload& payload, sim::Time& delay) final;
+  void repeat(tlm::GenericPayload& payload, std::uint64_t k) final;
 
  protected:
   /// Word-aligned register access; offset is a multiple of 4.
@@ -32,9 +39,21 @@ class RegisterDevice : public sim::Module, public tlm::BlockingTransport {
   virtual void write_register(std::uint32_t offset, std::uint32_t value, sim::Time& delay) = 0;
   /// Highest valid register offset + 4.
   [[nodiscard]] virtual std::uint32_t register_space() const = 0;
+  /// True when a write to `offset`, made now, would change no device state
+  /// except statistics. Asked before the write. Default: no write is pure.
+  [[nodiscard]] virtual bool pure_write(std::uint32_t offset) const {
+    (void)offset;
+    return false;
+  }
+  /// Moves the statistics of k more repetitions of a pure access. Default:
+  /// none (a pure register read counts nothing).
+  virtual void repeat_access(tlm::Command cmd, std::uint32_t offset, std::uint64_t k) {
+    (void)cmd, (void)offset, (void)k;
+  }
 
  private:
   sim::Time access_latency_;
+  bool pure_reads_;
   tlm::TargetSocket socket_;
 };
 
@@ -187,6 +206,12 @@ class Watchdog final : public RegisterDevice {
   std::uint32_t read_register(std::uint32_t offset, sim::Time& delay) override;
   void write_register(std::uint32_t offset, std::uint32_t value, sim::Time& delay) override;
   [[nodiscard]] std::uint32_t register_space() const override { return 0x10; }
+  /// A kick while the kick event is already delta-pending: that notify()
+  /// only counts a notification.
+  [[nodiscard]] bool pure_write(std::uint32_t offset) const override {
+    return offset == kKick && kick_event_.delta_pending();
+  }
+  void repeat_access(tlm::Command cmd, std::uint32_t offset, std::uint64_t k) override;
 
  private:
   [[nodiscard]] sim::Coro run();

@@ -101,15 +101,18 @@ void Event::fire() {
     if (p->state_ != Process::State::kTerminated) kernel_.make_runnable(*p);
   }
   if (dynamic_waiters_.empty()) return;
-  auto waiters = std::move(dynamic_waiters_);
-  dynamic_waiters_.clear();
-  for (const DynamicWaiter& w : waiters) {
+  // fire() never nests (waking a waiter only queues it), so one kernel
+  // scratch vector serves every event.
+  std::vector<DynamicWaiter>& firing = kernel_.firing_;
+  firing.swap(dynamic_waiters_);
+  for (const DynamicWaiter& w : firing) {
     if (w.process->state_ == Process::State::kWaiting &&
         w.process->wait_generation_ == w.generation) {
       w.process->last_wait_timed_out_ = false;
       kernel_.make_runnable(*w.process);
     }
   }
+  firing.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -265,12 +268,12 @@ Process& Kernel::method(std::string name, std::function<void()> body,
 }
 
 bool Kernel::has_pending_activity() const noexcept {
-  return !runnable_.empty() || !update_requests_.empty() || !delta_notifications_.empty() ||
+  return !runnable_empty() || !update_requests_.empty() || !delta_notifications_.empty() ||
          !timed_.empty();
 }
 
 Time Kernel::next_activity_time() const noexcept {
-  if (!runnable_.empty() || !update_requests_.empty() || !delta_notifications_.empty()) return now_;
+  if (!runnable_empty() || !update_requests_.empty() || !delta_notifications_.empty()) return now_;
   if (!timed_.empty()) return timed_.top().when;
   return Time::max();
 }
@@ -356,32 +359,34 @@ void Kernel::run_process(Process& p) {
 }
 
 bool Kernel::evaluate_phase(std::uint64_t activation_limit) {
-  while (!runnable_.empty()) {
+  while (!runnable_empty()) {
     if (activation_limit != 0 && stats_.activations >= activation_limit) return false;
-    Process* p = runnable_.front();
-    runnable_.pop_front();
+    Process* p = runnable_[runnable_head_++];
     run_process(*p);
   }
+  runnable_.clear();
+  runnable_head_ = 0;
   return true;
 }
 
 void Kernel::update_phase() {
   if (update_requests_.empty()) return;
-  auto requests = std::move(update_requests_);
-  update_requests_.clear();
-  for (UpdateHook* hook : requests) {
+  updating_.clear();  // holds entries only if a hook threw in the last phase
+  updating_.swap(update_requests_);
+  for (UpdateHook* hook : updating_) {
     hook->perform_update();
     ++stats_.updates;
   }
+  updating_.clear();
 }
 
 void Kernel::delta_notification_phase() {
   if (delta_notifications_.empty()) return;
-  auto notifications = std::move(delta_notifications_);
-  delta_notifications_.clear();
-  for (Event* e : notifications) {
+  notifying_.swap(delta_notifications_);
+  for (Event* e : notifying_) {
     if (event_is_live(e) && e->delta_pending_) e->fire();
   }
+  notifying_.clear();
 }
 
 void Kernel::rethrow_pending_error() {
@@ -482,7 +487,7 @@ RunStatus Kernel::run(Time until, const RunBudget& budget) {
         return budget_trip(StopReason::kLivelock);
       }
     }
-    if (!runnable_.empty()) continue;  // another delta cycle at the same time
+    if (!runnable_empty()) continue;  // another delta cycle at the same time
     if (!advance_time(until)) {
       return RunStatus{timed_.empty() ? StopReason::kIdle : StopReason::kTimeLimit, now_};
     }
@@ -495,7 +500,7 @@ RunStatus Kernel::run(Time until, const RunBudget& budget) {
 // ---------------------------------------------------------------------------
 
 KernelSnapshot Kernel::snapshot() const {
-  ensure(current_ == nullptr && runnable_.empty() && update_requests_.empty() &&
+  ensure(current_ == nullptr && runnable_empty() && update_requests_.empty() &&
              delta_notifications_.empty() && !pending_error_,
          "Kernel::snapshot: kernel is not quiescent (call between run() calls)");
   KernelSnapshot s;
@@ -563,6 +568,7 @@ void Kernel::restore(const KernelSnapshot& snapshot) {
   // so that running the body from the top with restored member state is
   // equivalent to resuming after the await the original was parked on.
   runnable_.clear();
+  runnable_head_ = 0;
   for (std::size_t i = 0; i < processes_.size(); ++i) {
     Process& p = *processes_[i];
     const KernelSnapshot::ProcessImage& img = snapshot.processes[i];

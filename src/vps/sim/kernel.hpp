@@ -10,7 +10,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -98,6 +97,9 @@ class Event {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::uint64_t fire_count() const noexcept { return fire_count_; }
+  /// True between a notify() and the delta cycle that fires it; a further
+  /// notify() meanwhile only counts a notification.
+  [[nodiscard]] bool delta_pending() const noexcept { return delta_pending_; }
   [[nodiscard]] Kernel& kernel() const noexcept { return kernel_; }
 
   /// co_await support for thread processes.
@@ -501,9 +503,19 @@ class Kernel {
   std::exception_ptr pending_error_;
 
   std::vector<std::unique_ptr<Process>> processes_;
-  std::deque<Process*> runnable_;
+  /// Runnable FIFO: [runnable_head_, end) is queued. A vector that is
+  /// cleared once drained keeps its capacity, where a deque allocates a
+  /// block every few dozen activations.
+  std::vector<Process*> runnable_;
+  std::size_t runnable_head_ = 0;
+  [[nodiscard]] bool runnable_empty() const noexcept { return runnable_head_ == runnable_.size(); }
   std::vector<UpdateHook*> update_requests_;
   std::vector<Event*> delta_notifications_;
+  // Scratch vectors the three dispatch loops swap their queue into, so no
+  // queue loses its capacity; each is empty outside its loop.
+  std::vector<Event::DynamicWaiter> firing_;  // Event::fire()
+  std::vector<UpdateHook*> updating_;         // update_phase()
+  std::vector<Event*> notifying_;             // delta_notification_phase()
   TimedQueue timed_;
   std::unordered_set<const Event*> live_events_;
   std::vector<Event*> events_by_ordinal_;  // registration order; null = destroyed

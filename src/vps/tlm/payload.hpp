@@ -69,6 +69,14 @@ class GenericPayload {
   [[nodiscard]] bool dmi_allowed() const noexcept { return dmi_allowed_; }
   void set_dmi_allowed(bool v) noexcept { dmi_allowed_ = v; }
 
+  /// Set by a target whose access changed no state except its statistics,
+  /// so that repeating the identical access returns the identical result.
+  /// An initiator may then apply further repetitions in bulk through
+  /// BlockingTransport::repeat. InitiatorSocket::b_transport clears it
+  /// before each call, so only the target that answered can set it.
+  [[nodiscard]] bool repeatable() const noexcept { return repeatable_; }
+  void set_repeatable(bool v) noexcept { repeatable_ = v; }
+
   /// Fault-injection metadata: marks the payload as corrupted by an injector
   /// with the given campaign fault id; monitors use it for fault-to-failure
   /// attribution in error-effect analysis.
@@ -105,6 +113,7 @@ class GenericPayload {
   std::size_t size_ = 0;
   Response response_ = Response::kIncomplete;
   bool dmi_allowed_ = false;
+  bool repeatable_ = false;
   bool poisoned_ = false;
   std::uint64_t poison_id_ = 0;
 };

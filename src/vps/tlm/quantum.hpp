@@ -27,19 +27,32 @@ class QuantumKeeper {
 
   [[nodiscard]] bool need_sync() const noexcept { return quantum_ != sim::Time::zero() && local_ >= quantum_; }
 
+  /// Awaitable behind sync(): no coroutine frame, so a sync allocates
+  /// nothing. It takes the same timed entry as `co_await sim::delay(t)`.
+  class SyncAwaiter {
+   public:
+    explicit SyncAwaiter(QuantumKeeper& qk) noexcept : qk_(qk) {}
+    [[nodiscard]] bool await_ready() noexcept {
+      pending_.delay = qk_.local_;
+      qk_.local_ = sim::Time::zero();
+      if (pending_.delay == sim::Time::zero()) return true;
+      ++qk_.sync_count_;
+      return false;
+    }
+    void await_suspend(sim::Coro::Handle h) { pending_.await_suspend(h); }
+    void await_resume() const noexcept {}
+
+   private:
+    QuantumKeeper& qk_;
+    sim::DelayAwaiter pending_{sim::Time::zero()};
+  };
+
   /// Yields to the kernel for the accumulated local time. A zero quantum
   /// means "sync on every call" (fully coupled reference behaviour). A call
   /// with no accumulated local time performs no kernel yield and is not
   /// counted: sync_count() reports actual yields only, so the E4 decoupling
   /// stats are not skewed by flush calls that had nothing to flush.
-  [[nodiscard]] sim::Coro sync() {
-    const sim::Time t = local_;
-    local_ = sim::Time::zero();
-    if (t != sim::Time::zero()) {
-      ++sync_count_;
-      co_await sim::delay(t);
-    }
-  }
+  [[nodiscard]] SyncAwaiter sync() noexcept { return SyncAwaiter(*this); }
 
   /// Syncs only when the quantum is exhausted.
   [[nodiscard]] sim::Coro sync_if_needed() {

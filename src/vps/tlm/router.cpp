@@ -68,10 +68,14 @@ void Router::b_transport(GenericPayload& payload, sim::Time& delay) {
   payload.set_address(original - w->base);
   w->out.b_transport(payload, delay);
   payload.set_address(original);
-  if (provenance_ != nullptr && payload.poisoned()) {
-    provenance_->touch(payload.poison_id(), "bus:" + name_);
+  // A poisoned crossing is a provenance contact and a probed one a span:
+  // neither may be repeated unseen.
+  if (payload.poisoned()) {
+    payload.set_repeatable(false);
+    if (provenance_ != nullptr) provenance_->touch(payload.poison_id(), "bus:" + name_);
   }
   if (probe_ != nullptr) {
+    payload.set_repeatable(false);
     // Annotated LT timing: the transaction occupies [now + delay_before,
     // now + delay_after) of simulated time.
     probe_->record("tlm", transaction_name(payload), probe_->kernel().now() + delay_before,
@@ -79,6 +83,18 @@ void Router::b_transport(GenericPayload& payload, sim::Time& delay) {
                    {obs::TraceArg::str("response", to_string(payload.response())),
                     obs::TraceArg::number("size", static_cast<double>(payload.size()))});
   }
+}
+
+void Router::repeat(GenericPayload& payload, std::uint64_t k) {
+  Window* w = decode(payload.address(), payload.size());
+  if (w == nullptr) [[unlikely]] {
+    support::fail("Router::repeat: no window decodes " + payload.to_string());
+  }
+  forwarded_ += k;
+  const std::uint64_t original = payload.address();
+  payload.set_address(original - w->base);
+  w->out.repeat(payload, k);
+  payload.set_address(original);
 }
 
 bool Router::get_direct_mem_ptr(std::uint64_t address, DmiRegion& region) {

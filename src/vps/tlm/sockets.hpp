@@ -16,6 +16,15 @@ class BlockingTransport {
  public:
   virtual ~BlockingTransport() = default;
   virtual void b_transport(GenericPayload& payload, sim::Time& delay) = 0;
+  /// Applies k further repetitions of an access this target answered with
+  /// GenericPayload::repeatable() set: only the statistics such an access
+  /// moves advance, k times over. A target that never sets the flag keeps
+  /// this default, which reports the misuse.
+  virtual void repeat(GenericPayload& payload, std::uint64_t k) {
+    (void)k;
+    support::fail("repeat of an access the target never flagged repeatable: " +
+                  payload.to_string());
+  }
 };
 
 /// Approximately-timed protocol phases (TLM-2.0 base protocol subset).
@@ -106,7 +115,16 @@ class InitiatorSocket {
     if (target_ == nullptr || target_->blocking_ == nullptr) [[unlikely]] {
       support::fail("b_transport on unbound socket " + name_);
     }
+    payload.set_repeatable(false);
     target_->blocking_->b_transport(payload, delay);
+  }
+
+  /// Forwards BlockingTransport::repeat to the bound target.
+  void repeat(GenericPayload& payload, std::uint64_t k) {
+    if (target_ == nullptr || target_->blocking_ == nullptr) [[unlikely]] {
+      support::fail("repeat on unbound socket " + name_);
+    }
+    target_->blocking_->repeat(payload, k);
   }
 
   Sync nb_transport_fw(GenericPayload& payload, Phase& phase, sim::Time& delay) {

@@ -4,7 +4,9 @@
 // quantum must not touch the heap: a message composed eagerly on a
 // per-event path (ensure(ok, "lit" + name)) or a heap-backed payload shows
 // up here as thousands of extra allocations per simulated second, long
-// before it shows up as replay time.
+// before it shows up as replay time. The same holds for a quantum whose
+// polling loop the ISS fast-forwards, with the kernel's sync and wake-ups
+// around it.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,8 @@
 #include "vps/apps/acc.hpp"
 #include "vps/apps/bms.hpp"
 #include "vps/apps/caps.hpp"
+#include "vps/can/bus.hpp"
+#include "vps/ecu/platform.hpp"
 #include "vps/hw/memory.hpp"
 #include "vps/hw/peripherals.hpp"
 #include "vps/sim/kernel.hpp"
@@ -164,9 +168,43 @@ std::uint64_t allocations_per_extra_duration(Config config, Time d) {
 }
 
 TEST(AllocBudget, CapsCrashGoldenRunPerExtraTenMs) {
+  // What is left after construction is the CAN frame encoder's bit vectors
+  // (three per frame, ten frames per 10 ms); every quantum is free.
   apps::CapsConfig config;
   config.crash = true;
-  EXPECT_LE((allocations_per_extra_duration<apps::CapsScenario>(config, Time::ms(10))), 10'000u);
+  EXPECT_LE((allocations_per_extra_duration<apps::CapsScenario>(config, Time::ms(10))), 100u);
+}
+
+TEST(AllocBudget, FastForwardedPollLoopAllocatesNothing) {
+  // The CAPS kick-and-poll loop with no frame arriving: after a warm-up,
+  // each 10 us quantum is a few interpreted iterations, one fast-forward,
+  // the quantum keeper's sync and the watchdog's wake-up on its kick.
+  sim::Kernel kernel;
+  can::CanBus bus(kernel, "can0", 500000);
+  ecu::EcuPlatform ecu(kernel, "ecu");
+  ecu.attach_can(bus);
+  ecu.load_program(R"(
+      li   r1, 0x40005000
+      li   r2, 0x40002000
+      addi r3, r0, 2000
+      sw   r3, 4(r2)
+      addi r3, r0, 1
+      sw   r3, 0(r2)
+    loop:
+      sw   r0, 8(r2)
+      lw   r5, 20(r1)
+      beq  r5, r0, loop
+      halt
+  )");
+  // Warm-up past one watchdog period: until then each kick leaves one more
+  // stale timeout entry behind, and the timed queue grows.
+  kernel.run(Time::ms(3));
+  const std::uint64_t ff_before = ecu.cpu().fast_forwarded();
+  const std::uint64_t n = allocations_during([&] { kernel.run(Time::ms(8)); });
+  EXPECT_EQ(n, 0u);
+  EXPECT_GT(ecu.cpu().fast_forwarded(), ff_before + 100'000u);  // 5 ms of polling
+  EXPECT_EQ(ecu.watchdog().timeout_count(), 0u);
+  EXPECT_EQ(ecu.cpu().state(), hw::Cpu::State::kRunning);
 }
 
 TEST(AllocBudget, BmsRunawayProvGoldenRunPerExtraTenSeconds) {
