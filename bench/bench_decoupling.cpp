@@ -16,7 +16,6 @@
 
 #include "vps/can/bus.hpp"
 #include "vps/ecu/platform.hpp"
-#include "vps/obs/profile.hpp"
 #include "vps/support/table.hpp"
 
 using namespace vps;
@@ -52,7 +51,6 @@ struct Sample {
 };
 
 Sample run_with_quantum(sim::Time quantum) {
-  VPS_PROFILE_SCOPE("decoupling.run_with_quantum");
   sim::Kernel kernel;
   ecu::EcuPlatform::Config cfg;
   cfg.cpu.quantum = quantum;
@@ -188,8 +186,6 @@ int main(int argc, char** argv) {
               "instruction counts must not change (LT time annotation is exact).\n"
               "QK syncs counts actual kernel yields only — flush calls with no\n"
               "accumulated local time are free and not counted.\n\n");
-  std::printf("%s\n", obs::Profiler::instance().report().c_str());
-
   std::printf("== E4: loop fast-forward — CAPS kick-and-poll, 50 ms, 10 us quantum ==\n\n");
   const PollSample stepped = run_kick_and_poll(/*hooked=*/true);
   const PollSample fast = run_kick_and_poll(/*hooked=*/false);

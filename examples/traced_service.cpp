@@ -35,10 +35,11 @@
 #include "vps/apps/registry.hpp"
 #include "vps/dist/coordinator.hpp"
 #include "vps/dist/server.hpp"
+#include "vps/dist/trace.hpp"
 #include "vps/dist/worker.hpp"
 #include "vps/fault/campaign.hpp"
 #include "vps/fault/checkpoint.hpp"
-#include "vps/obs/dist_trace.hpp"
+#include "vps/obs/trace.hpp"
 
 using namespace vps;
 
@@ -189,17 +190,17 @@ int main(int argc, char** argv) {
 
   // 6. Merge the per-process traces (vps-tracecat's library path) and demand
   //    a complete six-hop chain for every run of both tenants.
-  const std::vector<std::string> files = obs::list_trace_files(kTraceDir);
+  const std::vector<std::string> files = dist::list_trace_files(kTraceDir);
   std::printf("== merging %zu trace files ==\n", files.size());
-  const obs::DistTrace trace = obs::load_dist_trace(files);
-  const std::string chains = obs::chains_summary(trace);
-  const std::string timeline = obs::merge_to_chrome(trace);
-  if (!write_file("traced_service.chains.txt", chains) ||
-      !write_file("traced_service.trace.json", timeline)) {
+  const dist::DistTrace trace = dist::load_dist_trace(files);
+  obs::ChromeTraceSink timeline("traced_service.trace.json");
+  dist::merge_to_chrome(trace, timeline);
+  if (!write_file("traced_service.chains.txt", dist::chains_summary(trace)) ||
+      !timeline.close()) {
     std::fprintf(stderr, "traced_service: cannot write artifacts\n");
     return 1;
   }
-  const std::vector<std::string> missing = obs::incomplete_chains(trace);
+  const std::vector<std::string> missing = dist::incomplete_chains(trace);
   std::printf("lifecycle chains complete for all runs: %s\n",
               missing.empty() ? "yes" : "NO — BUG");
   for (const std::string& line : missing) std::printf("  incomplete: %s\n", line.c_str());

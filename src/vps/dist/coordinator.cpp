@@ -16,9 +16,9 @@
 #include <unistd.h>
 
 #include "vps/dist/server.hpp"
+#include "vps/dist/trace.hpp"
 #include "vps/dist/worker.hpp"
 #include "vps/fault/driver_util.hpp"
-#include "vps/obs/dist_trace.hpp"
 #include "vps/support/ensure.hpp"
 #include "vps/support/stats.hpp"
 
@@ -236,7 +236,7 @@ class ServerExecutor final : public fault::BatchExecutor {
                                    const std::vector<FaultDescriptor>& faults) override;
 
   void folded(std::size_t run) override {
-    if (trace_ != nullptr) trace_->span("fold", submit_.job_token, run, obs::dist_now_ns(), 0);
+    if (trace_ != nullptr) trace_->span("fold", submit_.job_token, run, dist_now_ns(), 0);
   }
 
   void annotate(obs::CampaignProgress& progress) const override {
@@ -280,7 +280,7 @@ class ServerExecutor final : public fault::BatchExecutor {
   const DistConfig& config_;
   FleetStats& stats_;
   SubmitMsg submit_;
-  std::unique_ptr<obs::DistTraceWriter> trace_;
+  std::unique_ptr<DistTraceWriter> trace_;
   // Always-on queue-vs-replay split from the v3 RESULT timing fields (both
   // zero when the server/worker predates v3 — the split is then omitted).
   support::Histogram queue_wait_ms_{0.0, 5000.0, 500};
@@ -320,11 +320,7 @@ ServerExecutor::ServerExecutor(const DistConfig& config, FleetStats& stats,
 
   // The token is in the trace filename because two tenant threads share one
   // pid — per-campaign files can then never collide.
-  try {
-    trace_ = obs::DistTraceWriter::open(config.trace_dir, "client", submit_.job_token);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "dist: tracing disabled: %s\n", e.what());
-  }
+  trace_ = DistTraceWriter::open(config.trace_dir, "client", submit_.job_token);
   connect_and_submit();
 }
 
@@ -365,7 +361,7 @@ void ServerExecutor::connect_and_submit() {
       ++connect_attempts_;
       // Fresh clock sample per attempt: the server pairs it with its own
       // arrival clock to align this client's trace file.
-      submit_.ts_ns = obs::dist_now_ns();
+      submit_.ts_ns = dist_now_ns();
       ensure(fresh.send_frame(MsgType::kSubmit, encode_submit(submit_)),
              "dist: campaign server hung up before SUBMIT could be delivered");
       reply = fresh.wait_frame(config_.hello_timeout_ms);
@@ -412,7 +408,7 @@ void ServerExecutor::reestablish(const std::string& why) {
   drop_channel();
   ++stats_.reconnects;
   if (trace_ != nullptr) {
-    trace_->event("reconnect", submit_.job_token, 0, obs::dist_now_ns(),
+    trace_->event("reconnect", submit_.job_token, 0, dist_now_ns(),
                   {{"reconnects", stats_.reconnects}});
   }
   connect_and_submit();
@@ -444,7 +440,7 @@ std::vector<ReplayResult> ServerExecutor::replay(std::size_t first,
         AssignMsg msg;
         msg.job = job_;
         msg.run = first + b;
-        msg.ts_ns = obs::dist_now_ns();
+        msg.ts_ns = dist_now_ns();
         msg.fault = faults[b];
         sent_all = channel_->send_frame(MsgType::kAssign, encode_assign(msg));
         if (sent_all && trace_ != nullptr) {

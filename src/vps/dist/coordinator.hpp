@@ -96,7 +96,7 @@ struct DistConfig {
   /// Outbound fault injection on the client→server link (seed 0 = off),
   /// in both modes: in local mode it acts on the link to the private server.
   ChaosConfig chaos;
-  /// Run-lifecycle trace directory (obs/dist_trace). Empty = tracing off.
+  /// Run-lifecycle trace directory (dist/trace.hpp). Empty = tracing off.
   /// When set, the client writes trace.client.<pid>.<job_token>.jsonl with
   /// submit/fold instants per run and reconnect events, in both modes; the
   /// private server and workers of local mode do not trace. Merge with

@@ -34,7 +34,7 @@
 ///   RELEASE        server → worker  a job finished/vanished; drop its
 ///                                   cached scenario
 ///
-/// Protocol v3 adds OPTIONAL run-lifecycle trace fields (obs/dist_trace):
+/// Protocol v3 adds OPTIONAL run-lifecycle trace fields (dist/trace.hpp):
 /// REGISTER/SUBMIT/ASSIGN carry a sender steady-clock `ts_ns` for clock-
 /// offset estimation, SETUP echoes the job's correlation token, and RESULT
 /// carries `replay_ns` (worker replay duration) plus — spliced in by the

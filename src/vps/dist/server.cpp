@@ -18,9 +18,9 @@
 
 #include "vps/dist/coordinator.hpp"
 #include "vps/dist/protocol.hpp"
+#include "vps/dist/trace.hpp"
 #include "vps/dist/transport.hpp"
 #include "vps/fault/codec.hpp"
-#include "vps/obs/dist_trace.hpp"
 #include "vps/obs/trace.hpp"
 #include "vps/support/ensure.hpp"
 #include "vps/support/file.hpp"
@@ -110,17 +110,13 @@ struct CampaignServer::Impl {
   std::uint64_t next_job = 1;
   bool draining = false;
   std::uint64_t chaos_streams = 0;  ///< distinct ChaosPolicy stream per accepted conn
-  std::unique_ptr<obs::DistTraceWriter> trace;  ///< null = tracing off
+  std::unique_ptr<DistTraceWriter> trace;  ///< null = tracing off
   std::function<void(const WorkerDeath&)> death_hook;  ///< see on_worker_death()
 
   explicit Impl(ServerConfig cfg)
       : config(std::move(cfg)), listener(make_tcp_listener(config.host, config.port)) {
     ignore_sigpipe();
-    try {
-      trace = obs::DistTraceWriter::open(config.trace_dir, "server");
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "vps-serverd: tracing disabled: %s\n", e.what());
-    }
+    trace = DistTraceWriter::open(config.trace_dir, "server");
     // Self-healing counters exist from the first scrape, not from the first
     // incident — a zero line is itself the "no healing needed yet" signal.
     metrics.counter("dist.reconnects").add(0);
@@ -210,7 +206,7 @@ struct CampaignServer::Impl {
         job.orphan_deadline = grace;
         next_job = std::max(next_job, job.id + 1);
         if (trace != nullptr) {
-          trace->event("job_recovered", job.submit.job_token, 0, obs::dist_now_ns(),
+          trace->event("job_recovered", job.submit.job_token, 0, dist_now_ns(),
                        {{"job", job.id}});
         }
         jobs[job.id] = std::move(job);
@@ -237,7 +233,7 @@ struct CampaignServer::Impl {
     metrics.counter("dist.chaos.frames_dropped").add(static_cast<double>(dropped));
     metrics.counter("dist.chaos.bytes_corrupted").add(static_cast<double>(corrupted));
     if (trace != nullptr && (dropped != 0 || corrupted != 0)) {
-      trace->event("chaos", c.client_tok, 0, obs::dist_now_ns(),
+      trace->event("chaos", c.client_tok, 0, dist_now_ns(),
                    {{"frames_dropped", dropped}, {"bytes_corrupted", corrupted}, {"pid", c.pid}});
     }
     c.chaos_folded = now;
@@ -268,7 +264,7 @@ struct CampaignServer::Impl {
         " time(s), each assigned worker died before returning a result";
     metrics.counter("server.crashed_runs").add(1);
     if (trace != nullptr) {
-      trace->event("crash_synthesized", job.submit.job_token, entry.run, obs::dist_now_ns(),
+      trace->event("crash_synthesized", job.submit.job_token, entry.run, dist_now_ns(),
                    {{"job", job.id}, {"requeues", entry.requeues}});
     }
     if (job.client != nullptr && !job.client->dead) {
@@ -313,7 +309,7 @@ struct CampaignServer::Impl {
                    static_cast<unsigned long long>(w.pid), orphaned.size());
     }
     if (trace != nullptr && w.role == Conn::Role::kWorker) {
-      trace->event("worker_death", 0, 0, obs::dist_now_ns(),
+      trace->event("worker_death", 0, 0, dist_now_ns(),
                    {{"pid", w.pid}, {"inflight_lost", orphaned.size()}});
     }
     WorkerDeath death{w.pid, 0, 0};
@@ -327,7 +323,7 @@ struct CampaignServer::Impl {
       ++death.requeued;
       metrics.counter("server.requeued_runs").add(1);
       if (trace != nullptr) {
-        trace->event("requeue", job.submit.job_token, entry.run, obs::dist_now_ns(),
+        trace->event("requeue", job.submit.job_token, entry.run, dist_now_ns(),
                      {{"job", job.id}, {"requeues", entry.requeues}, {"pid", w.pid}});
       }
       if (entry.requeues > job.submit.max_requeues) {
@@ -336,7 +332,7 @@ struct CampaignServer::Impl {
       } else {
         // Retry waits start now; the failed round trip is the requeue
         // event's story, not part of the next dispatch's queue time.
-        entry.arrived_ns = obs::dist_now_ns();
+        entry.arrived_ns = dist_now_ns();
         entry.dispatched_ns = 0;
         job.pending.push_front(std::move(entry));
       }
@@ -359,7 +355,7 @@ struct CampaignServer::Impl {
         job.orphan_deadline = Clock::now() + std::chrono::milliseconds(config.orphan_grace_ms);
         metrics.counter("server.jobs_orphaned").add(1);
         if (trace != nullptr) {
-          trace->event("job_orphaned", job.submit.job_token, 0, obs::dist_now_ns(),
+          trace->event("job_orphaned", job.submit.job_token, 0, dist_now_ns(),
                        {{"job", id}});
         }
         std::fprintf(stderr,
@@ -446,9 +442,8 @@ struct CampaignServer::Impl {
           on_worker_death(w);
           continue;
         }
-        entry.dispatched_ns = obs::dist_now_ns();
-        const std::uint64_t queue_ns =
-            obs::saturating_elapsed_ns(entry.arrived_ns, entry.dispatched_ns);
+        entry.dispatched_ns = dist_now_ns();
+        const std::uint64_t queue_ns = saturating_elapsed_ns(entry.arrived_ns, entry.dispatched_ns);
         best_ready->queue_wait_ms.add(static_cast<double>(queue_ns) / 1e6);
         if (trace != nullptr) {
           trace->span("admission", best_ready->submit.job_token, entry.run, entry.arrived_ns,
@@ -521,12 +516,12 @@ struct CampaignServer::Impl {
         metrics.counter("server.results_relayed").add(1);
         ++job.results_relayed;
         ++job.worker_runs[w.pid];
-        const std::uint64_t now_ns = obs::dist_now_ns();
-        const std::uint64_t queue_ns = obs::saturating_elapsed_ns(arrived_ns, dispatched_ns);
+        const std::uint64_t now_ns = dist_now_ns();
+        const std::uint64_t queue_ns = saturating_elapsed_ns(arrived_ns, dispatched_ns);
         if (msg.replay_ns != 0) job.replay_ms.add(static_cast<double>(msg.replay_ns) / 1e6);
         if (trace != nullptr) {
           trace->span("dispatch", job.submit.job_token, msg.run, dispatched_ns,
-                      obs::saturating_elapsed_ns(dispatched_ns, now_ns));
+                      saturating_elapsed_ns(dispatched_ns, now_ns));
           trace->span("stream", job.submit.job_token, msg.run, now_ns, 0);
         }
         // Refresh the on-disk watermark occasionally — cheap insurance, not
@@ -559,7 +554,7 @@ struct CampaignServer::Impl {
     switch (frame.type) {
       case MsgType::kAssign: {
         const AssignMsg msg = decode_assign(frame.payload);
-        const std::uint64_t arrived_ns = obs::dist_now_ns();
+        const std::uint64_t arrived_ns = dist_now_ns();
         if (msg.ts_ns != 0) note_clock_sample(c, arrived_ns, msg.ts_ns);
         auto it = jobs.find(msg.job);
         if (it == jobs.end() || c.owned_jobs.count(msg.job) == 0) {
@@ -621,9 +616,9 @@ struct CampaignServer::Impl {
       c.pid = reg.pid;
       metrics.counter("server.workers_registered").add(1);
       if (reg.reconnects > 0) metrics.counter("dist.reconnects").add(1);
-      if (reg.ts_ns != 0) note_clock_sample(c, obs::dist_now_ns(), reg.ts_ns);
+      if (reg.ts_ns != 0) note_clock_sample(c, dist_now_ns(), reg.ts_ns);
       if (trace != nullptr) {
-        trace->event("worker_registered", 0, 0, obs::dist_now_ns(),
+        trace->event("worker_registered", 0, 0, dist_now_ns(),
                      {{"pid", reg.pid}, {"reconnects", reg.reconnects}});
       }
       return;
@@ -641,7 +636,7 @@ struct CampaignServer::Impl {
       }
       c.role = Conn::Role::kClient;
       c.client_tok = submit.job_token;
-      if (submit.ts_ns != 0) note_clock_sample(c, obs::dist_now_ns(), submit.ts_ns);
+      if (submit.ts_ns != 0) note_clock_sample(c, dist_now_ns(), submit.ts_ns);
       // Reattach: a SUBMIT carrying the token of a job whose client is gone
       // resumes that job instead of admitting a duplicate. A token never
       // matches a job a live client still holds (steal-proof), and reattach
@@ -657,7 +652,7 @@ struct CampaignServer::Impl {
           c.owned_jobs.insert(id);
           metrics.counter("server.jobs_reattached").add(1);
           if (trace != nullptr) {
-            trace->event("job_reattached", submit.job_token, 0, obs::dist_now_ns(), {{"job", id}});
+            trace->event("job_reattached", submit.job_token, 0, dist_now_ns(), {{"job", id}});
           }
           std::fprintf(stderr, "vps-serverd: tenant '%s' reattached to job %llu\n",
                        submit.tenant.c_str(), static_cast<unsigned long long>(id));
@@ -695,7 +690,7 @@ struct CampaignServer::Impl {
       c.owned_jobs.insert(id);
       metrics.counter("server.jobs_accepted").add(1);
       if (trace != nullptr) {
-        trace->event("job_admitted", job.submit.job_token, 0, obs::dist_now_ns(), {{"job", id}});
+        trace->event("job_admitted", job.submit.job_token, 0, dist_now_ns(), {{"job", id}});
       }
       persist_state();
       if (!c.channel.send_frame(MsgType::kAccept, encode_accept(AcceptMsg{id}))) {
@@ -952,7 +947,7 @@ struct CampaignServer::Impl {
         if (trace != nullptr) {
           const auto it = jobs.find(id);
           trace->event("job_expired", it != jobs.end() ? it->second.submit.job_token : 0, 0,
-                       obs::dist_now_ns(), {{"job", id}});
+                       dist_now_ns(), {{"job", id}});
         }
         remove_job(id);
       }

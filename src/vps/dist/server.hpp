@@ -80,7 +80,7 @@ struct ServerConfig {
   int orphan_grace_ms = 30'000;
   /// Outbound fault injection on every accepted connection (seed 0 = off).
   ChaosConfig chaos;
-  /// Run-lifecycle trace directory (obs/dist_trace). Empty = tracing off.
+  /// Run-lifecycle trace directory (dist/trace.hpp). Empty = tracing off.
   /// When set, the server writes trace.server.<pid>.jsonl with admission /
   /// dispatch spans, stream instants, healing events (requeue, orphan,
   /// reattach, recovery, chaos) and the clockref samples vps-tracecat uses

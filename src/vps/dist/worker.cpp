@@ -10,7 +10,7 @@
 
 #include <unistd.h>
 
-#include "vps/obs/dist_trace.hpp"
+#include "vps/dist/trace.hpp"
 #include "vps/support/ensure.hpp"
 #include "vps/support/rng.hpp"
 
@@ -33,13 +33,13 @@ enum class SessionEnd {
 /// just another lost link (reconnect mode).
 SessionEnd serve_pool_session(Channel& channel, const ScenarioBuilder& build,
                               std::uint64_t reconnects, int idle_timeout_ms,
-                              bool& made_progress, obs::DistTraceWriter* trace) {
+                              bool& made_progress, DistTraceWriter* trace) {
   RegisterMsg reg;
   reg.pid = static_cast<std::uint64_t>(::getpid());
   reg.reconnects = reconnects;
   // v3 handshake clock sample: the server pairs this with its own arrival
   // clock so vps-tracecat can align this worker's trace file.
-  reg.ts_ns = obs::dist_now_ns();
+  reg.ts_ns = dist_now_ns();
   if (!channel.send_frame(MsgType::kRegister, encode_register(reg))) return SessionEnd::kLost;
 
   // One cache entry per admitted campaign the server has SETUP us for: the
@@ -118,14 +118,13 @@ SessionEnd serve_pool_session(Channel& channel, const ScenarioBuilder& build,
         ResultMsg result;
         result.job = assign.job;
         result.run = assign.run;
-        const std::uint64_t replay_begin = obs::dist_now_ns();
+        const std::uint64_t replay_begin = dist_now_ns();
         result.replay = fault::replay_isolated(*job.scenario, assign.fault, job.setup.seed,
                                                job.setup.golden, job.setup.crash_retries);
         // Always-on timing: two clock reads per run are noise next to a
         // replay, and they power the client's queue-vs-replay split and the
         // server's /jobs percentiles even with tracing disarmed.
-        result.replay_ns =
-            obs::saturating_elapsed_ns(replay_begin, obs::dist_now_ns());
+        result.replay_ns = saturating_elapsed_ns(replay_begin, dist_now_ns());
         ++runs_done;
         if (trace != nullptr)
           trace->span("replay", job.setup.job_token, assign.run, replay_begin, result.replay_ns);
@@ -171,12 +170,7 @@ int serve_pool(const PoolConfig& cfg, const ScenarioBuilder& build) noexcept {
   // One trace file for the whole pool process, spanning every session —
   // reconnect events landing between replay spans is exactly the story the
   // merged timeline should tell. Null (and costless) when trace_dir is empty.
-  std::unique_ptr<obs::DistTraceWriter> trace;
-  try {
-    trace = obs::DistTraceWriter::open(cfg.trace_dir, "worker");
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "vps-worker[%d]: tracing disabled: %s\n", ::getpid(), e.what());
-  }
+  const std::unique_ptr<DistTraceWriter> trace = DistTraceWriter::open(cfg.trace_dir, "worker");
 
   std::uint64_t connects = 0;  // sessions that reached the server
   int failures = 0;
@@ -195,7 +189,7 @@ int serve_pool(const PoolConfig& cfg, const ScenarioBuilder& build) noexcept {
       }
       ++connects;
       if (trace != nullptr && connects > 1) {
-        trace->event("reconnect", 0, 0, obs::dist_now_ns(),
+        trace->event("reconnect", 0, 0, dist_now_ns(),
                      {{"session", connects - 1}, {"failures", static_cast<std::uint64_t>(failures)}});
       }
       end = serve_pool_session(channel, build, connects - 1, cfg.idle_timeout_ms, made_progress,

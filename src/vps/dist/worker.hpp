@@ -57,7 +57,7 @@ struct PoolConfig {
   int idle_timeout_ms = 30'000;
   /// Outbound fault injection on every session's channel (seed 0 = off).
   ChaosConfig chaos;
-  /// Run-lifecycle trace directory (obs/dist_trace). Empty = tracing off:
+  /// Run-lifecycle trace directory (dist/trace.hpp). Empty = tracing off:
   /// no file, no JSONL writes, one pointer test per replay. When set, the
   /// worker writes trace.worker.<pid>.jsonl with replay spans and
   /// reconnect events.

@@ -158,6 +158,8 @@ std::string LineParser::parse_string(std::size_t& pos) {
       switch (e) {
         case '"': out += '"'; break;
         case '\\': out += '\\'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;

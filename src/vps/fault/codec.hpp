@@ -3,7 +3,8 @@
 /// Shared flat-JSON line codec for campaign records — the single
 /// implementation behind both persistence surfaces: the on-disk checkpoint
 /// JSONL (fault/checkpoint.cpp) and the distributed-campaign wire protocol
-/// (vps/dist/protocol.cpp). Serializing a FaultDescriptor, Observation or
+/// (vps/dist/protocol.cpp). The service's run-lifecycle trace files
+/// (vps/dist/trace.cpp) are written and read with it too. Serializing a FaultDescriptor, Observation or
 /// RunRecord through either surface produces the same field spellings and
 /// the same bitwise-exact value encodings (hexfloat doubles, picosecond
 /// times), so a record can round-trip disk → wire → disk without drift.
@@ -48,6 +49,10 @@ class LineParser {
   [[nodiscard]] std::int64_t i64(const char* key) const;
   /// Hexfloat-encoded double (stored as a string field).
   [[nodiscard]] double hexdouble(const char* key) const;
+  /// Every numeric field as (key, token text), in line order.
+  [[nodiscard]] const std::vector<std::pair<std::string, std::string>>& numbers() const noexcept {
+    return numbers_;
+  }
 
  private:
   [[nodiscard]] const std::string& number(const char* key) const;

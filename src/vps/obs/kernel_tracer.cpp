@@ -24,12 +24,6 @@ void KernelTracer::on_process_activation(const sim::Process& process, sim::Time 
   }
 }
 
-void KernelTracer::on_process_return(const sim::Process&, sim::Time) {
-  // Activations are zero-sim-duration slices; the span is emitted at
-  // activation time, so the return callback only exists for observers that
-  // measure host time per slice (obs::Profiler users).
-}
-
 void KernelTracer::on_event_notified(const sim::Event& event, sim::Time now) {
   ++notifications_seen_;
   if (metric_notifications_ != nullptr) metric_notifications_->add();

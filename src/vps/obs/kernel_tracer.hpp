@@ -72,7 +72,6 @@ class KernelTracer final : public sim::KernelObserver {
 
   // KernelObserver interface.
   void on_process_activation(const sim::Process& process, sim::Time now) override;
-  void on_process_return(const sim::Process& process, sim::Time now) override;
   void on_event_notified(const sim::Event& event, sim::Time now) override;
   void on_delta_cycle(sim::Time now) override;
   void on_time_advance(sim::Time now) override;

@@ -190,7 +190,7 @@ void JsonlSink::flush() { out_.flush(); }
 
 ChromeTraceSink::ChromeTraceSink(const std::string& path) : out_(path) {
   ensure(out_.is_open(), "ChromeTraceSink: cannot open " + path);
-  out_ << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+  out_ << R"({"displayTimeUnit":"ns","traceEvents":[)";
 }
 
 ChromeTraceSink::~ChromeTraceSink() { close(); }
@@ -238,11 +238,13 @@ void ChromeTraceSink::record(const TraceEvent& event) {
 
 void ChromeTraceSink::flush() { out_.flush(); }
 
-void ChromeTraceSink::close() {
-  if (!open_) return;
-  open_ = false;
-  out_ << "\n]}\n";
-  out_.flush();
+bool ChromeTraceSink::close() {
+  if (open_) {
+    open_ = false;
+    out_ << "\n]}\n";
+    out_.flush();
+  }
+  return !out_.fail();
 }
 
 }  // namespace vps::obs

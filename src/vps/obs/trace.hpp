@@ -10,7 +10,9 @@
 ///
 /// Every timestamp derives from simulated time only — never the host clock —
 /// so trace files are byte-identical across hosts and reruns and can be
-/// golden-tested. Wall-clock observability lives in obs/profile.hpp.
+/// golden-tested. Host time is the campaign service's business: its
+/// run-lifecycle trace (dist/trace.hpp) records it per process and renders
+/// its merged timeline through ChromeTraceSink.
 
 #include <cstdint>
 #include <fstream>
@@ -84,8 +86,8 @@ class JsonlSink final : public TraceSink {
   std::uint64_t lines_ = 0;
 };
 
-/// Chrome trace-event format ({"traceEvents":[...]}), loadable in
-/// chrome://tracing and Perfetto. Timestamps are microseconds; picoseconds
+/// Chrome trace-event format (one JSON object holding a traceEvents array),
+/// loadable in chrome://tracing and Perfetto. Timestamps are microseconds; picoseconds
 /// map to fractional microseconds (printed with six decimals) so nothing is
 /// rounded away. Tracks become threads of one synthetic process, named via
 /// "thread_name" metadata events emitted on first use.
@@ -99,7 +101,8 @@ class ChromeTraceSink final : public TraceSink {
   void record(const TraceEvent& event) override;
   void flush() override;
   /// Writes the closing brackets; further records are ignored. Idempotent.
-  void close();
+  /// Returns false when any write to the file failed (e.g. a full disk).
+  bool close();
 
   [[nodiscard]] std::uint64_t events_written() const noexcept { return events_; }
 

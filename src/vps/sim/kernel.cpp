@@ -355,7 +355,6 @@ void Kernel::run_process(Process& p) {
   }
   current_ = nullptr;
   if (p.state_ != Process::State::kTerminated) p.state_ = Process::State::kWaiting;
-  for (KernelObserver* o : observers_) o->on_process_return(p, now_);
 }
 
 bool Kernel::evaluate_phase(std::uint64_t activation_limit) {

@@ -276,7 +276,8 @@ struct RunStatus {
 /// overhead within the E15 budget. KernelStats stays the cheap aggregate
 /// view; an observer refines it into per-process / per-event attribution.
 /// Any number of observers may attach (Kernel::add_observer); callbacks fire
-/// in attachment order.
+/// in attachment order. An evaluation slice takes no simulated time, so
+/// there is no hook for its return: the activation callback marks it whole.
 class KernelObserver {
  public:
   virtual ~KernelObserver() = default;
@@ -285,8 +286,6 @@ class KernelObserver {
   // should not have to stub out the rest.
   /// A process was dequeued and is about to run its evaluation slice.
   virtual void on_process_activation(const Process& process, Time now) { (void)process, (void)now; }
-  /// The process's evaluation slice returned (same simulated instant).
-  virtual void on_process_return(const Process& process, Time now) { (void)process, (void)now; }
   /// An event notification was requested (immediate, delta or timed).
   virtual void on_event_notified(const Event& event, Time now) { (void)event, (void)now; }
   /// One evaluate/update/delta-notify cycle completed.

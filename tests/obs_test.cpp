@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -25,7 +26,6 @@
 #include "vps/support/ensure.hpp"
 #include "vps/obs/kernel_tracer.hpp"
 #include "vps/obs/probe.hpp"
-#include "vps/obs/profile.hpp"
 #include "vps/obs/trace.hpp"
 #include "vps/sim/kernel.hpp"
 #include "vps/sim/signal.hpp"
@@ -113,7 +113,7 @@ TEST(Chrome, DocumentStructureAndThreadMetadata) {
     tracer.complete("kernel", "worker", Time::us(2), Time::ns(10), "worker");
     tracer.instant("fault", "skipped:stuck#1", Time::us(3), "faults");
     tracer.counter("campaign", "caps", Time::ps(4), {TraceArg::number("runs_done", 4)});
-    sink.close();
+    EXPECT_TRUE(sink.close());
     EXPECT_EQ(sink.events_written(), 4u);
     // Records after close are ignored, not appended to a finalized document.
     tracer.instant("kernel", "late", Time::us(9));
@@ -132,6 +132,16 @@ TEST(Chrome, DocumentStructureAndThreadMetadata) {
   EXPECT_NE(content.find("\"dur\":0.010000"), std::string::npos);    // 10ns
   EXPECT_EQ(content.find("late"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(Chrome, CloseReportsAFailedWrite) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  obs::ChromeTraceSink sink("/dev/full");  // opens fine; every write fails
+  obs::Tracer tracer;
+  tracer.add_sink(sink);
+  tracer.instant("fault", "lost", Time::us(1));
+  EXPECT_FALSE(sink.close());
+  EXPECT_FALSE(sink.close());  // idempotent
 }
 
 /// Shared workload for the determinism test: two processes, one notifying
@@ -343,24 +353,6 @@ TEST(Probe, CanBusFrameSpans) {
   EXPECT_DOUBLE_EQ(probe.latency().mean(),
                    static_cast<double>(wire.picoseconds()) / 1000.0);
   EXPECT_EQ(tracer.events(), 1u);
-}
-
-TEST(Profiler, ScopesAggregateByName) {
-  obs::Profiler::instance().reset();
-  for (int i = 0; i < 3; ++i) {
-    VPS_PROFILE_SCOPE("obs_test.scope");
-    volatile int sink = 0;
-    for (int j = 0; j < 1000; ++j) sink += j;
-  }
-  const auto entries = obs::Profiler::instance().entries();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].name, "obs_test.scope");
-  EXPECT_EQ(entries[0].calls, 3u);
-  EXPECT_GT(entries[0].total_ns, 0u);
-  EXPECT_GE(entries[0].total_ns, entries[0].max_ns);
-  EXPECT_NE(obs::Profiler::instance().report().find("obs_test.scope"), std::string::npos);
-  obs::Profiler::instance().reset();
-  EXPECT_TRUE(obs::Profiler::instance().entries().empty());
 }
 
 /// Minimal deterministic scenario: no kernel, instant runs. A fault flips

@@ -20,6 +20,7 @@
 #include "campaign_compare.hpp"
 #include "checkpoint_saves.hpp"
 #include "vps/apps/caps.hpp"
+#include "vps/dist/protocol.hpp"
 #include "vps/fault/campaign.hpp"
 #include "vps/fault/checkpoint.hpp"
 #include "vps/fault/codec.hpp"
@@ -435,6 +436,37 @@ TEST(CodecLineParser, UnknownEscapeIsRejected) {
 
 TEST(CodecLineParser, UnterminatedStringIsRejected) {
   expect_line_rejected(R"({"kind":"header})", "codec: unterminated string in ");
+}
+
+TEST(CodecLineParser, EveryAsciiByteAndUtf8RoundTripThroughJsonEscape) {
+  std::string text;
+  for (int c = 0x00; c <= 0x7F; ++c) text += static_cast<char>(c);
+  text += "\xE2\x82\xAC";  // U+20AC, a multi-byte sequence json_escape keeps raw
+  std::string line = R"({"kind":"t")";
+  codec::append_str(line, "text", text);
+  line += "}";
+  EXPECT_EQ(codec::LineParser(line).str("text"), text);
+}
+
+TEST(CodecLineParser, BackspaceAndFormFeedSurviveACheckpointAndAResultFrame) {
+  CampaignCheckpoint cp = sample_checkpoint();
+  cp.records[1].crash_what = "boom\fpage\bstate";
+  const std::string path = vps_test::temp_path("vps_checkpoint_bf_escapes.jsonl");
+  save_checkpoint(cp, path);
+  CheckpointRecovery recovery;
+  const CampaignCheckpoint back = load_checkpoint(path, &recovery);
+  std::remove(path.c_str());
+  EXPECT_EQ(recovery.dropped_records, 0u) << recovery.first_error;
+  ASSERT_EQ(back.records.size(), cp.records.size());
+  EXPECT_EQ(back.records[1].crash_what, cp.records[1].crash_what);
+
+  vps::dist::ResultMsg result;
+  result.job = 1;
+  result.run = 2;
+  result.replay.outcome = Outcome::kSimCrash;
+  result.replay.crash_what = "bad\bstate\fpage";
+  EXPECT_EQ(vps::dist::decode_result(vps::dist::encode_result(result)).replay.crash_what,
+            result.replay.crash_what);
 }
 
 // --------------------------------------------------------------------------

@@ -17,8 +17,9 @@
 //                       hop (lost instrumentation or a lost process)
 //
 // The server's clock is the reference; other tiers are aligned with the
-// min-delay offset estimator documented in obs/dist_trace.hpp. Output is
-// deterministic: the same input files always produce the same bytes.
+// min-delay offset estimator documented in dist/trace.hpp. Each source is
+// one lane of the timeline. Output is deterministic: the same input files
+// always produce the same bytes.
 
 #include <cstdio>
 #include <cstring>
@@ -26,7 +27,8 @@
 #include <string>
 #include <vector>
 
-#include "vps/obs/dist_trace.hpp"
+#include "vps/dist/trace.hpp"
+#include "vps/obs/trace.hpp"
 
 namespace {
 
@@ -72,32 +74,26 @@ int main(int argc, char** argv) {
   if (out_path.empty() && !chains && !require_complete) return usage(argv[0]);
 
   try {
-    if (!dir.empty()) files = vps::obs::list_trace_files(dir);
+    if (!dir.empty()) files = vps::dist::list_trace_files(dir);
     if (files.empty()) {
       std::fprintf(stderr, "vps-tracecat: no trace.*.jsonl files to merge\n");
       return 1;
     }
-    const vps::obs::DistTrace trace = vps::obs::load_dist_trace(files);
+    const vps::dist::DistTrace trace = vps::dist::load_dist_trace(files);
 
     if (!out_path.empty()) {
-      const std::string json = vps::obs::merge_to_chrome(trace);
-      std::FILE* out = std::fopen(out_path.c_str(), "wb");
-      if (out == nullptr) {
-        std::fprintf(stderr, "vps-tracecat: cannot open %s for writing\n", out_path.c_str());
-        return 1;
-      }
-      const bool ok = std::fwrite(json.data(), 1, json.size(), out) == json.size();
-      std::fclose(out);
-      if (!ok) {
-        std::fprintf(stderr, "vps-tracecat: short write to %s\n", out_path.c_str());
+      vps::obs::ChromeTraceSink sink(out_path);
+      vps::dist::merge_to_chrome(trace, sink);
+      if (!sink.close()) {
+        std::fprintf(stderr, "vps-tracecat: write to %s failed\n", out_path.c_str());
         return 1;
       }
     }
 
-    if (chains) std::fputs(vps::obs::chains_summary(trace).c_str(), stdout);
+    if (chains) std::fputs(vps::dist::chains_summary(trace).c_str(), stdout);
 
     if (require_complete) {
-      const std::vector<std::string> missing = vps::obs::incomplete_chains(trace);
+      const std::vector<std::string> missing = vps::dist::incomplete_chains(trace);
       if (!missing.empty()) {
         std::fprintf(stderr, "vps-tracecat: %zu incomplete lifecycle chain(s):\n", missing.size());
         for (const std::string& line : missing) std::fprintf(stderr, "  %s\n", line.c_str());
