@@ -13,6 +13,9 @@
 //   (d) Snapshot-and-fork replay cost: median per-run wall time, full
 //       replay vs forking from the cached golden epoch, on the same
 //       fault list — equivalence of the results is asserted, not assumed.
+//
+// Usage: bench_bms_safety [runs]   (faults per mission, default 240; a
+// bad argument prints a usage line and exits 64)
 
 #include <algorithm>
 #include <chrono>
@@ -187,7 +190,16 @@ std::size_t bench_fork_cost(std::size_t runs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 240;
+  std::size_t runs = 240;
+  if (argc > 1) {
+    char* end = nullptr;
+    const unsigned long long n = std::strtoull(argv[1], &end, 10);
+    if (argc > 2 || argv[1][0] < '0' || argv[1][0] > '9' || *end != '\0' || n == 0) {
+      std::fprintf(stderr, "usage: %s [runs]   (runs: an integer >= 1, default 240)\n", argv[0]);
+      return 64;  // EX_USAGE
+    }
+    runs = static_cast<std::size_t>(n);
+  }
   std::printf("== E23: BMS pack-safety campaigns (%zu injected faults per mission) ==\n\n", runs);
 
   struct Mission {

@@ -1,7 +1,8 @@
 // E3 — kernel synchronization overhead (paper Sec. 3.4: "synchronization
 // poses an extreme overhead in SystemC"). Measures the raw cost of the
 // primitives every VP simulation is built from: timed waits (context
-// switches), delta notifications, signal commits, and event fan-out.
+// switches), delta notifications, signal commits, and event fan-out. Each
+// row reports how many waits the kernel applied as inline timed steps.
 
 #include <benchmark/benchmark.h>
 
@@ -13,11 +14,25 @@ using namespace vps::sim;
 
 namespace {
 
-// Timed-wait throughput: N processes sleeping round-robin.
-void BM_TimedWaits(benchmark::State& state) {
+/// Attached to the `Observed` rows: an observer must see every delta
+/// cycle, time advance and activation, so it turns the kernel's inline
+/// timed steps off and every wait takes the timed queue.
+struct NopObserver final : KernelObserver {};
+
+void report_inline_steps(benchmark::State& state, const Kernel& kernel) {
+  state.counters["inline_steps"] = static_cast<double>(kernel.inline_steps());
+}
+
+// Timed-wait throughput: N processes sleeping round-robin. A lone process
+// is always the next and only activation, so each of its waits is an
+// inline timed step; with N > 1 the processes share every instant and
+// each wait is queued. The Observed rows show the queued cost at N = 1.
+void timed_waits(benchmark::State& state, bool observed) {
   const auto n_processes = static_cast<std::size_t>(state.range(0));
+  NopObserver observer;
   for (auto _ : state) {
     Kernel kernel;
+    if (observed) kernel.add_observer(observer);
     for (std::size_t p = 0; p < n_processes; ++p) {
       kernel.spawn("p" + std::to_string(p), []() -> Coro {
         for (int i = 0; i < 1000; ++i) co_await delay(10_ns);
@@ -25,10 +40,14 @@ void BM_TimedWaits(benchmark::State& state) {
     }
     kernel.run();
     state.counters["activations"] = static_cast<double>(kernel.stats().activations);
+    report_inline_steps(state, kernel);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n_processes) * 1000);
 }
+void BM_TimedWaits(benchmark::State& state) { timed_waits(state, false); }
+void BM_TimedWaitsObserved(benchmark::State& state) { timed_waits(state, true); }
 BENCHMARK(BM_TimedWaits)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_TimedWaitsObserved)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 // Event ping-pong: two processes notifying each other (delta + timed mix).
 void BM_EventPingPong(benchmark::State& state) {
@@ -48,6 +67,7 @@ void BM_EventPingPong(benchmark::State& state) {
       }
     }(ping, pong));
     kernel.run();
+    report_inline_steps(state, kernel);
   }
   state.SetItemsProcessed(state.iterations() * 10000);
 }
@@ -65,6 +85,7 @@ void BM_SignalCommits(benchmark::State& state) {
       }
     }(sig));
     kernel.run();
+    report_inline_steps(state, kernel);
   }
   state.SetItemsProcessed(state.iterations() * 20000);
 }
@@ -87,6 +108,7 @@ void BM_EventFanout(benchmark::State& state) {
       }
     }(e));
     kernel.run();
+    report_inline_steps(state, kernel);
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(state.iterations() * 1000 * static_cast<std::int64_t>(fanout));
@@ -106,6 +128,7 @@ void BM_FifoHandshake(benchmark::State& state) {
       for (int i = 0; i < 5000; ++i) co_await f.pop(v);
     }(fifo));
     kernel.run();
+    report_inline_steps(state, kernel);
   }
   state.SetItemsProcessed(state.iterations() * 5000);
 }

@@ -3,13 +3,14 @@
 // forced ON (runs fork from cached epoch snapshots), export both record
 // streams as checkpoint-codec JSONL, and byte-diff them. Any divergence —
 // an outcome, a provenance edge, a hexfloat digit — exits nonzero. Covers
-// CAPS (provenance-heavy, unprotected, SEC-DED RAM) and ACC (timing-heavy)
-// under the parallel driver.
+// CAPS (provenance-heavy, unprotected, SEC-DED RAM), ACC (timing-heavy)
+// and BMS (UART-heavy, provenance) under the parallel driver.
 //
-// Both sides of this diff run the same ISS, so CI also compares the CAPS
-// `*.full.jsonl` files against tests/golden/replay_equivalence/, written
-// by an earlier revision: a change to the simulation itself (e.g. the
-// ISS's loop fast-forward) must leave every record bit in place.
+// Both sides of this diff run the same ISS and kernel, so CI also compares
+// the `*.full.jsonl` files against tests/golden/replay_equivalence/,
+// written by earlier revisions: a change to the simulation itself (e.g.
+// the ISS's loop fast-forward or the kernel's inline timed steps) must
+// leave every record bit in place.
 
 #include <cstdio>
 #include <fstream>
@@ -87,6 +88,7 @@ int main(int argc, char** argv) {
   ok = check("caps:normal:unprotected", 32, dir) && ok;
   ok = check("caps:crash:ecc", 32, dir) && ok;
   ok = check("acc", 32, dir) && ok;
+  ok = check("bms:runaway:prov", 32, dir) && ok;
   if (!ok) {
     std::printf("DIVERGENCE: snapshot-forked replay is not bitwise equal to full replay\n");
     return 1;

@@ -216,8 +216,7 @@ void Watchdog::write_register(std::uint32_t offset, std::uint32_t value, Time& /
 }
 
 void Watchdog::repeat_access(tlm::Command cmd, std::uint32_t offset, std::uint64_t k) {
-  if (cmd != tlm::Command::kWrite || offset != kKick) return;
-  for (std::uint64_t i = 0; i < k; ++i) kick_event_.notify();
+  if (cmd == tlm::Command::kWrite && offset == kKick) kick_event_.renotify(k);
 }
 
 // ---------------------------------------------------------------------------

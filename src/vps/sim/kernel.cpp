@@ -89,6 +89,14 @@ void Event::notify(Time delay) {
   kernel_.queue_timed_notification(*this, delay);
 }
 
+void Event::renotify(std::uint64_t k) {
+  if (delta_pending_ && kernel_.observers_.empty()) {
+    kernel_.stats_.notifications += k;
+    return;
+  }
+  for (std::uint64_t i = 0; i < k; ++i) notify();
+}
+
 void Event::cancel() noexcept {
   ++notify_generation_;
   delta_pending_ = false;
@@ -135,11 +143,10 @@ void Process::kill() {
 // Awaiters
 // ---------------------------------------------------------------------------
 
-void DelayAwaiter::await_suspend(Coro::Handle h) {
+bool DelayAwaiter::await_suspend(Coro::Handle h) {
   Process* p = h.promise().process;
   ensure(p != nullptr, "co_await delay() outside of a simulation process");
-  p->resume_point_ = h;
-  p->kernel_.schedule_process_resume(*p, delay, /*timeout_flag=*/false);
+  return p->kernel_.timed_wait(*p, h, delay, p->bump_generation(), /*timeout_flag=*/false);
 }
 
 void PinnedDelayAwaiter::await_suspend(Coro::Handle h) {
@@ -156,14 +163,14 @@ void EventAwaiter::await_suspend(Coro::Handle h) {
   event.add_dynamic(p, p->bump_generation());
 }
 
-void TimedEventAwaiter::await_suspend(Coro::Handle h) {
+bool TimedEventAwaiter::await_suspend(Coro::Handle h) {
   Process* p = h.promise().process;
   ensure(p != nullptr, "co_await wait_with_timeout outside of a simulation process");
   process = p;
-  p->resume_point_ = h;
   const std::uint64_t gen = p->bump_generation();
   event.add_dynamic(p, gen);
-  p->kernel_.schedule_timeout(*p, timeout, gen);
+  // The timeout shares the generation of the event wait.
+  return p->kernel_.timed_wait(*p, h, timeout, gen, /*timeout_flag=*/true);
 }
 
 bool TimedEventAwaiter::await_resume() const noexcept {
@@ -291,14 +298,57 @@ void Kernel::queue_timed_notification(Event& event, Time delay) {
   timed_.push(entry);
 }
 
-void Kernel::schedule_process_resume(Process& process, Time delay, bool timeout_flag) {
+bool Kernel::timed_wait(Process& process, Coro::Handle h, Time delay, std::uint64_t gen,
+                        bool timeout_flag) {
+  const Time when = now_ + delay;
+  if (delay != Time::zero() && inline_step(process, when, timeout_flag)) return false;
   TimedEntry entry;
-  entry.when = now_ + delay;
+  entry.when = when;
   entry.seq = next_seq_++;
   entry.process = &process;
-  entry.process_generation = timeout_flag ? process.wait_generation_ : process.bump_generation();
+  entry.process_generation = gen;
   entry.timeout_flag = timeout_flag;
   timed_.push(entry);
+  process.resume_point_ = h;
+  return true;
+}
+
+// An inline timed step. The current process waits until `when`; if nothing
+// else can happen by then, the queued path's next steps are fixed: an
+// empty delta boundary, a time advance that pops only this entry (and the
+// stale ones ahead of it) and an evaluate phase that runs only this
+// process. Apply them here and let the process go on without suspending.
+bool Kernel::inline_step(Process& p, Time when, bool timeout_flag) {
+  if (!runnable_empty() || !delta_notifications_.empty() || !update_requests_.empty() ||
+      !observers_.empty() || !init_seq_marked_ || current_ != &p ||
+      p.state_ == Process::State::kTerminated || stop_requested_ || pending_error_ ||
+      when > run_until_) {
+    return false;
+  }
+  // The skipped delta boundary and the activation must trip no limit.
+  if ((activation_limit_ != 0 && stats_.activations >= activation_limit_) ||
+      (delta_limit_ != 0 && stats_.delta_cycles + 1 >= delta_limit_) ||
+      (max_deltas_without_advance_ != 0 &&
+       deltas_without_advance_ + 1 >= max_deltas_without_advance_)) {
+    return false;
+  }
+  // A valid entry due by `when` pops first on the queued path. The stale
+  // ones due by then are exactly those advance_time would pop; popping
+  // them here changes nothing the queued path would not.
+  while (!timed_.empty() && timed_.top().when <= when) {
+    if (entry_valid(timed_.top())) return false;
+    timed_.pop();
+  }
+  ++next_seq_;  // the entry's seq
+  ++stats_.delta_cycles;
+  deltas_without_advance_ = 0;
+  now_ = when;
+  ++stats_.timed_steps;
+  ++stats_.activations;
+  ++p.activations_;
+  p.last_wait_timed_out_ = timeout_flag;
+  ++inline_steps_;
+  return true;
 }
 
 void Kernel::schedule_process_resume_pinned(Process& process, Time delay, std::uint64_t seq) {
@@ -308,16 +358,6 @@ void Kernel::schedule_process_resume_pinned(Process& process, Time delay, std::u
   entry.sub = 0;  // ties against a restored prefix entry resolve pinned-first
   entry.process = &process;
   entry.process_generation = process.bump_generation();
-  timed_.push(entry);
-}
-
-void Kernel::schedule_timeout(Process& process, Time delay, std::uint64_t gen) {
-  TimedEntry entry;
-  entry.when = now_ + delay;
-  entry.seq = next_seq_++;
-  entry.process = &process;
-  entry.process_generation = gen;  // shares the generation of the event wait
-  entry.timeout_flag = true;
   timed_.push(entry);
 }
 
@@ -357,7 +397,8 @@ void Kernel::run_process(Process& p) {
   if (p.state_ != Process::State::kTerminated) p.state_ = Process::State::kWaiting;
 }
 
-bool Kernel::evaluate_phase(std::uint64_t activation_limit) {
+bool Kernel::evaluate_phase() {
+  const std::uint64_t activation_limit = activation_limit_;  // fixed for the run() call
   while (!runnable_empty()) {
     if (activation_limit != 0 && stats_.activations >= activation_limit) return false;
     Process* p = runnable_[runnable_head_++];
@@ -396,14 +437,15 @@ void Kernel::rethrow_pending_error() {
   }
 }
 
+bool Kernel::entry_valid(const TimedEntry& e) const {
+  if (e.event != nullptr) {
+    return event_is_live(e.event) && e.event->notify_generation_ == e.event_generation;
+  }
+  return e.process->state_ == Process::State::kWaiting &&
+         e.process->wait_generation_ == e.process_generation;
+}
+
 bool Kernel::advance_time(Time until) {
-  auto entry_valid = [this](const TimedEntry& e) {
-    if (e.event != nullptr) {
-      return event_is_live(e.event) && e.event->notify_generation_ == e.event_generation;
-    }
-    return e.process->state_ == Process::State::kWaiting &&
-           e.process->wait_generation_ == e.process_generation;
-  };
   while (!timed_.empty()) {
     const TimedEntry& top = timed_.top();
     if (!entry_valid(top)) {
@@ -448,13 +490,14 @@ RunStatus Kernel::run(Time until, const RunBudget& budget) {
   // budget set this costs one branch per delta cycle (`limited`) and one per
   // activation (inside evaluate_phase) — measured against E3 in E16.
   const bool limited = !budget.unlimited();
-  const std::uint64_t activation_limit =
+  run_until_ = until;
+  activation_limit_ =
       budget.max_activations == 0 ? 0 : stats_.activations + budget.max_activations;
-  const std::uint64_t delta_limit =
-      budget.max_delta_cycles == 0 ? 0 : stats_.delta_cycles + budget.max_delta_cycles;
-  std::uint64_t deltas_without_advance = 0;
+  delta_limit_ = budget.max_delta_cycles == 0 ? 0 : stats_.delta_cycles + budget.max_delta_cycles;
+  max_deltas_without_advance_ = budget.max_deltas_without_advance;
+  deltas_without_advance_ = 0;
   while (true) {
-    const bool evaluated_fully = evaluate_phase(activation_limit);
+    const bool evaluated_fully = evaluate_phase();
     if (!init_seq_marked_) {
       // End of the first evaluate phase ever: every elaboration-time process
       // has taken its initial slice, so next_seq_ here equals the seq a
@@ -474,15 +517,15 @@ RunStatus Kernel::run(Time until, const RunBudget& budget) {
       // (the only way to bound an immediate-notification livelock, which
       // never reaches a delta boundary).
       if (!evaluated_fully) return budget_trip(StopReason::kActivationBudget);
-      if (activation_limit != 0 && stats_.activations >= activation_limit) {
+      if (activation_limit_ != 0 && stats_.activations >= activation_limit_) {
         return budget_trip(StopReason::kActivationBudget);
       }
-      if (delta_limit != 0 && stats_.delta_cycles >= delta_limit) {
+      if (delta_limit_ != 0 && stats_.delta_cycles >= delta_limit_) {
         return budget_trip(StopReason::kDeltaBudget);
       }
-      ++deltas_without_advance;
-      if (budget.max_deltas_without_advance != 0 &&
-          deltas_without_advance >= budget.max_deltas_without_advance) {
+      ++deltas_without_advance_;
+      if (max_deltas_without_advance_ != 0 &&
+          deltas_without_advance_ >= max_deltas_without_advance_) {
         return budget_trip(StopReason::kLivelock);
       }
     }
@@ -490,7 +533,7 @@ RunStatus Kernel::run(Time until, const RunBudget& budget) {
     if (!advance_time(until)) {
       return RunStatus{timed_.empty() ? StopReason::kIdle : StopReason::kTimeLimit, now_};
     }
-    deltas_without_advance = 0;
+    deltas_without_advance_ = 0;
   }
 }
 

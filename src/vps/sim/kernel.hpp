@@ -92,6 +92,11 @@ class Event {
   void notify();
   /// Triggers after the given simulated delay.
   void notify(Time delay);
+  /// Counts `k` further notify() calls. On a delta-pending event with no
+  /// observer attached each would only count a notification, so this adds
+  /// k to KernelStats::notifications at once; otherwise it makes the k
+  /// calls, and observers see each one.
+  void renotify(std::uint64_t k);
   /// Cancels pending delta/timed notifications.
   void cancel() noexcept;
 
@@ -278,6 +283,8 @@ struct RunStatus {
 /// Any number of observers may attach (Kernel::add_observer); callbacks fire
 /// in attachment order. An evaluation slice takes no simulated time, so
 /// there is no hook for its return: the activation callback marks it whole.
+/// An attached observer sees every delta cycle, time advance and
+/// activation, so it also turns the kernel's inline timed steps off.
 class KernelObserver {
  public:
   virtual ~KernelObserver() = default;
@@ -403,6 +410,10 @@ class Kernel {
   /// recreated; fresh never-started coroutines stand in for the original
   /// frames (see KernelSnapshot). ensure()-fails on a shape mismatch.
   void restore(const KernelSnapshot& snapshot);
+  /// Timed waits applied in place (see DESIGN.md "Inline timed steps"): a
+  /// diagnostic, outside KernelStats and KernelSnapshot, that restore()
+  /// leaves alone.
+  [[nodiscard]] std::uint64_t inline_steps() const noexcept { return inline_steps_; }
   /// next_seq_ as it stood at the end of the very first evaluate phase: the
   /// seq an entry scheduled by a process spawned last during elaboration
   /// receives. The fork path pins the fault-injection delay to this seq so a
@@ -413,14 +424,18 @@ class Kernel {
   void request_update(UpdateHook& hook);
   void queue_delta_notification(Event& event);
   void queue_timed_notification(Event& event, Time delay);
-  void schedule_process_resume(Process& process, Time delay, bool timeout_flag);
+  /// A timed wait of the current process `process` for `delay`, whose
+  /// generation `gen` the caller has bumped: queues its resume entry (a
+  /// timeout for wait_with_timeout when `timeout_flag`) and parks the
+  /// process at `h`, or, when the entry would be the next and only
+  /// activation, applies the steps the queued path would take in place.
+  /// Returns true when the awaiter must suspend.
+  [[nodiscard]] bool timed_wait(Process& process, Coro::Handle h, Time delay, std::uint64_t gen,
+                                bool timeout_flag);
   /// Variant with an explicit (seq, sub) key instead of the allocation
   /// counter; does not advance next_seq_. Used by delay_pinned() so a
   /// snapshot-forked replay reproduces the full replay's entry ordering.
   void schedule_process_resume_pinned(Process& process, Time delay, std::uint64_t seq);
-  /// Queues a timeout entry that reuses the generation of an event wait the
-  /// caller already registered (wait_with_timeout support).
-  void schedule_timeout(Process& process, Time delay, std::uint64_t gen);
   void make_runnable(Process& process);
   [[nodiscard]] bool event_is_live(const Event* e) const {
     return live_events_.contains(e);
@@ -481,13 +496,15 @@ class Kernel {
   }
 
   void run_process(Process& p);
-  /// Runs runnable processes until the queue drains or `activation_limit`
-  /// (absolute stats_.activations threshold; 0 = unlimited) is reached.
-  /// Returns false when the limit cut the phase short.
-  bool evaluate_phase(std::uint64_t activation_limit);
+  /// Runs runnable processes until the queue drains or activation_limit_
+  /// is reached. Returns false when the limit cut the phase short.
+  bool evaluate_phase();
   void update_phase();
   void delta_notification_phase();
+  // Inline (defined in kernel.cpp only): both sit on the per-wait path.
+  [[nodiscard]] inline bool entry_valid(const TimedEntry& e) const;
   bool advance_time(Time until);
+  [[nodiscard]] inline bool inline_step(Process& p, Time when, bool timeout_flag);
   void rethrow_pending_error();
   RunStatus budget_trip(StopReason reason);
 
@@ -500,6 +517,17 @@ class Kernel {
   bool init_seq_marked_ = false;
   KernelStats stats_;
   std::exception_ptr pending_error_;
+  std::uint64_t inline_steps_ = 0;
+
+  // The current run() call: its time limit, its RunBudget as absolute
+  // thresholds (0 = none) and its livelock counter. Members, not locals,
+  // so an inline timed step can tell whether the delta boundary it skips
+  // would trip a limit.
+  Time run_until_ = Time::max();
+  std::uint64_t activation_limit_ = 0;
+  std::uint64_t delta_limit_ = 0;
+  std::uint64_t max_deltas_without_advance_ = 0;
+  std::uint64_t deltas_without_advance_ = 0;
 
   std::vector<std::unique_ptr<Process>> processes_;
   /// Runnable FIFO: [runnable_head_, end) is queued. A vector that is
@@ -524,11 +552,12 @@ class Kernel {
 // Awaiters
 // ---------------------------------------------------------------------------
 
-/// co_await delay(t): suspends the current thread process for t.
+/// co_await delay(t): suspends the current thread process for t, or goes
+/// on in place when its resume would be the next and only activation.
 struct DelayAwaiter {
   Time delay;
   [[nodiscard]] bool await_ready() const noexcept { return false; }
-  void await_suspend(Coro::Handle h);
+  bool await_suspend(Coro::Handle h);
   void await_resume() const noexcept {}
 };
 
@@ -568,7 +597,7 @@ struct TimedEventAwaiter {
   Time timeout;
   Process* process = nullptr;
   [[nodiscard]] bool await_ready() const noexcept { return false; }
-  void await_suspend(Coro::Handle h);
+  bool await_suspend(Coro::Handle h);
   [[nodiscard]] bool await_resume() const noexcept;
 };
 

@@ -28,7 +28,8 @@ class QuantumKeeper {
   [[nodiscard]] bool need_sync() const noexcept { return quantum_ != sim::Time::zero() && local_ >= quantum_; }
 
   /// Awaitable behind sync(): no coroutine frame, so a sync allocates
-  /// nothing. It takes the same timed entry as `co_await sim::delay(t)`.
+  /// nothing. It waits exactly like `co_await sim::delay(t)`, inline timed
+  /// step included.
   class SyncAwaiter {
    public:
     explicit SyncAwaiter(QuantumKeeper& qk) noexcept : qk_(qk) {}
@@ -39,7 +40,7 @@ class QuantumKeeper {
       ++qk_.sync_count_;
       return false;
     }
-    void await_suspend(sim::Coro::Handle h) { pending_.await_suspend(h); }
+    bool await_suspend(sim::Coro::Handle h) { return pending_.await_suspend(h); }
     void await_resume() const noexcept {}
 
    private:

@@ -6,7 +6,8 @@
 // up here as thousands of extra allocations per simulated second, long
 // before it shows up as replay time. The same holds for a quantum whose
 // polling loop the ISS fast-forwards, with the kernel's sync and wake-ups
-// around it.
+// around it, and for a UART frame whose line bits the kernel applies as
+// inline timed steps.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "vps/ecu/platform.hpp"
 #include "vps/hw/memory.hpp"
 #include "vps/hw/peripherals.hpp"
+#include "vps/hw/uart.hpp"
 #include "vps/sim/kernel.hpp"
 #include "vps/support/ensure.hpp"
 #include "vps/tlm/payload.hpp"
@@ -205,6 +207,33 @@ TEST(AllocBudget, FastForwardedPollLoopAllocatesNothing) {
   EXPECT_GT(ecu.cpu().fast_forwarded(), ff_before + 100'000u);  // 5 ms of polling
   EXPECT_EQ(ecu.watchdog().timeout_count(), 0u);
   EXPECT_EQ(ecu.cpu().state(), hw::Cpu::State::kRunning);
+}
+
+TEST(AllocBudget, UartFrameShiftedByInlineStepsAllocatesNothing) {
+  // A lone UART is the next and only activation at every line bit, so the
+  // kernel applies each bit's wait in place: no timed entry, no suspend.
+  sim::Kernel kernel;
+  hw::Uart uart(kernel, "uart");
+  std::uint64_t received = 0;
+  uart.set_on_byte([&received](std::uint8_t b) { received += b; });
+  std::uint8_t frame[32];
+  for (std::uint8_t i = 0; i < 32; ++i) frame[i] = i;
+  // Warm-up: the TX FIFO takes its capacity, and so do both sides of the
+  // kernel's swapped notification and waiter vectors (two frames).
+  for (Time t : {Time::ms(5), Time::ms(10)}) {
+    uart.transmit(frame, sizeof frame);
+    kernel.run(t);
+  }
+  ASSERT_TRUE(uart.idle());
+  const std::uint64_t inline_before = kernel.inline_steps();
+  const std::uint64_t n = allocations_during([&] {
+    uart.transmit(frame, sizeof frame);
+    kernel.run(Time::ms(15));
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(uart.bytes_delivered(), 96u);
+  EXPECT_EQ(received, 3u * (31u * 32u / 2u));
+  EXPECT_EQ(kernel.inline_steps() - inline_before, 32u * 11u);  // every line bit
 }
 
 TEST(AllocBudget, BmsRunawayProvGoldenRunPerExtraTenSeconds) {
