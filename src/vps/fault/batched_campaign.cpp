@@ -48,6 +48,17 @@ std::vector<FaultDescriptor> generate_batch(CampaignState& state, const Campaign
   return faults;
 }
 
+/// Whether folding records[from..] into `result` meets the stop condition.
+bool ends_in_stop(const CampaignConfig& config, const CampaignResult& result,
+                  const std::vector<RunRecord>& records, std::size_t from) {
+  CampaignResult counts;
+  counts.outcome_counts = result.outcome_counts;
+  for (std::size_t i = from; i < records.size(); ++i) {
+    ++counts.outcome_counts[static_cast<std::size_t>(records[i].outcome)];
+  }
+  return stop_condition_met(config, counts);
+}
+
 /// Replays a checkpointed prefix at the engine's cadence: the descriptors
 /// of a batch are regenerated (and verified) against the pre-batch
 /// weights, then learning folds at the barrier — exactly the cadence the
@@ -59,6 +70,12 @@ std::size_t replay_prefix(const CampaignCheckpoint& checkpoint, const CampaignCo
   while (next < records.size()) {
     const std::size_t n = std::min(batch_size(config), config.runs - next);
     const std::size_t take = std::min(n, records.size() - next);
+    // The engine saves only at batch barriers, and cuts a batch short only
+    // when the hazard stop ends the campaign inside it. Any other prefix
+    // ending inside a batch is a save a kill tore, salvaged by
+    // load_checkpoint(): resume from the barrier, which re-executes the
+    // batch, and leave its records unread.
+    if (take < n && !ends_in_stop(config, result, records, next)) break;
     const std::vector<FaultDescriptor> faults = generate_batch(state, config, next, take);
     for (std::size_t b = 0; b < take; ++b) {
       ensure(detail::same_fault(faults[b], records[next + b].fault),
@@ -71,12 +88,6 @@ std::size_t replay_prefix(const CampaignCheckpoint& checkpoint, const CampaignCo
                static_cast<std::uint32_t>(config.crash_retries + 1));
     }
     next += take;
-    if (take < n) {
-      // A mid-batch cut is only ever written when the hazard stop condition
-      // ended the campaign inside that batch.
-      ensure(stop_condition_met(config, result),
-             "resume: parallel checkpoint was not cut at a batch barrier");
-    }
   }
   return next;
 }
@@ -179,6 +190,7 @@ CampaignResult BatchedCampaign::execute(std::size_t start_run, CampaignResult re
   if (!result.interrupted) {
     if (metrics_ != nullptr) {
       result.publish_metrics(*metrics_);
+      detail::publish_checkpoint_metrics(*metrics_, checkpoint);
       executor->publish(*metrics_);
     }
     if (monitor_ != nullptr) monitor_->on_complete(progress(result.final_coverage, true));

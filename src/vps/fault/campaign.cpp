@@ -505,7 +505,10 @@ CampaignResult Campaign::execute(std::size_t start_run, CampaignResult result,
   }
   finalize(result, state);
   if (!result.interrupted) {
-    if (metrics_ != nullptr) result.publish_metrics(*metrics_);
+    if (metrics_ != nullptr) {
+      result.publish_metrics(*metrics_);
+      detail::publish_checkpoint_metrics(*metrics_, checkpoint);
+    }
     if (monitor_ != nullptr) {
       monitor_->on_complete(progress_snapshot(scenario_.name(), result, config_.runs,
                                               result.final_coverage, elapsed(),

@@ -373,8 +373,10 @@ class BatchedCampaign {
 
   /// Continues an interrupted campaign from a checkpoint; the final result
   /// is byte-identical to an uninterrupted run() for any executor. The
-  /// checkpoint must have been cut at a batch barrier (the engine only
-  /// writes them there); the golden observation is taken from the
+  /// engine writes checkpoints at batch barriers; a prefix that ends inside
+  /// a batch without meeting the hazard stop (a torn save, salvaged by
+  /// load_checkpoint) resumes from that batch's barrier and re-executes the
+  /// batch; its records are not read. The golden observation is taken from the
   /// checkpoint, so no golden re-run happens.
   [[nodiscard]] CampaignResult resume(const CampaignCheckpoint& checkpoint);
 

@@ -1,9 +1,15 @@
 #include "vps/fault/checkpoint.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "vps/fault/codec.hpp"
 #include "vps/support/ensure.hpp"
@@ -72,6 +78,17 @@ void append_record_line(std::string& out, const RunRecord& record, std::size_t r
   append_line(out, rec);
 }
 
+/// Closes the descriptor it holds when it goes out of scope.
+struct FileDescriptor {
+  int fd = -1;
+  explicit FileDescriptor(int descriptor) : fd(descriptor) {}
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
+  ~FileDescriptor() {
+    if (fd >= 0) ::close(fd);
+  }
+};
+
 /// The truncation guard: the number of record lines before it.
 std::string end_line(std::size_t records) {
   std::string out;
@@ -94,7 +111,7 @@ std::string to_jsonl(const CampaignCheckpoint& checkpoint) {
 CheckpointWriter::CheckpointWriter(std::string path, const std::string& driver,
                                    const std::string& scenario, const CampaignConfig& config,
                                    const Observation& golden)
-    : path_(std::move(path)), lines_(head_lines(driver, scenario, config, golden)) {
+    : path_(std::move(path)), head_(head_lines(driver, scenario, config, golden)) {
   ensure(!path_.empty(), "save_checkpoint: empty path");
 }
 
@@ -102,12 +119,64 @@ void CheckpointWriter::save(const std::vector<RunRecord>& records) {
   ensure(records.size() >= records_,
          "CheckpointWriter: record prefix shrank from " + std::to_string(records_) + " to " +
              std::to_string(records.size()) + " (records are append-only)");
-  for (; records_ < records.size(); ++records_) {
-    append_record_line(lines_, records[records_], records_);
+  if (!save_in_place(records)) save_whole(records);
+  records_ = records.size();
+  ++saves_;
+}
+
+bool CheckpointWriter::save_in_place(const std::vector<RunRecord>& records) {
+  if (!left_) return false;
+  std::string bytes;
+  for (std::size_t i = records_; i < records.size(); ++i) {
+    append_record_line(bytes, records[i], i);
   }
+  const std::size_t record_bytes = bytes.size();
+  bytes += end_line(records.size());
+
+  const FileDescriptor file{::open(path_.c_str(), O_WRONLY | O_CLOEXEC)};
+  struct stat st {};
+  if (file.fd < 0 || ::fstat(file.fd, &st) != 0 ||
+      static_cast<std::uint64_t>(st.st_dev) != left_->device ||
+      static_cast<std::uint64_t>(st.st_ino) != left_->inode ||
+      static_cast<std::uint64_t>(st.st_size) != left_->size) {
+    return false;
+  }
+  // From the first byte written on, the file is one this writer does not
+  // know until the write completes: a failed save leaves the next one to
+  // rewrite the whole file.
+  const std::uint64_t at = left_->end_offset;
+  left_.reset();
+  for (std::size_t done = 0; done < bytes.size();) {
+    const ::ssize_t n = ::pwrite(file.fd, bytes.data() + done, bytes.size() - done,
+                                 static_cast<::off_t>(at + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      support::fail("save_checkpoint: short write to " + path_ + ": " +
+                    (n < 0 ? std::strerror(errno) : "no progress"));
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  left_ = FileLeft{static_cast<std::uint64_t>(st.st_dev), static_cast<std::uint64_t>(st.st_ino),
+                   at + bytes.size(), at + record_bytes};
+  bytes_written_ += bytes.size();
+  return true;
+}
+
+void CheckpointWriter::save_whole(const std::vector<RunRecord>& records) {
+  std::string body;
+  for (std::size_t i = 0; i < records.size(); ++i) append_record_line(body, records[i], i);
+  const std::string end = end_line(records.size());
+  left_.reset();
   std::string error;
-  const bool written = support::write_file_atomic(path_, {lines_, end_line(records_)}, &error);
+  const bool written = support::write_file_atomic(path_, {head_, body, end}, &error);
   ensure(written, "save_checkpoint: " + error);
+  const std::uint64_t size = head_.size() + body.size() + end.size();
+  bytes_written_ += size;
+  struct stat st {};
+  if (::stat(path_.c_str(), &st) == 0 && static_cast<std::uint64_t>(st.st_size) == size) {
+    left_ = FileLeft{static_cast<std::uint64_t>(st.st_dev), static_cast<std::uint64_t>(st.st_ino),
+                     size, size - end.size()};
+  }
 }
 
 CampaignCheckpoint checkpoint_from_jsonl(const std::string& text, CheckpointRecovery* recovery) {
@@ -191,8 +260,12 @@ CampaignCheckpoint checkpoint_from_jsonl(const std::string& text, CheckpointReco
       ++dropped;
     }
     recovery->dropped_records = dropped;
-  } else {
-    ensure(saw_end, "checkpoint: missing end line (truncated file?)");
+  } else if (!saw_end) {
+    // A save cut short before its end line: every record line read so far
+    // passed its CRC, so keep them all.
+    constexpr const char* kMissingEnd = "checkpoint: missing end line (truncated file?)";
+    ensure(recovery != nullptr, kMissingEnd);
+    if (recovery->first_error.empty()) recovery->first_error = kMissingEnd;
   }
   ensure(cp.driver == "campaign" || cp.driver == "parallel_campaign",
          "checkpoint: unknown driver '" + cp.driver + "'");
@@ -212,18 +285,25 @@ CampaignCheckpoint load_checkpoint(const std::string& path, CheckpointRecovery* 
   char buf[4096];
   std::size_t n;
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+  // A short read must never look like a torn file: salvaging it would
+  // truncate a good checkpoint on disk.
+  const bool read_failed = std::ferror(f) != 0;
+  const int read_errno = errno;
   std::fclose(f);
+  if (read_failed) {
+    support::fail("load_checkpoint: cannot read " + path + ": " + std::strerror(read_errno));
+  }
 
   CheckpointRecovery local;
   CampaignCheckpoint cp = checkpoint_from_jsonl(text, &local);
-  if (local.dropped_records > 0) {
-    // Salvage once, then make the file clean: rewrite the good prefix (with
-    // a matching end line) so the next load does not re-run the recovery.
+  if (!local.first_error.empty()) {
+    // Salvage once, then make the file clean: rewrite the recovered prefix
+    // (with a matching end line) so the next load does not re-run recovery.
     save_checkpoint(cp, path);
     local.file_rewritten = true;
     std::fprintf(stderr,
-                 "load_checkpoint: %s: dropped %zu corrupt record(s) (%s); "
-                 "file truncated to last good record (%zu kept)\n",
+                 "load_checkpoint: %s: dropped %zu corrupt record line(s) (%s); "
+                 "file rewritten with the %zu good record(s)\n",
                  path.c_str(), local.dropped_records, local.first_error.c_str(),
                  cp.records.size());
   }

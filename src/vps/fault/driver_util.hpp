@@ -80,6 +80,15 @@ inline std::optional<CheckpointWriter> checkpoint_writer(const CampaignConfig& c
                                          scenario_name, config, golden);
 }
 
+/// Publishes what the checkpoint saves of one completed execute() call
+/// wrote, when it checkpointed.
+inline void publish_checkpoint_metrics(obs::MetricRegistry& registry,
+                                       const std::optional<CheckpointWriter>& writer) {
+  if (!writer) return;
+  registry.counter("campaign.checkpoint_bytes").add(writer->bytes_written());
+  registry.counter("campaign.checkpoint_saves").add(writer->saves());
+}
+
 inline void validate_checkpoint(const CampaignCheckpoint& cp, const char* driver,
                                 const std::string& scenario_name, const CampaignConfig& config) {
   support::ensure(cp.driver == driver, "resume: checkpoint was written by driver '" + cp.driver +
