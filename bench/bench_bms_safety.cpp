@@ -20,10 +20,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <optional>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "vps/apps/bms.hpp"
 #include "vps/fault/campaign.hpp"
 #include "vps/safety/fmeda.hpp"
@@ -156,12 +157,8 @@ std::size_t bench_fork_cost(std::size_t runs) {
   cfg.runs = runs;
   cfg.seed = 23;
   fault::CampaignState state(full.fault_types(), full.duration(), cfg);
-  const support::Xorshift base(cfg.seed);
   std::vector<fault::FaultDescriptor> faults;
-  for (std::size_t run = 0; run < runs; ++run) {
-    support::Xorshift rng = base.fork(run);
-    faults.push_back(state.generate(run, rng));
-  }
+  for (std::size_t run = 0; run < runs; ++run) faults.push_back(state.generate(run));
 
   // Warm both (golden run; for the forked scenario this also captures the
   // epoch snapshots — the one-off cost the median excludes).
@@ -190,16 +187,9 @@ std::size_t bench_fork_cost(std::size_t runs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t runs = 240;
-  if (argc > 1) {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(argv[1], &end, 10);
-    if (argc > 2 || argv[1][0] < '0' || argv[1][0] > '9' || *end != '\0' || n == 0) {
-      std::fprintf(stderr, "usage: %s [runs]   (runs: an integer >= 1, default 240)\n", argv[0]);
-      return 64;  // EX_USAGE
-    }
-    runs = static_cast<std::size_t>(n);
-  }
+  const std::optional<std::size_t> arg = bench::runs_arg(argc, argv, 240);
+  if (!arg) return 64;  // EX_USAGE
+  const std::size_t runs = *arg;
   std::printf("== E23: BMS pack-safety campaigns (%zu injected faults per mission) ==\n\n", runs);
 
   struct Mission {

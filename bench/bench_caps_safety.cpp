@@ -5,10 +5,15 @@
 // mechanism buys:
 //   link protection (complement + alive counter)  vs  none
 //   SEC-DED RAM ECC                               vs  none
+//
+// Usage: bench_caps_safety [runs]   (faults per variant, default 400; a bad
+// argument prints a usage line and exits 64)
 
 #include <cstdio>
 #include <map>
+#include <optional>
 
+#include "bench_args.hpp"
 #include "vps/apps/caps.hpp"
 #include "vps/fault/campaign.hpp"
 #include "vps/support/table.hpp"
@@ -49,7 +54,9 @@ VariantResult evaluate(const apps::CapsConfig& config, std::size_t runs, std::ui
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 400;
+  const std::optional<std::size_t> arg = bench::runs_arg(argc, argv, 400);
+  if (!arg) return 64;  // EX_USAGE
+  const std::size_t runs = *arg;
   std::printf("== E10: CAPS inadvertent-deployment and failed-deployment campaigns ==\n");
   std::printf("   (%zu injected faults per variant)\n\n", runs);
 

@@ -11,10 +11,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "bench_args.hpp"
 #include "vps/apps/caps.hpp"
 #include "vps/dist/coordinator.hpp"
 #include "vps/fault/campaign.hpp"
@@ -55,17 +56,10 @@ std::string fingerprint(const fault::CampaignResult& result) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t runs = 96;
-  if (argc > 1) {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(argv[1], &end, 10);
-    // The kill row needs a third of the runs still ahead when it strikes.
-    if (argc > 2 || argv[1][0] < '0' || argv[1][0] > '9' || *end != '\0' || n < 3) {
-      std::fprintf(stderr, "usage: %s [runs]   (runs: an integer >= 3, default 96)\n", argv[0]);
-      return 64;  // EX_USAGE
-    }
-    runs = static_cast<std::size_t>(n);
-  }
+  // The kill row needs a third of the runs still ahead when it strikes.
+  const std::optional<std::size_t> arg = bench::runs_arg(argc, argv, 96, /*min=*/3);
+  if (!arg) return 64;  // EX_USAGE
+  const std::size_t runs = *arg;
 
   fault::CampaignConfig cfg;
   cfg.runs = runs;

@@ -3,10 +3,15 @@
 // without ECC), combined with the mission-profile FIT rates into an FMEDA,
 // and the resulting SPFM/LFM/PMHF are checked against the ASIL targets.
 // The ablation shows how a single mechanism (SEC-DED ECC) moves the metrics.
+//
+// Usage: bench_fmeda [runs]   (runs per variant, default 250; a bad argument
+// prints a usage line and exits 64)
 
 #include <cstdio>
 #include <map>
+#include <optional>
 
+#include "bench_args.hpp"
 #include "vps/apps/caps.hpp"
 #include "vps/fault/campaign.hpp"
 #include "vps/mp/derivation.hpp"
@@ -90,7 +95,9 @@ safety::Fmeda build_fmeda(const mp::FaultRateTable& rates,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 250;
+  const std::optional<std::size_t> arg = bench::runs_arg(argc, argv, 250);
+  if (!arg) return 64;  // EX_USAGE
+  const std::size_t runs = *arg;
   const auto rates = mp::derive_fault_rates(mp::reference_car_profile());
 
   std::printf("== E12: FMEDA from measured diagnostic coverage (%zu runs/variant) ==\n\n", runs);

@@ -15,13 +15,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "vps/apps/caps.hpp"
 #include "vps/apps/registry.hpp"
 #include "vps/fault/campaign.hpp"
@@ -69,15 +69,6 @@ fault::CampaignConfig campaign_config(std::size_t runs) {
 
 apps::CapsScenario caps() {
   return apps::CapsScenario(apps::CapsConfig{.duration = sim::Time::ms(10)});
-}
-
-/// Parses a count argument: an integer >= 1, nothing else.
-bool parse_count(const char* arg, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(arg, &end, 10);
-  if (arg[0] < '0' || arg[0] > '9' || *end != '\0' || n == 0) return false;
-  out = n;
-  return true;
 }
 
 /// Nearest-rank percentile of `samples`.
@@ -175,8 +166,8 @@ bool barrier_saves() {
 int main(int argc, char** argv) {
   std::uint64_t horizon = 300'000;  // ns of kernel workload
   std::uint64_t runs = 200;
-  if (argc > 3 || (argc > 1 && !parse_count(argv[1], horizon)) ||
-      (argc > 2 && !parse_count(argv[2], runs))) {
+  if (argc > 3 || (argc > 1 && !bench::parse_count(argv[1], horizon)) ||
+      (argc > 2 && !bench::parse_count(argv[2], runs))) {
     std::fprintf(stderr,
                  "usage: %s [horizon_ns] [runs]   (integers >= 1, defaults 300000 and 200)\n",
                  argv[0]);
@@ -224,7 +215,7 @@ int main(int argc, char** argv) {
 
   // Direct save/load round trip on the full record set.
   fault::CampaignCheckpoint cp;
-  cp.driver = "campaign";
+  cp.driver = "parallel_campaign";
   cp.scenario = plain_scn.name();
   cp.config = cp_cfg;
   cp.golden = plain_scn.run(nullptr, cp_cfg.seed);

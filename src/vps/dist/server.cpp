@@ -123,7 +123,12 @@ struct CampaignServer::Impl {
     metrics.counter("dist.chaos.frames_dropped").add(0);
     metrics.counter("dist.chaos.bytes_corrupted").add(0);
     metrics.counter("dist.jobs_recovered").add(0);
-    load_state();
+    try {
+      load_state();
+    } catch (...) {
+      ::close(listener.fd);
+      throw;
+    }
   }
 
   ~Impl() {
@@ -169,13 +174,11 @@ struct CampaignServer::Impl {
   void load_state() {
     if (config.state_dir.empty()) return;
     namespace codec = fault::codec;
-    std::FILE* f = std::fopen(state_path().c_str(), "rb");
-    if (f == nullptr) return;  // fresh state dir
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-    std::fclose(f);
+    // A read error throws: loading a short table would make the next
+    // persist_state() drop the jobs it lost for good.
+    const std::optional<std::string> table = support::read_file(state_path(), "CampaignServer");
+    if (!table) return;  // fresh state dir
+    const std::string& text = *table;
 
     const auto grace = Clock::now() + std::chrono::milliseconds(config.orphan_grace_ms);
     std::size_t recovered = 0;

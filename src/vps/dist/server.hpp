@@ -72,7 +72,8 @@ struct ServerConfig {
   /// Admitted jobs are persisted to <state_dir>/jobs.jsonl — the checkpoint
   /// codec's JSONL with a CRC-32 per line, written atomically (tmp+rename) —
   /// and a restarted server with the same state dir re-adopts them as
-  /// orphans awaiting their tenant's reattach.
+  /// orphans awaiting their tenant's reattach. A job table that exists but
+  /// cannot be read makes the constructor throw.
   std::string state_dir;
   /// How long a job whose client connection is gone (crashed tenant, torn
   /// link, server restart) is held for a job_token reattach before the job

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -9,18 +10,13 @@
 #include "vps/fault/checkpoint.hpp"
 #include "vps/fault/driver_util.hpp"
 #include "vps/support/ensure.hpp"
+#include "vps/support/stats.hpp"
 
 namespace vps::fault {
 
-using detail::fold_run;
-using detail::stop_condition_met;
 using support::ensure;
 
 namespace {
-
-/// Checkpoint driver tag of both batched drivers: they share one
-/// generation/learning cadence, so their checkpoints are interchangeable.
-constexpr const char* kDriverTag = "parallel_campaign";
 
 /// Default learning cadence for adaptive strategies. Deliberately a fixed
 /// constant (never derived from the worker count): the batch size defines
@@ -32,20 +28,131 @@ std::size_t batch_size(const CampaignConfig& config) {
   return config.batch_size == 0 ? kDefaultBatch : config.batch_size;
 }
 
-/// The descriptors of runs first … first+n−1. Every random draw of run i
-/// comes from a stream forked on the run index, so neither scheduling nor
-/// the executor can perturb it; adaptive strategies see the weights and
+/// The descriptors of runs first … first+n−1, against the weights and
 /// coverage as of the last barrier.
-std::vector<FaultDescriptor> generate_batch(CampaignState& state, const CampaignConfig& config,
-                                            std::size_t first, std::size_t n) {
-  const support::Xorshift base(config.seed);
+std::vector<FaultDescriptor> generate_batch(CampaignState& state, std::size_t first,
+                                            std::size_t n) {
   std::vector<FaultDescriptor> faults;
   faults.reserve(n);
-  for (std::size_t b = 0; b < n; ++b) {
-    support::Xorshift run_rng = base.fork(first + b);
-    faults.push_back(state.generate(first + b, run_rng));
-  }
+  for (std::size_t run = first; run < first + n; ++run) faults.push_back(state.generate(run));
   return faults;
+}
+
+/// Field-by-field descriptor identity (doubles bitwise via ==; magnitudes
+/// are never NaN). Used by resume() to verify that the deterministic
+/// machinery regenerates exactly what the checkpoint recorded.
+bool same_fault(const FaultDescriptor& a, const FaultDescriptor& b) noexcept {
+  return a.id == b.id && a.type == b.type && a.persistence == b.persistence &&
+         a.inject_at == b.inject_at && a.duration == b.duration && a.location == b.location &&
+         a.address == b.address && a.bit == b.bit && a.magnitude == b.magnitude;
+}
+
+bool stop_condition_met(const CampaignConfig& config, const CampaignResult& result) noexcept {
+  return config.stop_after_hazards != 0 &&
+         result.count(Outcome::kHazard) >= config.stop_after_hazards;
+}
+
+/// Folds one classified run into the accumulating result — the single
+/// reduce step of both entry points (run/resume), so an uninterrupted run
+/// and a replayed checkpoint cannot diverge structurally.
+void fold_run(CampaignResult& result, CampaignState& state, std::size_t run_index,
+              RunRecord record, std::uint32_t attempts) {
+  ++result.outcome_counts[static_cast<std::size_t>(record.outcome)];
+  state.learn(record.fault, record.outcome);  // no-op (false) for kSimCrash
+  if (record.outcome == Outcome::kSimCrash) {
+    result.quarantine.push_back({record.fault, record.crash_what, attempts});
+  }
+  if (record.outcome == Outcome::kHazard && result.faults_to_first_hazard == 0) {
+    result.faults_to_first_hazard = run_index + 1;
+  }
+  result.records.push_back(std::move(record));
+  result.coverage_curve.push_back(state.coverage().coverage());
+  ++result.runs_executed;
+}
+
+void finalize(CampaignResult& result, const CampaignState& state) {
+  result.final_coverage = state.coverage().coverage();
+  result.coverage = std::make_shared<coverage::FaultSpaceCoverage>(state.coverage());
+  result.hazard_probability =
+      support::wilson_interval(result.count(Outcome::kHazard), result.runs_executed);
+}
+
+/// Builds the obs-layer progress snapshot the engine reports through its
+/// monitor. `wall_seconds` is host time since the call started.
+/// `include_latency` fills the detection-latency percentiles — an
+/// O(records) pass, so only final (on_complete) snapshots request it.
+obs::CampaignProgress progress_snapshot(const std::string& name, const CampaignResult& result,
+                                        std::size_t runs_total, double coverage,
+                                        double wall_seconds, bool include_latency) {
+  obs::CampaignProgress progress;
+  progress.campaign = name;
+  progress.runs_done = result.runs_executed;
+  progress.runs_total = runs_total;
+  progress.wall_seconds = wall_seconds;
+  progress.runs_per_second =
+      wall_seconds > 0.0 ? static_cast<double>(result.runs_executed) / wall_seconds : 0.0;
+  progress.coverage = coverage;
+  progress.hazards = result.count(Outcome::kHazard);
+  for (std::size_t i = 0; i < kOutcomeCount; ++i) {
+    progress.outcome_counts.emplace_back(to_string(static_cast<Outcome>(i)),
+                                         result.outcome_counts[i]);
+  }
+  if (include_latency) {
+    support::Histogram latency_us(0.0, 1'000'000.0, 2048);
+    for (const auto& rec : result.records) {
+      if (const auto latency = rec.detection_latency()) {
+        latency_us.add(latency->to_seconds() * 1e6);
+      }
+    }
+    progress.detections_with_latency = latency_us.total();
+    if (latency_us.total() > 0) {
+      progress.latency_p50_us = latency_us.percentile(0.50);
+      progress.latency_p95_us = latency_us.percentile(0.95);
+      progress.latency_p99_us = latency_us.percentile(0.99);
+    }
+  }
+  return progress;
+}
+
+/// The checkpoint writer of one execute() call, or none when the campaign
+/// has no checkpoint path. Scoped to the call, so a later resume() starts
+/// from a fresh cache of encoded records.
+std::optional<CheckpointWriter> checkpoint_writer(const CampaignConfig& config,
+                                                  const std::string& scenario_name,
+                                                  const Observation& golden) {
+  if (config.checkpoint_path.empty()) return std::nullopt;
+  return std::optional<CheckpointWriter>(std::in_place, config.checkpoint_path,
+                                         CampaignCheckpoint::kDriver, scenario_name, config,
+                                         golden);
+}
+
+/// Publishes what the checkpoint saves of one completed execute() call
+/// wrote, when it checkpointed.
+void publish_checkpoint_metrics(obs::MetricRegistry& registry,
+                                const std::optional<CheckpointWriter>& writer) {
+  if (!writer) return;
+  registry.counter("campaign.checkpoint_bytes").add(writer->bytes_written());
+  registry.counter("campaign.checkpoint_saves").add(writer->saves());
+}
+
+void validate_checkpoint(const CampaignCheckpoint& cp, const std::string& scenario_name,
+                         const CampaignConfig& config) {
+  ensure(cp.driver == CampaignCheckpoint::kDriver,
+         "resume: checkpoint was written by driver '" + cp.driver + "', not '" +
+             CampaignCheckpoint::kDriver + "'");
+  ensure(cp.scenario == scenario_name,
+         "resume: checkpoint is for scenario '" + cp.scenario + "', not '" + scenario_name + "'");
+  const CampaignConfig& c = cp.config;
+  ensure(c.runs == config.runs && c.seed == config.seed && c.strategy == config.strategy &&
+             c.location_buckets == config.location_buckets &&
+             c.time_windows == config.time_windows &&
+             c.stop_after_hazards == config.stop_after_hazards &&
+             c.batch_size == config.batch_size && c.crash_retries == config.crash_retries,
+         "resume: checkpoint config disagrees with this campaign's "
+         "determinism-relevant config (runs/seed/strategy/buckets/windows/"
+         "stop_after_hazards/batch_size/crash_retries)");
+  ensure(cp.records.size() <= config.runs, "resume: checkpoint has more records than runs");
+  ensure(cp.golden.completed, "resume: checkpoint golden run did not complete");
 }
 
 /// Whether folding records[from..] into `result` meets the stop condition.
@@ -76,9 +183,9 @@ std::size_t replay_prefix(const CampaignCheckpoint& checkpoint, const CampaignCo
     // load_checkpoint(): resume from the barrier, which re-executes the
     // batch, and leave its records unread.
     if (take < n && !ends_in_stop(config, result, records, next)) break;
-    const std::vector<FaultDescriptor> faults = generate_batch(state, config, next, take);
+    const std::vector<FaultDescriptor> faults = generate_batch(state, next, take);
     for (std::size_t b = 0; b < take; ++b) {
-      ensure(detail::same_fault(faults[b], records[next + b].fault),
+      ensure(same_fault(faults[b], records[next + b].fault),
              "resume: run " + std::to_string(next + b) +
                  " does not regenerate the recorded descriptor — checkpoint is "
                  "inconsistent with this scenario/config/code version");
@@ -100,9 +207,14 @@ BatchedCampaign::BatchedCampaign(ScenarioFactory factory, CampaignConfig config,
   ensure(static_cast<bool>(factory_), std::string(driver_) + ": empty scenario factory");
 }
 
+BatchedCampaign::BatchedCampaign(Scenario& coordinator, CampaignConfig config,
+                                 const char* driver)
+    : config_(std::move(config)), coordinator_(&coordinator), driver_(driver) {}
+
 void BatchedCampaign::ensure_coordinator() {
   if (coordinator_ != nullptr) return;
-  coordinator_ = detail::build_scenario(factory_, config_, driver_);
+  owned_coordinator_ = detail::build_scenario(factory_, config_, driver_);
+  coordinator_ = owned_coordinator_.get();
 }
 
 CampaignResult BatchedCampaign::run() {
@@ -119,7 +231,7 @@ CampaignResult BatchedCampaign::run() {
 
 CampaignResult BatchedCampaign::resume(const CampaignCheckpoint& checkpoint) {
   ensure_coordinator();
-  detail::validate_checkpoint(checkpoint, kDriverTag, coordinator_->name(), config_);
+  validate_checkpoint(checkpoint, coordinator_->name(), config_);
   golden_ = checkpoint.golden;
   golden_valid_ = true;
 
@@ -141,7 +253,7 @@ CampaignResult BatchedCampaign::execute(std::size_t start_run, CampaignResult re
     return p;
   };
   std::optional<CheckpointWriter> checkpoint =
-      detail::checkpoint_writer(config_, kDriverTag, coordinator_->name(), golden_);
+      checkpoint_writer(config_, coordinator_->name(), golden_);
   const bool checkpointing = checkpoint.has_value() && config_.checkpoint_every != 0;
 
   std::size_t next_run = start_run;
@@ -150,7 +262,7 @@ CampaignResult BatchedCampaign::execute(std::size_t start_run, CampaignResult re
   bool stopped = stop_condition_met(config_, result);  // resumed past the stop
   while (next_run < config_.runs && !stopped) {
     const std::size_t n = std::min(batch_size(config_), config_.runs - next_run);
-    std::vector<FaultDescriptor> faults = generate_batch(state, config_, next_run, n);
+    std::vector<FaultDescriptor> faults = generate_batch(state, next_run, n);
     std::vector<ReplayResult> replays = executor->replay(next_run, faults);
     ensure(replays.size() == n, "BatchedCampaign: executor returned the wrong number of verdicts");
 
@@ -186,11 +298,11 @@ CampaignResult BatchedCampaign::execute(std::size_t start_run, CampaignResult re
   }
 
   executor->finish();
-  detail::finalize(result, state);
+  finalize(result, state);
   if (!result.interrupted) {
     if (metrics_ != nullptr) {
       result.publish_metrics(*metrics_);
-      detail::publish_checkpoint_metrics(*metrics_, checkpoint);
+      publish_checkpoint_metrics(*metrics_, checkpoint);
       executor->publish(*metrics_);
     }
     if (monitor_ != nullptr) monitor_->on_complete(progress(result.final_coverage, true));

@@ -1,14 +1,11 @@
 #include "vps/fault/campaign.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <optional>
 #include <utility>
 
-#include "vps/fault/checkpoint.hpp"
-#include "vps/fault/driver_util.hpp"
 #include "vps/support/ensure.hpp"
 #include "vps/support/table.hpp"
 
@@ -256,7 +253,8 @@ std::uint64_t CampaignState::address_for_bucket(std::size_t bucket, support::Xor
   return bucket + config_.location_buckets * rng.uniform_u64(0, 1 << 20);
 }
 
-FaultDescriptor CampaignState::generate(std::size_t run_index, support::Xorshift& rng) {
+FaultDescriptor CampaignState::generate(std::size_t run_index) {
+  support::Xorshift rng = support::Xorshift(config_.seed).fork(run_index);
   std::size_t type_idx = 0;
   std::size_t bucket = 0;
 
@@ -388,134 +386,46 @@ bool CampaignState::learn(const FaultDescriptor& fault, Outcome outcome) {
   return true;
 }
 
-obs::CampaignProgress progress_snapshot(const std::string& name, const CampaignResult& result,
-                                        std::size_t runs_total, double coverage,
-                                        double wall_seconds, bool include_latency) {
-  obs::CampaignProgress progress;
-  progress.campaign = name;
-  progress.runs_done = result.runs_executed;
-  progress.runs_total = runs_total;
-  progress.wall_seconds = wall_seconds;
-  progress.runs_per_second =
-      wall_seconds > 0.0 ? static_cast<double>(result.runs_executed) / wall_seconds : 0.0;
-  progress.coverage = coverage;
-  progress.hazards = result.count(Outcome::kHazard);
-  for (std::size_t i = 0; i < kOutcomeCount; ++i) {
-    progress.outcome_counts.emplace_back(to_string(static_cast<Outcome>(i)),
-                                         result.outcome_counts[i]);
-  }
-  if (include_latency) {
-    support::Histogram latency_us(0.0, 1'000'000.0, 2048);
-    for (const auto& rec : result.records) {
-      if (const auto latency = rec.detection_latency()) {
-        latency_us.add(latency->to_seconds() * 1e6);
-      }
+namespace {
+
+/// The inline executor: replays one after another on the campaign's own
+/// scenario, on the calling thread.
+class InlineExecutor final : public BatchExecutor {
+ public:
+  InlineExecutor(Scenario& scenario, const CampaignConfig& config, const Observation& golden)
+      : scenario_(scenario), config_(config), golden_(golden) {}
+
+  std::vector<ReplayResult> replay(std::size_t /*first*/,
+                                   const std::vector<FaultDescriptor>& faults) override {
+    std::vector<ReplayResult> replays;
+    replays.reserve(faults.size());
+    for (const FaultDescriptor& fault : faults) {
+      replays.push_back(
+          replay_isolated(scenario_, fault, config_.seed, golden_, config_.crash_retries));
     }
-    progress.detections_with_latency = latency_us.total();
-    if (latency_us.total() > 0) {
-      progress.latency_p50_us = latency_us.percentile(0.50);
-      progress.latency_p95_us = latency_us.percentile(0.95);
-      progress.latency_p99_us = latency_us.percentile(0.99);
-    }
+    return replays;
   }
-  return progress;
+
+ private:
+  Scenario& scenario_;
+  const CampaignConfig& config_;
+  const Observation& golden_;
+};
+
+CampaignConfig learn_every_run_by_default(CampaignConfig config) {
+  if (config.batch_size == 0) config.batch_size = 1;
+  return config;
 }
 
-using detail::finalize;
-using detail::fold_run;
-using detail::stop_condition_met;
+}  // namespace
 
 Campaign::Campaign(Scenario& scenario, CampaignConfig config)
-    : scenario_(scenario),
-      config_(config),
-      rng_(config.seed),
-      state_(scenario.fault_types(), scenario.duration(), config) {
-  scenario_.set_snapshot_replay(config_.snapshot_replay);
+    : BatchedCampaign(scenario, learn_every_run_by_default(std::move(config)), "Campaign") {
+  scenario.set_snapshot_replay(config_.snapshot_replay);
 }
 
-void Campaign::ensure_golden() {
-  if (golden_valid_) return;
-  golden_ = scenario_.run(nullptr, config_.seed);
-  golden_valid_ = true;
-  ensure(golden_.completed, "Campaign: golden run did not complete for " + scenario_.name());
-}
-
-CampaignResult Campaign::run() {
-  ensure_golden();
-  return execute(0, CampaignResult{}, rng_, state_);
-}
-
-CampaignResult Campaign::resume(const CampaignCheckpoint& checkpoint) {
-  detail::validate_checkpoint(checkpoint, "campaign", scenario_.name(), config_);
-  golden_ = checkpoint.golden;
-  golden_valid_ = true;
-  // Fresh generation/learning state: resume replays the recorded prefix
-  // through the same deterministic machinery an uninterrupted run used, so
-  // weights, coverage, the closure curve and the RNG position come out
-  // exactly where the interrupted run left them — no scenario re-execution.
-  rng_ = support::Xorshift(config_.seed);
-  state_ = CampaignState(scenario_.fault_types(), scenario_.duration(), config_);
-  CampaignResult result;
-  for (std::size_t i = 0; i < checkpoint.records.size(); ++i) {
-    const RunRecord& record = checkpoint.records[i];
-    const FaultDescriptor regenerated = state_.generate(i, rng_);
-    ensure(detail::same_fault(regenerated, record.fault),
-           "resume: run " + std::to_string(i) +
-               " does not regenerate the recorded descriptor — checkpoint is "
-               "inconsistent with this scenario/config/code version");
-    fold_run(result, state_, i, record,
-             static_cast<std::uint32_t>(config_.crash_retries + 1));
-  }
-  return execute(checkpoint.records.size(), std::move(result), rng_, state_);
-}
-
-CampaignResult Campaign::execute(std::size_t start_run, CampaignResult result,
-                                 support::Xorshift& rng, CampaignState& state) {
-  const auto started = std::chrono::steady_clock::now();
-  const auto elapsed = [&started] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-  };
-  std::optional<CheckpointWriter> checkpoint =
-      detail::checkpoint_writer(config_, "campaign", scenario_.name(), golden_);
-  const bool checkpointing = checkpoint.has_value() && config_.checkpoint_every != 0;
-  std::size_t executed_this_call = 0;
-  for (std::size_t i = start_run; i < config_.runs; ++i) {
-    if (stop_condition_met(config_, result)) break;  // resumed past the stop
-    const FaultDescriptor fault = state.generate(i, rng);
-    ReplayResult replay =
-        replay_isolated(scenario_, fault, config_.seed, golden_, config_.crash_retries);
-    fold_run(result, state, i,
-             {fault, replay.outcome, std::move(replay.crash_what), std::move(replay.provenance)},
-             replay.attempts);
-    ++executed_this_call;
-    if (monitor_ != nullptr) {
-      monitor_->on_progress(progress_snapshot(scenario_.name(), result, config_.runs,
-                                              state.coverage().coverage(), elapsed()));
-    }
-    if (checkpointing && result.runs_executed % config_.checkpoint_every == 0) {
-      checkpoint->save(result.records);
-    }
-    if (stop_condition_met(config_, result)) break;
-    if (config_.preempt_after != 0 && executed_this_call >= config_.preempt_after &&
-        i + 1 < config_.runs) {
-      if (checkpoint) checkpoint->save(result.records);
-      result.interrupted = true;
-      break;
-    }
-  }
-  finalize(result, state);
-  if (!result.interrupted) {
-    if (metrics_ != nullptr) {
-      result.publish_metrics(*metrics_);
-      detail::publish_checkpoint_metrics(*metrics_, checkpoint);
-    }
-    if (monitor_ != nullptr) {
-      monitor_->on_complete(progress_snapshot(scenario_.name(), result, config_.runs,
-                                              result.final_coverage, elapsed(),
-                                              /*include_latency=*/true));
-    }
-  }
-  return result;
+std::unique_ptr<BatchExecutor> Campaign::make_executor() {
+  return std::make_unique<InlineExecutor>(*coordinator_, config_, golden_);
 }
 
 }  // namespace vps::fault

@@ -14,17 +14,18 @@
 ///   kCoverageDriven  targets unhit class x location bins first
 ///   kExhaustiveGrid  deterministic sweep over class x location x window
 ///
-/// Three drivers share the strategy machinery (CampaignState):
-///   Campaign            sequential replay on the caller's thread; learning
-///                       is applied after every run.
-///   ParallelCampaign    batched: replays fan out over a work-stealing
-///                       thread pool.
-///   dist::DistCampaign  batched: replays run on a fleet of worker
-///                       processes or through a campaign server.
-/// The two batched drivers are executors of one engine, BatchedCampaign.
+/// Every driver runs on one engine, BatchedCampaign, which generates,
+/// folds, learns, checkpoints and preempts; a driver only plugs in the
+/// executor that replays a batch:
+///   Campaign            on the caller's scenario, on the calling thread.
+///   ParallelCampaign    on a work-stealing thread pool.
+///   dist::DistCampaign  on forked pool workers behind a private campaign
+///                       server, or on a running one.
 /// Per-run randomness comes from Xorshift::fork(key) keyed on the run
 /// index, and adaptive learning is applied in batched rounds at a barrier,
-/// so their result is bitwise identical for any executor and worker count.
+/// so for one config the result is bitwise identical on every driver,
+/// executor and worker count, and a checkpoint any driver writes, every
+/// driver resumes.
 
 #include <array>
 #include <cstdint>
@@ -56,37 +57,39 @@ struct CampaignConfig {
   /// ParallelCampaign only: scenario replays run on this many pool threads
   /// (0 and 1 both mean one worker). The result is identical for any value.
   std::size_t workers = 1;
-  /// Batched drivers (ParallelCampaign, DistCampaign): adaptive strategies
-  /// (kGuided, kCoverageDriven) generate this many runs from the current
-  /// weights before learning is applied at the batch barrier (0 = default
-  /// of 32). The batch size — not the worker count — defines the learning
-  /// cadence, so changing workers never changes results; changing
-  /// batch_size does.
+  /// Adaptive strategies (kGuided, kCoverageDriven) generate this many runs
+  /// from the current weights before learning is applied at the batch
+  /// barrier. 0 means 1 for Campaign, so learning follows every run, and 32
+  /// for the other drivers. The batch size — not the worker count — defines
+  /// the learning cadence, so changing workers never changes results;
+  /// changing batch_size does. A checkpoint records it (Campaign's as 1)
+  /// and resumes only at the same value.
   std::size_t batch_size = 0;
   /// A throwing scenario replay is retried this many times before the run
   /// is recorded as Outcome::kSimCrash and the descriptor quarantined.
   /// Retries are for transient host trouble (e.g. allocation failure); a
   /// deterministic simulator bug throws identically every attempt.
   std::size_t crash_retries = 1;
-  /// Write a checkpoint (see fault/checkpoint.hpp) to `checkpoint_path`
-  /// every N completed runs; 0 disables checkpointing. The batched drivers
-  /// round the cadence up to their batch barriers.
+  /// Write a checkpoint (see fault/checkpoint.hpp) to `checkpoint_path` at
+  /// the first batch barrier after every N runs the current run()/resume()
+  /// call completed (after a resume the count starts at the resume point);
+  /// 0 disables checkpointing.
   std::size_t checkpoint_every = 0;
   std::string checkpoint_path;
-  /// Testing / preemption hook: abandon run() after this many replays in
-  /// the current call (0 = run to completion), writing a final checkpoint
-  /// when checkpoint_path is set. The returned partial result has
-  /// `interrupted == true`. The batched drivers preempt at the next batch
-  /// barrier. This is how the CI kill-at-50% round-trip is driven without
-  /// actually SIGKILLing the test runner.
+  /// Testing / preemption hook: abandon run() at the first batch barrier
+  /// after this many replays in the current call (0 = run to completion),
+  /// writing a final checkpoint when checkpoint_path is set. The returned
+  /// partial result has `interrupted == true`. This is how the CI
+  /// kill-at-50% round-trip is driven without actually SIGKILLing the test
+  /// runner.
   std::size_t preempt_after = 0;
   /// Snapshot-and-fork replay: supporting scenarios cache golden epoch
   /// snapshots per seed and execute only the divergent suffix of each
   /// faulty replay. Purely an execution optimization — results are bitwise
   /// identical either way (the snapshot-equivalence tests enforce this), so
   /// like `workers` it is not part of the checkpoint identity. The drivers
-  /// apply it to every scenario they build (Campaign: to the one it is
-  /// given), overriding whatever the factory set. Exec-mode
+  /// apply it to every scenario they build, and Campaign to the one it is
+  /// given at construction, overriding whatever the factory set. Exec-mode
   /// (DistConfig::worker_path) and server-pool workers rebuild their
   /// scenario from the registry spec and always fork.
   bool snapshot_replay = true;
@@ -200,8 +203,8 @@ struct CampaignResult {
                                            std::size_t bins = 2048) const;
 
   /// Provenance exports over all records in run order — byte-identical
-  /// across reruns and (for the batched drivers) across executors, because
-  /// the records themselves are. Same per-fault schema as
+  /// across reruns, drivers and executors for one config, because the
+  /// records themselves are. Same per-fault schema as
   /// obs::ProvenanceTracker::to_jsonl()/to_dot().
   [[nodiscard]] std::string provenance_jsonl() const;
   [[nodiscard]] std::string provenance_dot() const;
@@ -230,18 +233,17 @@ struct ReplayResult {
                                            std::uint64_t seed, const Observation& golden,
                                            std::size_t crash_retries);
 
-/// Strategy state shared by the campaign drivers: fault generation under
-/// the configured strategy, the guided weak-spot weights, and fault-space
-/// coverage. Not thread-safe — drivers mutate it from one thread only (the
-/// batched engine on the calling thread at batch barriers).
+/// The campaign engine's strategy state: fault generation under the
+/// configured strategy, the guided weak-spot weights, and fault-space
+/// coverage. Not thread-safe — the engine mutates it on the calling thread.
 class CampaignState {
  public:
   CampaignState(std::vector<FaultType> types, sim::Time duration, const CampaignConfig& config);
 
-  /// Generates the descriptor for `run_index`, drawing every random
-  /// parameter from `rng` (the sequential driver passes one long-lived
-  /// stream; the batched engine passes a per-run forked stream).
-  [[nodiscard]] FaultDescriptor generate(std::size_t run_index, support::Xorshift& rng);
+  /// Generates the descriptor for `run_index` against the current weights
+  /// and coverage, drawing every random parameter from the stream
+  /// Xorshift(seed).fork(run_index): no other run's draws can perturb it.
+  [[nodiscard]] FaultDescriptor generate(std::size_t run_index);
 
   /// Folds one classified outcome back into the guided weights and the
   /// fault-space coverage. Returns false — and changes nothing — when the
@@ -270,66 +272,15 @@ class CampaignState {
   std::uint64_t next_fault_id_ = 1;
 };
 
-/// Builds the obs-layer progress snapshot every campaign driver reports
-/// through their monitor. `wall_seconds` is host time since run() started.
-/// `include_latency` fills the detection-latency percentiles — an O(records)
-/// pass, so drivers request it only for final (on_complete) snapshots.
-[[nodiscard]] obs::CampaignProgress progress_snapshot(const std::string& name,
-                                                      const CampaignResult& result,
-                                                      std::size_t runs_total, double coverage,
-                                                      double wall_seconds,
-                                                      bool include_latency = false);
-
 struct CampaignCheckpoint;  // fault/checkpoint.hpp
-
-class Campaign {
- public:
-  Campaign(Scenario& scenario, CampaignConfig config);
-
-  [[nodiscard]] CampaignResult run();
-
-  /// Continues an interrupted campaign from a checkpoint to the same final
-  /// result — byte-identical to an uninterrupted run() — by replaying the
-  /// recorded prefix through the deterministic generation/learning machinery
-  /// (no scenario re-execution for finished runs). ensure()-fails when the
-  /// checkpoint's driver/scenario/config disagree with this campaign or the
-  /// recorded descriptors do not regenerate identically.
-  [[nodiscard]] CampaignResult resume(const CampaignCheckpoint& checkpoint);
-
-  /// The golden observation the classification compares against.
-  [[nodiscard]] const Observation& golden() const noexcept { return golden_; }
-
-  /// Attaches a progress monitor: on_progress after every run, on_complete
-  /// once at the end of run(). The monitor must outlive run(); nullptr
-  /// detaches.
-  void set_monitor(obs::CampaignMonitor* monitor) noexcept { monitor_ = monitor; }
-
-  /// Attaches a metric registry: the finished result is published into it
-  /// once at the end of run()/resume(). Must outlive run(); nullptr detaches.
-  void set_metrics(obs::MetricRegistry* metrics) noexcept { metrics_ = metrics; }
-
- private:
-  void ensure_golden();
-  [[nodiscard]] CampaignResult execute(std::size_t start_run, CampaignResult result,
-                                       support::Xorshift& rng, CampaignState& state);
-
-  Scenario& scenario_;
-  CampaignConfig config_;
-  support::Xorshift rng_;
-  Observation golden_;
-  bool golden_valid_ = false;
-  CampaignState state_;
-  obs::CampaignMonitor* monitor_ = nullptr;
-  obs::MetricRegistry* metrics_ = nullptr;
-};
 
 /// Builds a fresh Scenario instance. Called concurrently from pool threads
 /// (each worker gets its own instance), so it must be thread-safe — plain
 /// construction of independent scenarios is.
 using ScenarioFactory = std::function<std::unique_ptr<Scenario>()>;
 
-/// What a batched driver plugs into BatchedCampaign: the means to replay a
-/// batch. It lives for one run()/resume() call.
+/// What a driver plugs into BatchedCampaign: the means to replay a batch.
+/// It lives for one run()/resume() call.
 class BatchExecutor {
  public:
   BatchExecutor() = default;
@@ -352,15 +303,15 @@ class BatchExecutor {
   virtual void publish(obs::MetricRegistry& /*metrics*/) const {}
 };
 
-/// The batch-barrier campaign engine behind both batched drivers. Each
-/// batch is generated on the calling thread from per-run forked RNG streams
-/// against the weights as of the last barrier, replayed by the driver's
-/// executor, and folded — adaptive learning included — in run-index order
-/// at the barrier, where the engine also reports progress, checkpoints and
+/// The batch-barrier campaign engine behind every driver. Each batch is
+/// generated on the calling thread from per-run forked RNG streams against
+/// the weights as of the last barrier, replayed by the driver's executor,
+/// and folded — adaptive learning included — in run-index order at the
+/// barrier, where the engine also reports progress, checkpoints and
 /// honours preemption. Who executed a run can therefore never change the
 /// CampaignResult (records, counts, coverage curve): it is bitwise
 /// identical for any executor, worker count or fleet size, and a
-/// checkpoint one batched driver writes, the other resumes.
+/// checkpoint one driver writes, any other resumes.
 class BatchedCampaign {
  public:
   BatchedCampaign(const BatchedCampaign&) = delete;
@@ -377,7 +328,8 @@ class BatchedCampaign {
   /// a batch without meeting the hazard stop (a torn save, salvaged by
   /// load_checkpoint) resumes from that batch's barrier and re-executes the
   /// batch; its records are not read. The golden observation is taken from the
-  /// checkpoint, so no golden re-run happens.
+  /// checkpoint, so no golden re-run happens. ensure()-fails when the
+  /// checkpoint's scenario or determinism-relevant config differs.
   [[nodiscard]] CampaignResult resume(const CampaignCheckpoint& checkpoint);
 
   /// The golden observation the classification compares against (valid
@@ -395,12 +347,16 @@ class BatchedCampaign {
   void set_metrics(obs::MetricRegistry* metrics) noexcept { metrics_ = metrics; }
 
  protected:
-  /// `driver` names the driver in error messages.
+  /// `driver` names the driver in error messages. The coordinator is built
+  /// through `factory` on first use.
   BatchedCampaign(ScenarioFactory factory, CampaignConfig config, const char* driver);
+  /// Uses the caller's `coordinator`, which must outlive the campaign,
+  /// instead of building one.
+  BatchedCampaign(Scenario& coordinator, CampaignConfig config, const char* driver);
 
   ScenarioFactory factory_;
   CampaignConfig config_;
-  std::unique_ptr<Scenario> coordinator_;  // golden run + fault-space probe
+  Scenario* coordinator_ = nullptr;  // golden run + fault-space probe
   Observation golden_;
 
  private:
@@ -413,9 +369,22 @@ class BatchedCampaign {
                                        CampaignState& state);
 
   const char* driver_ = nullptr;
+  std::unique_ptr<Scenario> owned_coordinator_;  // when built through factory_
   bool golden_valid_ = false;
   obs::CampaignMonitor* monitor_ = nullptr;
   obs::MetricRegistry* metrics_ = nullptr;
+};
+
+/// Sequential campaign driver: replays run one after another on the
+/// caller's scenario, on the calling thread, and that scenario is also the
+/// coordinator. A batch_size of 0 becomes 1, so learning follows every run.
+class Campaign final : public BatchedCampaign {
+ public:
+  /// `scenario` must outlive the campaign.
+  Campaign(Scenario& scenario, CampaignConfig config);
+
+ private:
+  [[nodiscard]] std::unique_ptr<BatchExecutor> make_executor() override;
 };
 
 /// Batched in-process campaign driver: the replays of a batch fan out

@@ -210,6 +210,9 @@ CampaignCheckpoint checkpoint_from_jsonl(const std::string& text, CheckpointReco
                "checkpoint: unsupported version " + std::to_string(p.u64("version")) +
                    " (expected 1.." + std::to_string(CampaignCheckpoint::kVersion) + ")");
         cp.driver = p.str("driver");
+        ensure(cp.driver == CampaignCheckpoint::kDriver,
+               "checkpoint: unknown driver '" + cp.driver + "' (expected '" +
+                   CampaignCheckpoint::kDriver + "')");
         cp.scenario = p.str("scenario");
         ++line_no;
         continue;
@@ -267,8 +270,6 @@ CampaignCheckpoint checkpoint_from_jsonl(const std::string& text, CheckpointReco
     ensure(recovery != nullptr, kMissingEnd);
     if (recovery->first_error.empty()) recovery->first_error = kMissingEnd;
   }
-  ensure(cp.driver == "campaign" || cp.driver == "parallel_campaign",
-         "checkpoint: unknown driver '" + cp.driver + "'");
   return cp;
 }
 
@@ -279,23 +280,13 @@ void save_checkpoint(const CampaignCheckpoint& checkpoint, const std::string& pa
 }
 
 CampaignCheckpoint load_checkpoint(const std::string& path, CheckpointRecovery* recovery) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ensure(f != nullptr, "load_checkpoint: cannot open " + path);
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  // A short read must never look like a torn file: salvaging it would
-  // truncate a good checkpoint on disk.
-  const bool read_failed = std::ferror(f) != 0;
-  const int read_errno = errno;
-  std::fclose(f);
-  if (read_failed) {
-    support::fail("load_checkpoint: cannot read " + path + ": " + std::strerror(read_errno));
-  }
+  // A short read throws: salvaging it as a torn file would truncate a good
+  // checkpoint on disk.
+  const std::optional<std::string> text = support::read_file(path, "load_checkpoint");
+  ensure(text.has_value(), "load_checkpoint: cannot open " + path + ": no such file");
 
   CheckpointRecovery local;
-  CampaignCheckpoint cp = checkpoint_from_jsonl(text, &local);
+  CampaignCheckpoint cp = checkpoint_from_jsonl(*text, &local);
   if (!local.first_error.empty()) {
     // Salvage once, then make the file clean: rewrite the recovered prefix
     // (with a matching end line) so the next load does not re-run recovery.

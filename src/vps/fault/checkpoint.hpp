@@ -7,8 +7,8 @@
 ///
 /// A checkpoint is deliberately minimal: driver + scenario identity, the
 /// campaign config, the golden observation, and the ordered prefix of run
-/// records. Everything else a driver holds — guided weights, fault-space
-/// coverage, the closure curve, outcome counts, RNG position — is
+/// records. Everything else the engine holds — guided weights, fault-space
+/// coverage, the closure curve, outcome counts — is
 /// reconstructed on resume by replaying generate()/learn() over the
 /// recorded prefix, which is exact because both are deterministic. The
 /// regenerated descriptors are compared against the stored ones as an
@@ -44,9 +44,12 @@ struct CampaignCheckpoint {
   ///     trailers still load, they just cannot detect in-line corruption.
   static constexpr std::uint32_t kVersion = 3;
 
-  /// "campaign" (the sequential Campaign) or "parallel_campaign" (both
-  /// batched drivers, ParallelCampaign and DistCampaign, write this tag).
-  std::string driver;
+  /// The one driver tag: every driver folds through one engine, so their
+  /// checkpoints are interchangeable. The name predates that engine and is
+  /// kept so older checkpoints of ParallelCampaign and DistCampaign load;
+  /// "campaign", the old sequential driver's tag, no longer does.
+  static constexpr const char* kDriver = "parallel_campaign";
+  std::string driver;  ///< kDriver; parsing rejects anything else
   std::string scenario;  ///< Scenario::name() of the interrupted campaign
   CampaignConfig config;
   Observation golden;

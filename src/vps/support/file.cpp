@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "vps/support/ensure.hpp"
+
 namespace vps::support {
 
 bool write_file_atomic(const std::string& path, std::initializer_list<std::string_view> parts,
@@ -28,6 +30,26 @@ bool write_file_atomic(const std::string& path, std::initializer_list<std::strin
     return fail("rename to " + path + " failed", /*remove_tmp=*/true);
   }
   return true;
+}
+
+std::optional<std::string> read_file(const std::string& path, std::string_view who) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    const int open_errno = errno;
+    if (open_errno == ENOENT) return std::nullopt;
+    fail(std::string(who) + ": cannot open " + path + ": " + std::strerror(open_errno));
+  }
+  std::string text;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+  const bool read_failed = std::ferror(f) != 0;
+  const int read_errno = errno;
+  std::fclose(f);
+  if (read_failed) {
+    fail(std::string(who) + ": cannot read " + path + ": " + std::strerror(read_errno));
+  }
+  return text;
 }
 
 }  // namespace vps::support

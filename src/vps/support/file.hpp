@@ -1,10 +1,12 @@
 #pragma once
 
-/// Crash-safe whole-file replacement, shared by every persistence surface
-/// that rewrites a file in place: campaign checkpoints (fault/checkpoint)
-/// and the campaign server's job table (dist/server).
+/// Whole-file reads and crash-safe whole-file replacement, shared by every
+/// persistence surface that reloads and rewrites a file: campaign
+/// checkpoints (fault/checkpoint) and the campaign server's job table
+/// (dist/server).
 
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -18,5 +20,10 @@ namespace vps::support {
 [[nodiscard]] bool write_file_atomic(const std::string& path,
                                      std::initializer_list<std::string_view> parts,
                                      std::string* error = nullptr);
+
+/// Reads all of `path`; nullopt when it does not exist. Any other failure to
+/// open or read it throws support::InvariantError ("<who>: cannot open|read
+/// <path>: <OS reason>"), so a short read never passes for the whole file.
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path, std::string_view who);
 
 }  // namespace vps::support

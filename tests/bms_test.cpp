@@ -23,7 +23,6 @@
 #include "vps/hw/uart.hpp"
 #include "vps/obs/provenance.hpp"
 #include "vps/sim/kernel.hpp"
-#include "vps/support/rng.hpp"
 
 namespace {
 
@@ -472,10 +471,8 @@ TEST(BmsReplay, SnapshotForkMatchesFullReplayBitwise) {
 
     expect_identical_obs(full->run(nullptr, config.seed), forked->run(nullptr, config.seed),
                          std::string(spec) + " golden");
-    const support::Xorshift base(config.seed);
     for (std::size_t run = 0; run < config.runs; ++run) {
-      support::Xorshift run_rng = base.fork(run);
-      const FaultDescriptor fault = state.generate(run, run_rng);
+      const FaultDescriptor fault = state.generate(run);
       expect_identical_obs(full->run(&fault, config.seed), forked->run(&fault, config.seed),
                            std::string(spec) + " run " + std::to_string(run));
     }

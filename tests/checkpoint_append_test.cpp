@@ -5,7 +5,7 @@
 // than the interrupted save's, and resume to the uncut campaign's fold on
 // both driver kinds. Also: the whole-file fallback when the file is no
 // longer the writer's, the save counters the drivers publish, and a read
-// error that must never be salvaged.
+// error or a retired driver tag that must never be salvaged.
 
 #include <gtest/gtest.h>
 
@@ -83,7 +83,7 @@ std::vector<RunRecord> synthetic_records(std::size_t n) {
 
 CampaignCheckpoint synthetic_head() {
   CampaignCheckpoint head;
-  head.driver = "campaign";
+  head.driver = "parallel_campaign";
   head.scenario = "synthetic";
   head.config.runs = 64;
   head.golden.completed = true;
@@ -160,67 +160,72 @@ std::unique_ptr<Scenario> caps_scenario() {
   return std::make_unique<CapsScenario>(CapsConfig{.duration = Time::ms(10)});
 }
 
-TEST(CheckpointCrashContract, EveryTornLaterSaveOfAParallelCampaignResumesToTheUncutFold) {
-  const std::string path = vps_test::temp_path("vps_append_torn_parallel.jsonl");
+/// Hands `use` a fresh CAPS campaign of either driver: the sequential
+/// Campaign or a ParallelCampaign.
+template <typename Use>
+auto with_campaign(bool sequential, const CampaignConfig& cfg, Use&& use) {
+  if (!sequential) {
+    ParallelCampaign campaign(caps_scenario, cfg);
+    return use(campaign);
+  }
+  CapsScenario scenario(CapsConfig{.duration = Time::ms(10)});
+  Campaign campaign(scenario, cfg);
+  return use(campaign);
+}
+
+TEST(CheckpointCrashContract, EveryTornLaterSaveResumesToTheUncutFoldOnEitherDriver) {
+  struct Case {
+    const char* name;
+    bool sequential;
+    CampaignConfig cfg;
+    std::size_t recorded_batch;  ///< the batch_size the driver's checkpoint records
+  };
   // Coverage-driven generation draws from the holes as of the last
   // barrier, so a resume that folded at another cadence would draw other
   // descriptors.
-  CampaignConfig cfg;
-  cfg.runs = 16;
-  cfg.seed = 42;
-  cfg.strategy = Strategy::kCoverageDriven;
-  cfg.location_buckets = 8;
-  cfg.batch_size = 4;
-  cfg.workers = 2;
-  ParallelCampaign campaign(caps_scenario, cfg);
-  const CampaignResult uncut = campaign.run();
-  ASSERT_EQ(uncut.records.size(), 16u);
+  CampaignConfig parallel;
+  parallel.runs = 16;
+  parallel.seed = 42;
+  parallel.strategy = Strategy::kCoverageDriven;
+  parallel.location_buckets = 8;
+  parallel.batch_size = 4;
+  parallel.workers = 2;
+  // Guided weights learn after every run: Campaign's batch_size 0 means 1.
+  CampaignConfig sequential;
+  sequential.runs = 12;
+  sequential.seed = 21;
+  sequential.strategy = Strategy::kGuided;
+  sequential.location_buckets = 8;
+  for (const Case& c :
+       {Case{"parallel", false, parallel, 4}, Case{"sequential", true, sequential, 1}}) {
+    SCOPED_TRACE(c.name);
+    const std::string path =
+        vps_test::temp_path(std::string("vps_append_torn_") + c.name + ".jsonl");
+    CampaignCheckpoint head;
+    const CampaignResult uncut =
+        with_campaign(c.sequential, c.cfg, [&head](BatchedCampaign& campaign) {
+          CampaignResult result = campaign.run();
+          head.golden = campaign.golden();
+          return result;
+        });
+    ASSERT_EQ(uncut.records.size(), c.cfg.runs);
 
-  CampaignCheckpoint head;
-  head.driver = "parallel_campaign";
-  head.scenario = caps_scenario()->name();
-  head.config = cfg;
-  head.golden = campaign.golden();
-  const LaterSave save = later_save(path, head, uncut.records, 4, 8);
-  const auto loaded = load_every_torn_file(path, save, uncut.records);
-  EXPECT_EQ(loaded.size(), save.to - save.from + 1) << "every count in between is reachable";
+    head.driver = "parallel_campaign";
+    head.scenario = caps_scenario()->name();
+    head.config = c.cfg;
+    head.config.batch_size = c.recorded_batch;
+    const LaterSave save = later_save(path, head, uncut.records, 4, 8);
+    const auto loaded = load_every_torn_file(path, save, uncut.records);
+    EXPECT_EQ(loaded.size(), save.to - save.from + 1) << "every count in between is reachable";
 
-  for (const auto& [n, cp] : loaded) {
-    SCOPED_TRACE("resumed from " + std::to_string(n) + " records");
-    const CampaignResult resumed = ParallelCampaign(caps_scenario, cfg).resume(cp);
-    vps_test::expect_identical(resumed, uncut);
+    for (const auto& [n, cp] : loaded) {
+      SCOPED_TRACE("resumed from " + std::to_string(n) + " records");
+      const CampaignResult resumed = with_campaign(
+          c.sequential, c.cfg, [&cp](BatchedCampaign& rest) { return rest.resume(cp); });
+      vps_test::expect_identical(resumed, uncut);
+    }
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointCrashContract, EveryTornLaterSaveOfASequentialCampaignResumesToTheUncutFold) {
-  const std::string path = vps_test::temp_path("vps_append_torn_sequential.jsonl");
-  CampaignConfig cfg;
-  cfg.runs = 12;
-  cfg.seed = 21;
-  cfg.strategy = Strategy::kGuided;
-  cfg.location_buckets = 8;
-  CapsScenario scenario(CapsConfig{.duration = Time::ms(10)});
-  Campaign campaign(scenario, cfg);
-  const CampaignResult uncut = campaign.run();
-  ASSERT_EQ(uncut.records.size(), 12u);
-
-  CampaignCheckpoint head;
-  head.driver = "campaign";
-  head.scenario = scenario.name();
-  head.config = cfg;
-  head.golden = campaign.golden();
-  const LaterSave save = later_save(path, head, uncut.records, 4, 8);
-  const auto loaded = load_every_torn_file(path, save, uncut.records);
-  EXPECT_EQ(loaded.size(), save.to - save.from + 1) << "every count in between is reachable";
-
-  for (const auto& [n, cp] : loaded) {
-    SCOPED_TRACE("resumed from " + std::to_string(n) + " records");
-    CapsScenario rest(CapsConfig{.duration = Time::ms(10)});
-    const CampaignResult resumed = Campaign(rest, cfg).resume(cp);
-    vps_test::expect_identical(resumed, uncut);
-  }
-  std::remove(path.c_str());
 }
 
 TEST(CheckpointCrashContract, AMissingEndLineIsRecoverableAndTheStrictParserStillThrows) {
@@ -350,42 +355,27 @@ TEST(CheckpointMetrics, DriversPublishWhatTheirSavesWrote) {
 
   // Both drivers save at runs 4, 8 and 12: the final file plus the end
   // lines the two later saves wrote over.
-  const auto expect_published = [&](vps::obs::MetricRegistry& registry,
-                                    const CampaignCheckpoint& head, const CampaignResult& result) {
+  for (const bool sequential : {true, false}) {
+    SCOPED_TRACE(sequential ? "sequential" : "parallel");
+    std::remove(path.c_str());
+    vps::obs::MetricRegistry registry;
+    CampaignCheckpoint head;
+    const CampaignResult result =
+        with_campaign(sequential, cfg, [&registry, &head](BatchedCampaign& campaign) {
+          campaign.set_metrics(&registry);
+          CampaignResult r = campaign.run();
+          head.golden = campaign.golden();
+          return r;
+        });
+    head.driver = "parallel_campaign";
+    head.scenario = caps_scenario()->name();
+    head.config = cfg;
     const std::string final_file = read_file(path);
     EXPECT_EQ(final_file, to_jsonl(prefix(head, result.records, 12)));
     const std::uint64_t earlier = end_line_size(to_jsonl(prefix(head, result.records, 4))) +
                                   end_line_size(to_jsonl(prefix(head, result.records, 8)));
     EXPECT_EQ(registry.counter("campaign.checkpoint_bytes").value(), final_file.size() + earlier);
     EXPECT_EQ(registry.counter("campaign.checkpoint_saves").value(), 3u);
-  };
-
-  {
-    std::remove(path.c_str());
-    CapsScenario scenario(CapsConfig{.duration = Time::ms(10)});
-    Campaign campaign(scenario, cfg);
-    vps::obs::MetricRegistry registry;
-    campaign.set_metrics(&registry);
-    const CampaignResult result = campaign.run();
-    CampaignCheckpoint head;
-    head.driver = "campaign";
-    head.scenario = scenario.name();
-    head.config = cfg;
-    head.golden = campaign.golden();
-    expect_published(registry, head, result);
-  }
-  {
-    std::remove(path.c_str());
-    ParallelCampaign campaign(caps_scenario, cfg);
-    vps::obs::MetricRegistry registry;
-    campaign.set_metrics(&registry);
-    const CampaignResult result = campaign.run();
-    CampaignCheckpoint head;
-    head.driver = "parallel_campaign";
-    head.scenario = caps_scenario()->name();
-    head.config = cfg;
-    head.golden = campaign.golden();
-    expect_published(registry, head, result);
   }
   std::remove(path.c_str());
 }
@@ -409,6 +399,29 @@ TEST(LoadCheckpoint, AReadErrorThrowsANamedReadErrorAndIsNeverSalvaged) {
   EXPECT_TRUE(std::filesystem::is_directory(dir));
   EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
   std::filesystem::remove_all(dir);
+}
+
+TEST(LoadCheckpoint, ARetiredDriverTagFailsByNameAndTheFileIsLeftAlone) {
+  // A checkpoint of the sequential driver from before it joined the engine,
+  // whole and with a torn tail: recovery must not touch either.
+  const std::string path = vps_test::temp_path("vps_append_retired_tag.jsonl");
+  CampaignCheckpoint old = prefix(synthetic_head(), synthetic_records(4), 4);
+  old.driver = "campaign";
+  const std::string whole = to_jsonl(old);
+  for (const std::string& bytes : {whole, whole.substr(0, whole.size() - 5)}) {
+    write_file(path, bytes);
+    CheckpointRecovery recovery;
+    try {
+      (void)load_checkpoint(path, &recovery);
+      ADD_FAILURE() << "a 'campaign' checkpoint must not load";
+    } catch (const InvariantError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'campaign'"), std::string::npos) << what;
+    }
+    EXPECT_FALSE(recovery.file_rewritten);
+    EXPECT_EQ(read_file(path), bytes) << "the file must stay as it was";
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

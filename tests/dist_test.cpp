@@ -37,6 +37,7 @@ namespace {
 using namespace vps::dist;
 using vps::apps::CapsConfig;
 using vps::apps::CapsScenario;
+using vps::fault::Campaign;
 using vps::fault::CampaignCheckpoint;
 using vps::fault::CampaignConfig;
 using vps::fault::CampaignResult;
@@ -751,7 +752,7 @@ TEST(DistCampaignTest, FleetCheckpointSavesEqualToJsonlOfTheSamePrefix) {
 // exactly like the one-thread reference
 // --------------------------------------------------------------------------
 
-enum class Executor { kThreads, kFleet, kServer };
+enum class Executor { kSequential, kThreads, kFleet, kServer };
 
 /// bms:runaway:prov at seed 2 finds its first hazard at run 59 (1-based),
 /// inside the eighth batch of eight, so stop_after_hazards = 1 cuts that
@@ -768,8 +769,9 @@ CampaignConfig hazard_stop_config(const std::string& checkpoint_path) {
   return cfg;
 }
 
-/// Runs `cfg` — or resumes it from `checkpoint` — on `width` threads, fleet
-/// workers or server pool workers.
+/// Runs `cfg` — or resumes it from `checkpoint` — on one scenario instance
+/// in the calling thread, or on `width` threads, fleet workers or server
+/// pool workers.
 CampaignResult run_on(Executor executor, std::size_t width, CampaignConfig cfg,
                       const CampaignCheckpoint* checkpoint = nullptr) {
   const std::string spec = "bms:runaway:prov";
@@ -777,6 +779,11 @@ CampaignResult run_on(Executor executor, std::size_t width, CampaignConfig cfg,
   const auto go = [checkpoint](auto& campaign) {
     return checkpoint != nullptr ? campaign.resume(*checkpoint) : campaign.run();
   };
+  if (executor == Executor::kSequential) {
+    const std::unique_ptr<Scenario> scenario = vps::apps::make_scenario(spec);
+    Campaign campaign(*scenario, cfg);
+    return go(campaign);
+  }
   if (executor == Executor::kThreads) {
     cfg.workers = width;
     ParallelCampaign campaign(factory, cfg);
@@ -830,6 +837,11 @@ TEST(CampaignEngineTest, EveryExecutorMatchesTheOneThreadReferenceThroughAMidBat
   std::remove(reference_path.c_str());
 
   const std::vector<ExecutorCase> cases = {
+      {"sequential", Executor::kSequential, 1},
+      {"sequential_preempted_resumed_on_threads_4", Executor::kSequential, 1, 24,
+       Executor::kThreads, 4},
+      {"fleet_3_preempted_resumed_sequentially", Executor::kFleet, 3, 24, Executor::kSequential,
+       1},
       {"threads_4", Executor::kThreads, 4},
       {"fleet_1", Executor::kFleet, 1},
       {"fleet_3", Executor::kFleet, 3},

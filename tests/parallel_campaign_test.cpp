@@ -586,7 +586,7 @@ TEST(Checkpoint, V2RoundTripsProvenanceRecords) {
   using vps::obs::ProvenanceNode;
 
   CampaignCheckpoint cp;
-  cp.driver = "campaign";
+  cp.driver = "parallel_campaign";
   cp.scenario = "toy";
   cp.config.runs = 4;
   cp.config.seed = 1;

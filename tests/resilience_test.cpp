@@ -190,7 +190,7 @@ TEST(Resilience, ReplayIsolatedRetriesThenCapturesDiagnostics) {
 
 CampaignCheckpoint sample_checkpoint() {
   CampaignCheckpoint cp;
-  cp.driver = "campaign";
+  cp.driver = "parallel_campaign";
   cp.scenario = "airbag \"caps\"\nv2";  // exercises JSON string escaping
   cp.config.runs = 40;
   cp.config.seed = 0xDEADBEEF;
@@ -679,6 +679,41 @@ TEST(Resilience, ParallelResumeMatchesUninterruptedRunForAnyWorkerCount) {
   std::remove(path.c_str());
 }
 
+TEST(Resilience, SequentialCampaignFoldsAndResumesAsAParallelOneAtBatchSizeOne) {
+  const std::string path = vps_test::temp_path("vps_resume_seq_on_par.jsonl");
+  CampaignConfig cfg;
+  cfg.runs = 24;
+  cfg.seed = 42;
+  cfg.strategy = Strategy::kGuided;
+  cfg.location_buckets = 8;
+  const auto factory = [] {
+    return std::make_unique<CapsScenario>(CapsConfig{.duration = Time::ms(10)});
+  };
+  CampaignConfig parallel = cfg;
+  parallel.batch_size = 1;
+  parallel.workers = 4;
+  const auto reference = ParallelCampaign(factory, parallel).run();
+
+  // Campaign's batch_size 0 means 1: learning follows every run.
+  CapsScenario scenario(CapsConfig{.duration = Time::ms(10)});
+  expect_identical(Campaign(scenario, cfg).run(), reference);
+
+  CampaignConfig cut = cfg;
+  cut.preempt_after = 10;
+  cut.checkpoint_path = path;
+  CapsScenario half(CapsConfig{.duration = Time::ms(10)});
+  ASSERT_TRUE(Campaign(half, cut).run().interrupted);
+  const CampaignCheckpoint cp = load_checkpoint(path);
+  EXPECT_EQ(cp.config.batch_size, 1u);
+  EXPECT_EQ(cp.next_run(), 10u);
+  expect_identical(ParallelCampaign(factory, parallel).resume(cp), reference);
+
+  CampaignConfig default_batch = parallel;
+  default_batch.batch_size = 0;  // 32
+  EXPECT_THROW((void)ParallelCampaign(factory, default_batch).resume(cp), InvariantError);
+  std::remove(path.c_str());
+}
+
 TEST(Resilience, PeriodicCheckpointsAreWrittenDuringTheRun) {
   const std::string path = vps_test::temp_path("vps_periodic_cp.jsonl");
   CampaignConfig cfg;
@@ -722,9 +757,10 @@ TEST(Resilience, SequentialSavesEqualToJsonlOfTheSamePrefix) {
   ASSERT_EQ(partial.quarantine.size(), 3u);  // crash_what records are among the saved ones
 
   CampaignCheckpoint head;
-  head.driver = "campaign";
+  head.driver = "parallel_campaign";
   head.scenario = scenario.name();
   head.config = cfg;
+  head.config.batch_size = 1;  // Campaign records its batch_size 0 as 1
   head.golden = campaign.golden();
   vps_test::expect_saves_are_prefixes(recorder.saves(), head, partial.records, {3, 6, 9, 10});
   std::remove(path.c_str());
@@ -747,7 +783,8 @@ TEST(Resilience, ResumeRejectsMismatchedConfigScenarioOrDriver) {
   CapsScenario s2(CapsConfig{.duration = Time::ms(10)});
   EXPECT_THROW((void)Campaign(s2, other).resume(cp), InvariantError);
 
-  // Wrong driver: a sequential checkpoint cannot seed a parallel campaign.
+  // Wrong batch size: the sequential checkpoint records batch_size 1, the
+  // parallel campaign's 0 means 32.
   CampaignConfig par = cfg;
   par.preempt_after = 0;
   ParallelCampaign parallel(

@@ -663,15 +663,15 @@ TEST(CampaignServerTest, FailedStatePersistKeepsServingAndLeavesNoTempFile) {
   char state_template[] = "/tmp/vps_state_XXXXXX";
   char* state_dir = ::mkdtemp(state_template);
   ASSERT_NE(state_dir, nullptr);
-  // The job table's path is an existing non-empty directory: every persist
-  // writes its temp file, then fails to rename it over the directory.
-  const std::string table = std::string(state_dir) + "/jobs.jsonl";
-  std::filesystem::create_directory(table);
-  std::ofstream(table + "/previous") << "keep me";
-
   ServerConfig sc;
   sc.state_dir = state_dir;
   CampaignServer server{sc};
+  // The job table's path becomes an existing non-empty directory: every
+  // persist writes its temp file, then fails to rename it over the
+  // directory.
+  const std::string table = std::string(state_dir) + "/jobs.jsonl";
+  std::filesystem::create_directory(table);
+  std::ofstream(table + "/previous") << "keep me";
   server.start();
   Channel c(tcp_connect(kHost, server.port()));
   ASSERT_TRUE(c.send_frame(MsgType::kSubmit, encode_submit(tiny_submit("unpersisted"))));
@@ -684,6 +684,34 @@ TEST(CampaignServerTest, FailedStatePersistKeepsServingAndLeavesNoTempFile) {
   EXPECT_TRUE(std::filesystem::is_directory(table));
   EXPECT_EQ(vps_test::read_file(table + "/previous"), "keep me");
   EXPECT_FALSE(std::filesystem::exists(table + ".tmp")) << "a failed persist must not leave its temp file";
+  std::filesystem::remove_all(state_dir);
+}
+
+TEST(CampaignServerTest, AnUnreadableJobTableFailsConstructionAndIsLeftAlone) {
+  char state_template[] = "/tmp/vps_state_XXXXXX";
+  char* state_dir = ::mkdtemp(state_template);
+  ASSERT_NE(state_dir, nullptr);
+  // fopen() succeeds on a directory; fread() then fails with EISDIR. Read
+  // as an empty table, the next persist would drop every job it held.
+  const std::string table = std::string(state_dir) + "/jobs.jsonl";
+  std::filesystem::create_directory(table);
+  std::ofstream(table + "/previous") << "keep me";
+
+  ServerConfig sc;
+  sc.state_dir = state_dir;
+  try {
+    CampaignServer server{sc};
+    ADD_FAILURE() << "a job table that cannot be read must fail construction";
+  } catch (const InvariantError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cannot read " + table), std::string::npos) << what;
+  }
+  EXPECT_TRUE(std::filesystem::is_directory(table));
+  EXPECT_EQ(vps_test::read_file(table + "/previous"), "keep me");
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(table),
+                          std::filesystem::directory_iterator{}),
+            1);
+  EXPECT_FALSE(std::filesystem::exists(table + ".tmp"));
   std::filesystem::remove_all(state_dir);
 }
 

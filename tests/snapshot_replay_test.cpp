@@ -16,7 +16,6 @@
 #include "vps/fault/snapshot_replay.hpp"
 #include "vps/obs/provenance.hpp"
 #include "vps/sim/kernel.hpp"
-#include "vps/support/rng.hpp"
 
 namespace {
 
@@ -67,10 +66,8 @@ void check_scenario(const std::string& spec, std::size_t runs, std::uint64_t see
   const Observation golden_forked = forked->run(nullptr, seed);
   expect_identical(golden_full, golden_forked, spec + " golden");
 
-  const support::Xorshift base(seed);
   for (std::size_t run = 0; run < runs; ++run) {
-    support::Xorshift run_rng = base.fork(run);
-    const FaultDescriptor fault = state.generate(run, run_rng);
+    const FaultDescriptor fault = state.generate(run);
     const Observation obs_full = full->run(&fault, seed);
     const Observation obs_forked = forked->run(&fault, seed);
     expect_identical(obs_full, obs_forked,
