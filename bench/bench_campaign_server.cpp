@@ -6,6 +6,9 @@
 // (first submission pays the SETUP/HELLO handshake), on a warm pool
 // (fleet spin-up amortized away), and with two tenants sharing the pool
 // concurrently. Every configuration must reproduce the baseline bitwise.
+//
+// Usage: bench_campaign_server [runs]   (default 96; a bad argument prints
+// a usage line and exits 64)
 
 #include <cerrno>
 #include <chrono>
@@ -13,12 +16,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "bench_args.hpp"
 #include "vps/apps/registry.hpp"
 #include "vps/dist/coordinator.hpp"
 #include "vps/dist/server.hpp"
@@ -119,7 +124,9 @@ void row(const char* label, std::size_t runs, double s, double base_per_run_us, 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 96;
+  const std::optional<std::size_t> arg = bench::runs_arg(argc, argv, 96);
+  if (!arg) return 64;  // EX_USAGE
+  const std::size_t runs = *arg;
 
   fault::CampaignConfig cfg;
   cfg.runs = runs;

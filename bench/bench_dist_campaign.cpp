@@ -113,7 +113,6 @@ int main(int argc, char** argv) {
     dc.campaign = cfg;
     dc.workers = 2;
     dc.kill_after_results = runs / 3;
-    dc.kill_worker = 0;
     dist::DistCampaign campaign(caps_factory(), dc);
     const auto t0 = Clock::now();
     const auto result = campaign.run();

@@ -3,6 +3,7 @@
 // without ECC), combined with the mission-profile FIT rates into an FMEDA,
 // and the resulting SPFM/LFM/PMHF are checked against the ASIL targets.
 // The ablation shows how a single mechanism (SEC-DED ECC) moves the metrics.
+// Each variant also prints the run counts every measured DC rests on.
 //
 // Usage: bench_fmeda [runs]   (runs per variant, default 250; a bad argument
 // prints a usage line and exits 64)
@@ -10,6 +11,7 @@
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <string>
 
 #include "bench_args.hpp"
 #include "vps/apps/caps.hpp"
@@ -26,6 +28,9 @@ namespace {
 struct MeasuredDc {
   double dc = 0.0;
   bool safety_related = true;  ///< false when simulation never saw a dangerous outcome
+  std::uint64_t runs = 0;
+  std::uint64_t dangerous = 0;  ///< the DC's denominator
+  std::uint64_t detected = 0;   ///< its numerator
 };
 
 /// Measured diagnostic coverage per fault type from one campaign.
@@ -38,37 +43,48 @@ std::map<fault::FaultType, MeasuredDc> measure_dc(const apps::CapsConfig& config
   fault::Campaign campaign(scenario, cfg);
   const auto result = campaign.run();
 
-  std::map<fault::FaultType, std::pair<std::uint64_t, std::uint64_t>> agg;  // detected, dangerous
+  std::map<fault::FaultType, MeasuredDc> dc;
   for (const auto& rec : result.records) {
-    auto& [detected, dangerous] = agg[rec.fault.type];
+    MeasuredDc& m = dc[rec.fault.type];
+    ++m.runs;
     switch (rec.outcome) {
       case fault::Outcome::kDetectedCorrected:
       case fault::Outcome::kDetectedUncorrected:
-        ++detected;
-        ++dangerous;
+        ++m.detected;
+        ++m.dangerous;
         break;
       case fault::Outcome::kSilentDataCorruption:
       case fault::Outcome::kHazard:
       case fault::Outcome::kTimeout:
-        ++dangerous;
+        ++m.dangerous;
         break;
       case fault::Outcome::kNoEffect:
       case fault::Outcome::kSimCrash:
         break;  // masked/quarantined faults are not part of the DC denominator
     }
   }
-  std::map<fault::FaultType, MeasuredDc> dc;
-  for (const auto& [type, counts] : agg) {
-    if (counts.second == 0) {
-      // The campaign never produced a safety-goal-relevant outcome for this
-      // class: the simulation evidence classifies it as not safety-related
-      // for this item (one of the analyses VPs enable pre-silicon).
-      dc[type] = {0.0, false};
-    } else {
-      dc[type] = {static_cast<double>(counts.first) / static_cast<double>(counts.second), true};
+  for (auto& [type, m] : dc) {
+    // A class the campaign never saw produce a safety-goal-relevant outcome
+    // is, on the simulation evidence, not safety-related for this item (one
+    // of the analyses VPs enable pre-silicon).
+    m.safety_related = m.dangerous != 0;
+    if (m.safety_related) {
+      m.dc = static_cast<double>(m.detected) / static_cast<double>(m.dangerous);
     }
   }
   return dc;
+}
+
+/// The run counts each measured DC rests on, one row per fault type.
+std::string render_evidence(const std::map<fault::FaultType, MeasuredDc>& dc) {
+  support::Table table({"fault type", "runs", "dangerous", "detected", "DC"});
+  for (const auto& [type, m] : dc) {
+    char ratio[16];
+    std::snprintf(ratio, sizeof ratio, "%.2f", m.dc);
+    table.add_row({fault::to_string(type), std::to_string(m.runs), std::to_string(m.dangerous),
+                   std::to_string(m.detected), m.safety_related ? ratio : "-"});
+  }
+  return table.render();
 }
 
 safety::Fmeda build_fmeda(const mp::FaultRateTable& rates,
@@ -114,6 +130,8 @@ int main(int argc, char** argv) {
     const auto metrics = fmeda.metrics();
     std::printf("---- variant: %s ----\n\n%s\n", ecc ? "with SEC-DED ECC" : "without ECC",
                 fmeda.render().c_str());
+    std::printf("measured DC = detected / dangerous runs per fault type:\n%s\n",
+                render_evidence(dc).c_str());
     std::printf("meets ASIL-B: %s   ASIL-C: %s   ASIL-D: %s\n\n",
                 metrics.meets(safety::Asil::kB) ? "yes" : "no",
                 metrics.meets(safety::Asil::kC) ? "yes" : "no",

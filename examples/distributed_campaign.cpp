@@ -64,14 +64,13 @@ int main(int argc, char** argv) {
   const auto golden = fault::ParallelCampaign(factory, cfg).run();
   std::printf("%s\n", golden.render().c_str());
 
-  // 2. Distributed fleet, with worker 0 SIGKILLed after 20 results. The
+  // 2. Distributed fleet, with the worker of the 20th result SIGKILLed. The
   //    coordinator reaps the corpse, requeues its in-flight shard onto the
   //    survivors, and keeps going.
   dist::DistConfig dc;
   dc.campaign = cfg;
   dc.workers = 3;
   dc.kill_after_results = 20;
-  dc.kill_worker = 0;
   if (argc > 1) {
     dc.worker_path = argv[1];
     dc.scenario_spec = "caps:crash";

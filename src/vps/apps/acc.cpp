@@ -35,20 +35,26 @@ struct Plant {
   }
 };
 
+/// Plain-data state the ACC system holds outside its models (one struct
+/// so epoch capture is a copy).
+struct AccState {
+  Plant plant{};
+  support::Xorshift noise{0};  ///< radar measurement noise
+  double commanded_accel = 0.0;
+  Time last_command = Time::zero();
+  std::uint64_t stale_command_events = 0;
+  bool plant_step_pending = false;
+  std::uint8_t leader_phase = 0;
+  bool monitor_pending = false;
+};
+
 /// One quiescent golden-run snapshot of the ACC system (see the CAPS twin
 /// in caps.cpp for the replay-engine rationale). Plain data only.
 struct AccEpochSnapshot {
   sim::KernelSnapshot kernel;
   ecu::OsScheduler::Snapshot os;
-  Plant plant{};
-  support::Xorshift noise{0};
   fault::AnalogChannel::Snapshot radar;
-  double commanded_accel = 0.0;
-  sim::Time last_command;
-  std::uint64_t stale_command_events = 0;
-  bool plant_step_pending = false;
-  std::uint8_t leader_phase = 0;
-  bool monitor_pending = false;
+  AccState state;
 };
 
 /// The complete ACC system VP. Spawn order matches the pre-refactor inline
@@ -62,27 +68,20 @@ struct AccEpochSnapshot {
 struct AccSystem {
   sim::Kernel kernel;
   ecu::OsScheduler os;
-  Plant plant;
-  support::Xorshift noise;
+  AccState state;
   fault::AnalogChannel radar;
   fault::InjectorHub hub;
 
   double desired_gap = 0.0;
   Time staleness_limit;
-  double commanded_accel = 0.0;
-  Time last_command = Time::zero();
-  std::uint64_t stale_command_events = 0;
-  bool plant_step_pending = false;
-  std::uint8_t leader_phase = 0;
-  bool monitor_pending = false;
 
   AccSystem(const AccConfig& cfg, std::uint64_t seed, const FaultDescriptor*)
       : os(kernel, "acc_os"),
-        plant{cfg.initial_gap_m, cfg.ego_speed_mps, 0.0,
-              cfg.ego_speed_mps, 0.0, cfg.initial_gap_m},
+        state{.plant = {cfg.initial_gap_m, cfg.ego_speed_mps, 0.0, cfg.ego_speed_mps, 0.0,
+                        cfg.initial_gap_m},
+              .noise = support::Xorshift(seed)},
         // Radar distance sensor with seed-dependent measurement noise.
-        noise(seed),
-        radar([this] { return plant.gap_m + noise.normal(0.0, 0.05); }),
+        radar([this] { return state.plant.gap_m + state.noise.normal(0.0, 0.05); }),
         hub(kernel),
         desired_gap(0.9 * cfg.ego_speed_mps),  // ~0.9s time gap
         staleness_limit(cfg.control_period * 3) {
@@ -98,10 +97,12 @@ struct AccSystem {
                  .body = [this] {
                    const double measured_gap = radar.read();
                    const double gap_error = measured_gap - desired_gap;
-                   const double closing = plant.leader_speed - plant.ego_speed;  // via tracker
-                   commanded_accel = std::clamp(0.25 * gap_error + 0.8 * closing, -8.0, 2.0);
-                   plant.ego_accel = commanded_accel;
-                   last_command = kernel.now();
+                   const double closing =
+                       state.plant.leader_speed - state.plant.ego_speed;  // via tracker
+                   state.commanded_accel =
+                       std::clamp(0.25 * gap_error + 0.8 * closing, -8.0, 2.0);
+                   state.plant.ego_accel = state.commanded_accel;
+                   state.last_command = kernel.now();
                  }});
     // Actuator freshness monitor: commands older than 3 control periods are
     // considered stale and the actuator falls back to coasting — the standard
@@ -120,11 +121,11 @@ struct AccSystem {
 
   [[nodiscard]] sim::Coro plant_loop() {
     for (;;) {
-      if (plant_step_pending) {
-        plant_step_pending = false;
-        plant.step(0.005);
+      if (state.plant_step_pending) {
+        state.plant_step_pending = false;
+        state.plant.step(0.005);
       }
-      plant_step_pending = true;
+      state.plant_step_pending = true;
       co_await sim::delay(Time::ms(5));
     }
   }
@@ -133,15 +134,15 @@ struct AccSystem {
   // owed at the *next* resume, so a restored coroutine picks up mid-event.
   [[nodiscard]] sim::Coro leader_event(const AccConfig cfg) {
     for (;;) {
-      if (leader_phase == 0) {
-        leader_phase = 1;
+      if (state.leader_phase == 0) {
+        state.leader_phase = 1;
         co_await sim::delay(cfg.leader_brake_at);
-      } else if (leader_phase == 1) {
-        plant.leader_accel = -cfg.leader_brake_mps2;
-        leader_phase = 2;
+      } else if (state.leader_phase == 1) {
+        state.plant.leader_accel = -cfg.leader_brake_mps2;
+        state.leader_phase = 2;
         co_await sim::delay(cfg.leader_brake_duration);
       } else {
-        plant.leader_accel = 0.0;
+        state.plant.leader_accel = 0.0;
         co_return;
       }
     }
@@ -149,14 +150,14 @@ struct AccSystem {
 
   [[nodiscard]] sim::Coro monitor_loop() {
     for (;;) {
-      if (monitor_pending) {
-        monitor_pending = false;
-        if (kernel.now() - last_command > staleness_limit && plant.ego_accel != 0.0) {
-          plant.ego_accel = 0.0;  // coast
-          ++stale_command_events;
+      if (state.monitor_pending) {
+        state.monitor_pending = false;
+        if (kernel.now() - state.last_command > staleness_limit && state.plant.ego_accel != 0.0) {
+          state.plant.ego_accel = 0.0;  // coast
+          ++state.stale_command_events;
         }
       }
-      monitor_pending = true;
+      state.monitor_pending = true;
       co_await sim::delay(Time::ms(5));
     }
   }
@@ -171,43 +172,29 @@ struct AccSystem {
   void capture(AccEpochSnapshot& e) const {
     e.kernel = kernel.snapshot();
     e.os = os.snapshot();
-    e.plant = plant;
-    e.noise = noise;
     e.radar = radar.snapshot();
-    e.commanded_accel = commanded_accel;
-    e.last_command = last_command;
-    e.stale_command_events = stale_command_events;
-    e.plant_step_pending = plant_step_pending;
-    e.leader_phase = leader_phase;
-    e.monitor_pending = monitor_pending;
+    e.state = state;
   }
 
   void restore(const AccEpochSnapshot& e) {
     kernel.restore(e.kernel);
     os.restore(e.os);
-    plant = e.plant;
-    noise = e.noise;
     radar.restore(e.radar);
-    commanded_accel = e.commanded_accel;
-    last_command = e.last_command;
-    stale_command_events = e.stale_command_events;
-    plant_step_pending = e.plant_step_pending;
-    leader_phase = e.leader_phase;
-    monitor_pending = e.monitor_pending;
+    state = e.state;
   }
 
   [[nodiscard]] Observation observe(sim::RunStatus status) {
     Observation obs;
     // See CapsConfig::run_budget: a tripped budget is a livelocked run.
     obs.completed = !status.budget_exhausted();
-    obs.hazard = plant.min_gap <= 0.0;
+    obs.hazard = state.plant.min_gap <= 0.0;
     obs.deadline_misses = os.total_deadline_misses();
     // Detections: the scheduler's deadline monitor plus the actuator's
     // stale-command fallback events.
-    obs.detected = os.total_deadline_misses() + stale_command_events;
+    obs.detected = os.total_deadline_misses() + state.stale_command_events;
     support::Crc32 sig;
-    sig.update_u64(static_cast<std::uint64_t>(std::llround(plant.min_gap * 10.0)));
-    sig.update_u64(static_cast<std::uint64_t>(std::llround(plant.ego_speed * 10.0)));
+    sig.update_u64(static_cast<std::uint64_t>(std::llround(state.plant.min_gap * 10.0)));
+    sig.update_u64(static_cast<std::uint64_t>(std::llround(state.plant.ego_speed * 10.0)));
     obs.output_signature = sig.value();
     return obs;
   }
@@ -229,7 +216,7 @@ std::vector<FaultType> AccScenario::fault_types() const {
 Observation AccScenario::run(const FaultDescriptor* fault, std::uint64_t seed) {
   return replay_->run(config_, fault, seed, snapshot_replay(),
                       [this](AccSystem& sys, sim::RunStatus status) {
-                        last_min_gap_ = sys.plant.min_gap;
+                        last_min_gap_ = sys.state.plant.min_gap;
                         return sys.observe(status);
                       });
 }

@@ -77,27 +77,27 @@ const char* to_string(State s) noexcept {
 }
 
 void CorrelationEngine::escalate_to(State s) {
-  while (static_cast<int>(state_) < static_cast<int>(s)) {
-    state_ = static_cast<State>(static_cast<int>(state_) + 1);
-    ++escalations_;
+  while (static_cast<int>(fsm_.state) < static_cast<int>(s)) {
+    fsm_.state = static_cast<State>(static_cast<int>(fsm_.state) + 1);
+    ++fsm_.escalations;
   }
 }
 
 State CorrelationEngine::step(std::uint8_t mask, sim::Time now) {
-  if (state_ == State::kEmergency) return state_;  // latched until service
+  if (fsm_.state == State::kEmergency) return fsm_.state;  // latched until service
   if (mask == 0) {
-    if (anomaly_active_) {
-      anomaly_active_ = false;
-      quiet_since_ = now;
+    if (fsm_.anomaly_active) {
+      fsm_.anomaly_active = false;
+      fsm_.quiet_since = now;
     }
-    if (state_ != State::kNormal && now - quiet_since_ >= config_.clear_hold) {
-      state_ = State::kNormal;
+    if (fsm_.state != State::kNormal && now - fsm_.quiet_since >= config_.clear_hold) {
+      fsm_.state = State::kNormal;
     }
-    return state_;
+    return fsm_.state;
   }
-  if (!anomaly_active_) {
-    anomaly_active_ = true;
-    anomaly_since_ = now;
+  if (!fsm_.anomaly_active) {
+    fsm_.anomaly_active = true;
+    fsm_.anomaly_since = now;
   }
   // Combination signatures that cannot wait out the persistence holds: a
   // shorted pack shows over-current with sagging cells; a runaway cell
@@ -107,17 +107,17 @@ State CorrelationEngine::step(std::uint8_t mask, sim::Time now) {
       (mask & kOverTemp) != 0 && (mask & (kOverVoltage | kOverCurrent)) != 0;
   if (short_sig || runaway_sig) {
     escalate_to(State::kEmergency);
-    return state_;
+    return fsm_.state;
   }
-  const sim::Time held = now - anomaly_since_;
+  const sim::Time held = now - fsm_.anomaly_since;
   State target = State::kWarning;
   if (held >= config_.escalate_hold * 2) {
     target = State::kEmergency;
   } else if (held >= config_.escalate_hold) {
     target = State::kCritical;
   }
-  if (static_cast<int>(target) > static_cast<int>(state_)) escalate_to(target);
-  return state_;
+  if (static_cast<int>(target) > static_cast<int>(fsm_.state)) escalate_to(target);
+  return fsm_.state;
 }
 
 namespace {

@@ -86,37 +86,25 @@ class CorrelationEngine {
   /// Feeds one fused mask sample; returns the state after evaluation.
   State step(std::uint8_t mask, sim::Time now);
 
-  [[nodiscard]] State state() const noexcept { return state_; }
-  [[nodiscard]] bool latched() const noexcept { return state_ == State::kEmergency; }
-  [[nodiscard]] std::uint64_t escalations() const noexcept { return escalations_; }
+  [[nodiscard]] State state() const noexcept { return fsm_.state; }
+  [[nodiscard]] bool latched() const noexcept { return fsm_.state == State::kEmergency; }
+  [[nodiscard]] std::uint64_t escalations() const noexcept { return fsm_.escalations; }
 
   struct Snapshot {
     State state = State::kNormal;
-    sim::Time anomaly_since;
-    sim::Time quiet_since;
+    sim::Time anomaly_since = sim::Time::zero();
+    sim::Time quiet_since = sim::Time::zero();
     bool anomaly_active = false;
     std::uint64_t escalations = 0;
   };
-  [[nodiscard]] Snapshot snapshot() const {
-    return Snapshot{state_, anomaly_since_, quiet_since_, anomaly_active_, escalations_};
-  }
-  void restore(const Snapshot& s) {
-    state_ = s.state;
-    anomaly_since_ = s.anomaly_since;
-    quiet_since_ = s.quiet_since;
-    anomaly_active_ = s.anomaly_active;
-    escalations_ = s.escalations;
-  }
+  [[nodiscard]] Snapshot snapshot() const { return fsm_; }
+  void restore(const Snapshot& s) { fsm_ = s; }
 
  private:
   void escalate_to(State s);
 
   Config config_;
-  State state_ = State::kNormal;
-  sim::Time anomaly_since_ = sim::Time::zero();
-  sim::Time quiet_since_ = sim::Time::zero();
-  bool anomaly_active_ = false;
-  std::uint64_t escalations_ = 0;
+  Snapshot fsm_;
 };
 
 // --- telemetry frame ------------------------------------------------------

@@ -108,13 +108,24 @@ constexpr const char* kUnprotectedFirmware = R"(
       j    loop
 )";
 
+/// Plain-data state the CAPS system holds outside its models (one struct
+/// so epoch capture is a copy).
+struct CapsState {
+  support::Xorshift noise_rng{0};  ///< road noise under the crash pulse
+  std::uint8_t sensor_counter = 0;
+  bool sensor_sample_pending = false;
+  Time deploy_time = Time::max();
+};
+
 /// Accelerometer node: C++-level CAN node sampling the analog channel every
-/// millisecond and publishing protected frames.
+/// millisecond and publishing protected frames. Its frame counter and owed
+/// sample live in the system's CapsState.
 class SensorNode final : public can::CanNode {
  public:
   SensorNode(sim::Kernel& kernel, can::CanBus& bus, fault::AnalogChannel& channel,
-             support::Xorshift rng)
-      : bus_(bus), channel_(channel), rng_(rng) {
+             support::Xorshift rng, CapsState& state)
+      : bus_(bus), channel_(channel), rng_(rng), counter_(state.sensor_counter),
+        sample_pending_(state.sensor_sample_pending) {
     bus.attach(*this);
     kernel.spawn("caps.sensor", sample_loop());
   }
@@ -133,18 +144,6 @@ class SensorNode final : public can::CanNode {
       corrupt_byte_ = rng_.index(3);
       corrupt_value_ = static_cast<std::uint8_t>(rng_.next());
     }
-  }
-
-  // --- snapshot-and-fork replay -------------------------------------------
-  // Only the workload-visible state is imaged. rng_ is deliberately NOT
-  // part of it: the stream is fault-salted per replay and never consumed
-  // during the golden prefix (only set_corrupting() draws from it), so a
-  // forked twin keeps its freshly constructed generator.
-  [[nodiscard]] std::uint8_t counter() const noexcept { return counter_; }
-  [[nodiscard]] bool sample_pending() const noexcept { return sample_pending_; }
-  void restore_state(std::uint8_t counter, bool sample_pending) noexcept {
-    counter_ = counter;
-    sample_pending_ = sample_pending;
   }
 
  private:
@@ -172,9 +171,14 @@ class SensorNode final : public can::CanNode {
 
   can::CanBus& bus_;
   fault::AnalogChannel& channel_;
+  // Only the workload-visible state (counter_, sample_pending_) is imaged.
+  // rng_ is deliberately NOT part of it: the stream is fault-salted per
+  // replay and never consumed during the golden prefix (only
+  // set_corrupting() draws from it), so a forked twin keeps its freshly
+  // constructed generator.
   support::Xorshift rng_;
-  std::uint8_t counter_ = 0;
-  bool sample_pending_ = false;
+  std::uint8_t& counter_;
+  bool& sample_pending_;
   bool corrupting_ = false;
   std::uint64_t poison_id_ = 0;
   std::size_t corrupt_byte_ = 0;
@@ -191,11 +195,8 @@ struct CapsEpochSnapshot {
   sim::KernelSnapshot kernel;
   can::CanBus::Snapshot bus;
   ecu::EcuPlatform::Snapshot airbag;
-  support::Xorshift noise_rng{0};
   fault::AnalogChannel::Snapshot accel;
-  std::uint8_t sensor_counter = 0;
-  bool sensor_sample_pending = false;
-  sim::Time deploy_time = sim::Time::max();
+  CapsState state;
 };
 
 [[nodiscard]] constexpr std::uint64_t fault_salt_of(const FaultDescriptor* fault) noexcept {
@@ -212,11 +213,10 @@ struct CapsSystem {
   can::CanBus bus;
   ecu::EcuPlatform airbag;
   bool wired;  ///< sequencing point: attach_can + firmware load before the sensor node
-  support::Xorshift noise_rng;
+  CapsState state;
   fault::AnalogChannel accel;
   support::Xorshift sensor_rng;
   SensorNode sensor;
-  Time deploy_time = Time::max();
   fault::InjectorHub hub;
   obs::ProvenanceTracker tracker;
   obs::ProvenanceTracker* prov = nullptr;
@@ -227,11 +227,11 @@ struct CapsSystem {
         wired((airbag.attach_can(bus),
                airbag.load_program(cfg.protected_link ? kProtectedFirmware : kUnprotectedFirmware),
                true)),
-        noise_rng(seed),
+        state{.noise_rng = support::Xorshift(seed)},
         // Physical crash pulse: low-g driving noise, then a 35g pulse.
         accel([this, cfg]() {
           const Time t = kernel.now();
-          double g = 1.0 + noise_rng.uniform(0.0, 1.0);  // road noise
+          double g = 1.0 + state.noise_rng.uniform(0.0, 1.0);  // road noise
           if (cfg.crash && t >= cfg.crash_time && t < cfg.crash_time + Time::ms(4)) g = 35.0;
           return g;
         }),
@@ -240,12 +240,12 @@ struct CapsSystem {
         // keeps golden runs untouched while giving every injection its own
         // corruption pattern.
         sensor_rng(seed ^ 0xABCDEF ^ fault_salt_of(fault)),
-        sensor(kernel, bus, accel, sensor_rng.fork()),
+        sensor(kernel, bus, accel, sensor_rng.fork(), state),
         hub(airbag),
         tracker(kernel) {
     // Deployment monitor.
     airbag.gpio().out().add_commit_hook([this](const std::uint32_t& v) {
-      if (v != 0 && deploy_time == Time::max()) deploy_time = kernel.now();
+      if (v != 0 && state.deploy_time == Time::max()) state.deploy_time = kernel.now();
     });
     hub.bind_can(bus);
     hub.bind_sensor(accel);
@@ -326,21 +326,16 @@ struct CapsSystem {
     e.kernel = kernel.snapshot();
     e.bus = bus.snapshot();
     e.airbag = airbag.snapshot();
-    e.noise_rng = noise_rng;
     e.accel = accel.snapshot();
-    e.sensor_counter = sensor.counter();
-    e.sensor_sample_pending = sensor.sample_pending();
-    e.deploy_time = deploy_time;
+    e.state = state;
   }
 
   void restore(const CapsEpochSnapshot& e) {
     kernel.restore(e.kernel);
     bus.restore(e.bus);
     airbag.restore(e.airbag);
-    noise_rng = e.noise_rng;
     accel.restore(e.accel);
-    sensor.restore_state(e.sensor_counter, e.sensor_sample_pending);
-    deploy_time = e.deploy_time;
+    state = e.state;
   }
 
   [[nodiscard]] Observation observe(const CapsConfig& cfg, sim::RunStatus status) {
@@ -348,11 +343,11 @@ struct CapsSystem {
     // A tripped watchdog budget means the model livelocked under the fault:
     // the run did not complete and classify() reports it as kTimeout.
     obs.completed = !status.budget_exhausted();
-    const bool deployed = deploy_time != Time::max();
+    const bool deployed = state.deploy_time != Time::max();
 
     if (cfg.crash) {
       const Time deadline = cfg.crash_time + cfg.deploy_deadline;
-      obs.hazard = !deployed || deploy_time > deadline;  // failed/late deployment
+      obs.hazard = !deployed || state.deploy_time > deadline;  // failed/late deployment
     } else {
       obs.hazard = deployed;  // inadvertent deployment
     }
@@ -360,7 +355,7 @@ struct CapsSystem {
     // Functional output signature: deployment decision + time bucket (1 ms).
     support::Crc32 sig;
     sig.update_u64(deployed ? 1 : 0);
-    sig.update_u64(deployed ? deploy_time.picoseconds() / Time::ms(1).picoseconds() : 0);
+    sig.update_u64(deployed ? state.deploy_time.picoseconds() / Time::ms(1).picoseconds() : 0);
     obs.output_signature = sig.value();
 
     // Detections: firmware integrity/stale counters, watchdog resets,

@@ -31,18 +31,23 @@ class CanNode {
   /// Delivered, CRC-clean frame (not called for the transmitter itself).
   virtual void on_frame(const CanFrame& frame) = 0;
 
-  [[nodiscard]] NodeState state() const noexcept { return state_; }
-  [[nodiscard]] unsigned tec() const noexcept { return tec_; }
-  [[nodiscard]] unsigned rec() const noexcept { return rec_; }
+  [[nodiscard]] NodeState state() const noexcept { return image_.state; }
+  [[nodiscard]] unsigned tec() const noexcept { return image_.tec; }
+  [[nodiscard]] unsigned rec() const noexcept { return image_.rec; }
   [[nodiscard]] std::size_t node_index() const noexcept { return index_; }
+
+  /// The node's replayable state, imaged by CanBus::Snapshot.
+  struct Image {
+    NodeState state = NodeState::kErrorActive;
+    unsigned tec = 0;  ///< transmit error counter
+    unsigned rec = 0;  ///< receive error counter
+    std::deque<CanFrame> tx_queue;
+  };
 
  private:
   friend class CanBus;
-  NodeState state_ = NodeState::kErrorActive;
-  unsigned tec_ = 0;  ///< transmit error counter
-  unsigned rec_ = 0;  ///< receive error counter
+  Image image_;
   std::size_t index_ = 0;
-  std::deque<CanFrame> tx_queue_;
   CanBus* bus_ = nullptr;
 };
 
@@ -68,7 +73,7 @@ class CanBus final : public sim::Module {
   [[nodiscard]] sim::Time frame_time(const CanFrame& frame) const {
     return bit_time_ * frame_bit_count(frame);
   }
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const Stats& stats() const noexcept { return state_.stats; }
   [[nodiscard]] std::size_t pending_frames() const noexcept;
 
   /// Attaches a frame probe: each delivered frame becomes a latency sample
@@ -91,8 +96,8 @@ class CanBus final : public sim::Module {
   void set_error_rate(double probability, std::uint64_t seed = 1, std::uint64_t fault_id = 0);
   /// Corrupts exactly the next transmitted frame.
   void force_error_on_next_frame(std::uint64_t fault_id = 0) noexcept {
-    force_error_ = true;
-    if (fault_id != 0) error_fault_id_ = fault_id;
+    state_.force_error = true;
+    if (fault_id != 0) state_.error_fault_id = fault_id;
   }
 
   /// Starts bus-off recovery for a node (ISO 11898 requires a software
@@ -101,25 +106,22 @@ class CanBus final : public sim::Module {
 
   // --- snapshot-and-fork replay -------------------------------------------
   /// Transmit state machine phase; exposed for snapshotting. The arbiter
-  /// process is written so its entire suspension state is (tx_phase_,
-  /// tx_node_) plus the node queues — see run() in bus.cpp.
+  /// process is written so its entire suspension state is (tx_phase,
+  /// tx_node) plus the node queues — see run() in bus.cpp.
   enum class TxPhase : std::uint8_t { kIdle, kTransmitting, kBackoff };
 
-  struct Snapshot {
-    struct NodeImage {
-      NodeState state = NodeState::kErrorActive;
-      unsigned tec = 0;
-      unsigned rec = 0;
-      std::deque<CanFrame> tx_queue;
-    };
+  /// The bus's own state; each node holds its own CanNode::Image.
+  struct State {
     Stats stats;
     double error_rate = 0.0;
     bool force_error = false;
-    std::uint64_t error_fault_id = 0;
+    std::uint64_t error_fault_id = 0;  ///< fault attributed for injected corruption
     support::Xorshift rng{1};
     TxPhase tx_phase = TxPhase::kIdle;
-    std::size_t tx_node = 0;
-    std::vector<NodeImage> nodes;
+    std::size_t tx_node = 0;  ///< index of the node whose frame is on the wire
+  };
+  struct Snapshot : State {
+    std::vector<CanNode::Image> nodes;  ///< in attach order
   };
   [[nodiscard]] Snapshot snapshot() const;
   void restore(const Snapshot& s);
@@ -137,13 +139,7 @@ class CanBus final : public sim::Module {
   sim::Event frame_done_;
   obs::TransactionProbe* probe_ = nullptr;
   obs::ProvenanceTracker* provenance_ = nullptr;
-  Stats stats_;
-  double error_rate_ = 0.0;
-  bool force_error_ = false;
-  std::uint64_t error_fault_id_ = 0;  ///< fault attributed for injected corruption
-  support::Xorshift rng_;
-  TxPhase tx_phase_ = TxPhase::kIdle;
-  std::size_t tx_node_ = 0;  ///< index of the node whose frame is on the wire
+  State state_;
 };
 
 }  // namespace vps::can

@@ -151,17 +151,4 @@ void LinBus::process_response(const Slot& slot) {
   }
 }
 
-LinBus::Snapshot LinBus::snapshot() const {
-  return Snapshot{stats_, error_rate_, error_fault_id_, rng_, slot_index_, slot_pending_};
-}
-
-void LinBus::restore(const Snapshot& s) {
-  stats_ = s.stats;
-  error_rate_ = s.error_rate;
-  error_fault_id_ = s.error_fault_id;
-  rng_ = s.rng;
-  slot_index_ = s.slot_index;
-  slot_pending_ = s.slot_pending;
-}
-
 }  // namespace vps::can

@@ -83,20 +83,6 @@ class LinBus final : public sim::Module {
   /// fault_id attributes the corruption for provenance tracking.
   void set_error_rate(double probability, std::uint64_t seed = 1, std::uint64_t fault_id = 0);
 
-  // --- snapshot-and-fork replay -------------------------------------------
-  /// The schedule table and node attachments are structural (rebuilt by the
-  /// twin's construction code); only the cursor and counters are state.
-  struct Snapshot {
-    Stats stats;
-    double error_rate = 0.0;
-    std::uint64_t error_fault_id = 0;
-    support::Xorshift rng{1};
-    std::size_t slot_index = 0;
-    bool slot_pending = false;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& s);
-
  private:
   [[nodiscard]] sim::Coro master_loop();
   void process_response(const Slot& slot);

@@ -61,28 +61,4 @@ void AliveSupervision::check_cycle() {
   }
 }
 
-AliveSupervision::Snapshot AliveSupervision::snapshot() const {
-  Snapshot s;
-  s.entities.reserve(entities_.size());
-  for (const Entity& e : entities_) {
-    s.entities.push_back(
-        Snapshot::EntityImage{e.reports_this_cycle, e.consecutive_bad_cycles, e.failed});
-  }
-  s.failures = failures_;
-  s.cycle_elapsed = cycle_elapsed_;
-  return s;
-}
-
-void AliveSupervision::restore(const Snapshot& s) {
-  support::ensure(s.entities.size() == entities_.size(),
-                  "AliveSupervision::restore: entity count differs from snapshot");
-  for (std::size_t i = 0; i < entities_.size(); ++i) {
-    entities_[i].reports_this_cycle = s.entities[i].reports_this_cycle;
-    entities_[i].consecutive_bad_cycles = s.entities[i].consecutive_bad_cycles;
-    entities_[i].failed = s.entities[i].failed;
-  }
-  failures_ = s.failures;
-  cycle_elapsed_ = s.cycle_elapsed;
-}
-
 }  // namespace vps::ecu

@@ -48,20 +48,6 @@ class AliveSupervision final : public sim::Module {
   /// nullptr detaches.
   void set_provenance(obs::ProvenanceTracker* tracker) noexcept { provenance_ = tracker; }
 
-  // --- snapshot-and-fork replay -------------------------------------------
-  struct Snapshot {
-    struct EntityImage {
-      unsigned reports_this_cycle = 0;
-      unsigned consecutive_bad_cycles = 0;
-      bool failed = false;
-    };
-    std::vector<EntityImage> entities;
-    std::uint64_t failures = 0;
-    bool cycle_elapsed = false;
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& s);
-
  private:
   struct Entity {
     std::string name;

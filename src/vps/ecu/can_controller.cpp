@@ -10,18 +10,18 @@ CanController::CanController(sim::Kernel& kernel, std::string name, can::CanBus&
 }
 
 std::optional<can::CanFrame> CanController::pop_rx() {
-  if (rx_fifo_.empty()) return std::nullopt;
-  can::CanFrame f = rx_fifo_.front();
-  rx_fifo_.pop_front();
+  if (regs_.rx_fifo.empty()) return std::nullopt;
+  can::CanFrame f = regs_.rx_fifo.front();
+  regs_.rx_fifo.pop_front();
   return f;
 }
 
 void CanController::on_frame(const can::CanFrame& frame) {
-  if (rx_fifo_.size() >= kRxFifoDepth) {
-    ++rx_overflows_;  // oldest-preserving overflow: the new frame is lost
+  if (regs_.rx_fifo.size() >= kRxFifoDepth) {
+    ++regs_.rx_overflows;  // oldest-preserving overflow: the new frame is lost
     return;
   }
-  rx_fifo_.push_back(frame);
+  regs_.rx_fifo.push_back(frame);
   if (on_rx_) on_rx_();
 }
 
@@ -46,15 +46,15 @@ void unpack(can::CanFrame& f, std::uint32_t lo, std::uint32_t hi) {
 
 std::uint32_t CanController::read_register(std::uint32_t offset, Time& /*delay*/) {
   switch (offset) {
-    case kTxId: return tx_mailbox_.id;
-    case kTxDlc: return tx_mailbox_.dlc;
-    case kTxDataLo: return pack_lo(tx_mailbox_);
-    case kTxDataHi: return pack_hi(tx_mailbox_);
-    case kRxCount: return static_cast<std::uint32_t>(rx_fifo_.size());
-    case kRxId: return rx_fifo_.empty() ? 0 : rx_fifo_.front().id;
-    case kRxDlc: return rx_fifo_.empty() ? 0 : rx_fifo_.front().dlc;
-    case kRxDataLo: return rx_fifo_.empty() ? 0 : pack_lo(rx_fifo_.front());
-    case kRxDataHi: return rx_fifo_.empty() ? 0 : pack_hi(rx_fifo_.front());
+    case kTxId: return regs_.tx_mailbox.id;
+    case kTxDlc: return regs_.tx_mailbox.dlc;
+    case kTxDataLo: return pack_lo(regs_.tx_mailbox);
+    case kTxDataHi: return pack_hi(regs_.tx_mailbox);
+    case kRxCount: return static_cast<std::uint32_t>(regs_.rx_fifo.size());
+    case kRxId: return regs_.rx_fifo.empty() ? 0 : regs_.rx_fifo.front().id;
+    case kRxDlc: return regs_.rx_fifo.empty() ? 0 : regs_.rx_fifo.front().dlc;
+    case kRxDataLo: return regs_.rx_fifo.empty() ? 0 : pack_lo(regs_.rx_fifo.front());
+    case kRxDataHi: return regs_.rx_fifo.empty() ? 0 : pack_hi(regs_.rx_fifo.front());
     case kStatus:
       return static_cast<std::uint32_t>(state()) | (static_cast<std::uint32_t>(tec()) << 8) |
              (static_cast<std::uint32_t>(rec()) << 16);
@@ -64,13 +64,13 @@ std::uint32_t CanController::read_register(std::uint32_t offset, Time& /*delay*/
 
 void CanController::write_register(std::uint32_t offset, std::uint32_t value, Time& /*delay*/) {
   switch (offset) {
-    case kTxId: tx_mailbox_.id = static_cast<std::uint16_t>(value & can::kMaxStandardId); break;
-    case kTxDlc: tx_mailbox_.dlc = static_cast<std::uint8_t>(value > 8 ? 8 : value); break;
-    case kTxDataLo: unpack(tx_mailbox_, value, pack_hi(tx_mailbox_)); break;
-    case kTxDataHi: unpack(tx_mailbox_, pack_lo(tx_mailbox_), value); break;
-    case kTxSend: bus_.submit(*this, tx_mailbox_); break;
+    case kTxId: regs_.tx_mailbox.id = static_cast<std::uint16_t>(value & can::kMaxStandardId); break;
+    case kTxDlc: regs_.tx_mailbox.dlc = static_cast<std::uint8_t>(value > 8 ? 8 : value); break;
+    case kTxDataLo: unpack(regs_.tx_mailbox, value, pack_hi(regs_.tx_mailbox)); break;
+    case kTxDataHi: unpack(regs_.tx_mailbox, pack_lo(regs_.tx_mailbox), value); break;
+    case kTxSend: bus_.submit(*this, regs_.tx_mailbox); break;
     case kRxPop:
-      if (!rx_fifo_.empty()) rx_fifo_.pop_front();
+      if (!regs_.rx_fifo.empty()) regs_.rx_fifo.pop_front();
       break;
     default: break;
   }

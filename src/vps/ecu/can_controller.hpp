@@ -43,11 +43,11 @@ class CanController final : public hw::RegisterDevice, public can::CanNode {
   // --- C++-level software interface ---------------------------------------
   void send(const can::CanFrame& frame) { bus_.submit(*this, frame); }
   [[nodiscard]] std::optional<can::CanFrame> pop_rx();
-  [[nodiscard]] std::size_t rx_pending() const noexcept { return rx_fifo_.size(); }
+  [[nodiscard]] std::size_t rx_pending() const noexcept { return regs_.rx_fifo.size(); }
   /// Invoked on every accepted frame (wire to InterruptController::raise).
   void set_on_rx(std::function<void()> fn) { on_rx_ = std::move(fn); }
 
-  [[nodiscard]] std::uint64_t rx_overflows() const noexcept { return rx_overflows_; }
+  [[nodiscard]] std::uint64_t rx_overflows() const noexcept { return regs_.rx_overflows; }
   [[nodiscard]] can::CanBus& bus() noexcept { return bus_; }
 
   void on_frame(const can::CanFrame& frame) override;
@@ -60,12 +60,8 @@ class CanController final : public hw::RegisterDevice, public can::CanNode {
     std::deque<can::CanFrame> rx_fifo;
     std::uint64_t rx_overflows = 0;
   };
-  [[nodiscard]] Snapshot snapshot() const { return Snapshot{tx_mailbox_, rx_fifo_, rx_overflows_}; }
-  void restore(const Snapshot& s) {
-    tx_mailbox_ = s.tx_mailbox;
-    rx_fifo_ = s.rx_fifo;
-    rx_overflows_ = s.rx_overflows;
-  }
+  [[nodiscard]] Snapshot snapshot() const { return regs_; }
+  void restore(const Snapshot& s) { regs_ = s; }
 
  protected:
   std::uint32_t read_register(std::uint32_t offset, sim::Time& delay) override;
@@ -74,9 +70,7 @@ class CanController final : public hw::RegisterDevice, public can::CanNode {
 
  private:
   can::CanBus& bus_;
-  can::CanFrame tx_mailbox_{};
-  std::deque<can::CanFrame> rx_fifo_;
-  std::uint64_t rx_overflows_ = 0;
+  Snapshot regs_;
   std::function<void()> on_rx_;
 };
 

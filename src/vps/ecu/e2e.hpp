@@ -44,13 +44,6 @@ class E2eProtector {
 
   [[nodiscard]] std::uint8_t counter() const noexcept { return counter_; }
 
-  // --- snapshot-and-fork replay -------------------------------------------
-  struct Snapshot {
-    std::uint8_t counter = 0;
-  };
-  [[nodiscard]] Snapshot snapshot() const { return Snapshot{counter_}; }
-  void restore(const Snapshot& s) { counter_ = s.counter; }
-
  private:
   E2eConfig config_;
   std::uint8_t counter_ = 0;
@@ -82,19 +75,6 @@ class E2eChecker {
   /// message, so the detection attaches to all in-flight faults — campaign
   /// runs inject exactly one. nullptr detaches.
   void set_provenance(obs::ProvenanceTracker* tracker) noexcept { provenance_ = tracker; }
-
-  // --- snapshot-and-fork replay -------------------------------------------
-  struct Snapshot {
-    std::optional<std::uint8_t> last_counter;
-    std::vector<std::uint8_t> last_payload;
-    Stats stats;
-  };
-  [[nodiscard]] Snapshot snapshot() const { return Snapshot{last_counter_, last_payload_, stats_}; }
-  void restore(const Snapshot& s) {
-    last_counter_ = s.last_counter;
-    last_payload_ = s.last_payload;
-    stats_ = s.stats;
-  }
 
  private:
   void report_detection();

@@ -53,12 +53,12 @@ class OsScheduler final : public sim::Module {
   /// Registers a task before or during simulation; returns its id.
   TaskId add_task(TaskConfig config);
 
-  [[nodiscard]] std::size_t task_count() const noexcept { return tasks_.size(); }
-  [[nodiscard]] const TaskConfig& config(TaskId id) const { return tasks_.at(id).config; }
-  [[nodiscard]] const TaskStats& stats(TaskId id) const { return tasks_.at(id).stats; }
+  [[nodiscard]] std::size_t task_count() const noexcept { return configs_.size(); }
+  [[nodiscard]] const TaskConfig& config(TaskId id) const { return configs_.at(id); }
+  [[nodiscard]] const TaskStats& stats(TaskId id) const { return state_.tasks.at(id).stats; }
   /// Rate a task currently releases at (differs from config(id).period after
   /// a set_period mode switch).
-  [[nodiscard]] sim::Time current_period(TaskId id) const { return tasks_.at(id).period; }
+  [[nodiscard]] sim::Time current_period(TaskId id) const { return state_.tasks.at(id).period; }
 
   /// Mode switch: changes a task's release period (and relative deadline;
   /// 0 = implicit, == period) from now on. The pending release is re-anchored
@@ -68,7 +68,9 @@ class OsScheduler final : public sim::Module {
   void set_period(TaskId id, sim::Time period, sim::Time deadline = sim::Time::zero());
   /// Fired on every deadline miss; monitors subscribe for failure analysis.
   [[nodiscard]] sim::Event& deadline_miss_event() noexcept { return deadline_miss_; }
-  [[nodiscard]] std::uint64_t total_deadline_misses() const noexcept { return total_misses_; }
+  [[nodiscard]] std::uint64_t total_deadline_misses() const noexcept {
+    return state_.total_misses;
+  }
   /// CPU utilization so far (busy time / elapsed time).
   [[nodiscard]] double utilization() const noexcept;
 
@@ -80,7 +82,7 @@ class OsScheduler final : public sim::Module {
   void kill_task(TaskId id);
   /// Re-enables a killed task.
   void revive_task(TaskId id);
-  [[nodiscard]] bool is_killed(TaskId id) const { return tasks_.at(id).killed; }
+  [[nodiscard]] bool is_killed(TaskId id) const { return state_.tasks.at(id).killed; }
 
   struct Job {
     sim::Time release;
@@ -91,53 +93,40 @@ class OsScheduler final : public sim::Module {
 
   // --- snapshot-and-fork replay -------------------------------------------
   /// Task bodies and configs are structural; per-task dynamic state plus the
-  /// in-flight slice bookkeeping is what forking needs.
+  /// in-flight slice bookkeeping is what forking needs, and what the
+  /// scheduler holds.
   struct Snapshot {
     struct TaskImage {
       TaskStats stats;
       Job job;
       sim::Time next_release;
-      sim::Time period;    ///< current rate (mode switches are dynamic state)
-      sim::Time deadline;
+      sim::Time period;    ///< current rate; initialized from config, changed by set_period
+      sim::Time deadline;  ///< current relative deadline
       double exec_factor = 1.0;
       bool killed = false;
     };
-    std::vector<TaskImage> tasks;
+    std::vector<TaskImage> tasks;  ///< parallel to configs_
     std::uint64_t total_misses = 0;
     sim::Time busy_time = sim::Time::zero();
-    int running = -1;
-    bool slice_armed = false;
-    std::size_t slice_task = 0;
+    int running = -1;            ///< task index currently "executing"
+    bool slice_armed = false;    ///< a slice wait is outstanding
+    std::size_t slice_task = 0;  ///< task the outstanding slice belongs to
     sim::Time slice_start = sim::Time::zero();
   };
-  [[nodiscard]] Snapshot snapshot() const;
+  [[nodiscard]] Snapshot snapshot() const { return state_; }
   void restore(const Snapshot& s);
 
  private:
-  struct Task {
-    TaskConfig config;
-    TaskStats stats;
-    Job job;
-    sim::Time next_release;
-    sim::Time period;    ///< current rate; initialized from config, changed by set_period
-    sim::Time deadline;  ///< current relative deadline
-    double exec_factor = 1.0;
-    bool killed = false;
-  };
+  using Task = Snapshot::TaskImage;
 
   [[nodiscard]] sim::Coro run();
   [[nodiscard]] int pick_ready() const;  ///< highest-priority active job, -1 if none
   void release_jobs();
 
-  std::vector<Task> tasks_;
+  std::vector<TaskConfig> configs_;
+  Snapshot state_;
   sim::Event reschedule_;
   sim::Event deadline_miss_;
-  std::uint64_t total_misses_ = 0;
-  sim::Time busy_time_ = sim::Time::zero();
-  int running_ = -1;  ///< task index currently "executing"
-  bool slice_armed_ = false;          ///< a slice wait is outstanding
-  std::size_t slice_task_ = 0;        ///< task the outstanding slice belongs to
-  sim::Time slice_start_ = sim::Time::zero();
 };
 
 }  // namespace vps::ecu

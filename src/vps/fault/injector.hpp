@@ -35,29 +35,29 @@ class AnalogChannel {
   }
 
   [[nodiscard]] double read() const {
-    if (provenance_ != nullptr && fault_id_ != 0 && !touched_) {
+    if (provenance_ != nullptr && state_.fault_id != 0 && !state_.touched) {
       // First consumption of the faulty value: the corrupted reading left
       // the sensor and entered the acquisition chain.
-      touched_ = true;
-      provenance_->touch(fault_id_, "sensor");
+      state_.touched = true;
+      provenance_->touch(state_.fault_id, "sensor");
     }
-    if (stuck_.has_value()) return *stuck_;
-    return physical_() + offset_;
+    if (state_.stuck.has_value()) return *state_.stuck;
+    return physical_() + state_.offset;
   }
 
   /// A non-zero fault_id attributes the corruption for provenance tracking.
   void set_offset(double volts, std::uint64_t fault_id = 0) {
-    offset_ = volts;
+    state_.offset = volts;
     tag(fault_id);
   }
   void set_stuck(double volts, std::uint64_t fault_id = 0) {
-    stuck_ = volts;
+    state_.stuck = volts;
     tag(fault_id);
   }
   void clear_faults() {
-    offset_ = 0.0;
-    stuck_.reset();
-    fault_id_ = 0;
+    state_.offset = 0.0;
+    state_.stuck.reset();
+    state_.fault_id = 0;
   }
 
   /// nullptr detaches.
@@ -68,28 +68,20 @@ class AnalogChannel {
     double offset = 0.0;
     std::optional<double> stuck;
     std::uint64_t fault_id = 0;
-    bool touched = false;
+    mutable bool touched = false;  ///< set by the const read()
   };
-  [[nodiscard]] Snapshot snapshot() const { return Snapshot{offset_, stuck_, fault_id_, touched_}; }
-  void restore(const Snapshot& s) {
-    offset_ = s.offset;
-    stuck_ = s.stuck;
-    fault_id_ = s.fault_id;
-    touched_ = s.touched;
-  }
+  [[nodiscard]] Snapshot snapshot() const { return state_; }
+  void restore(const Snapshot& s) { state_ = s; }
 
  private:
   void tag(std::uint64_t fault_id) {
-    fault_id_ = fault_id;
-    touched_ = false;
+    state_.fault_id = fault_id;
+    state_.touched = false;
   }
 
   std::function<double()> physical_;
-  double offset_ = 0.0;
-  std::optional<double> stuck_;
   obs::ProvenanceTracker* provenance_ = nullptr;
-  std::uint64_t fault_id_ = 0;
-  mutable bool touched_ = false;
+  Snapshot state_;
 };
 
 /// Applies FaultDescriptors to a system. Duration-limited faults schedule

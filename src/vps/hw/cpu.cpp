@@ -126,37 +126,37 @@ Cpu::Cpu(sim::Kernel& kernel, std::string name, Config config)
       qk_(kernel, config.quantum),
       reset_event_(kernel, this->name() + ".reset"),
       stopped_event_(kernel, this->name() + ".stopped"),
-      pc_(config.reset_pc) {
+      core_{.pc = config.reset_pc} {
   spawn("core", main_loop());
 }
 
 void Cpu::reset() {
-  regs_.fill(0);
-  taint_mask_ = 0;
+  core_.regs.fill(0);
+  core_.taint_mask = 0;
   store_poison_ = 0;
   load_poison_ = 0;
-  pc_ = config_.reset_pc;
-  irq_enabled_ = false;
-  in_irq_ = false;
-  saved_pc_ = 0;
-  fault_cause_ = FaultCause::kNone;
-  fault_address_ = 0;
-  state_ = State::kRunning;
+  core_.pc = config_.reset_pc;
+  core_.irq_enabled = false;
+  core_.in_irq = false;
+  core_.saved_pc = 0;
+  core_.fault_cause = FaultCause::kNone;
+  core_.fault_address = 0;
+  core_.state = State::kRunning;
   reset_event_.notify();
 }
 
 void Cpu::corrupt_register(int i, std::uint32_t xor_mask, std::uint64_t fault_id) {
   if (i > 0 && i < kRegisterCount) {
-    regs_[static_cast<std::size_t>(i)] ^= xor_mask;
+    core_.regs[static_cast<std::size_t>(i)] ^= xor_mask;
     if (provenance_ != nullptr && fault_id != 0) {
-      taint_mask_ |= 1u << i;
-      reg_taint_[static_cast<std::size_t>(i)] = fault_id;
+      core_.taint_mask |= 1u << i;
+      core_.reg_taint[static_cast<std::size_t>(i)] = fault_id;
     }
   }
 }
 
 void Cpu::corrupt_pc(std::uint32_t xor_mask, std::uint64_t fault_id) {
-  pc_ ^= xor_mask;
+  core_.pc ^= xor_mask;
   // A corrupted PC takes effect at the very next fetch; record the contact
   // immediately rather than waiting for a value to flow anywhere.
   if (provenance_ != nullptr && fault_id != 0) provenance_->touch(fault_id, "cpu:" + name() + ".pc");
@@ -229,50 +229,50 @@ void Cpu::track_taint(const Decoded& d) {
   // First tainted operand this instruction consumes defines the contact.
   std::uint64_t fault_id = 0;
   int source = -1;
-  if (reads_rs1 && (taint_mask_ & (1u << d.rs1)) != 0) {
-    fault_id = reg_taint_[d.rs1];
+  if (reads_rs1 && (core_.taint_mask & (1u << d.rs1)) != 0) {
+    fault_id = core_.reg_taint[d.rs1];
     source = d.rs1;
-  } else if (reads_rs2 && (taint_mask_ & (1u << d.rs2)) != 0) {
-    fault_id = reg_taint_[d.rs2];
+  } else if (reads_rs2 && (core_.taint_mask & (1u << d.rs2)) != 0) {
+    fault_id = core_.reg_taint[d.rs2];
     source = d.rs2;
-  } else if (reads_rd && (taint_mask_ & (1u << d.rd)) != 0) {
-    fault_id = reg_taint_[d.rd];
+  } else if (reads_rd && (core_.taint_mask & (1u << d.rd)) != 0) {
+    fault_id = core_.reg_taint[d.rd];
     source = d.rd;
   }
   if (fault_id != 0 && provenance_ != nullptr) {
     provenance_->touch(fault_id, "cpu:" + name() + ".r" + std::to_string(source));
   }
   // Stores forward the data register's taint onto the outgoing payload.
-  if (is_store && (taint_mask_ & (1u << d.rd)) != 0) store_poison_ = reg_taint_[d.rd];
+  if (is_store && (core_.taint_mask & (1u << d.rd)) != 0) store_poison_ = core_.reg_taint[d.rd];
   // Writes either propagate the consumed taint or clean the destination.
   if (writes_rd && d.rd != 0) {
     if (fault_id != 0) {
-      taint_mask_ |= 1u << d.rd;
-      reg_taint_[d.rd] = fault_id;
+      core_.taint_mask |= 1u << d.rd;
+      core_.reg_taint[d.rd] = fault_id;
     } else {
-      taint_mask_ &= ~(1u << d.rd);
+      core_.taint_mask &= ~(1u << d.rd);
     }
   }
 }
 
 void Cpu::fault(FaultCause cause, std::uint32_t address) {
-  state_ = State::kFaulted;
-  fault_cause_ = cause;
-  fault_address_ = address;
+  core_.state = State::kFaulted;
+  core_.fault_cause = cause;
+  core_.fault_address = address;
   stopped_event_.notify();
 }
 
 template <bool kFastForward>
 bool Cpu::bus_read(std::uint32_t address, std::size_t size, std::uint32_t& value) {
   if (config_.use_dmi && dmi_.allows_read && dmi_.covers(address, size)) {
-    ++stats_.dmi_accesses;
+    ++core_.stats.dmi_accesses;
     value = 0;
     const std::uint8_t* p = dmi_.base + (address - dmi_.start);
     for (std::size_t i = size; i-- > 0;) value = (value << 8) | p[i];
     qk_.inc(dmi_.read_latency);
     return true;
   }
-  ++stats_.bus_accesses;
+  ++core_.stats.bus_accesses;
   tlm::GenericPayload payload(tlm::Command::kRead, address, size);
   sim::Time delay = sim::Time::zero();
   socket_.b_transport(payload, delay);
@@ -291,7 +291,7 @@ bool Cpu::bus_read(std::uint32_t address, std::size_t size, std::uint32_t& value
 template <bool kFastForward>
 bool Cpu::bus_write(std::uint32_t address, std::size_t size, std::uint32_t value) {
   if (config_.use_dmi && dmi_.allows_write && dmi_.covers(address, size)) {
-    ++stats_.dmi_accesses;
+    ++core_.stats.dmi_accesses;
     std::uint8_t* p = dmi_.base + (address - dmi_.start);
     for (std::size_t i = 0; i < size; ++i) p[i] = static_cast<std::uint8_t>(value >> (8 * i));
     qk_.inc(dmi_.write_latency);
@@ -299,7 +299,7 @@ bool Cpu::bus_write(std::uint32_t address, std::size_t size, std::uint32_t value
     if constexpr (kFastForward) anchor_.fixed = false;
     return true;
   }
-  ++stats_.bus_accesses;
+  ++core_.stats.bus_accesses;
   tlm::GenericPayload payload(tlm::Command::kWrite, address, size);
   payload.set_value_le(value);
   if (store_poison_ != 0) {
@@ -324,15 +324,15 @@ void Cpu::record_access(const tlm::GenericPayload& payload) noexcept {
 }
 
 void Cpu::close_iteration() {
-  if (anchor_.fixed && anchor_.pc == pc_) {
+  if (anchor_.fixed && anchor_.pc == core_.pc) {
     anchor_.misses = 0;
     fast_forward();
   } else {
     ++anchor_.misses;
   }
   anchor_.fixed = true;
-  anchor_.pc = pc_;
-  anchor_.stats = stats_;
+  anchor_.pc = core_.pc;
+  anchor_.stats = core_.stats;
   anchor_.local = qk_.local_time();
   anchor_.accesses = 0;
 }
@@ -352,14 +352,14 @@ void Cpu::fast_forward() {
     now += k * (now - at_anchor);
   };
   const Stats& a = anchor_.stats;
-  fast_forwarded_ += k * (stats_.instructions - a.instructions);
-  repeat(stats_.instructions, a.instructions);
-  repeat(stats_.loads, a.loads);
-  repeat(stats_.stores, a.stores);
-  repeat(stats_.branches_taken, a.branches_taken);
-  repeat(stats_.irqs_taken, a.irqs_taken);
-  repeat(stats_.dmi_accesses, a.dmi_accesses);
-  repeat(stats_.bus_accesses, a.bus_accesses);
+  fast_forwarded_ += k * (core_.stats.instructions - a.instructions);
+  repeat(core_.stats.instructions, a.instructions);
+  repeat(core_.stats.loads, a.loads);
+  repeat(core_.stats.stores, a.stores);
+  repeat(core_.stats.branches_taken, a.branches_taken);
+  repeat(core_.stats.irqs_taken, a.irqs_taken);
+  repeat(core_.stats.dmi_accesses, a.dmi_accesses);
+  repeat(core_.stats.bus_accesses, a.bus_accesses);
   qk_.inc(period * k);
   for (std::size_t i = 0; i < anchor_.accesses; ++i) {
     const LoopAccess& access = anchor_.access[i];
@@ -370,71 +370,71 @@ void Cpu::fast_forward() {
 
 void Cpu::enter_irq() {
   anchor_.fixed = false;
-  ++stats_.irqs_taken;
-  saved_pc_ = pc_;
-  pc_ = config_.irq_vector;
-  irq_enabled_ = false;
-  in_irq_ = true;
+  ++core_.stats.irqs_taken;
+  core_.saved_pc = core_.pc;
+  core_.pc = config_.irq_vector;
+  core_.irq_enabled = false;
+  core_.in_irq = true;
   qk_.inc(config_.cycle_time * 4);  // pipeline flush + vector fetch cost
 }
 
 template <bool kFastForward>
 bool Cpu::step() {
   // Interrupt check between instructions (level-sensitive).
-  if (irq_enabled_ && irq_line_ != nullptr && irq_line_->read()) enter_irq();
+  if (core_.irq_enabled && irq_line_ != nullptr && irq_line_->read()) enter_irq();
 
   std::uint32_t word = 0;
-  if ((pc_ & 3u) != 0) {
-    fault(FaultCause::kMisaligned, pc_);
+  if ((core_.pc & 3u) != 0) {
+    fault(FaultCause::kMisaligned, core_.pc);
     return false;
   }
-  if (!bus_read<kFastForward>(pc_, 4, word)) {
-    fault(FaultCause::kBusError, pc_);
+  if (!bus_read<kFastForward>(core_.pc, 4, word)) {
+    fault(FaultCause::kBusError, core_.pc);
     return false;
   }
   if (!is_valid_opcode(static_cast<std::uint8_t>(word >> 24))) {
-    fault(FaultCause::kIllegalInstruction, pc_);
+    fault(FaultCause::kIllegalInstruction, core_.pc);
     return false;
   }
   const Decoded d = decode(word);
-  if (trace_hook_) trace_hook_(pc_, d);
-  if (taint_mask_ != 0) track_taint(d);
-  ++stats_.instructions;
+  if (trace_hook_) trace_hook_(core_.pc, d);
+  if (core_.taint_mask != 0) track_taint(d);
+  ++core_.stats.instructions;
 
-  std::uint32_t next_pc = pc_ + 4;
+  std::uint32_t next_pc = core_.pc + 4;
   std::uint64_t cycles = 1;
-  const std::uint32_t a = regs_[d.rs1];
-  const std::uint32_t b = regs_[d.rs2];
-  const std::uint32_t rdv = regs_[d.rd];
+  const std::uint32_t a = core_.regs[d.rs1];
+  const std::uint32_t b = core_.regs[d.rs2];
+  const std::uint32_t rdv = core_.regs[d.rd];
   auto wr = [&](std::uint32_t v) {
     if (d.rd == 0) return;
-    if constexpr (kFastForward) anchor_.fixed = anchor_.fixed && regs_[d.rd] == v;
-    regs_[d.rd] = v;
+    if constexpr (kFastForward) anchor_.fixed = anchor_.fixed && core_.regs[d.rd] == v;
+    core_.regs[d.rd] = v;
   };
 
   switch (d.opcode) {
     case Opcode::kNop: break;
     case Opcode::kHalt:
-      state_ = State::kHalted;
+      core_.state = State::kHalted;
       stopped_event_.notify();
       return false;
     case Opcode::kWfi:
-      pc_ += 4;  // resume after the WFI once an interrupt arrives
+      core_.pc += 4;  // resume after the WFI once an interrupt arrives
       qk_.inc(config_.cycle_time);
-      state_ = State::kSleeping;
+      core_.state = State::kSleeping;
       return false;
     case Opcode::kEi:
-      irq_enabled_ = true;
+      core_.irq_enabled = true;
       anchor_.fixed = false;
       break;
     case Opcode::kDi:
-      irq_enabled_ = false;
+      core_.irq_enabled = false;
       anchor_.fixed = false;
       break;
     case Opcode::kReti:
-      next_pc = saved_pc_;
-      irq_enabled_ = true;
-      in_irq_ = false;
+      next_pc = core_.saved_pc;
+      core_.irq_enabled = true;
+      core_.in_irq = false;
       anchor_.fixed = false;
       cycles = 2;
       break;
@@ -468,7 +468,7 @@ bool Cpu::step() {
     case Opcode::kLhu:
     case Opcode::kLb:
     case Opcode::kLbu: {
-      ++stats_.loads;
+      ++core_.stats.loads;
       const std::uint32_t addr = a + static_cast<std::uint32_t>(d.simm());
       const std::size_t size = d.opcode == Opcode::kLw ? 4
                                : (d.opcode == Opcode::kLh || d.opcode == Opcode::kLhu) ? 2
@@ -487,7 +487,7 @@ bool Cpu::step() {
     case Opcode::kSw:
     case Opcode::kSh:
     case Opcode::kSb: {
-      ++stats_.stores;
+      ++core_.stats.stores;
       const std::uint32_t addr = a + static_cast<std::uint32_t>(d.simm());
       const std::size_t size = d.opcode == Opcode::kSw ? 4 : d.opcode == Opcode::kSh ? 2 : 1;
       if (!bus_write<kFastForward>(addr, size, rdv)) {
@@ -515,20 +515,20 @@ bool Cpu::step() {
         default: break;
       }
       if (taken) {
-        next_pc = pc_ + static_cast<std::uint32_t>(d.simm());
-        ++stats_.branches_taken;
+        next_pc = core_.pc + static_cast<std::uint32_t>(d.simm());
+        ++core_.stats.branches_taken;
         cycles = 2;
       }
       break;
     }
 
     case Opcode::kJal:
-      wr(pc_ + 4);
-      next_pc = pc_ + static_cast<std::uint32_t>(d.simm());
+      wr(core_.pc + 4);
+      next_pc = core_.pc + static_cast<std::uint32_t>(d.simm());
       cycles = 2;
       break;
     case Opcode::kJalr:
-      wr(pc_ + 4);
+      wr(core_.pc + 4);
       next_pc = a + static_cast<std::uint32_t>(d.simm());
       cycles = 2;
       break;
@@ -539,53 +539,27 @@ bool Cpu::step() {
   // the produced result suspect).
   if (load_poison_ != 0) {
     if (d.rd != 0) {
-      taint_mask_ |= 1u << d.rd;
-      reg_taint_[d.rd] = load_poison_;
+      core_.taint_mask |= 1u << d.rd;
+      core_.reg_taint[d.rd] = load_poison_;
     }
     load_poison_ = 0;
   }
 
-  const bool backward = next_pc <= pc_;
-  pc_ = next_pc;
+  const bool backward = next_pc <= core_.pc;
+  core_.pc = next_pc;
   qk_.inc(config_.cycle_time * cycles);
   if constexpr (kFastForward) {
     if (backward) close_iteration();
   }
-  return state_ == State::kRunning;
-}
-
-Cpu::Snapshot Cpu::snapshot() const {
-  Snapshot s;
-  s.state = state_;
-  s.fault_cause = fault_cause_;
-  s.fault_address = fault_address_;
-  s.pc = pc_;
-  s.regs = regs_;
-  s.irq_enabled = irq_enabled_;
-  s.in_irq = in_irq_;
-  s.saved_pc = saved_pc_;
-  s.stats = stats_;
-  s.qk = qk_.snapshot();
-  s.dmi_held = dmi_.base != nullptr;
-  s.dmi_start = dmi_.start;
-  s.taint_mask = taint_mask_;
-  s.reg_taint = reg_taint_;
-  return s;
+  return core_.state == State::kRunning;
 }
 
 void Cpu::restore(const Snapshot& s) {
-  state_ = s.state;
-  fault_cause_ = s.fault_cause;
-  fault_address_ = s.fault_address;
-  pc_ = s.pc;
-  regs_ = s.regs;
-  irq_enabled_ = s.irq_enabled;
-  in_irq_ = s.in_irq;
-  saved_pc_ = s.saved_pc;
-  stats_ = s.stats;
+  core_ = s;
   qk_.restore(s.qk);
-  taint_mask_ = s.taint_mask;
-  reg_taint_ = s.reg_taint;
+  // The poison hand-off lives within one instruction, so a snapshot taken
+  // between activations holds none: drop whatever the twin's last
+  // instruction left.
   store_poison_ = 0;
   load_poison_ = 0;
   // Re-acquire the DMI window from the bound target (restore runs after the
@@ -602,7 +576,7 @@ void Cpu::run_quantum() {
     anchor_.fixed = false;  // no anchor yet in this activation
     anchor_.misses = 0;
   }
-  while (state_ == State::kRunning) {
+  while (core_.state == State::kRunning) {
     if (!step<kFastForward>()) return;
     if (config_.quantum == sim::Time::zero() || qk_.need_sync()) return;
     if constexpr (kFastForward) {
@@ -613,7 +587,7 @@ void Cpu::run_quantum() {
 
 sim::Coro Cpu::main_loop() {
   for (;;) {
-    switch (state_) {
+    switch (core_.state) {
       case State::kRunning: {
         // Execute a decoupled batch, then hand time back to the kernel.
         // Loop fast-forward is decided once per activation: it stays off
@@ -630,13 +604,13 @@ sim::Coro Cpu::main_loop() {
       case State::kSleeping: {
         if (irq_line_ == nullptr) {
           // No interrupt source: WFI behaves like HALT.
-          state_ = State::kHalted;
+          core_.state = State::kHalted;
           stopped_event_.notify();
           break;
         }
         while (!irq_line_->read()) co_await irq_line_->changed();
-        if (irq_enabled_) enter_irq();
-        state_ = State::kRunning;
+        if (core_.irq_enabled) enter_irq();
+        core_.state = State::kRunning;
         break;
       }
       case State::kHalted:

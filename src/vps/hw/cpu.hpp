@@ -49,21 +49,21 @@ class Cpu final : public sim::Module {
   /// Level-sensitive interrupt request input.
   void connect_irq(sim::Signal<bool>& line) noexcept { irq_line_ = &line; }
 
-  [[nodiscard]] State state() const noexcept { return state_; }
-  [[nodiscard]] FaultCause fault_cause() const noexcept { return fault_cause_; }
-  [[nodiscard]] std::uint32_t fault_address() const noexcept { return fault_address_; }
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  [[nodiscard]] State state() const noexcept { return core_.state; }
+  [[nodiscard]] FaultCause fault_cause() const noexcept { return core_.fault_cause; }
+  [[nodiscard]] std::uint32_t fault_address() const noexcept { return core_.fault_address; }
+  [[nodiscard]] const Stats& stats() const noexcept { return core_.stats; }
   [[nodiscard]] tlm::QuantumKeeper& quantum_keeper() noexcept { return qk_; }
   /// Diagnostic: instructions retired by loop fast-forward rather than
   /// interpreted (see main_loop). Included in stats().instructions; not part
   /// of a Snapshot.
   [[nodiscard]] std::uint64_t fast_forwarded() const noexcept { return fast_forwarded_; }
 
-  [[nodiscard]] std::uint32_t pc() const noexcept { return pc_; }
-  void set_pc(std::uint32_t pc) noexcept { pc_ = pc; }
-  [[nodiscard]] std::uint32_t reg(int i) const { return regs_.at(static_cast<std::size_t>(i)); }
+  [[nodiscard]] std::uint32_t pc() const noexcept { return core_.pc; }
+  void set_pc(std::uint32_t pc) noexcept { core_.pc = pc; }
+  [[nodiscard]] std::uint32_t reg(int i) const { return core_.regs.at(static_cast<std::size_t>(i)); }
   void set_reg(int i, std::uint32_t v) {
-    if (i != 0) regs_.at(static_cast<std::size_t>(i)) = v;
+    if (i != 0) core_.regs.at(static_cast<std::size_t>(i)) = v;
   }
 
   /// Returns the core to reset state and resumes execution if halted.
@@ -89,7 +89,7 @@ class Cpu final : public sim::Module {
   void set_provenance(obs::ProvenanceTracker* tracker) noexcept {
     provenance_ = tracker;
     if (tracker == nullptr) {
-      taint_mask_ = 0;
+      core_.taint_mask = 0;
       store_poison_ = 0;
       load_poison_ = 0;
     }
@@ -103,11 +103,8 @@ class Cpu final : public sim::Module {
   }
 
   // --- snapshot-and-fork replay -------------------------------------------
-  /// Value-type image of the architectural and micro-architectural state.
-  /// The DMI grant is captured as its address window only: restore
-  /// re-acquires the pointer from the bound target so it lands in the
-  /// twin's backing store, never the snapshot source's.
-  struct Snapshot {
+  /// The architectural and micro-architectural state the core holds.
+  struct Core {
     State state = State::kRunning;
     FaultCause fault_cause = FaultCause::kNone;
     std::uint32_t fault_address = 0;
@@ -116,15 +113,25 @@ class Cpu final : public sim::Module {
     bool irq_enabled = false;
     bool in_irq = false;
     std::uint32_t saved_pc = 0;
-    Stats stats;
-    tlm::QuantumKeeper::Snapshot qk;
-    bool dmi_held = false;
-    std::uint64_t dmi_start = 0;
+    Stats stats{};
+    // Provenance: register-file taint (bit i of taint_mask set = regs[i]
+    // carries fault reg_taint[i]).
     std::uint32_t taint_mask = 0;
     std::array<std::uint64_t, kRegisterCount> reg_taint{};
   };
+  /// Value-type image of the core, its quantum keeper and its DMI grant.
+  /// The grant is captured as its address window only: restore
+  /// re-acquires the pointer from the bound target so it lands in the
+  /// twin's backing store, never the snapshot source's.
+  struct Snapshot : Core {
+    tlm::QuantumKeeper::Snapshot qk;
+    bool dmi_held = false;
+    std::uint64_t dmi_start = 0;
+  };
 
-  [[nodiscard]] Snapshot snapshot() const;
+  [[nodiscard]] Snapshot snapshot() const {
+    return Snapshot{core_, qk_.snapshot(), dmi_.base != nullptr, dmi_.start};
+  }
   void restore(const Snapshot& s);
 
  private:
@@ -152,9 +159,9 @@ class Cpu final : public sim::Module {
 
   /// Notes a bus access of the iteration being recorded.
   void record_access(const tlm::GenericPayload& payload) noexcept;
-  /// At a control transfer to pc_ <= the transferring instruction: applies
+  /// At a control transfer to pc <= the transferring instruction: applies
   /// the further iterations that fit in the quantum when the one since the
-  /// anchor was a fixed point, then re-anchors at pc_.
+  /// anchor was a fixed point, then re-anchors at pc.
   void close_iteration();
   /// Applies the k repeats of the fixed-point iteration just closed that
   /// end before the quantum does.
@@ -167,25 +174,14 @@ class Cpu final : public sim::Module {
   sim::Event reset_event_;
   sim::Event stopped_event_;
 
-  State state_ = State::kRunning;
-  FaultCause fault_cause_ = FaultCause::kNone;
-  std::uint32_t fault_address_ = 0;
-  std::uint32_t pc_;
-  std::array<std::uint32_t, kRegisterCount> regs_{};
-  bool irq_enabled_ = false;
-  bool in_irq_ = false;
-  std::uint32_t saved_pc_ = 0;
-
+  Core core_;
   tlm::DmiRegion dmi_;
-  Stats stats_;
   std::function<void(std::uint32_t, const Decoded&)> trace_hook_;
 
-  // Provenance: register-file taint (bit i of taint_mask_ set = regs_[i]
-  // carries fault reg_taint_[i]); store_poison_/load_poison_ hand fault ids
-  // across the bus_write/bus_read boundary within one instruction.
+  // Provenance: register-file taint lives in core_; store_poison_/
+  // load_poison_ hand fault ids across the bus_write/bus_read boundary
+  // within one instruction.
   obs::ProvenanceTracker* provenance_ = nullptr;
-  std::uint32_t taint_mask_ = 0;
-  std::array<std::uint64_t, kRegisterCount> reg_taint_{};
   std::uint64_t store_poison_ = 0;
   std::uint64_t load_poison_ = 0;
 

@@ -69,38 +69,28 @@ class Memory final : public tlm::BlockingTransport, public tlm::DmiProvider {
   void add_write_watch(std::uint64_t address, std::function<void(std::uint32_t)> callback);
 
   // --- snapshot-and-fork replay -------------------------------------------
-  /// Value-type image of the backing store, poison map and statistics.
-  /// Structural configuration (size, ECC mode, watches, provenance) is not
-  /// captured: restore targets a twin built with the same configuration.
+  /// Value-type image of the backing store, poison map and statistics: the
+  /// memory's state. Structural configuration (size, ECC mode, watches,
+  /// provenance) is not captured: restore targets a twin built with the
+  /// same configuration.
   struct Snapshot {
-    std::vector<std::uint8_t> plain;
-    std::vector<std::uint64_t> codewords;
-    std::unordered_map<std::uint64_t, std::uint64_t> word_poison;
+    std::vector<std::uint8_t> plain;       ///< kNone backing store
+    std::vector<std::uint64_t> codewords;  ///< kSecded backing store (one per word)
+    std::unordered_map<std::uint64_t, std::uint64_t> word_poison;  ///< word index -> fault id
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
     std::uint64_t corrected = 0;
     std::uint64_t uncorrectable = 0;
   };
 
-  [[nodiscard]] Snapshot snapshot() const {
-    return Snapshot{plain_, codewords_, word_poison_, reads_, writes_, corrected_, uncorrectable_};
-  }
-
-  void restore(const Snapshot& s) {
-    plain_ = s.plain;
-    codewords_ = s.codewords;
-    word_poison_ = s.word_poison;
-    reads_ = s.reads;
-    writes_ = s.writes;
-    corrected_ = s.corrected;
-    uncorrectable_ = s.uncorrectable;
-  }
+  [[nodiscard]] Snapshot snapshot() const { return state_; }
+  void restore(const Snapshot& s) { state_ = s; }
 
   // --- statistics ---------------------------------------------------------
-  [[nodiscard]] std::uint64_t reads() const noexcept { return reads_; }
-  [[nodiscard]] std::uint64_t writes() const noexcept { return writes_; }
-  [[nodiscard]] std::uint64_t corrected_errors() const noexcept { return corrected_; }
-  [[nodiscard]] std::uint64_t uncorrectable_errors() const noexcept { return uncorrectable_; }
+  [[nodiscard]] std::uint64_t reads() const noexcept { return state_.reads; }
+  [[nodiscard]] std::uint64_t writes() const noexcept { return state_.writes; }
+  [[nodiscard]] std::uint64_t corrected_errors() const noexcept { return state_.corrected; }
+  [[nodiscard]] std::uint64_t uncorrectable_errors() const noexcept { return state_.uncorrectable; }
 
   /// A read that decodes clean (ECC included) with no tracker attached is
   /// flagged repeatable(): it changed nothing but reads().
@@ -124,15 +114,9 @@ class Memory final : public tlm::BlockingTransport, public tlm::DmiProvider {
   sim::Time latency_;
   EccMode ecc_;
   tlm::TargetSocket socket_;
-  std::vector<std::uint8_t> plain_;       // kNone backing store
-  std::vector<std::uint64_t> codewords_;  // kSecded backing store (one per word)
+  Snapshot state_;
   obs::ProvenanceTracker* provenance_ = nullptr;
-  std::unordered_map<std::uint64_t, std::uint64_t> word_poison_;  // word index -> fault id
   std::vector<std::pair<std::uint64_t, std::function<void(std::uint32_t)>>> write_watches_;
-  std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
-  std::uint64_t corrected_ = 0;
-  std::uint64_t uncorrectable_ = 0;
 };
 
 }  // namespace vps::hw

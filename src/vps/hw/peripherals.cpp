@@ -54,27 +54,27 @@ InterruptController::InterruptController(sim::Kernel& kernel, std::string name)
       irq_out_(kernel, this->name() + ".irq", false) {}
 
 void InterruptController::raise(unsigned line) {
-  pending_ |= 1u << (line & 31u);
+  regs_.pending |= 1u << (line & 31u);
   update_output();
 }
 
 void InterruptController::clear(unsigned line) {
-  pending_ &= ~(1u << (line & 31u));
+  regs_.pending &= ~(1u << (line & 31u));
   update_output();
 }
 
 void InterruptController::update_output() {
   // force() rather than write(): the IRQ level must be visible to the CPU
   // in the same evaluation slice, like a wired interrupt line.
-  irq_out_.force((pending_ & enable_) != 0);
+  irq_out_.force((regs_.pending & regs_.enable) != 0);
 }
 
 std::uint32_t InterruptController::read_register(std::uint32_t offset, Time& /*delay*/) {
   switch (offset) {
-    case kPending: return pending_;
-    case kEnable: return enable_;
+    case kPending: return regs_.pending;
+    case kEnable: return regs_.enable;
     case kClaim: {
-      const std::uint32_t active = pending_ & enable_;
+      const std::uint32_t active = regs_.pending & regs_.enable;
       if (active == 0) return 0;
       return static_cast<std::uint32_t>(std::countr_zero(active)) + 1;
     }
@@ -86,7 +86,7 @@ void InterruptController::write_register(std::uint32_t offset, std::uint32_t val
                                          Time& /*delay*/) {
   switch (offset) {
     case kEnable:
-      enable_ = value;
+      regs_.enable = value;
       update_output();
       break;
     case kComplete:
@@ -112,29 +112,29 @@ Timer::Timer(sim::Kernel& kernel, std::string name)
 // original resumed at its await (see DESIGN.md "Replay engine").
 sim::Coro Timer::run() {
   for (;;) {
-    if (armed_) {
-      armed_ = false;
+    if (state_.armed) {
+      state_.armed = false;
       const bool expired = kernel().current_process()->last_wait_timed_out();
-      if (expired && armed_generation_ == config_generation_) {
-        ++expiries_;
-        status_ |= 1u;
+      if (expired && state_.armed_generation == state_.config_generation) {
+        ++state_.expiries;
+        state_.status |= 1u;
         if (on_expire_) on_expire_();
-        if ((ctrl_ & 2u) == 0) ctrl_ &= ~1u;  // one-shot: disable
+        if ((state_.ctrl & 2u) == 0) state_.ctrl &= ~1u;  // one-shot: disable
       }
     }
-    while ((ctrl_ & 1u) == 0) co_await reconfigured_;
-    armed_generation_ = config_generation_;
-    armed_ = true;
-    (void)co_await sim::wait_with_timeout(reconfigured_, Time::us(period_us_));
+    while ((state_.ctrl & 1u) == 0) co_await reconfigured_;
+    state_.armed_generation = state_.config_generation;
+    state_.armed = true;
+    (void)co_await sim::wait_with_timeout(reconfigured_, Time::us(state_.period_us));
   }
 }
 
 std::uint32_t Timer::read_register(std::uint32_t offset, Time& /*delay*/) {
   switch (offset) {
-    case kCtrl: return ctrl_;
-    case kPeriodUs: return period_us_;
-    case kStatus: return status_;
-    case kExpiryCount: return expiries_;
+    case kCtrl: return state_.ctrl;
+    case kPeriodUs: return state_.period_us;
+    case kStatus: return state_.status;
+    case kExpiryCount: return state_.expiries;
     default: return 0;
   }
 }
@@ -142,17 +142,17 @@ std::uint32_t Timer::read_register(std::uint32_t offset, Time& /*delay*/) {
 void Timer::write_register(std::uint32_t offset, std::uint32_t value, Time& /*delay*/) {
   switch (offset) {
     case kCtrl:
-      ctrl_ = value;
-      ++config_generation_;
+      state_.ctrl = value;
+      ++state_.config_generation;
       reconfigured_.notify();
       break;
     case kPeriodUs:
-      period_us_ = std::max(1u, value);
-      ++config_generation_;
+      state_.period_us = std::max(1u, value);
+      ++state_.config_generation;
       reconfigured_.notify();
       break;
     case kStatus:
-      status_ &= ~value;  // write-1-to-clear
+      state_.status &= ~value;  // write-1-to-clear
       break;
     default: break;
   }
@@ -172,28 +172,28 @@ Watchdog::Watchdog(sim::Kernel& kernel, std::string name)
 // Snapshot-replayable form; see Timer::run.
 sim::Coro Watchdog::run() {
   for (;;) {
-    if (armed_) {
-      armed_ = false;
+    if (state_.armed) {
+      state_.armed = false;
       const bool kicked = !kernel().current_process()->last_wait_timed_out();
       if (!kicked && enabled()) {
-        ++timeouts_;
+        ++state_.timeouts;
         // A watchdog reset returns the chip to its power-on state, where the
         // watchdog is disarmed until boot software re-enables it.
-        ctrl_ &= ~1u;
+        state_.ctrl &= ~1u;
         if (on_timeout_) on_timeout_();
       }
     }
     while (!enabled()) co_await reconfigured_;
-    armed_ = true;
-    (void)co_await sim::wait_with_timeout(kick_event_, Time::us(period_us_));
+    state_.armed = true;
+    (void)co_await sim::wait_with_timeout(kick_event_, Time::us(state_.period_us));
   }
 }
 
 std::uint32_t Watchdog::read_register(std::uint32_t offset, Time& /*delay*/) {
   switch (offset) {
-    case kCtrl: return ctrl_;
-    case kPeriodUs: return period_us_;
-    case kTimeoutCount: return timeouts_;
+    case kCtrl: return state_.ctrl;
+    case kPeriodUs: return state_.period_us;
+    case kTimeoutCount: return state_.timeouts;
     default: return 0;
   }
 }
@@ -201,11 +201,11 @@ std::uint32_t Watchdog::read_register(std::uint32_t offset, Time& /*delay*/) {
 void Watchdog::write_register(std::uint32_t offset, std::uint32_t value, Time& /*delay*/) {
   switch (offset) {
     case kCtrl:
-      ctrl_ = value;
+      state_.ctrl = value;
       reconfigured_.notify();
       break;
     case kPeriodUs:
-      period_us_ = std::max(1u, value);
+      state_.period_us = std::max(1u, value);
       reconfigured_.notify();
       break;
     case kKick:
@@ -250,7 +250,7 @@ Adc::Adc(sim::Kernel& kernel, std::string name, double vref_volts, Time conversi
       conversion_time_(conversion_time) {}
 
 double Adc::sample() {
-  ++conversions_;
+  ++state_.conversions;
   return source_ ? source_() : 0.0;
 }
 

@@ -78,18 +78,20 @@ class InterruptController final : public RegisterDevice {
   void clear(unsigned line);
 
   [[nodiscard]] sim::Signal<bool>& irq_out() noexcept { return irq_out_; }
-  [[nodiscard]] std::uint32_t pending() const noexcept { return pending_; }
-  [[nodiscard]] std::uint32_t enabled() const noexcept { return enable_; }
+  [[nodiscard]] std::uint32_t pending() const noexcept { return regs_.pending; }
+  [[nodiscard]] std::uint32_t enabled() const noexcept { return regs_.enable; }
 
-  struct Snapshot {
+  /// The controller's own state; its output line's lives in the signal.
+  struct Registers {
     std::uint32_t pending = 0;
     std::uint32_t enable = 0;
+  };
+  struct Snapshot : Registers {
     sim::Signal<bool>::Snapshot irq_out;
   };
-  [[nodiscard]] Snapshot snapshot() const { return Snapshot{pending_, enable_, irq_out_.snapshot()}; }
+  [[nodiscard]] Snapshot snapshot() const { return Snapshot{regs_, irq_out_.snapshot()}; }
   void restore(const Snapshot& s) {
-    pending_ = s.pending;
-    enable_ = s.enable;
+    regs_ = s;
     irq_out_.restore(s.irq_out);
   }
 
@@ -101,8 +103,7 @@ class InterruptController final : public RegisterDevice {
  private:
   void update_output();
 
-  std::uint32_t pending_ = 0;
-  std::uint32_t enable_ = 0;
+  Registers regs_;
   sim::Signal<bool> irq_out_;
 };
 
@@ -122,30 +123,19 @@ class Timer final : public RegisterDevice {
   /// Called on each expiry — typically InterruptController::raise.
   void set_on_expire(std::function<void()> fn) { on_expire_ = std::move(fn); }
 
-  [[nodiscard]] std::uint32_t expiry_count() const noexcept { return expiries_; }
+  [[nodiscard]] std::uint32_t expiry_count() const noexcept { return state_.expiries; }
 
   struct Snapshot {
     std::uint32_t ctrl = 0;
     std::uint32_t period_us = 1000;
     std::uint32_t status = 0;
     std::uint32_t expiries = 0;
-    std::uint64_t config_generation = 0;
-    bool armed = false;
-    std::uint64_t armed_generation = 0;
+    std::uint64_t config_generation = 0;  ///< restart the wait when reconfigured
+    bool armed = false;                   ///< a wait_with_timeout is outstanding
+    std::uint64_t armed_generation = 0;   ///< config_generation when armed
   };
-  [[nodiscard]] Snapshot snapshot() const {
-    return Snapshot{ctrl_, period_us_, status_, expiries_, config_generation_, armed_,
-                    armed_generation_};
-  }
-  void restore(const Snapshot& s) {
-    ctrl_ = s.ctrl;
-    period_us_ = s.period_us;
-    status_ = s.status;
-    expiries_ = s.expiries;
-    config_generation_ = s.config_generation;
-    armed_ = s.armed;
-    armed_generation_ = s.armed_generation;
-  }
+  [[nodiscard]] Snapshot snapshot() const { return state_; }
+  void restore(const Snapshot& s) { state_ = s; }
 
  protected:
   std::uint32_t read_register(std::uint32_t offset, sim::Time& delay) override;
@@ -155,13 +145,7 @@ class Timer final : public RegisterDevice {
  private:
   [[nodiscard]] sim::Coro run();
 
-  std::uint32_t ctrl_ = 0;
-  std::uint32_t period_us_ = 1000;
-  std::uint32_t status_ = 0;
-  std::uint32_t expiries_ = 0;
-  std::uint64_t config_generation_ = 0;  // restart the wait when reconfigured
-  bool armed_ = false;                   // a wait_with_timeout is outstanding
-  std::uint64_t armed_generation_ = 0;   // config_generation_ when armed
+  Snapshot state_;
   sim::Event reconfigured_;
   std::function<void()> on_expire_;
 };
@@ -183,8 +167,8 @@ class Watchdog final : public RegisterDevice {
   /// Invoked on timeout — typically a platform reset handler.
   void set_on_timeout(std::function<void()> fn) { on_timeout_ = std::move(fn); }
 
-  [[nodiscard]] std::uint32_t timeout_count() const noexcept { return timeouts_; }
-  [[nodiscard]] bool enabled() const noexcept { return (ctrl_ & 1u) != 0; }
+  [[nodiscard]] std::uint32_t timeout_count() const noexcept { return state_.timeouts; }
+  [[nodiscard]] bool enabled() const noexcept { return (state_.ctrl & 1u) != 0; }
   /// Direct kick for C++-level software models.
   void kick() { kick_event_.notify(); }
 
@@ -192,15 +176,10 @@ class Watchdog final : public RegisterDevice {
     std::uint32_t ctrl = 0;
     std::uint32_t period_us = 10000;
     std::uint32_t timeouts = 0;
-    bool armed = false;
+    bool armed = false;  ///< a wait_with_timeout is outstanding
   };
-  [[nodiscard]] Snapshot snapshot() const { return Snapshot{ctrl_, period_us_, timeouts_, armed_}; }
-  void restore(const Snapshot& s) {
-    ctrl_ = s.ctrl;
-    period_us_ = s.period_us;
-    timeouts_ = s.timeouts;
-    armed_ = s.armed;
-  }
+  [[nodiscard]] Snapshot snapshot() const { return state_; }
+  void restore(const Snapshot& s) { state_ = s; }
 
  protected:
   std::uint32_t read_register(std::uint32_t offset, sim::Time& delay) override;
@@ -216,10 +195,7 @@ class Watchdog final : public RegisterDevice {
  private:
   [[nodiscard]] sim::Coro run();
 
-  std::uint32_t ctrl_ = 0;
-  std::uint32_t period_us_ = 10000;
-  std::uint32_t timeouts_ = 0;
-  bool armed_ = false;  // a wait_with_timeout is outstanding
+  Snapshot state_;
   sim::Event kick_event_;
   sim::Event reconfigured_;
   std::function<void()> on_timeout_;
@@ -273,13 +249,13 @@ class Adc final : public RegisterDevice {
   /// Analog input; sampled at conversion time. Volts.
   void set_source(std::function<double()> source) { source_ = std::move(source); }
 
-  [[nodiscard]] std::uint32_t conversions() const noexcept { return conversions_; }
+  [[nodiscard]] std::uint32_t conversions() const noexcept { return state_.conversions; }
 
   struct Snapshot {
     std::uint32_t conversions = 0;
   };
-  [[nodiscard]] Snapshot snapshot() const { return Snapshot{conversions_}; }
-  void restore(const Snapshot& s) { conversions_ = s.conversions; }
+  [[nodiscard]] Snapshot snapshot() const { return state_; }
+  void restore(const Snapshot& s) { state_ = s; }
 
  protected:
   std::uint32_t read_register(std::uint32_t offset, sim::Time& delay) override;
@@ -292,7 +268,7 @@ class Adc final : public RegisterDevice {
   double vref_;
   sim::Time conversion_time_;
   std::function<double()> source_;
-  std::uint32_t conversions_ = 0;
+  Snapshot state_;
 };
 
 }  // namespace vps::hw

@@ -17,20 +17,20 @@ Uart::Uart(sim::Kernel& kernel, std::string name, UartConfig config)
 }
 
 void Uart::transmit(const std::uint8_t* data, std::size_t n) {
-  tx_fifo_.insert(tx_fifo_.end(), data, data + n);
-  bytes_enqueued_ += n;
+  state_.tx_fifo.insert(state_.tx_fifo.end(), data, data + n);
+  state_.bytes_enqueued += n;
   tx_enqueued_.notify();
 }
 
 void Uart::corrupt_bits(std::uint32_t count, std::uint64_t poison_id) {
-  corrupt_remaining_ += count;
-  corrupt_poison_ = poison_id;
-  corrupt_touched_ = false;
+  state_.corrupt_remaining += count;
+  state_.corrupt_poison = poison_id;
+  state_.corrupt_touched = false;
 }
 
 void Uart::load_frame() {
-  const std::uint16_t data = tx_fifo_.front();
-  tx_fifo_.erase(tx_fifo_.begin());
+  const std::uint16_t data = state_.tx_fifo.front();
+  state_.tx_fifo.erase(state_.tx_fifo.begin());
   // Bit 0 = start (0), bits 1..8 = data LSB-first, then [even parity,] stop (1).
   std::uint16_t frame = static_cast<std::uint16_t>(data << 1);
   if (config_.parity) {
@@ -41,121 +41,81 @@ void Uart::load_frame() {
   } else {
     frame |= 1u << 9;  // stop
   }
-  tx_frame_ = frame;
-  rx_frame_ = 0;
-  bit_index_ = 0;
-  shifting_ = true;
+  state_.tx_frame = frame;
+  state_.rx_frame = 0;
+  state_.bit_index = 0;
+  state_.shifting = true;
 }
 
 void Uart::shift_bit() {
-  std::uint16_t bit = (tx_frame_ >> bit_index_) & 1u;
-  if (corrupt_remaining_ > 0) {
-    --corrupt_remaining_;
+  std::uint16_t bit = (state_.tx_frame >> state_.bit_index) & 1u;
+  if (state_.corrupt_remaining > 0) {
+    --state_.corrupt_remaining;
     bit ^= 1u;
-    frame_corrupted_ = true;
-    if (provenance_ != nullptr && corrupt_poison_ != 0 && !corrupt_touched_) {
-      corrupt_touched_ = true;
-      provenance_->touch(corrupt_poison_, "uart:" + name());
+    state_.frame_corrupted = true;
+    if (provenance_ != nullptr && state_.corrupt_poison != 0 && !state_.corrupt_touched) {
+      state_.corrupt_touched = true;
+      provenance_->touch(state_.corrupt_poison, "uart:" + name());
     }
   }
-  rx_frame_ |= static_cast<std::uint16_t>(bit << bit_index_);
-  ++bit_index_;
-  ++bits_shifted_;
-  if (bit_index_ == frame_bits()) {
-    shifting_ = false;
+  state_.rx_frame |= static_cast<std::uint16_t>(bit << state_.bit_index);
+  ++state_.bit_index;
+  ++state_.bits_shifted;
+  if (state_.bit_index == frame_bits()) {
+    state_.shifting = false;
     finish_frame();
   }
 }
 
 void Uart::finish_frame() {
-  const bool was_corrupted = frame_corrupted_;
-  frame_corrupted_ = false;
-  if (was_corrupted) ++frames_corrupted_;
+  const bool was_corrupted = state_.frame_corrupted;
+  state_.frame_corrupted = false;
+  if (was_corrupted) ++state_.frames_corrupted;
 
-  const bool start = (rx_frame_ & 1u) != 0;
-  const bool stop = ((rx_frame_ >> (frame_bits() - 1)) & 1u) != 0;
-  const auto data = static_cast<std::uint8_t>((rx_frame_ >> 1) & 0xFFu);
+  const bool start = (state_.rx_frame & 1u) != 0;
+  const bool stop = ((state_.rx_frame >> (frame_bits() - 1)) & 1u) != 0;
+  const auto data = static_cast<std::uint8_t>((state_.rx_frame >> 1) & 0xFFu);
   if (start || !stop) {
-    ++framing_errors_;
-    if (provenance_ != nullptr && was_corrupted && corrupt_poison_ != 0) {
-      provenance_->detect(corrupt_poison_, "uart.framing:" + name());
+    ++state_.framing_errors;
+    if (provenance_ != nullptr && was_corrupted && state_.corrupt_poison != 0) {
+      provenance_->detect(state_.corrupt_poison, "uart.framing:" + name());
     }
     return;
   }
   if (config_.parity) {
-    std::uint16_t p = (rx_frame_ >> 9) & 1u;
+    std::uint16_t p = (state_.rx_frame >> 9) & 1u;
     for (int i = 0; i < 8; ++i) p ^= (data >> i) & 1u;
     if (p != 0) {
-      ++parity_errors_;
-      if (provenance_ != nullptr && was_corrupted && corrupt_poison_ != 0) {
-        provenance_->detect(corrupt_poison_, "uart.parity:" + name());
+      ++state_.parity_errors;
+      if (provenance_ != nullptr && was_corrupted && state_.corrupt_poison != 0) {
+        provenance_->detect(state_.corrupt_poison, "uart.parity:" + name());
       }
       return;
     }
   }
   // An even number of data-bit flips passes parity: the byte is delivered
   // silently corrupted — the residual the layer above must catch.
-  ++bytes_delivered_;
+  ++state_.bytes_delivered;
   if (on_byte_) on_byte_(data);
 }
 
 sim::Coro Uart::shift_loop() {
   for (;;) {
-    if (bit_pending_) {
-      bit_pending_ = false;
+    if (state_.bit_pending) {
+      state_.bit_pending = false;
       shift_bit();
     }
-    if (shifting_) {
-      bit_pending_ = true;
+    if (state_.shifting) {
+      state_.bit_pending = true;
       co_await sim::delay(bit_time_);
       continue;
     }
-    if (!tx_fifo_.empty()) {
+    if (!state_.tx_fifo.empty()) {
       load_frame();
       continue;
     }
     co_await tx_enqueued_;
   }
-}
-
-Uart::Snapshot Uart::snapshot() const {
-  Snapshot s;
-  s.tx_fifo = tx_fifo_;
-  s.shifting = shifting_;
-  s.bit_pending = bit_pending_;
-  s.bit_index = bit_index_;
-  s.tx_frame = tx_frame_;
-  s.rx_frame = rx_frame_;
-  s.frame_corrupted = frame_corrupted_;
-  s.corrupt_remaining = corrupt_remaining_;
-  s.corrupt_poison = corrupt_poison_;
-  s.corrupt_touched = corrupt_touched_;
-  s.bytes_enqueued = bytes_enqueued_;
-  s.bytes_delivered = bytes_delivered_;
-  s.bits_shifted = bits_shifted_;
-  s.parity_errors = parity_errors_;
-  s.framing_errors = framing_errors_;
-  s.frames_corrupted = frames_corrupted_;
-  return s;
-}
-
-void Uart::restore(const Snapshot& s) {
-  tx_fifo_ = s.tx_fifo;
-  shifting_ = s.shifting;
-  bit_pending_ = s.bit_pending;
-  bit_index_ = s.bit_index;
-  tx_frame_ = s.tx_frame;
-  rx_frame_ = s.rx_frame;
-  frame_corrupted_ = s.frame_corrupted;
-  corrupt_remaining_ = s.corrupt_remaining;
-  corrupt_poison_ = s.corrupt_poison;
-  corrupt_touched_ = s.corrupt_touched;
-  bytes_enqueued_ = s.bytes_enqueued;
-  bytes_delivered_ = s.bytes_delivered;
-  bits_shifted_ = s.bits_shifted;
-  parity_errors_ = s.parity_errors;
-  framing_errors_ = s.framing_errors;
-  frames_corrupted_ = s.frames_corrupted;
 }
 
 }  // namespace vps::hw

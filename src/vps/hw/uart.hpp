@@ -54,23 +54,23 @@ class Uart final : public sim::Module {
 
   [[nodiscard]] sim::Time bit_time() const noexcept { return bit_time_; }
   [[nodiscard]] sim::Time byte_time() const noexcept { return bit_time_ * frame_bits(); }
-  [[nodiscard]] bool idle() const noexcept { return !shifting_ && tx_fifo_.empty(); }
+  [[nodiscard]] bool idle() const noexcept { return !state_.shifting && state_.tx_fifo.empty(); }
 
-  [[nodiscard]] std::uint64_t bytes_enqueued() const noexcept { return bytes_enqueued_; }
-  [[nodiscard]] std::uint64_t bytes_delivered() const noexcept { return bytes_delivered_; }
-  [[nodiscard]] std::uint64_t bits_shifted() const noexcept { return bits_shifted_; }
-  [[nodiscard]] std::uint64_t parity_errors() const noexcept { return parity_errors_; }
-  [[nodiscard]] std::uint64_t framing_errors() const noexcept { return framing_errors_; }
-  [[nodiscard]] std::uint64_t frames_corrupted() const noexcept { return frames_corrupted_; }
+  [[nodiscard]] std::uint64_t bytes_enqueued() const noexcept { return state_.bytes_enqueued; }
+  [[nodiscard]] std::uint64_t bytes_delivered() const noexcept { return state_.bytes_delivered; }
+  [[nodiscard]] std::uint64_t bits_shifted() const noexcept { return state_.bits_shifted; }
+  [[nodiscard]] std::uint64_t parity_errors() const noexcept { return state_.parity_errors; }
+  [[nodiscard]] std::uint64_t framing_errors() const noexcept { return state_.framing_errors; }
+  [[nodiscard]] std::uint64_t frames_corrupted() const noexcept { return state_.frames_corrupted; }
 
   // --- snapshot-and-fork replay -------------------------------------------
   struct Snapshot {
     std::vector<std::uint8_t> tx_fifo;
     bool shifting = false;
-    bool bit_pending = false;
+    bool bit_pending = false;  ///< a line bit is owed at the next resume
     std::uint32_t bit_index = 0;
-    std::uint16_t tx_frame = 0;
-    std::uint16_t rx_frame = 0;
+    std::uint16_t tx_frame = 0;  ///< frame as driven by the transmitter
+    std::uint16_t rx_frame = 0;  ///< frame as sampled off the (possibly corrupted) wire
     bool frame_corrupted = false;
     std::uint32_t corrupt_remaining = 0;
     std::uint64_t corrupt_poison = 0;
@@ -82,8 +82,8 @@ class Uart final : public sim::Module {
     std::uint64_t framing_errors = 0;
     std::uint64_t frames_corrupted = 0;
   };
-  [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& s);
+  [[nodiscard]] Snapshot snapshot() const { return state_; }
+  void restore(const Snapshot& s) { state_ = s; }
 
  private:
   [[nodiscard]] std::uint32_t frame_bits() const noexcept { return config_.parity ? 11 : 10; }
@@ -97,23 +97,7 @@ class Uart final : public sim::Module {
   sim::Event tx_enqueued_;
   std::function<void(std::uint8_t)> on_byte_;
   obs::ProvenanceTracker* provenance_ = nullptr;
-
-  std::vector<std::uint8_t> tx_fifo_;
-  bool shifting_ = false;
-  bool bit_pending_ = false;  ///< a line bit is owed at the next resume
-  std::uint32_t bit_index_ = 0;
-  std::uint16_t tx_frame_ = 0;  ///< frame as driven by the transmitter
-  std::uint16_t rx_frame_ = 0;  ///< frame as sampled off the (possibly corrupted) wire
-  bool frame_corrupted_ = false;
-  std::uint32_t corrupt_remaining_ = 0;
-  std::uint64_t corrupt_poison_ = 0;
-  bool corrupt_touched_ = false;
-  std::uint64_t bytes_enqueued_ = 0;
-  std::uint64_t bytes_delivered_ = 0;
-  std::uint64_t bits_shifted_ = 0;
-  std::uint64_t parity_errors_ = 0;
-  std::uint64_t framing_errors_ = 0;
-  std::uint64_t frames_corrupted_ = 0;
+  Snapshot state_;
 };
 
 }  // namespace vps::hw

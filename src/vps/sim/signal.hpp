@@ -22,18 +22,18 @@ class Signal final : public UpdateHook {
   Signal(Kernel& kernel, std::string name, T initial = T{})
       : kernel_(kernel),
         name_(std::move(name)),
-        current_(initial),
+        state_{.value = initial},
         next_(initial),
         changed_(kernel, name_ + ".changed") {}
 
   Signal(const Signal&) = delete;
   Signal& operator=(const Signal&) = delete;
 
-  [[nodiscard]] const T& read() const noexcept { return current_; }
+  [[nodiscard]] const T& read() const noexcept { return state_.value; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] Event& changed() noexcept { return changed_; }
   [[nodiscard]] Kernel& kernel() noexcept { return kernel_; }
-  [[nodiscard]] std::uint64_t change_count() const noexcept { return change_count_; }
+  [[nodiscard]] std::uint64_t change_count() const noexcept { return state_.change_count; }
 
   /// Schedules the value for commit at the next update phase. The last write
   /// within one evaluation phase wins.
@@ -49,10 +49,10 @@ class Signal final : public UpdateHook {
   /// changed event as an immediate notification. Used by fault injectors to
   /// model asynchronous upsets that do not respect the design's clocking.
   void force(const T& value) {
-    if (value == current_) return;
-    current_ = value;
+    if (value == state_.value) return;
+    state_.value = value;
     next_ = value;
-    ++change_count_;
+    ++state_.change_count;
     run_commit_hooks();
     changed_.notify_immediate();
   }
@@ -63,12 +63,12 @@ class Signal final : public UpdateHook {
   /// obs::ProvenanceTracker::watch_signal turns tagged commits into
   /// propagation observations.
   void force_poisoned(const T& value, std::uint64_t fault_id) {
-    poison_id_ = fault_id;
+    state_.poison_id = fault_id;
     force(value);
   }
 
   /// Fault id of the last poisoned force, or 0 once a clean write committed.
-  [[nodiscard]] std::uint64_t poison_id() const noexcept { return poison_id_; }
+  [[nodiscard]] std::uint64_t poison_id() const noexcept { return state_.poison_id; }
 
   /// Registers an observation hook (tracer, monitor, scoreboard); every
   /// registered hook runs in registration order after each commit. Returns a
@@ -88,40 +88,39 @@ class Signal final : public UpdateHook {
 
   [[nodiscard]] std::size_t commit_hook_count() const noexcept { return hooks_.size(); }
 
-  /// Value-type image for snapshot-and-fork replay. Taken at a quiescent
-  /// instant (no update pending), so current == next by construction.
+  /// Value-type image for snapshot-and-fork replay, and the committed
+  /// state itself. Taken at a quiescent instant (no update pending), so
+  /// current == next by construction.
   struct Snapshot {
-    T value{};
+    T value{};  ///< the committed (current) value
     std::uint64_t poison_id = 0;
     std::uint64_t change_count = 0;
   };
 
-  [[nodiscard]] Snapshot snapshot() const {
-    return Snapshot{current_, poison_id_, change_count_};
-  }
+  [[nodiscard]] Snapshot snapshot() const { return state_; }
 
   /// Silently overlays a snapshot: no commit hooks run and no changed event
   /// fires (the changed event's scheduler state is restored by
   /// Kernel::restore, keyed by event ordinal).
   void restore(const Snapshot& s) {
-    current_ = s.value;
+    state_ = s;
+    // The pending write is not state: a snapshot holds none, and the
+    // twin's own (an elaboration-time write) is superseded by the overlay.
     next_ = s.value;
-    poison_id_ = s.poison_id;
-    change_count_ = s.change_count;
     update_pending_ = false;
   }
 
   void discard_update() noexcept override {
     update_pending_ = false;
-    next_ = current_;
+    next_ = state_.value;
   }
 
   void perform_update() override {
     update_pending_ = false;
-    if (next_ == current_) return;
-    current_ = next_;
-    poison_id_ = 0;  // a clean delta-protocol commit overwrites the fault value
-    ++change_count_;
+    if (next_ == state_.value) return;
+    state_.value = next_;
+    state_.poison_id = 0;  // a clean delta-protocol commit overwrites the fault value
+    ++state_.change_count;
     run_commit_hooks();
     changed_.notify();
   }
@@ -133,17 +132,15 @@ class Signal final : public UpdateHook {
   };
 
   void run_commit_hooks() {
-    for (const Hook& hook : hooks_) hook.fn(current_);
+    for (const Hook& hook : hooks_) hook.fn(state_.value);
   }
 
   Kernel& kernel_;
   std::string name_;
-  T current_;
+  Snapshot state_;
   T next_;
   Event changed_;
   bool update_pending_ = false;
-  std::uint64_t poison_id_ = 0;
-  std::uint64_t change_count_ = 0;
   std::vector<Hook> hooks_;
   CommitHookId next_hook_id_ = 1;
 };

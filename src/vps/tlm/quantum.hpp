@@ -17,15 +17,17 @@ class QuantumKeeper {
   void set_quantum(sim::Time q) noexcept { quantum_ = q; }
 
   /// Local offset ahead of kernel time.
-  [[nodiscard]] sim::Time local_time() const noexcept { return local_; }
+  [[nodiscard]] sim::Time local_time() const noexcept { return state_.local; }
   /// Effective simulated time as seen by the decoupled initiator.
-  [[nodiscard]] sim::Time current_time() const noexcept { return kernel_.now() + local_; }
+  [[nodiscard]] sim::Time current_time() const noexcept { return kernel_.now() + state_.local; }
 
-  void inc(sim::Time t) noexcept { local_ += t; }
-  void set(sim::Time t) noexcept { local_ = t; }
-  void reset() noexcept { local_ = sim::Time::zero(); }
+  void inc(sim::Time t) noexcept { state_.local += t; }
+  void set(sim::Time t) noexcept { state_.local = t; }
+  void reset() noexcept { state_.local = sim::Time::zero(); }
 
-  [[nodiscard]] bool need_sync() const noexcept { return quantum_ != sim::Time::zero() && local_ >= quantum_; }
+  [[nodiscard]] bool need_sync() const noexcept {
+    return quantum_ != sim::Time::zero() && state_.local >= quantum_;
+  }
 
   /// Awaitable behind sync(): no coroutine frame, so a sync allocates
   /// nothing. It waits exactly like `co_await sim::delay(t)`, inline timed
@@ -34,10 +36,10 @@ class QuantumKeeper {
    public:
     explicit SyncAwaiter(QuantumKeeper& qk) noexcept : qk_(qk) {}
     [[nodiscard]] bool await_ready() noexcept {
-      pending_.delay = qk_.local_;
-      qk_.local_ = sim::Time::zero();
+      pending_.delay = qk_.state_.local;
+      qk_.state_.local = sim::Time::zero();
       if (pending_.delay == sim::Time::zero()) return true;
-      ++qk_.sync_count_;
+      ++qk_.state_.sync_count;
       return false;
     }
     bool await_suspend(sim::Coro::Handle h) { return pending_.await_suspend(h); }
@@ -61,25 +63,21 @@ class QuantumKeeper {
   }
 
   /// Number of actual kernel yields performed by sync().
-  [[nodiscard]] std::uint64_t sync_count() const noexcept { return sync_count_; }
+  [[nodiscard]] std::uint64_t sync_count() const noexcept { return state_.sync_count; }
 
-  /// Value-type image for snapshot-and-fork replay.
+  /// Value-type image for snapshot-and-fork replay, and the keeper's state.
   struct Snapshot {
-    sim::Time local;
+    sim::Time local = sim::Time::zero();
     std::uint64_t sync_count = 0;
   };
 
-  [[nodiscard]] Snapshot snapshot() const noexcept { return Snapshot{local_, sync_count_}; }
-  void restore(const Snapshot& s) noexcept {
-    local_ = s.local;
-    sync_count_ = s.sync_count;
-  }
+  [[nodiscard]] Snapshot snapshot() const noexcept { return state_; }
+  void restore(const Snapshot& s) noexcept { state_ = s; }
 
  private:
   sim::Kernel& kernel_;
   sim::Time quantum_;
-  sim::Time local_ = sim::Time::zero();
-  std::uint64_t sync_count_ = 0;
+  Snapshot state_;
 };
 
 }  // namespace vps::tlm

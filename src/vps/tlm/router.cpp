@@ -53,7 +53,7 @@ Router::Window* Router::decode(std::uint64_t address, std::size_t size) {
 void Router::b_transport(GenericPayload& payload, sim::Time& delay) {
   Window* w = decode(payload.address(), payload.size());
   if (w == nullptr) {
-    ++decode_errors_;
+    ++state_.decode_errors;
     payload.set_response(Response::kAddressError);
     if (probe_ != nullptr) {
       probe_->mark("tlm", "decode_error" + transaction_name(payload),
@@ -61,7 +61,7 @@ void Router::b_transport(GenericPayload& payload, sim::Time& delay) {
     }
     return;
   }
-  ++forwarded_;
+  ++state_.forwarded;
   const sim::Time delay_before = delay;
   delay += hop_latency_;
   const std::uint64_t original = payload.address();
@@ -90,7 +90,7 @@ void Router::repeat(GenericPayload& payload, std::uint64_t k) {
   if (w == nullptr) [[unlikely]] {
     support::fail("Router::repeat: no window decodes " + payload.to_string());
   }
-  forwarded_ += k;
+  state_.forwarded += k;
   const std::uint64_t original = payload.address();
   payload.set_address(original - w->base);
   w->out.repeat(payload, k);

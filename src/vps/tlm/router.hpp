@@ -27,8 +27,8 @@ class Router final : public BlockingTransport, public DmiProvider {
 
   [[nodiscard]] TargetSocket& target_socket() noexcept { return socket_; }
   [[nodiscard]] std::size_t mapping_count() const noexcept { return map_.size(); }
-  [[nodiscard]] std::uint64_t forwarded() const noexcept { return forwarded_; }
-  [[nodiscard]] std::uint64_t decode_errors() const noexcept { return decode_errors_; }
+  [[nodiscard]] std::uint64_t forwarded() const noexcept { return state_.forwarded; }
+  [[nodiscard]] std::uint64_t decode_errors() const noexcept { return state_.decode_errors; }
 
   /// Attaches a transaction probe: every forwarded b_transport becomes a
   /// latency sample and (with a Tracer on the probe) a trace span; decode
@@ -54,11 +54,8 @@ class Router final : public BlockingTransport, public DmiProvider {
     std::uint64_t forwarded = 0;
     std::uint64_t decode_errors = 0;
   };
-  [[nodiscard]] Snapshot snapshot() const { return Snapshot{forwarded_, decode_errors_}; }
-  void restore(const Snapshot& s) {
-    forwarded_ = s.forwarded;
-    decode_errors_ = s.decode_errors;
-  }
+  [[nodiscard]] Snapshot snapshot() const { return state_; }
+  void restore(const Snapshot& s) { state_ = s; }
 
  private:
   struct Window {
@@ -77,8 +74,7 @@ class Router final : public BlockingTransport, public DmiProvider {
   std::vector<std::unique_ptr<Window>> map_;
   obs::TransactionProbe* probe_ = nullptr;
   obs::ProvenanceTracker* provenance_ = nullptr;
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t decode_errors_ = 0;
+  Snapshot state_;
 };
 
 }  // namespace vps::tlm

@@ -420,8 +420,7 @@ TEST(DistCampaignTest, WorkerSigkillMidCampaignDoesNotChangeTheResult) {
     DistConfig dc;
     dc.campaign = cfg;
     dc.workers = fleet;
-    dc.kill_after_results = 5;  // SIGKILL worker 0 mid-shard
-    dc.kill_worker = 0;
+    dc.kill_after_results = 5;  // SIGKILL the 5th result's worker mid-shard
     vps::obs::MetricRegistry metrics;
     DistCampaign campaign(caps_factory(false), dc);
     campaign.set_metrics(&metrics);
@@ -442,7 +441,6 @@ TEST(DistCampaignTest, ExhaustedRequeueBudgetQuarantinesTheRun) {
   dc.workers = 2;
   dc.max_requeues = 0;  // any requeue attempt exceeds the budget
   dc.kill_after_results = 3;
-  dc.kill_worker = 0;
   DistCampaign campaign(caps_factory(false), dc);
   const CampaignResult result = campaign.run();
 
@@ -460,7 +458,6 @@ TEST(DistCampaignTest, LosingTheWholeFleetFailsCleanly) {
   dc.campaign = cfg;
   dc.workers = 1;
   dc.kill_after_results = 1;  // kill the only worker while it holds work
-  dc.kill_worker = 0;
   DistCampaign campaign(caps_factory(false), dc);
   EXPECT_THROW((void)campaign.run(), InvariantError);
   expect_no_children();

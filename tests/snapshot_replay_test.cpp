@@ -11,11 +11,15 @@
 #include <vector>
 
 #include "vps/apps/registry.hpp"
+#include "vps/can/bus.hpp"
+#include "vps/ecu/os.hpp"
+#include "vps/ecu/platform.hpp"
 #include "vps/fault/campaign.hpp"
 #include "vps/fault/scenario.hpp"
 #include "vps/fault/snapshot_replay.hpp"
 #include "vps/obs/provenance.hpp"
 #include "vps/sim/kernel.hpp"
+#include "vps/support/ensure.hpp"
 
 namespace {
 
@@ -326,6 +330,105 @@ TEST(SnapshotReplayCore, GoldenLivelockLeavesNoCache) {
     (void)check_toy(forked, cfg, &fault, 5, "inject after epoch " + std::to_string(k));
   }
   EXPECT_EQ(probe.restores, 0u);
+}
+
+// --------------------------------------------------------------------------
+// Restore shape checks: a snapshot restored onto a twin of another shape
+// must fail, never resize the twin to fit
+// --------------------------------------------------------------------------
+
+/// Runs `restore` and requires an InvariantError whose text contains
+/// `message`.
+template <class F>
+void expect_restore_fails(F restore, const std::string& message) {
+  try {
+    restore();
+    ADD_FAILURE() << "restore accepted a snapshot of another shape; want: " << message;
+  } catch (const support::InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+  }
+}
+
+sim::Coro idle_process() {
+  for (;;) co_await sim::delay(Time::ms(1));
+}
+
+TEST(RestoreShape, KernelRejectsAnotherProcessOrEventCount) {
+  const std::string message = "Kernel::restore: system shape differs from the snapshot source";
+  sim::Kernel source;
+  source.spawn("a", idle_process());
+  sim::Event source_event(source, "e");
+  (void)source.run(Time::ms(3));
+  const sim::KernelSnapshot snap = source.snapshot();
+
+  sim::Kernel fewer_processes;
+  sim::Event e1(fewer_processes, "e");
+  expect_restore_fails([&] { fewer_processes.restore(snap); }, message);
+
+  sim::Kernel more_events;
+  more_events.spawn("a", idle_process());
+  sim::Event e2(more_events, "e");
+  sim::Event extra(more_events, "extra");
+  expect_restore_fails([&] { more_events.restore(snap); }, message);
+}
+
+TEST(RestoreShape, OsSchedulerRejectsAnotherTaskCount) {
+  const auto build = [](sim::Kernel& kernel, std::size_t tasks) {
+    auto os = std::make_unique<ecu::OsScheduler>(kernel, "os");
+    for (std::size_t i = 0; i < tasks; ++i) {
+      os->add_task({.name = "t" + std::to_string(i),
+                    .period = Time::ms(10),
+                    .wcet = Time::ms(1),
+                    .body = {}});
+    }
+    return os;
+  };
+  sim::Kernel k2;
+  const auto two = build(k2, 2);
+  (void)k2.run(Time::ms(25));
+  const ecu::OsScheduler::Snapshot snap = two->snapshot();
+  for (const std::size_t tasks : {std::size_t{1}, std::size_t{3}}) {
+    sim::Kernel k;
+    const auto other = build(k, tasks);
+    expect_restore_fails([&] { other->restore(snap); },
+                         "OsScheduler::restore: task count differs from snapshot");
+  }
+}
+
+struct QuietNode final : can::CanNode {
+  void on_frame(const can::CanFrame&) override {}
+};
+
+TEST(RestoreShape, CanBusRejectsAnotherNodeCount) {
+  sim::Kernel k2;
+  can::CanBus two(k2, "can0");
+  QuietNode a;
+  QuietNode b;
+  two.attach(a);
+  two.attach(b);
+  const can::CanBus::Snapshot snap = two.snapshot();
+  for (const std::size_t nodes : {std::size_t{1}, std::size_t{3}}) {
+    sim::Kernel k;
+    can::CanBus other(k, "can0");
+    std::vector<QuietNode> attached(nodes);
+    for (QuietNode& n : attached) other.attach(n);
+    expect_restore_fails([&] { other.restore(snap); },
+                         "CanBus::restore: node count differs from snapshot");
+  }
+}
+
+TEST(RestoreShape, EcuPlatformRejectsAnotherCanAttachment) {
+  const std::string message = "EcuPlatform::restore: CAN attachment differs from snapshot";
+  sim::Kernel k1;
+  can::CanBus bus1(k1, "can0");
+  ecu::EcuPlatform with_can(k1, "ecu");
+  with_can.attach_can(bus1);
+  sim::Kernel k2;
+  ecu::EcuPlatform without_can(k2, "ecu");
+  const ecu::EcuPlatform::Snapshot can_snap = with_can.snapshot();
+  const ecu::EcuPlatform::Snapshot plain_snap = without_can.snapshot();
+  expect_restore_fails([&] { without_can.restore(can_snap); }, message);
+  expect_restore_fails([&] { with_can.restore(plain_snap); }, message);
 }
 
 }  // namespace
