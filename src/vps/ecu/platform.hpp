@@ -105,6 +105,7 @@ class EcuPlatform {
   }
 
   void restore(const Snapshot& s) {
+    // A CAN image needs a controller to land in, and a controller an image.
     support::ensure(s.can.has_value() == (can_ != nullptr),
                     "EcuPlatform::restore: CAN attachment differs from snapshot");
     ram_->restore(s.ram);
