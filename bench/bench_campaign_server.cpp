@@ -6,12 +6,16 @@
 // (first submission pays the SETUP/HELLO handshake), on a warm pool
 // (fleet spin-up amortized away), and with two tenants sharing the pool
 // concurrently. Every configuration must reproduce the baseline bitwise.
+// The plain warm-pool campaign runs twice; the E21/E22 taxes are printed
+// next to the spread between those two runs and read as unresolved when
+// they lie inside it.
 //
 // Usage: bench_campaign_server [runs]   (default 96; a bad argument prints
 // a usage line and exits 64)
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -121,6 +125,23 @@ void row(const char* label, std::size_t runs, double s, double base_per_run_us, 
               same ? "yes" : "NO — BUG");
 }
 
+/// Prints a tax next to `spread_pct`, the spread between two runs of the
+/// plain warm-pool campaign. A tax inside that spread is unresolved; only
+/// one outside it is compared with `target`, which taxes up to `max_pct`
+/// meet (no target when null).
+void tax_line(const char* label, double tax_pct, double spread_pct, const char* target,
+              double max_pct) {
+  std::printf("    %s: %+.2f %%  (two plain warm runs differ by %.2f %%)", label, tax_pct,
+              spread_pct);
+  if (std::fabs(tax_pct) <= spread_pct) {
+    std::printf("  unresolved\n");
+  } else if (target != nullptr) {
+    std::printf("  %s its target (%s)\n", tax_pct <= max_pct ? "meets" : "misses", target);
+  } else {
+    std::printf("\n");
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -175,16 +196,21 @@ int main(int argc, char** argv) {
   }
 
   // Warm submission: same standing pool, fleet spin-up fully amortized —
-  // this is the steady-state cost a tenant of a long-lived server sees.
-  double warm_per_run_us = 0;
-  {
+  // this is the steady-state cost a tenant of a long-lived server sees. It
+  // runs twice: the taxes below are taken against the mean of the two, and
+  // the spread between them is the noise one such campaign carries.
+  double warm_us[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
     const auto t0 = Clock::now();
     const auto result = submit(server.port(), "warm", cfg);
     const double s = seconds_since(t0);
-    warm_per_run_us = s / static_cast<double>(runs) * 1e6;
-    row("server, warm pool", runs, s, base_per_run_us, identical(result, baseline));
+    warm_us[i] = s / static_cast<double>(runs) * 1e6;
+    row(i == 0 ? "server, warm pool, run 1" : "server, warm pool, run 2", runs, s,
+        base_per_run_us, identical(result, baseline));
     if (!identical(result, baseline)) return 1;
   }
+  const double warm_per_run_us = (warm_us[0] + warm_us[1]) / 2;
+  const double spread_pct = std::fabs(warm_us[0] - warm_us[1]) / warm_per_run_us * 100.0;
 
   // Two tenants sharing the pool concurrently: per-tenant wall time roughly
   // doubles (half the pool each under fair share) but both folds must stay
@@ -240,7 +266,7 @@ int main(int argc, char** argv) {
     row("server, warm, chaos inert", runs, s, base_per_run_us, identical(result, baseline));
     if (!identical(result, baseline)) return 1;
     const double tax_pct = (per_run_us - warm_per_run_us) / warm_per_run_us * 100.0;
-    std::printf("    shim tax vs plain warm pool: %+.2f %%  (target <= 2 %%)\n", tax_pct);
+    tax_line("shim tax vs plain warm pool", tax_pct, spread_pct, "<= 2 %", 2.0);
   }
   {
     dist::DistConfig probe;  // client-side healing knobs for the active row
@@ -290,8 +316,7 @@ int main(int argc, char** argv) {
     reap_all(off_pool);
     if (!identical(result, baseline)) return 1;
     const double tax_pct = (off_per_run_us - warm_per_run_us) / warm_per_run_us * 100.0;
-    std::printf("    disabled-tracing tax vs plain warm pool: %+.2f %%  (target: noise)\n",
-                tax_pct);
+    tax_line("disabled-tracing tax vs plain warm pool", tax_pct, spread_pct, "noise", 0.0);
   }
   {
     const char* dir = "bench_trace_e22";
@@ -314,8 +339,8 @@ int main(int argc, char** argv) {
     reap_all(on_pool);
     if (!identical(result, baseline)) return 1;
     const double tax_pct = (on_per_run_us - off_per_run_us) / off_per_run_us * 100.0;
-    std::printf("    enabled-tracing tax vs tracing off: %+.2f %%  (all tiers traced)\n",
-                tax_pct);
+    tax_line("enabled-tracing tax vs tracing off (all tiers traced)", tax_pct, spread_pct,
+             nullptr, 0.0);
     std::filesystem::remove_all(dir, ec);
   }
 

@@ -9,13 +9,17 @@
 //   (b) Gate level: the PPSFP fault simulator packs 64 stuck-at faults per
 //       machine word, vs the per-fault serial loop it replaced (both with
 //       and without the hoisted-golden fix, satellite of this change).
+//
+// Usage: bench_replay_snapshot [runs]   (default 24; a bad argument prints
+// a usage line and exits 64)
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "vps/apps/acc.hpp"
 #include "vps/apps/caps.hpp"
 #include "vps/gate/fault_sim.hpp"
@@ -181,7 +185,9 @@ gate::Netlist make_adder(int bits) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t runs = argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 24;
+  const std::optional<std::size_t> arg = bench::runs_arg(argc, argv, 24);
+  if (!arg) return 64;  // EX_USAGE
+  const std::size_t runs = *arg;
 
   std::printf("== E19: snapshot-fork replay + PPSFP gate sweeps ==\n\n");
 

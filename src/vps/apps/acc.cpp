@@ -75,7 +75,7 @@ struct AccSystem {
   double desired_gap = 0.0;
   Time staleness_limit;
 
-  AccSystem(const AccConfig& cfg, std::uint64_t seed, const FaultDescriptor*)
+  AccSystem(const AccConfig& cfg, std::uint64_t seed)
       : os(kernel, "acc_os"),
         state{.plant = {cfg.initial_gap_m, cfg.ego_speed_mps, 0.0, cfg.ego_speed_mps, 0.0,
                         cfg.initial_gap_m},
@@ -162,12 +162,9 @@ struct AccSystem {
     }
   }
 
-  /// Schedules the fault: classic path at elaboration, fork path right
-  /// after restore with the injection's full-replay sequence number pinned.
-  void inject(const FaultDescriptor& fault, bool pinned, std::uint64_t pinned_seq) {
-    if (pinned) hub.set_pinned_seq(pinned_seq);
-    hub.schedule(fault);
-  }
+  /// Schedules the fault: during elaboration on a full replay, right after
+  /// restore() on a fork.
+  void inject(const FaultDescriptor& fault) { hub.schedule(fault); }
 
   void capture(AccEpochSnapshot& e) const {
     e.kernel = kernel.snapshot();

@@ -352,7 +352,7 @@ struct BmsSystem {
   ecu::TaskId soc_task = 0;
   ecu::TaskId telemetry_task = 0;
 
-  BmsSystem(const BmsConfig& config, std::uint64_t seed, const FaultDescriptor*)
+  BmsSystem(const BmsConfig& config, std::uint64_t seed)
       : cfg(config),
         os(kernel, "bms_os"),
         noise(seed),
@@ -565,12 +565,12 @@ struct BmsSystem {
     }
   }
 
-  /// Schedules the fault: classic path at elaboration, fork path right
-  /// after restore with the injection's full-replay sequence number pinned.
-  /// Sensor-fault magnitudes are generated on a volt scale by the campaign;
-  /// they are rescaled here onto the targeted channel family so temperature
-  /// and current sensors see family-plausible corruption.
-  void inject(FaultDescriptor fault, bool pinned, std::uint64_t pinned_seq) {
+  /// Schedules the fault: during elaboration on a full replay, right after
+  /// restore() on a fork. Sensor-fault magnitudes are generated on a volt
+  /// scale by the campaign; they are rescaled here onto the targeted channel
+  /// family so temperature and current sensors see family-plausible
+  /// corruption.
+  void inject(FaultDescriptor fault) {
     if (fault.type == FaultType::kSensorOffset || fault.type == FaultType::kSensorStuck) {
       const std::size_t ch = fault.address % kChannelCount;
       fault.address = ch;
@@ -584,7 +584,6 @@ struct BmsSystem {
                               : (fault.magnitude - 2.5) * 80.0;  // [-200, 200] A stuck
       }
     }
-    if (pinned) hub.set_pinned_seq(pinned_seq);
     hub.schedule(fault);
   }
 

@@ -123,8 +123,8 @@ struct CapsState {
 class SensorNode final : public can::CanNode {
  public:
   SensorNode(sim::Kernel& kernel, can::CanBus& bus, fault::AnalogChannel& channel,
-             support::Xorshift rng, CapsState& state)
-      : bus_(bus), channel_(channel), rng_(rng), counter_(state.sensor_counter),
+             CapsState& state)
+      : bus_(bus), channel_(channel), counter_(state.sensor_counter),
         sample_pending_(state.sensor_sample_pending) {
     bus.attach(*this);
     kernel.spawn("caps.sensor", sample_loop());
@@ -132,18 +132,16 @@ class SensorNode final : public can::CanNode {
 
   void on_frame(const can::CanFrame&) override {}
 
-  /// Fault hook: while active, one TX-buffer byte is stuck at a garbage
-  /// value chosen at activation (an address-decoder-class fault) — applied
+  /// Fault hook: from now on one TX-buffer byte is stuck at a garbage
+  /// value drawn from `rng` (an address-decoder-class fault) — applied
   /// after protection is computed, i.e. the corruption CAN's wire CRC
   /// cannot see and only end-to-end protection can catch. A non-zero
   /// poison_id stamps every corrupted frame for provenance tracking.
-  void set_corrupting(bool active, std::uint64_t poison_id = 0) noexcept {
-    corrupting_ = active;
+  void set_corrupting(support::Xorshift rng, std::uint64_t poison_id) noexcept {
+    corrupting_ = true;
     poison_id_ = poison_id;
-    if (active) {
-      corrupt_byte_ = rng_.index(3);
-      corrupt_value_ = static_cast<std::uint8_t>(rng_.next());
-    }
+    corrupt_byte_ = rng.index(3);
+    corrupt_value_ = static_cast<std::uint8_t>(rng.next());
   }
 
  private:
@@ -171,12 +169,6 @@ class SensorNode final : public can::CanNode {
 
   can::CanBus& bus_;
   fault::AnalogChannel& channel_;
-  // Only the workload-visible state (counter_, sample_pending_) is imaged.
-  // rng_ is deliberately NOT part of it: the stream is fault-salted per
-  // replay and never consumed during the golden prefix (only
-  // set_corrupting() draws from it), so a forked twin keeps its freshly
-  // constructed generator.
-  support::Xorshift rng_;
   std::uint8_t& counter_;
   bool& sample_pending_;
   bool corrupting_ = false;
@@ -188,9 +180,8 @@ class SensorNode final : public can::CanNode {
 /// One quiescent golden-run snapshot: everything a forked replay must
 /// overlay onto a freshly built (shape-identical) system. Plain data only —
 /// the cache outlives any individual system instance. The golden prefix is
-/// identical for every fault (the only fault-dependent pre-injection state,
-/// the sensor corruption stream, is excluded from the images), so one
-/// segmented golden run serves every forked replay of the campaign.
+/// identical for every fault, so one segmented golden run serves every
+/// forked replay of the campaign.
 struct CapsEpochSnapshot {
   sim::KernelSnapshot kernel;
   can::CanBus::Snapshot bus;
@@ -199,30 +190,27 @@ struct CapsEpochSnapshot {
   CapsState state;
 };
 
-[[nodiscard]] constexpr std::uint64_t fault_salt_of(const FaultDescriptor* fault) noexcept {
-  return fault != nullptr ? fault->id * 0x9E3779B97F4A7C15ULL : 0;
-}
-
 /// The complete CAPS system VP, construction order identical to the
 /// pre-refactor inline build (CAN bus, airbag platform + firmware, analog
 /// front end, sensor node, injector hub, provenance tracker) — ordinal
 /// identity of kernel processes/events is what lets a fork overlay a
 /// golden snapshot onto a fresh instance.
 struct CapsSystem {
+  std::uint64_t seed;  ///< salts the sensor-fault corruption stream in inject()
   sim::Kernel kernel;
   can::CanBus bus;
   ecu::EcuPlatform airbag;
   bool wired;  ///< sequencing point: attach_can + firmware load before the sensor node
   CapsState state;
   fault::AnalogChannel accel;
-  support::Xorshift sensor_rng;
   SensorNode sensor;
   fault::InjectorHub hub;
   obs::ProvenanceTracker tracker;
   obs::ProvenanceTracker* prov = nullptr;
 
-  CapsSystem(const CapsConfig& cfg, std::uint64_t seed, const FaultDescriptor* fault)
-      : bus(kernel, "can0", 500000),
+  CapsSystem(const CapsConfig& cfg, std::uint64_t seed)
+      : seed(seed),
+        bus(kernel, "can0", 500000),
         airbag(kernel, "airbag", platform_config(cfg)),
         wired((airbag.attach_can(bus),
                airbag.load_program(cfg.protected_link ? kProtectedFirmware : kUnprotectedFirmware),
@@ -235,12 +223,7 @@ struct CapsSystem {
           if (cfg.crash && t >= cfg.crash_time && t < cfg.crash_time + Time::ms(4)) g = 35.0;
           return g;
         }),
-        // The sensor-node stream only feeds fault-choice randomness (which
-        // buffer byte sticks, at which value), so mixing the fault id in
-        // keeps golden runs untouched while giving every injection its own
-        // corruption pattern.
-        sensor_rng(seed ^ 0xABCDEF ^ fault_salt_of(fault)),
-        sensor(kernel, bus, accel, sensor_rng.fork(), state),
+        sensor(kernel, bus, accel, state),
         hub(airbag),
         tracker(kernel) {
     // Deployment monitor.
@@ -277,12 +260,9 @@ struct CapsSystem {
     return pc;
   }
 
-  /// Schedules the fault. On the classic path this runs during elaboration
-  /// (kernel at t=0); on the fork path it runs right after restore, with
-  /// `pinned_seq` carrying the timed-queue sequence number the injection
-  /// holds in a full replay (the golden snapshot's init_seq_mark) so the
-  /// suffix interleaves identically.
-  void inject(FaultDescriptor fault, bool pinned, std::uint64_t pinned_seq) {
+  /// Schedules the fault: during elaboration on a full replay, right after
+  /// restore() on a fork (the kernel orders both alike).
+  void inject(FaultDescriptor fault) {
     // Memory faults are drawn over the *occupied* image (firmware + data),
     // not the whole address space: flipping bits in never-read RAM tells a
     // campaign nothing (standard occupancy weighting).
@@ -295,17 +275,17 @@ struct CapsSystem {
       // Source-side corruption: a TX-buffer byte sticks at garbage from the
       // injection instant onwards — exactly what link protection must catch
       // (the wire CRC is computed over the already-corrupted buffer). This
-      // path bypasses the hub, so the provenance token is minted here.
+      // path bypasses the hub, so the provenance token is minted here. The
+      // garbage comes from a stream of the seed salted with the fault id,
+      // so every injection gets its own corruption pattern.
       const Time delay =
           fault.inject_at > kernel.now() ? fault.inject_at - kernel.now() : Time::zero();
+      const support::Xorshift rng =
+          support::Xorshift(seed ^ 0xABCDEF ^ fault.id * 0x9E3779B97F4A7C15ULL).fork();
       kernel.spawn("caps.sensor_fault",
                    [](SensorNode& s, obs::ProvenanceTracker* p, FaultDescriptor f, Time delay,
-                      bool pinned, std::uint64_t seq) -> sim::Coro {
-                     if (pinned) {
-                       co_await sim::delay_pinned(delay, seq);
-                     } else {
-                       co_await sim::delay(delay);
-                     }
+                      support::Xorshift rng) -> sim::Coro {
+                     co_await sim::delay(delay);
                      std::uint64_t token = 0;
                      if (p != nullptr) {
                        token = fault::provenance_token(f);
@@ -314,10 +294,9 @@ struct CapsSystem {
                                           std::to_string(f.id),
                                       std::string("inject:") + fault::to_string(f.type));
                      }
-                     s.set_corrupting(true, token);
-                   }(sensor, prov, fault, delay, pinned, pinned_seq));
+                     s.set_corrupting(rng, token);
+                   }(sensor, prov, fault, delay, rng));
     } else {
-      if (pinned) hub.set_pinned_seq(pinned_seq);
       hub.schedule(fault);
     }
   }

@@ -167,16 +167,6 @@ bool InjectorHub::apply_effect(const FaultDescriptor& fault) {
 void InjectorHub::schedule(const FaultDescriptor& fault) {
   const Time delay =
       fault.inject_at > kernel_.now() ? fault.inject_at - kernel_.now() : Time::zero();
-  if (has_pinned_seq_) {
-    has_pinned_seq_ = false;
-    kernel_.spawn("fault.schedule",
-                  [](InjectorHub& hub, FaultDescriptor fault, Time delay,
-                     std::uint64_t seq) -> sim::Coro {
-                    co_await sim::delay_pinned(delay, seq);
-                    (void)hub.apply(fault);
-                  }(*this, fault, delay, pinned_seq_));
-    return;
-  }
   kernel_.spawn("fault.schedule",
                 [](InjectorHub& hub, FaultDescriptor fault, Time delay) -> sim::Coro {
                   co_await sim::delay(delay);
@@ -187,10 +177,10 @@ void InjectorHub::schedule(const FaultDescriptor& fault) {
 std::vector<FaultType> InjectorHub::supported_types() const {
   std::vector<FaultType> types;
   if (platform_ != nullptr) {
-    types.insert(types.end(),
-                 {FaultType::kMemoryBitFlip, FaultType::kMemoryCodewordFlip,
-                  FaultType::kRegisterBitFlip, FaultType::kPcCorruption, FaultType::kSignalStuck,
-                  FaultType::kBusErrorInjection, FaultType::kSupplyBrownout});
+    types = {FaultType::kMemoryBitFlip,  FaultType::kMemoryCodewordFlip,
+             FaultType::kRegisterBitFlip, FaultType::kPcCorruption,
+             FaultType::kSignalStuck,     FaultType::kBusErrorInjection,
+             FaultType::kSupplyBrownout};
   }
   if (can_bus_ != nullptr) types.push_back(FaultType::kCanFrameCorruption);
   if (uart_ != nullptr && platform_ == nullptr) types.push_back(FaultType::kBusErrorInjection);

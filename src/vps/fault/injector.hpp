@@ -114,16 +114,6 @@ class InjectorHub {
   /// in the future); used by the Stressor.
   void schedule(const FaultDescriptor& fault);
 
-  /// Pins the timed-queue sequence number the next schedule() call uses for
-  /// its injection delay (consumed by that call). Snapshot-forked replays
-  /// pass the golden run's Kernel::init_seq_mark here so the injection
-  /// sorts against the restored prefix exactly as it would in a full
-  /// replay, where the injection process is spawned last at elaboration.
-  void set_pinned_seq(std::uint64_t seq) noexcept {
-    pinned_seq_ = seq;
-    has_pinned_seq_ = true;
-  }
-
   [[nodiscard]] sim::Kernel& kernel() noexcept { return kernel_; }
   [[nodiscard]] std::uint64_t applied_count() const noexcept { return applied_; }
   [[nodiscard]] std::uint64_t skipped_count() const noexcept { return skipped_; }
@@ -163,8 +153,6 @@ class InjectorHub {
   obs::ProvenanceTracker* provenance_ = nullptr;
   std::uint64_t applied_ = 0;
   std::uint64_t skipped_ = 0;
-  std::uint64_t pinned_seq_ = 0;
-  bool has_pinned_seq_ = false;
 };
 
 }  // namespace vps::fault

@@ -6,14 +6,15 @@
 /// replay forks from, and the full-replay fallbacks.
 ///
 /// System contract:
-///   - `System(const Config&, std::uint64_t seed, const FaultDescriptor* fault)`
-///     builds a fresh system in a fixed construction order (kernel ordinal
-///     identity is the restore precondition); `fault` is null on golden runs;
+///   - `System(const Config&, std::uint64_t seed)` builds a fresh system in a
+///     fixed construction order (kernel ordinal identity is the restore
+///     precondition);
 ///   - a `sim::Kernel kernel` member;
-///   - `inject(const FaultDescriptor&, bool pinned, std::uint64_t pinned_seq)`
-///     schedules the fault — during elaboration on a full replay, right after
-///     restore() on a fork, with the timed-queue seq the injection holds in a
-///     full replay pinned so the suffix interleaves identically;
+///   - `inject(const FaultDescriptor&)` spawns one process that schedules the
+///     fault — during elaboration on a full replay, right after restore() on
+///     a fork, where sim::Kernel::restore orders its first wait as if it had
+///     been spawned last at elaboration, so the suffix interleaves
+///     identically;
 ///   - `capture(Snapshot&) const` / `restore(const Snapshot&)` image the
 ///     system at a quiescent instant; `Snapshot` has a `sim::KernelSnapshot
 ///     kernel` member.
@@ -41,39 +42,30 @@ class SnapshotReplay {
   /// returns `finish(System&, sim::RunStatus)` on the finished system. With
   /// `fork` off every run is a full replay. With it on, golden runs are
   /// segmented to refill the epoch cache as a side effect (the drivers run
-  /// golden first, so forks hit a warm cache), and a faulty run executes only
-  /// the suffix after the largest epoch strictly before its injection —
-  /// everything at exactly inject_at must still execute after the injection.
-  /// A cold cache or one for another seed is captured first; with no epoch
-  /// before the injection, or after a golden livelock, the run is a full
-  /// replay. Bitwise identical results either way.
+  /// golden first, so forks hit a warm cache), and a faulty run restores the
+  /// largest epoch strictly before its injection and executes only the
+  /// suffix — everything at exactly inject_at must still execute after the
+  /// injection. A cold cache or one for another seed is captured first; with
+  /// no epoch before the injection, or after a golden livelock, the run is a
+  /// full replay. Bitwise identical results either way.
   template <class Config, class Finish>
   Observation run(const Config& cfg, const FaultDescriptor* fault, std::uint64_t seed, bool fork,
                   Finish&& finish) {
     if (fork && fault != nullptr && !(valid_ && seed_ == seed)) {
-      System golden(cfg, seed, nullptr);
+      System golden(cfg, seed);
       (void)capture(golden, cfg, seed);
     }
-    const Snapshot* epoch = nullptr;
-    if (fork && fault != nullptr && valid_) {
+    System sys(cfg, seed);
+    if (fork && fault == nullptr) return finish(sys, capture(sys, cfg, seed));
+    if (fault != nullptr) {
+      const Snapshot* epoch = nullptr;
       for (const Snapshot& e : epochs_) {
         if (e.kernel.now < fault->inject_at) epoch = &e;
       }
+      if (fork && valid_ && epoch != nullptr) sys.restore(*epoch);
+      sys.inject(*fault);
     }
-
-    System sys(cfg, seed, fault);
-    sim::RunStatus status{};
-    if (epoch != nullptr) {
-      sys.restore(*epoch);
-      sys.inject(*fault, /*pinned=*/true, epoch->kernel.init_seq_mark);
-      status = sys.kernel.run(cfg.duration, cfg.run_budget);
-    } else if (fork && fault == nullptr) {
-      status = capture(sys, cfg, seed);
-    } else {
-      if (fault != nullptr) sys.inject(*fault, /*pinned=*/false, 0);
-      status = sys.kernel.run(cfg.duration, cfg.run_budget);
-    }
-    return finish(sys, status);
+    return finish(sys, sys.kernel.run(cfg.duration, cfg.run_budget));
   }
 
  private:

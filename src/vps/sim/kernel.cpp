@@ -149,13 +149,6 @@ bool DelayAwaiter::await_suspend(Coro::Handle h) {
   return p->kernel_.timed_wait(*p, h, delay, p->bump_generation(), /*timeout_flag=*/false);
 }
 
-void PinnedDelayAwaiter::await_suspend(Coro::Handle h) {
-  Process* p = h.promise().process;
-  ensure(p != nullptr, "co_await delay_pinned() outside of a simulation process");
-  p->resume_point_ = h;
-  p->kernel_.schedule_process_resume_pinned(*p, delay, seq);
-}
-
 void EventAwaiter::await_suspend(Coro::Handle h) {
   Process* p = h.promise().process;
   ensure(p != nullptr, "co_await event outside of a simulation process");
@@ -289,10 +282,21 @@ void Kernel::request_update(UpdateHook& hook) { update_requests_.push_back(&hook
 
 void Kernel::queue_delta_notification(Event& event) { delta_notifications_.push_back(&event); }
 
+// The seq of a new timed entry: the allocation counter's next, except for
+// the first entry after a restore, which takes the reserved seq.
+std::uint64_t Kernel::take_seq() {
+  if (seq_phase_ < SeqPhase::kArmed) [[likely]] return next_seq_++;
+  ensure(seq_phase_ == SeqPhase::kArmed,
+         "Kernel: a second timed entry before the first delta boundary after restore() "
+         "(only one process spawned onto a restored kernel may wait or notify then)");
+  seq_phase_ = SeqPhase::kTaken;
+  return init_seq_mark_;
+}
+
 void Kernel::queue_timed_notification(Event& event, Time delay) {
   TimedEntry entry;
   entry.when = now_ + delay;
-  entry.seq = next_seq_++;
+  entry.seq = take_seq();
   entry.event = &event;
   entry.event_generation = event.notify_generation_;
   timed_.push(entry);
@@ -304,7 +308,7 @@ bool Kernel::timed_wait(Process& process, Coro::Handle h, Time delay, std::uint6
   if (delay != Time::zero() && inline_step(process, when, timeout_flag)) return false;
   TimedEntry entry;
   entry.when = when;
-  entry.seq = next_seq_++;
+  entry.seq = take_seq();
   entry.process = &process;
   entry.process_generation = gen;
   entry.timeout_flag = timeout_flag;
@@ -320,7 +324,7 @@ bool Kernel::timed_wait(Process& process, Coro::Handle h, Time delay, std::uint6
 // process. Apply them here and let the process go on without suspending.
 bool Kernel::inline_step(Process& p, Time when, bool timeout_flag) {
   if (!runnable_empty() || !delta_notifications_.empty() || !update_requests_.empty() ||
-      !observers_.empty() || !init_seq_marked_ || current_ != &p ||
+      !observers_.empty() || seq_phase_ != SeqPhase::kSteady || current_ != &p ||
       p.state_ == Process::State::kTerminated || stop_requested_ || pending_error_ ||
       when > run_until_) {
     return false;
@@ -349,16 +353,6 @@ bool Kernel::inline_step(Process& p, Time when, bool timeout_flag) {
   p.last_wait_timed_out_ = timeout_flag;
   ++inline_steps_;
   return true;
-}
-
-void Kernel::schedule_process_resume_pinned(Process& process, Time delay, std::uint64_t seq) {
-  TimedEntry entry;
-  entry.when = now_ + delay;
-  entry.seq = seq;
-  entry.sub = 0;  // ties against a restored prefix entry resolve pinned-first
-  entry.process = &process;
-  entry.process_generation = process.bump_generation();
-  timed_.push(entry);
 }
 
 void Kernel::make_runnable(Process& process) {
@@ -498,13 +492,13 @@ RunStatus Kernel::run(Time until, const RunBudget& budget) {
   deltas_without_advance_ = 0;
   while (true) {
     const bool evaluated_fully = evaluate_phase();
-    if (!init_seq_marked_) {
-      // End of the first evaluate phase ever: every elaboration-time process
-      // has taken its initial slice, so next_seq_ here equals the seq a
-      // last-spawned injection process's delay received (or would have
-      // received) in a full replay. Forked replays pin to this value.
-      init_seq_mark_ = next_seq_;
-      init_seq_marked_ = true;
+    if (seq_phase_ != SeqPhase::kSteady) [[unlikely]] {
+      // End of a fresh kernel's first evaluate phase: every elaboration-time
+      // process has taken its initial slice, so the seq reserved here is the
+      // one a process spawned last would have drawn after them. A restored
+      // kernel stops handing its reserved seq out here.
+      if (seq_phase_ == SeqPhase::kElaboration) init_seq_mark_ = next_seq_++;
+      seq_phase_ = SeqPhase::kSteady;
     }
     update_phase();
     delta_notification_phase();
@@ -545,6 +539,9 @@ KernelSnapshot Kernel::snapshot() const {
   ensure(current_ == nullptr && runnable_empty() && update_requests_.empty() &&
              delta_notifications_.empty() && !pending_error_,
          "Kernel::snapshot: kernel is not quiescent (call between run() calls)");
+  ensure(seq_phase_ == SeqPhase::kSteady,
+         "Kernel::snapshot: the kernel has not passed a delta boundary since construction or "
+         "restore(), so its reserved seq is not settled");
   KernelSnapshot s;
   s.now = now_;
   s.next_seq = next_seq_;
@@ -576,7 +573,6 @@ KernelSnapshot Kernel::snapshot() const {
     KernelSnapshot::TimedImage img;
     img.when = e.when;
     img.seq = e.seq;
-    img.sub = e.sub;
     if (e.event != nullptr) {
       img.event_ordinal = e.event->ordinal_;
       img.event_generation = e.event_generation;
@@ -639,7 +635,6 @@ void Kernel::restore(const KernelSnapshot& snapshot) {
     TimedEntry e;
     e.when = img.when;
     e.seq = img.seq;
-    e.sub = img.sub;
     if (img.event_ordinal >= 0) {
       ensure(static_cast<std::size_t>(img.event_ordinal) < events_by_ordinal_.size(),
              "Kernel::restore: event ordinal out of range");
@@ -659,7 +654,7 @@ void Kernel::restore(const KernelSnapshot& snapshot) {
   now_ = snapshot.now;
   next_seq_ = snapshot.next_seq;
   init_seq_mark_ = snapshot.init_seq_mark;
-  init_seq_marked_ = true;
+  seq_phase_ = SeqPhase::kArmed;
   stats_ = snapshot.stats;
   stop_requested_ = false;
 }

@@ -166,7 +166,6 @@ class Process {
   friend class Kernel;
   friend class Event;
   friend struct DelayAwaiter;
-  friend struct PinnedDelayAwaiter;
   friend struct EventAwaiter;
   friend struct TimedEventAwaiter;
 
@@ -327,7 +326,6 @@ struct KernelSnapshot {
   struct TimedImage {
     Time when;
     std::uint64_t seq = 0;
-    std::uint8_t sub = 1;
     std::int64_t event_ordinal = -1;    // -1: process entry
     std::uint64_t event_generation = 0;
     std::int64_t process_ordinal = -1;  // -1: event entry
@@ -337,6 +335,7 @@ struct KernelSnapshot {
 
   Time now;
   std::uint64_t next_seq = 0;
+  /// The seq the source's first evaluate phase reserved (see restore()).
   std::uint64_t init_seq_mark = 0;
   KernelStats stats;
   std::vector<ProcessImage> processes;
@@ -409,16 +408,19 @@ class Kernel {
   /// All pending timed entries, waiter registrations and generations are
   /// recreated; fresh never-started coroutines stand in for the original
   /// frames (see KernelSnapshot). ensure()-fails on a shape mismatch.
+  ///
+  /// The end of every kernel's first evaluate phase reserves one seq, the
+  /// one a process spawned last at elaboration would have drawn after all
+  /// the others. restore() hands it out once: the first timed entry made
+  /// before the next delta boundary takes it and is never applied inline,
+  /// and a second one throws. A process spawned onto the restored kernel
+  /// (a forked fault injection) thus orders its first wait exactly as if
+  /// it had been spawned last at elaboration of the uncut run.
   void restore(const KernelSnapshot& snapshot);
   /// Timed waits applied in place (see DESIGN.md "Inline timed steps"): a
   /// diagnostic, outside KernelStats and KernelSnapshot, that restore()
   /// leaves alone.
   [[nodiscard]] std::uint64_t inline_steps() const noexcept { return inline_steps_; }
-  /// next_seq_ as it stood at the end of the very first evaluate phase: the
-  /// seq an entry scheduled by a process spawned last during elaboration
-  /// receives. The fork path pins the fault-injection delay to this seq so a
-  /// forked replay orders same-instant entries exactly like a full replay.
-  [[nodiscard]] std::uint64_t init_seq_mark() const noexcept { return init_seq_mark_; }
 
   // --- internal scheduling interface (used by Event / awaiters / channels) --
   void request_update(UpdateHook& hook);
@@ -432,10 +434,6 @@ class Kernel {
   /// Returns true when the awaiter must suspend.
   [[nodiscard]] bool timed_wait(Process& process, Coro::Handle h, Time delay, std::uint64_t gen,
                                 bool timeout_flag);
-  /// Variant with an explicit (seq, sub) key instead of the allocation
-  /// counter; does not advance next_seq_. Used by delay_pinned() so a
-  /// snapshot-forked replay reproduces the full replay's entry ordering.
-  void schedule_process_resume_pinned(Process& process, Time delay, std::uint64_t seq);
   void make_runnable(Process& process);
   [[nodiscard]] bool event_is_live(const Event* e) const {
     return live_events_.contains(e);
@@ -447,12 +445,6 @@ class Kernel {
   struct TimedEntry {
     Time when;
     std::uint64_t seq;  // insertion order for deterministic FIFO at same time
-    // Tie-break under seq for *pinned* entries (sub = 0): a forked replay
-    // pins the injection delay to the seq the full replay allocated for it,
-    // which can collide with a restored prefix entry carrying the same seq.
-    // The full replay orders the injection first (the prefix entry sits one
-    // seq later there), so pinned-before-normal reproduces that order.
-    std::uint8_t sub = 1;
     Event* event = nullptr;
     std::uint64_t event_generation = 0;
     Process* process = nullptr;
@@ -461,15 +453,14 @@ class Kernel {
 
     bool operator>(const TimedEntry& other) const noexcept {
       if (when != other.when) return when > other.when;
-      if (seq != other.seq) return seq > other.seq;
-      return sub > other.sub;
+      return seq > other.seq;
     }
   };
 
   /// Min-heap over TimedEntry with the same pop order as the
   /// std::priority_queue it replaces, but with the backing vector readable
-  /// (snapshot()) and assignable (restore()). (when, seq, sub) keys are
-  /// unique, so heap layout never affects pop order.
+  /// (snapshot()) and assignable (restore()). (when, seq) keys are unique,
+  /// so heap layout never affects pop order.
   class TimedQueue {
    public:
     [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
@@ -501,8 +492,9 @@ class Kernel {
   bool evaluate_phase();
   void update_phase();
   void delta_notification_phase();
-  // Inline (defined in kernel.cpp only): both sit on the per-wait path.
+  // Inline (defined in kernel.cpp only): all three sit on the per-wait path.
   [[nodiscard]] inline bool entry_valid(const TimedEntry& e) const;
+  [[nodiscard]] inline std::uint64_t take_seq();
   bool advance_time(Time until);
   [[nodiscard]] inline bool inline_step(Process& p, Time when, bool timeout_flag);
   void rethrow_pending_error();
@@ -513,8 +505,13 @@ class Kernel {
   Process* current_ = nullptr;
   std::vector<KernelObserver*> observers_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t init_seq_mark_ = 0;
-  bool init_seq_marked_ = false;
+  std::uint64_t init_seq_mark_ = 0;  // the reserved seq (see restore())
+  // Until the first delta boundary of a fresh or restored kernel, no wait is
+  // applied inline, and after a restore the next timed entry takes
+  // init_seq_mark_ (kArmed) and a further one throws (kTaken). take_seq()
+  // relies on the order: below kArmed, entries take next_seq_.
+  enum class SeqPhase : std::uint8_t { kSteady, kElaboration, kArmed, kTaken };
+  SeqPhase seq_phase_ = SeqPhase::kElaboration;
   KernelStats stats_;
   std::exception_ptr pending_error_;
   std::uint64_t inline_steps_ = 0;
@@ -562,23 +559,6 @@ struct DelayAwaiter {
 };
 
 [[nodiscard]] inline DelayAwaiter delay(Time t) noexcept { return DelayAwaiter{t}; }
-
-/// co_await delay_pinned(t, seq): like delay(), but the timed entry is keyed
-/// by an explicit seq (with the pinned tie-break) instead of the allocation
-/// counter. Snapshot-forked replays use this for the fault-injection delay —
-/// pinned to Kernel::init_seq_mark() — so the injection orders against
-/// restored prefix entries exactly as it does in a full replay.
-struct PinnedDelayAwaiter {
-  Time delay;
-  std::uint64_t seq;
-  [[nodiscard]] bool await_ready() const noexcept { return false; }
-  void await_suspend(Coro::Handle h);
-  void await_resume() const noexcept {}
-};
-
-[[nodiscard]] inline PinnedDelayAwaiter delay_pinned(Time t, std::uint64_t seq) noexcept {
-  return PinnedDelayAwaiter{t, seq};
-}
 
 /// co_await event: suspends until the event fires.
 struct EventAwaiter {

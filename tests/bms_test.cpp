@@ -268,7 +268,7 @@ TEST(BmsUart, CorruptStartBitIsAFramingError) {
 TEST(BmsScheduling, SetPeriodSwitchesRateMidRun) {
   sim::Kernel kernel;
   ecu::OsScheduler os(kernel, "os");
-  const ecu::TaskId id = os.add_task({.name = "loop", .period = Time::ms(100)});
+  const ecu::TaskId id = os.add_task({.name = "loop", .period = Time::ms(100), .body = {}});
   (void)kernel.run(Time::sec(1));
   const std::uint64_t before = os.stats(id).activations;
   os.set_period(id, Time::ms(20));
@@ -285,7 +285,7 @@ TEST(BmsScheduling, SetPeriodSwitchesRateMidRun) {
 TEST(BmsScheduling, SetPeriodSurvivesSnapshotRestore) {
   sim::Kernel kernel;
   ecu::OsScheduler os(kernel, "os");
-  const ecu::TaskId id = os.add_task({.name = "loop", .period = Time::ms(100)});
+  const ecu::TaskId id = os.add_task({.name = "loop", .period = Time::ms(100), .body = {}});
   (void)kernel.run(Time::ms(500));
   os.set_period(id, Time::ms(20));
   (void)kernel.run(Time::ms(700));

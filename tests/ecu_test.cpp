@@ -145,7 +145,8 @@ TEST(Os, ExplicitDeadlineShorterThanPeriod) {
                                 .period = Time::ms(10),
                                 .wcet = Time::ms(3),
                                 .deadline = Time::ms(2),  // unschedulable by design
-                                .priority = 1});
+                                .priority = 1,
+                                .body = {}});
   k.run(Time::ms(50));
   EXPECT_EQ(os.stats(t).completions, 5u);
   EXPECT_EQ(os.stats(t).deadline_misses, 5u);
@@ -157,7 +158,7 @@ TEST(Os, ExecutionInflationCausesDeadlineMisses) {
   Kernel k;
   OsScheduler os(k, "os");
   const TaskId t = os.add_task(
-      {.name = "control", .period = Time::ms(10), .wcet = Time::ms(4), .priority = 1});
+      {.name = "control", .period = Time::ms(10), .wcet = Time::ms(4), .priority = 1, .body = {}});
   k.run(Time::ms(100));
   EXPECT_EQ(os.total_deadline_misses(), 0u);
   os.set_execution_factor(t, 3.0);  // 4ms -> 12ms > 10ms period
@@ -190,11 +191,11 @@ TEST(Os, FullUtilizationSchedulableAtRateMonotonicOrder) {
   OsScheduler os(k, "os");
   // U = 0.4 + 0.3 + 0.2 = 0.9 with harmonic periods: schedulable under RM.
   const TaskId a = os.add_task(
-      {.name = "a", .period = Time::ms(10), .wcet = Time::ms(4), .priority = 3});
+      {.name = "a", .period = Time::ms(10), .wcet = Time::ms(4), .priority = 3, .body = {}});
   const TaskId b = os.add_task(
-      {.name = "b", .period = Time::ms(20), .wcet = Time::ms(6), .priority = 2});
+      {.name = "b", .period = Time::ms(20), .wcet = Time::ms(6), .priority = 2, .body = {}});
   const TaskId c = os.add_task(
-      {.name = "c", .period = Time::ms(40), .wcet = Time::ms(8), .priority = 1});
+      {.name = "c", .period = Time::ms(40), .wcet = Time::ms(8), .priority = 1, .body = {}});
   k.run(Time::ms(400));
   EXPECT_EQ(os.stats(a).deadline_misses, 0u);
   EXPECT_EQ(os.stats(b).deadline_misses, 0u);

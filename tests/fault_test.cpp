@@ -442,7 +442,7 @@ TEST(CampaignTest, DiagnosticCoverageCountsTimeoutsAsDangerous) {
   EXPECT_NEAR(with_timeout.diagnostic_coverage(), 0.6, 1e-12);
 
   // Both accountings agree that the all-hang campaign is all-dangerous.
-  hung.records.push_back({FaultDescriptor{}, Outcome::kTimeout, {}});
+  hung.records.push_back({FaultDescriptor{}, Outcome::kTimeout, {}, {}});
   const auto spots = hung.weak_spots();
   ASSERT_EQ(spots.size(), 1u);
   EXPECT_DOUBLE_EQ(spots[0].danger_rate(), 1.0);

@@ -323,7 +323,6 @@ TEST(Cpu, WfiSleepsUntilInterrupt) {
 }
 
 TEST(Cpu, WatchdogResetsHungCore) {
-  Soc::kRamBase;  // silence unused warning paths
   Cpu::Config cfg;
   Soc soc(cfg);
   int resets = 0;

@@ -74,12 +74,11 @@ Fields kernel_fields(const sim::Kernel& kernel) {
   }
   std::vector<sim::KernelSnapshot::TimedImage> timed = s.timed;
   std::sort(timed.begin(), timed.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.when, a.seq, a.sub) < std::tie(b.when, b.seq, b.sub);
+    return std::tie(a.when, a.seq) < std::tie(b.when, b.seq);
   });
   for (const auto& t : timed) {
     add(f, "timed.when", t.when.picoseconds());
     add(f, "timed.seq", t.seq);
-    add(f, "timed.sub", t.sub);
     add(f, "timed.event", static_cast<std::uint64_t>(t.event_ordinal));
     add(f, "timed.event_generation", t.event_generation);
     add(f, "timed.process", static_cast<std::uint64_t>(t.process_ordinal));
@@ -469,8 +468,8 @@ TEST(KernelInlineStep, WaitPastRunUntilIsNotInlined) {
 }
 
 TEST(KernelInlineStep, FirstEvaluatePhaseIsNotInlined) {
-  // The first wait is in the first evaluate phase, where init_seq_mark()
-  // is still open; every later one is applied inline.
+  // The first wait is in the first evaluate phase, before the kernel has
+  // reserved its seq; every later one is applied inline.
   Pair<Spawned<Ticker>> p;
   p.run(segments(Time::us(95), Time::us(100)));
   ASSERT_FALSE(p.fast->inlined.empty());

@@ -42,7 +42,9 @@ TEST(LinPid, SingleBitErrorsDetected) {
       const auto decoded = lin_check_pid(corrupted);
       // Parity covers the id bits: any single-bit flip must either fail the
       // check or decode to a *different* id (never silently the same id).
-      if (decoded.has_value()) EXPECT_NE(*decoded, id);
+      if (decoded.has_value()) {
+        EXPECT_NE(*decoded, id);
+      }
     }
   }
 }

@@ -195,7 +195,7 @@ struct ToySystem {
   std::uint64_t counter;
   bool tick_pending = false;
 
-  ToySystem(const ToyConfig& cfg, std::uint64_t seed, const FaultDescriptor*)
+  ToySystem(const ToyConfig& cfg, std::uint64_t seed)
       : probe(cfg.probe), counter(seed) {
     kernel.spawn("toy.tick", tick_loop());
     if (cfg.storm_at != Time::max()) {
@@ -215,17 +215,11 @@ struct ToySystem {
     }
   }
 
-  void inject(const FaultDescriptor& fault, bool pinned, std::uint64_t pinned_seq) {
-    kernel.spawn("toy.fault",
-                 [](ToySystem& s, std::uint64_t id, Time delay, bool pinned,
-                    std::uint64_t seq) -> sim::Coro {
-                   if (pinned) {
-                     co_await sim::delay_pinned(delay, seq);
-                   } else {
-                     co_await sim::delay(delay);
-                   }
-                   s.counter ^= id;
-                 }(*this, fault.id, fault.inject_at - kernel.now(), pinned, pinned_seq));
+  void inject(const FaultDescriptor& fault) {
+    kernel.spawn("toy.fault", [](ToySystem& s, std::uint64_t id, Time delay) -> sim::Coro {
+      co_await sim::delay(delay);
+      s.counter ^= id;
+    }(*this, fault.id, fault.inject_at - kernel.now()));
   }
 
   void capture(ToySnapshot& s) const {
