@@ -1,8 +1,10 @@
 // E14 — parallel campaign scaling. The Fig. 3 loop is embarrassingly
 // parallel across injections: every replay builds a fresh system, so the
-// batched executor fans them out over a work-stealing pool. This bench
-// records wall-clock and speedup for 1/2/4/8 workers on a Monte-Carlo CAPS
-// campaign and verifies the headline guarantee: the CampaignResult is
+// in-process executor hands them out, in run-index order from one shared
+// counter, to a fixed set of workers: the calling thread is worker 0 and
+// replays on the coordinator, every other worker on its own scenario. This
+// bench records wall-clock and speedup for 1/2/4/8 workers on a Monte-Carlo
+// CAPS campaign and verifies the headline guarantee: the CampaignResult is
 // bitwise identical for every worker count and for the sequential driver.
 // (Speedups flatten out at the machine's physical core count — on a
 // single-core host every row is ~1x.)
@@ -93,7 +95,8 @@ int main(int argc, char** argv) {
     fault::CampaignResult result;
   };
   std::vector<Row> rows;
-  // Sequential baseline: the inline executor on one scenario instance.
+  // Sequential baseline: the same executor at one worker, on the caller's
+  // scenario.
   apps::CapsScenario scenario(apps::CapsConfig{.crash = true, .duration = sim::Time::ms(15)});
   auto t0 = std::chrono::steady_clock::now();
   fault::CampaignResult sequential = fault::Campaign(scenario, base_config(runs)).run();
@@ -108,7 +111,7 @@ int main(int argc, char** argv) {
   }
 
   support::Table table({"executor", "workers", "wall ms", "speedup", "hazards", "identical"});
-  const fault::CampaignResult& reference = rows[1].result;  // one pool thread
+  const fault::CampaignResult& reference = rows[1].result;  // one worker
   std::size_t mismatches = 0;
   for (const Row& row : rows) {
     const bool same = identical(reference, row.result);

@@ -1,7 +1,8 @@
 // Parallel fault-injection campaigns: the Fig. 3 loop fanned out across a
-// work-stealing thread pool, with bitwise-reproducible results for any
-// worker count, plus sharded multi-seed aggregation via the
-// order-independent coverage and result merges.
+// fixed set of workers, the calling thread among them, with
+// bitwise-reproducible results for any worker count, plus sharded
+// multi-seed aggregation via the order-independent coverage and result
+// merges.
 
 #include <cstdio>
 #include <memory>

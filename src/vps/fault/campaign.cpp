@@ -386,46 +386,4 @@ bool CampaignState::learn(const FaultDescriptor& fault, Outcome outcome) {
   return true;
 }
 
-namespace {
-
-/// The inline executor: replays one after another on the campaign's own
-/// scenario, on the calling thread.
-class InlineExecutor final : public BatchExecutor {
- public:
-  InlineExecutor(Scenario& scenario, const CampaignConfig& config, const Observation& golden)
-      : scenario_(scenario), config_(config), golden_(golden) {}
-
-  std::vector<ReplayResult> replay(std::size_t /*first*/,
-                                   const std::vector<FaultDescriptor>& faults) override {
-    std::vector<ReplayResult> replays;
-    replays.reserve(faults.size());
-    for (const FaultDescriptor& fault : faults) {
-      replays.push_back(
-          replay_isolated(scenario_, fault, config_.seed, golden_, config_.crash_retries));
-    }
-    return replays;
-  }
-
- private:
-  Scenario& scenario_;
-  const CampaignConfig& config_;
-  const Observation& golden_;
-};
-
-CampaignConfig learn_every_run_by_default(CampaignConfig config) {
-  if (config.batch_size == 0) config.batch_size = 1;
-  return config;
-}
-
-}  // namespace
-
-Campaign::Campaign(Scenario& scenario, CampaignConfig config)
-    : BatchedCampaign(scenario, learn_every_run_by_default(std::move(config)), "Campaign") {
-  scenario.set_snapshot_replay(config_.snapshot_replay);
-}
-
-std::unique_ptr<BatchExecutor> Campaign::make_executor() {
-  return std::make_unique<InlineExecutor>(*coordinator_, config_, golden_);
-}
-
 }  // namespace vps::fault

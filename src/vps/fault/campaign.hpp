@@ -18,9 +18,12 @@
 /// folds, learns, checkpoints and preempts; a driver only plugs in the
 /// executor that replays a batch:
 ///   Campaign            on the caller's scenario, on the calling thread.
-///   ParallelCampaign    on a work-stealing thread pool.
+///   ParallelCampaign    on a fixed set of workers, the calling thread
+///                       among them, each with its own scenario.
 ///   dist::DistCampaign  on forked pool workers behind a private campaign
 ///                       server, or on a running one.
+/// The first two share one in-process executor; Campaign runs it with one
+/// worker.
 /// Per-run randomness comes from Xorshift::fork(key) keyed on the run
 /// index, and adaptive learning is applied in batched rounds at a barrier,
 /// so for one config the result is bitwise identical on every driver,
@@ -54,8 +57,9 @@ struct CampaignConfig {
   std::size_t time_windows = 8;
   /// Stop early once this many hazards were found (0 = never stop early).
   std::size_t stop_after_hazards = 0;
-  /// ParallelCampaign only: scenario replays run on this many pool threads
-  /// (0 and 1 both mean one worker). The result is identical for any value.
+  /// ParallelCampaign only: scenario replays run on this many workers, the
+  /// calling thread included (0 and 1 both mean one worker, which starts no
+  /// thread). The result is identical for any value.
   std::size_t workers = 1;
   /// Adaptive strategies (kGuided, kCoverageDriven) generate this many runs
   /// from the current weights before learning is applied at the batch
@@ -275,8 +279,8 @@ class CampaignState {
 struct CampaignCheckpoint;  // fault/checkpoint.hpp
 
 /// Builds a fresh Scenario instance. Called concurrently from pool threads
-/// (each worker gets its own instance), so it must be thread-safe — plain
-/// construction of independent scenarios is.
+/// (each worker after the first gets its own instance), so it must be
+/// thread-safe — plain construction of independent scenarios is.
 using ScenarioFactory = std::function<std::unique_ptr<Scenario>()>;
 
 /// What a driver plugs into BatchedCampaign: the means to replay a batch.
@@ -388,8 +392,10 @@ class Campaign final : public BatchedCampaign {
 };
 
 /// Batched in-process campaign driver: the replays of a batch fan out
-/// across a work-stealing thread pool (CampaignConfig::workers threads)
-/// onto per-worker scenario instances.
+/// across CampaignConfig::workers workers. Worker 0 is the calling thread
+/// and replays on the coordinator; each other worker replays on its own
+/// instance, built through the factory on first use, so the factory is
+/// called at most `workers` times.
 class ParallelCampaign final : public BatchedCampaign {
  public:
   ParallelCampaign(ScenarioFactory factory, CampaignConfig config);

@@ -1,147 +1,74 @@
 #include "vps/support/thread_pool.hpp"
 
-#include <exception>
 #include <utility>
-
-#include "vps/support/ensure.hpp"
 
 namespace vps::support {
 
 ThreadPool::ThreadPool(std::size_t workers) {
-  const std::size_t n = workers == 0 ? 1 : workers;
-  queues_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) queues_.push_back(std::make_unique<WorkerQueue>());
-  threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+  try {
+    for (std::size_t w = 1; w < workers; ++w) threads_.emplace_back([this, w] { worker_loop(w); });
+  } catch (...) {
+    stop();  // a started thread that is destroyed unjoined terminates the program
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop(); }
+
+void ThreadPool::stop() noexcept {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  wake_cv_.notify_all();
+  job_cv_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  ensure(static_cast<bool>(task), "ThreadPool::submit: empty task");
-  std::size_t target;
+void ThreadPool::drain(std::size_t worker) {
+  for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed); i < count_;
+       i = next_.fetch_add(1, std::memory_order_relaxed)) {
+    try {
+      (*body_)(worker, i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!error_) error_ = std::current_exception();
+    }
+  }
+}
+
+void ThreadPool::worker_loop(std::size_t worker) {
+  std::uint64_t seen = 0;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      job_cv_.wait(lock, [&] { return stop_ || job_ != seen; });
+      if (stop_) return;
+      seen = job_;
+    }
+    drain(worker);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--running_ == 0) done_cv_.notify_one();
+  }
+}
+
+void ThreadPool::parallel_for(std::size_t count, const Body& body) {
+  if (count == 0) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ensure(!stop_, "ThreadPool::submit: pool is shutting down");
-    target = next_queue_;
-    next_queue_ = (next_queue_ + 1) % queues_.size();
-    ++queued_;
-    ++pending_;
+    body_ = &body;
+    count_ = count;
+    next_.store(0, std::memory_order_relaxed);
+    running_ = threads_.size();
+    ++job_;
   }
-  {
-    std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(task));
-  }
-  wake_cv_.notify_one();
-}
-
-bool ThreadPool::try_get_task(std::size_t self, std::function<void()>& out) {
-  // Own deque first (front), then steal from the back of the others so a
-  // thief and the owner contend on opposite ends.
-  {
-    WorkerQueue& q = *queues_[self];
-    std::lock_guard<std::mutex> lock(q.mutex);
-    if (!q.tasks.empty()) {
-      out = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      return true;
-    }
-  }
-  for (std::size_t off = 1; off < queues_.size(); ++off) {
-    WorkerQueue& victim = *queues_[(self + off) % queues_.size()];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      out = std::move(victim.tasks.back());
-      victim.tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  std::function<void()> task;
-  for (;;) {
-    if (try_get_task(self, task)) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        --queued_;
-      }
-      try {
-        task();
-      } catch (...) {
-        // A throwing task used to escape the thread entry point and
-        // std::terminate the whole campaign; capture the first error and
-        // hand it to whoever joins at wait_idle().
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!error_) error_ = std::current_exception();
-      }
-      task = nullptr;
-      bool idle;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        idle = --pending_ == 0;
-      }
-      if (idle) idle_cv_.notify_all();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(mutex_);
-    wake_cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
-    if (stop_ && queued_ == 0) return;
-  }
-}
-
-void ThreadPool::wait_idle() {
+  job_cv_.notify_all();
+  drain(0);
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return pending_ == 0; });
-  if (error_) {
-    auto e = error_;
-    error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(e);
-  }
-}
-
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  struct State {
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t remaining;
-    std::exception_ptr error;
-  };
-  State state;
-  state.remaining = count;
-  for (std::size_t i = 0; i < count; ++i) {
-    submit([&state, &body, i] {
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        if (!state.error) state.error = std::current_exception();
-      }
-      {
-        // Notify while holding the lock: the waiter destroys `state` as soon
-        // as it observes remaining == 0, so an unlocked notify could touch a
-        // dead condition_variable.
-        std::lock_guard<std::mutex> lock(state.mutex);
-        if (--state.remaining == 0) state.done.notify_all();
-      }
-    });
-  }
-  std::unique_lock<std::mutex> lock(state.mutex);
-  state.done.wait(lock, [&state] { return state.remaining == 0; });
-  if (state.error) std::rethrow_exception(state.error);
+  // Every thread takes part in every job, so none can still read body_ or
+  // count_ once running_ is back to zero.
+  done_cv_.wait(lock, [this] { return running_ == 0; });
+  body_ = nullptr;
+  if (std::exception_ptr error = std::exchange(error_, nullptr)) std::rethrow_exception(error);
 }
 
 }  // namespace vps::support

@@ -1,20 +1,25 @@
 #pragma once
 
-/// Small work-stealing thread pool for embarrassingly parallel campaign
-/// work (one scenario replay per task). Each worker owns a deque;
-/// submit() distributes round-robin, an idle worker first drains its own
-/// deque (front) and then steals from the back of a victim's deque, so
-/// uneven task durations rebalance without a central queue bottleneck.
+/// A fixed set of workers with one operation, parallel_for, for
+/// embarrassingly parallel campaign work (one scenario replay per index).
 ///
-/// The pool makes no ordering promises: callers that need deterministic
-/// results must slot task outputs by index and reduce in index order
-/// (see fault::ParallelCampaign).
+/// Worker 0 is the calling thread; the pool starts worker_count() − 1
+/// threads, so a one-worker pool starts none and runs every index on the
+/// caller, in index order. Indices are handed out in ascending order from
+/// one shared counter: a worker that finishes early takes the next index,
+/// so each worker's indices ascend and uneven durations balance without
+/// per-worker queues.
+///
+/// Which worker runs an index is up to the scheduler: callers that need
+/// deterministic results slot each output by index and reduce in index
+/// order (see fault::ParallelCampaign).
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -23,49 +28,42 @@ namespace vps::support {
 
 class ThreadPool {
  public:
-  /// Spawns `workers` threads (at least one).
+  /// body(worker, index); `worker` is in [0, worker_count()).
+  using Body = std::function<void(std::size_t worker, std::size_t index)>;
+
+  /// `workers` counts the calling thread (0 means 1).
   explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t worker_count() const noexcept { return threads_.size(); }
+  [[nodiscard]] std::size_t worker_count() const noexcept { return threads_.size() + 1; }
 
-  /// Enqueues a task. Tasks must not submit to or destroy the pool.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished. If any task submitted
-  /// since the last wait_idle() threw, the first captured exception is
-  /// rethrown here (after all tasks finished) instead of std::terminate
-  /// tearing the process down on the worker thread. An error never claimed
-  /// by wait_idle() is dropped at destruction.
-  void wait_idle();
-
-  /// Runs body(i) for every i in [0, count) on the pool and blocks until
-  /// all iterations finished. The first exception thrown by any iteration
-  /// is rethrown here (remaining iterations still run to completion).
-  void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
+  /// Runs body(worker, i) for every i in [0, count) and returns once all
+  /// of them finished. When iterations throw, the rest still run, and the
+  /// first exception captured is rethrown here; the pool stays usable.
+  /// One caller at a time, and `body` must not call parallel_for.
+  void parallel_for(std::size_t count, const Body& body);
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
+  /// Wakes every thread to exit and joins it.
+  void stop() noexcept;
+  void worker_loop(std::size_t worker);
+  /// Takes indices from next_ and runs them until none is left.
+  void drain(std::size_t worker);
 
-  bool try_get_task(std::size_t self, std::function<void()>& out);
-  void worker_loop(std::size_t self);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> threads_;
-  std::mutex mutex_;  // guards sleeping/waking and the counters below
-  std::condition_variable wake_cv_;
-  std::condition_variable idle_cv_;
-  std::size_t queued_ = 0;   // submitted, not yet popped
-  std::size_t pending_ = 0;  // submitted, not yet finished
-  std::size_t next_queue_ = 0;
-  std::exception_ptr error_;  // first exception a pooled task threw
+  std::mutex mutex_;  // guards the job fields below and wakes the workers
+  std::condition_variable job_cv_;
+  std::condition_variable done_cv_;
+  const Body* body_ = nullptr;
+  std::size_t count_ = 0;
+  std::uint64_t job_ = 0;     // bumped per parallel_for call
+  std::size_t running_ = 0;   // threads still in the current job
+  std::exception_ptr error_;  // first exception of the current job
   bool stop_ = false;
+  std::atomic<std::size_t> next_{0};  // next index to hand out
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace vps::support
