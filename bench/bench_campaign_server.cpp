@@ -6,10 +6,9 @@
 // (first submission pays the SETUP/HELLO handshake), on a warm pool
 // (fleet spin-up amortized away), and with two tenants sharing the pool
 // concurrently. Every configuration must reproduce the baseline bitwise.
-// The plain warm-pool campaign runs five times. The E21/E22 taxes are
-// taken against the median of those runs and printed next to their
-// min–max range as a % of that median; a tax inside that range reads as
-// unresolved.
+// The plain warm-pool campaign and each taxed E21/E22 row run five times.
+// A tax is the taxed row's median over its reference's median, and it
+// reads as unresolved while the two rows' min–max ranges overlap.
 //
 // Usage: bench_campaign_server [runs]   (default 96; a bad argument prints
 // a usage line and exits 64)
@@ -127,32 +126,35 @@ void row(const char* label, std::size_t runs, double s, double base_per_run_us, 
               same ? "yes" : "NO — BUG");
 }
 
-/// The plain warm-pool runs: their median per-run time, and their fastest
-/// and slowest run as a % off that median.
-struct WarmNoise {
+/// Five campaigns of one configuration: the median, fastest and slowest
+/// per-run time.
+struct Spread {
   double median_us = 0;
-  double lo_pct = 0;
-  double hi_pct = 0;
+  double min_us = 0;
+  double max_us = 0;
 };
 
-WarmNoise warm_noise(std::vector<double> per_run_us) {
+constexpr int kRepeats = 5;
+
+Spread spread_of(std::vector<double> per_run_us) {
   std::sort(per_run_us.begin(), per_run_us.end());
-  const double median = per_run_us[per_run_us.size() / 2];
-  return {median, (per_run_us.front() - median) / median * 100.0,
-          (per_run_us.back() - median) / median * 100.0};
+  return {per_run_us[per_run_us.size() / 2], per_run_us.front(), per_run_us.back()};
 }
 
-/// Prints a tax next to the warm runs' range. A tax inside that range is
-/// unresolved; only one outside it is compared with `target`, which taxes
-/// up to `max_pct` meet (no target when null).
-void tax_line(const char* label, double tax_pct, const WarmNoise& noise, const char* target,
-              double max_pct) {
-  std::printf("    %s: %+.2f %%  (plain warm runs span %+.2f .. %+.2f %%)", label, tax_pct,
-              noise.lo_pct, noise.hi_pct);
-  if (tax_pct >= noise.lo_pct && tax_pct <= noise.hi_pct) {
+/// Prints the tax of `taxed` over `base`, median against median. While
+/// their min–max ranges overlap it is unresolved. Otherwise it is held to
+/// `target`: at most `max_pct` meets it, and the "noise" target (no
+/// `max_pct`) is missed on either side. No target: the tax only.
+void tax_line(const char* label, const Spread& taxed, const Spread& base, const char* target,
+              std::optional<double> max_pct) {
+  const double tax_pct = (taxed.median_us - base.median_us) / base.median_us * 100.0;
+  std::printf("    %s: %+.2f %%  (%.1f .. %.1f vs %.1f .. %.1f us/run)", label, tax_pct,
+              taxed.min_us, taxed.max_us, base.min_us, base.max_us);
+  if (taxed.min_us <= base.max_us && base.min_us <= taxed.max_us) {
     std::printf("  unresolved\n");
   } else if (target != nullptr) {
-    std::printf("  %s its target (%s)\n", tax_pct <= max_pct ? "meets" : "misses", target);
+    const bool meets = max_pct.has_value() && tax_pct <= *max_pct;
+    std::printf("  %s its target (%s)\n", meets ? "meets" : "misses", target);
   } else {
     std::printf("\n");
   }
@@ -211,23 +213,28 @@ int main(int argc, char** argv) {
     if (!identical(result, baseline)) return 1;
   }
 
+  // Runs one configuration kRepeats times, printing a row each; nullopt
+  // when a fold differs from the baseline.
+  const auto repeated = [&](const char* label, const auto& submit_once) -> std::optional<Spread> {
+    std::vector<double> per_run_us;
+    for (int i = 1; i <= kRepeats; ++i) {
+      const auto t0 = Clock::now();
+      const auto result = submit_once();
+      const double s = seconds_since(t0);
+      per_run_us.push_back(s / static_cast<double>(runs) * 1e6);
+      const std::string name = std::string(label) + ", run " + std::to_string(i);
+      row(name.c_str(), runs, s, base_per_run_us, identical(result, baseline));
+      if (!identical(result, baseline)) return std::nullopt;
+    }
+    return spread_of(per_run_us);
+  };
+
   // Warm submission: same standing pool, fleet spin-up fully amortized —
-  // this is the steady-state cost a tenant of a long-lived server sees. It
-  // runs five times: the taxes below are taken against the median, and the
-  // runs' min–max range is the noise one such campaign carries.
-  std::vector<double> warm_us;
-  for (int i = 1; i <= 5; ++i) {
-    const auto t0 = Clock::now();
-    const auto result = submit(server.port(), "warm", cfg);
-    const double s = seconds_since(t0);
-    warm_us.push_back(s / static_cast<double>(runs) * 1e6);
-    const std::string label = "server, warm pool, run " + std::to_string(i);
-    row(label.c_str(), runs, s, base_per_run_us, identical(result, baseline));
-    if (!identical(result, baseline)) return 1;
-  }
-  const WarmNoise warm = warm_noise(warm_us);
-  std::printf("    %zu plain warm runs span %+.2f .. %+.2f %% of their median (%.1f us/run)\n",
-              warm_us.size(), warm.lo_pct, warm.hi_pct, warm.median_us);
+  // this is the steady-state cost a tenant of a long-lived server sees.
+  // Its runs are the reference of the E21 and E22 taxes.
+  const std::optional<Spread> warm =
+      repeated("server, warm pool", [&] { return submit(server.port(), "warm", cfg); });
+  if (!warm) return 1;
 
   // Two tenants sharing the pool concurrently: per-tenant wall time roughly
   // doubles (half the pool each under fair share) but both folds must stay
@@ -276,14 +283,11 @@ int main(int argc, char** argv) {
 
   (void)submit(chaos_server.port(), "e21-warmup", cfg, inert);  // amortize SETUP/HELLO
   {
-    const auto t0 = Clock::now();
-    const auto result = submit(chaos_server.port(), "e21-inert", cfg, inert);
-    const double s = seconds_since(t0);
-    const double per_run_us = s / static_cast<double>(runs) * 1e6;
-    row("server, warm, chaos inert", runs, s, base_per_run_us, identical(result, baseline));
-    if (!identical(result, baseline)) return 1;
-    const double tax_pct = (per_run_us - warm.median_us) / warm.median_us * 100.0;
-    tax_line("shim tax vs plain warm pool", tax_pct, warm, "<= 2 %", 2.0);
+    const std::optional<Spread> inert_row = repeated(
+        "server, warm, chaos inert",
+        [&] { return submit(chaos_server.port(), "e21-inert", cfg, inert); });
+    if (!inert_row) return 1;
+    tax_line("shim tax vs plain warm pool", *inert_row, *warm, "<= 2 %", 2.0);
   }
   {
     dist::DistConfig probe;  // client-side healing knobs for the active row
@@ -317,23 +321,19 @@ int main(int argc, char** argv) {
   // formatting and a flush per span on every tier; its overhead is the
   // price of a fully traced fleet.
   std::printf("\n== E22: run-lifecycle tracing tax (same load, warm pool) ==\n\n");
-  double off_per_run_us = 0;
+  std::optional<Spread> off_row;
   {
     dist::CampaignServer off_server{dist::ServerConfig{}};
     std::vector<pid_t> off_pool;
     for (int i = 0; i < 4; ++i) off_pool.push_back(fork_chaos_worker(off_server.port(), {}));
     off_server.start();
     (void)submit(off_server.port(), "e22-warmup", cfg);  // amortize SETUP/HELLO
-    const auto t0 = Clock::now();
-    const auto result = submit(off_server.port(), "e22-off", cfg);
-    const double s = seconds_since(t0);
-    off_per_run_us = s / static_cast<double>(runs) * 1e6;
-    row("server, warm, tracing off", runs, s, base_per_run_us, identical(result, baseline));
+    off_row = repeated("server, warm, tracing off",
+                       [&] { return submit(off_server.port(), "e22-off", cfg); });
     off_server.stop();
     reap_all(off_pool);
-    if (!identical(result, baseline)) return 1;
-    const double tax_pct = (off_per_run_us - warm.median_us) / warm.median_us * 100.0;
-    tax_line("disabled-tracing tax vs plain warm pool", tax_pct, warm, "noise", 0.0);
+    if (!off_row) return 1;
+    tax_line("disabled-tracing tax vs plain warm pool", *off_row, *warm, "noise", std::nullopt);
   }
   {
     const char* dir = "bench_trace_e22";
@@ -347,17 +347,13 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 4; ++i) on_pool.push_back(fork_chaos_worker(on_server.port(), {}, dir));
     on_server.start();
     (void)submit(on_server.port(), "e22-warmup", cfg, {}, dir);
-    const auto t0 = Clock::now();
-    const auto result = submit(on_server.port(), "e22-on", cfg, {}, dir);
-    const double s = seconds_since(t0);
-    const double on_per_run_us = s / static_cast<double>(runs) * 1e6;
-    row("server, warm, tracing on", runs, s, base_per_run_us, identical(result, baseline));
+    const std::optional<Spread> on_row = repeated(
+        "server, warm, tracing on", [&] { return submit(on_server.port(), "e22-on", cfg, {}, dir); });
     on_server.stop();
     reap_all(on_pool);
-    if (!identical(result, baseline)) return 1;
-    const double tax_pct = (on_per_run_us - off_per_run_us) / off_per_run_us * 100.0;
-    tax_line("enabled-tracing tax vs tracing off (all tiers traced)", tax_pct, warm, nullptr,
-             0.0);
+    if (!on_row) return 1;
+    tax_line("enabled-tracing tax vs tracing off (all tiers traced)", *on_row, *off_row, nullptr,
+             std::nullopt);
     std::filesystem::remove_all(dir, ec);
   }
 

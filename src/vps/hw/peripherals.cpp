@@ -41,10 +41,6 @@ void RegisterDevice::b_transport(tlm::GenericPayload& payload, Time& delay) {
   payload.set_repeatable(pure);
 }
 
-void RegisterDevice::repeat(tlm::GenericPayload& payload, std::uint64_t k) {
-  repeat_access(payload.command(), static_cast<std::uint32_t>(payload.address()), k);
-}
-
 // ---------------------------------------------------------------------------
 // InterruptController
 // ---------------------------------------------------------------------------
@@ -164,29 +160,76 @@ void Timer::write_register(std::uint32_t offset, std::uint32_t value, Time& /*de
 
 Watchdog::Watchdog(sim::Kernel& kernel, std::string name)
     : RegisterDevice(kernel, std::move(name), Time::ns(20), /*pure_reads=*/true),
-      kick_event_(kernel, this->name() + ".kick"),
       reconfigured_(kernel, this->name() + ".reconfig") {
   spawn("guard", run());
 }
 
-// Snapshot-replayable form; see Timer::run.
+// Snapshot-replayable form; see Timer::run. The guard mirrors one that
+// waited on a kick event with the period as timeout: that guard re-armed in
+// the delta after each kick's phase, reading CTRL and PERIOD_US there, and
+// while disabled waited on reconfigured_ alone. Here the kick resolves that
+// re-arm itself (resolve_kick), and the guard wakes only at the deadline,
+// at an earlier deadline it slept towards, or on a reconfiguration.
 sim::Coro Watchdog::run() {
   for (;;) {
-    if (state_.armed) {
-      state_.armed = false;
-      const bool kicked = !kernel().current_process()->last_wait_timed_out();
-      if (!kicked && enabled()) {
-        ++state_.timeouts;
-        // A watchdog reset returns the chip to its power-on state, where the
-        // watchdog is disarmed until boot software re-enables it.
-        state_.ctrl &= ~1u;
-        if (on_timeout_) on_timeout_();
+    bool test_enable = true;  // whether the mirrored guard tests CTRL now
+    if (state_.sleeping) {
+      state_.sleeping = false;
+      if (armed() && kernel().now() >= state_.deadline) {
+        state_.deadline = Time::max();
+        if (enabled()) {
+          ++state_.timeouts;
+          // A watchdog reset returns the chip to its power-on state, where
+          // the watchdog is disarmed until boot software re-enables it.
+          state_.ctrl &= ~1u;
+          if (on_timeout_) on_timeout_();
+        }
+      } else if (!armed() && kernel().current_process()->last_wait_timed_out()) {
+        // A kick found the watchdog disabled and disarmed it; the mirrored
+        // guard tested CTRL then and waits for a reconfiguration.
+        test_enable = false;
       }
     }
-    while (!enabled()) co_await reconfigured_;
-    state_.armed = true;
-    (void)co_await sim::wait_with_timeout(kick_event_, Time::us(state_.period_us));
+    if (!armed() && test_enable && enabled()) arm();
+    state_.sleeping = true;
+    if (armed()) {
+      (void)co_await sim::wait_with_timeout(reconfigured_, state_.deadline - kernel().now(),
+                                            state_.deadline_seq);
+    } else {
+      co_await reconfigured_;
+    }
   }
+}
+
+void Watchdog::arm() {
+  state_.deadline = kernel().now() + Time::us(state_.period_us);
+  state_.deadline_seq = kernel().reserve_seq();
+  state_.kick_delta = kNoKick;  // a kick after this arm re-arms again
+}
+
+void Watchdog::kick() {
+  // The mirrored guard's timeout entry pops before any process runs at the
+  // deadline, so a kick then is too late; disarmed, it hears no kick.
+  if (!armed() || kernel().now() >= state_.deadline) return;
+  const std::uint64_t delta = kernel().stats().delta_cycles;
+  if (delta == state_.kick_delta) return;  // one re-arm per phase
+  state_.kick_delta = delta;
+  state_.deadline_seq = kernel().reserve_seq();
+  resolve_kick();
+}
+
+// The re-arm of the kick's phase, from CTRL and PERIOD_US as they stand; a
+// write later in that phase resolves it again.
+void Watchdog::resolve_kick() {
+  if (!enabled()) {
+    state_.deadline = Time::max();
+    return;
+  }
+  const Time deadline = kernel().now() + Time::us(state_.period_us);
+  // The guard sleeps towards the old deadline or an earlier one: a deadline
+  // that does not move later, or newly armed, must wake it to sleep again.
+  if (deadline <= state_.deadline) reconfigured_.notify();
+  state_.deadline = deadline;
 }
 
 std::uint32_t Watchdog::read_register(std::uint32_t offset, Time& /*delay*/) {
@@ -200,23 +243,13 @@ std::uint32_t Watchdog::read_register(std::uint32_t offset, Time& /*delay*/) {
 
 void Watchdog::write_register(std::uint32_t offset, std::uint32_t value, Time& /*delay*/) {
   switch (offset) {
-    case kCtrl:
-      state_.ctrl = value;
-      reconfigured_.notify();
-      break;
-    case kPeriodUs:
-      state_.period_us = std::max(1u, value);
-      reconfigured_.notify();
-      break;
-    case kKick:
-      kick_event_.notify();
-      break;
-    default: break;
+    case kCtrl: state_.ctrl = value; break;
+    case kPeriodUs: state_.period_us = std::max(1u, value); break;
+    case kKick: kick(); return;
+    default: return;
   }
-}
-
-void Watchdog::repeat_access(tlm::Command cmd, std::uint32_t offset, std::uint64_t k) {
-  if (cmd == tlm::Command::kWrite && offset == kKick) kick_event_.renotify(k);
+  reconfigured_.notify();
+  if (kernel().stats().delta_cycles == state_.kick_delta) resolve_kick();
 }
 
 // ---------------------------------------------------------------------------

@@ -31,7 +31,10 @@ class RegisterDevice : public sim::Module, public tlm::BlockingTransport {
   /// Flags pure reads, and writes pure_write() called pure beforehand,
   /// repeatable().
   void b_transport(tlm::GenericPayload& payload, sim::Time& delay) final;
-  void repeat(tlm::GenericPayload& payload, std::uint64_t k) final;
+  /// A pure register access moves no statistic, so its repeats move none.
+  void repeat(tlm::GenericPayload& payload, std::uint64_t k) final {
+    (void)payload, (void)k;
+  }
 
  protected:
   /// Word-aligned register access; offset is a multiple of 4.
@@ -40,15 +43,10 @@ class RegisterDevice : public sim::Module, public tlm::BlockingTransport {
   /// Highest valid register offset + 4.
   [[nodiscard]] virtual std::uint32_t register_space() const = 0;
   /// True when a write to `offset`, made now, would change no device state
-  /// except statistics. Asked before the write. Default: no write is pure.
+  /// and no statistic. Asked before the write. Default: no write is pure.
   [[nodiscard]] virtual bool pure_write(std::uint32_t offset) const {
     (void)offset;
     return false;
-  }
-  /// Moves the statistics of k more repetitions of a pure access. Default:
-  /// none (a pure register read counts nothing).
-  virtual void repeat_access(tlm::Command cmd, std::uint32_t offset, std::uint64_t k) {
-    (void)cmd, (void)offset, (void)k;
   }
 
  private:
@@ -155,12 +153,20 @@ class Timer final : public RegisterDevice {
 ///
 /// Registers: 0x00 CTRL (bit0 enable), 0x04 PERIOD_US, 0x08 KICK (WO),
 ///            0x0C TIMEOUT_COUNT (RO).
+///
+/// A deadline (DESIGN.md §12): a kick moves `deadline` in place, and the
+/// `guard` process sleeps until it, so a kick costs no delta notification
+/// and no activation. It times out where a guard that re-armed on a kick
+/// event, in the delta after each kick, would; see DESIGN for the seq rule
+/// and its residual cases.
 class Watchdog final : public RegisterDevice {
  public:
   static constexpr std::uint32_t kCtrl = 0x00;
   static constexpr std::uint32_t kPeriodUs = 0x04;
   static constexpr std::uint32_t kKick = 0x08;
   static constexpr std::uint32_t kTimeoutCount = 0x0C;
+  /// Snapshot::kick_delta when no kick awaits its phase's end.
+  static constexpr std::uint64_t kNoKick = ~std::uint64_t{0};
 
   Watchdog(sim::Kernel& kernel, std::string name);
 
@@ -169,14 +175,17 @@ class Watchdog final : public RegisterDevice {
 
   [[nodiscard]] std::uint32_t timeout_count() const noexcept { return state_.timeouts; }
   [[nodiscard]] bool enabled() const noexcept { return (state_.ctrl & 1u) != 0; }
-  /// Direct kick for C++-level software models.
-  void kick() { kick_event_.notify(); }
+  /// Direct kick for C++-level software models; the KICK register's path.
+  void kick();
 
   struct Snapshot {
     std::uint32_t ctrl = 0;
     std::uint32_t period_us = 10000;
     std::uint32_t timeouts = 0;
-    bool armed = false;  ///< a wait_with_timeout is outstanding
+    bool sleeping = false;                   ///< the guard's wait is outstanding
+    sim::Time deadline = sim::Time::max();   ///< the timeout instant; max() = disarmed
+    std::uint64_t deadline_seq = 0;          ///< the seq of the deadline's timed entry
+    std::uint64_t kick_delta = kNoKick;      ///< KernelStats::delta_cycles at the last kick
   };
   [[nodiscard]] Snapshot snapshot() const { return state_; }
   void restore(const Snapshot& s) { state_ = s; }
@@ -185,18 +194,20 @@ class Watchdog final : public RegisterDevice {
   std::uint32_t read_register(std::uint32_t offset, sim::Time& delay) override;
   void write_register(std::uint32_t offset, std::uint32_t value, sim::Time& delay) override;
   [[nodiscard]] std::uint32_t register_space() const override { return 0x10; }
-  /// A kick while the kick event is already delta-pending: that notify()
-  /// only counts a notification.
+  /// A kick that moves nothing: disarmed, at or past the deadline, or a
+  /// repeat within the phase of the last kick.
   [[nodiscard]] bool pure_write(std::uint32_t offset) const override {
-    return offset == kKick && kick_event_.delta_pending();
+    return offset == kKick && (!armed() || kernel().now() >= state_.deadline ||
+                               kernel().stats().delta_cycles == state_.kick_delta);
   }
-  void repeat_access(tlm::Command cmd, std::uint32_t offset, std::uint64_t k) override;
 
  private:
   [[nodiscard]] sim::Coro run();
+  [[nodiscard]] bool armed() const noexcept { return state_.deadline != sim::Time::max(); }
+  void arm();
+  void resolve_kick();
 
   Snapshot state_;
-  sim::Event kick_event_;
   sim::Event reconfigured_;
   std::function<void()> on_timeout_;
 };

@@ -89,14 +89,6 @@ void Event::notify(Time delay) {
   kernel_.queue_timed_notification(*this, delay);
 }
 
-void Event::renotify(std::uint64_t k) {
-  if (delta_pending_ && kernel_.observers_.empty()) {
-    kernel_.stats_.notifications += k;
-    return;
-  }
-  for (std::uint64_t i = 0; i < k; ++i) notify();
-}
-
 void Event::cancel() noexcept {
   ++notify_generation_;
   delta_pending_ = false;
@@ -163,7 +155,7 @@ bool TimedEventAwaiter::await_suspend(Coro::Handle h) {
   const std::uint64_t gen = p->bump_generation();
   event.add_dynamic(p, gen);
   // The timeout shares the generation of the event wait.
-  return p->kernel_.timed_wait(*p, h, timeout, gen, /*timeout_flag=*/true);
+  return p->kernel_.timed_wait(*p, h, timeout, gen, /*timeout_flag=*/true, seq);
 }
 
 bool TimedEventAwaiter::await_resume() const noexcept {
@@ -303,12 +295,13 @@ void Kernel::queue_timed_notification(Event& event, Time delay) {
 }
 
 bool Kernel::timed_wait(Process& process, Coro::Handle h, Time delay, std::uint64_t gen,
-                        bool timeout_flag) {
+                        bool timeout_flag, std::uint64_t seq) {
   const Time when = now_ + delay;
-  if (delay != Time::zero() && inline_step(process, when, timeout_flag)) return false;
+  const bool draw_seq = seq == kDrawSeq;
+  if (delay != Time::zero() && inline_step(process, when, timeout_flag, draw_seq)) return false;
   TimedEntry entry;
   entry.when = when;
-  entry.seq = take_seq();
+  entry.seq = draw_seq ? take_seq() : seq;
   entry.process = &process;
   entry.process_generation = gen;
   entry.timeout_flag = timeout_flag;
@@ -322,7 +315,7 @@ bool Kernel::timed_wait(Process& process, Coro::Handle h, Time delay, std::uint6
 // empty delta boundary, a time advance that pops only this entry (and the
 // stale ones ahead of it) and an evaluate phase that runs only this
 // process. Apply them here and let the process go on without suspending.
-bool Kernel::inline_step(Process& p, Time when, bool timeout_flag) {
+bool Kernel::inline_step(Process& p, Time when, bool timeout_flag, bool draw_seq) {
   if (!runnable_empty() || !delta_notifications_.empty() || !update_requests_.empty() ||
       !observers_.empty() || seq_phase_ != SeqPhase::kSteady || current_ != &p ||
       p.state_ == Process::State::kTerminated || stop_requested_ || pending_error_ ||
@@ -343,7 +336,7 @@ bool Kernel::inline_step(Process& p, Time when, bool timeout_flag) {
     if (entry_valid(timed_.top())) return false;
     timed_.pop();
   }
-  ++next_seq_;  // the entry's seq
+  if (draw_seq) ++next_seq_;  // the entry's seq
   ++stats_.delta_cycles;
   deltas_without_advance_ = 0;
   now_ = when;

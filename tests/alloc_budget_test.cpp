@@ -137,7 +137,7 @@ TEST(AllocBudget, BusAccessesThroughRouterAllocateNothing) {
     checksum += count.value_le();
     all_ok = all_ok && w.ok() && r.ok() && kick.ok() && count.ok();
   };
-  round(0);  // the first kick queues the watchdog's delta notification once
+  round(0);  // warm-up
 
   const std::uint64_t n = allocations_during([&] {
     for (std::uint32_t i = 1; i <= 1000; ++i) round(i);
@@ -179,8 +179,10 @@ TEST(AllocBudget, CapsCrashGoldenRunPerExtraTenMs) {
 
 TEST(AllocBudget, FastForwardedPollLoopAllocatesNothing) {
   // The CAPS kick-and-poll loop with no frame arriving: after a warm-up,
-  // each 10 us quantum is a few interpreted iterations, one fast-forward,
-  // the quantum keeper's sync and the watchdog's wake-up on its kick.
+  // each 10 us quantum is a few interpreted iterations, one fast-forward
+  // and the quantum keeper's sync, which the kernel applies in place unless
+  // the watchdog guard's once-a-period wake is due first. A kick only
+  // moves the watchdog's deadline.
   sim::Kernel kernel;
   can::CanBus bus(kernel, "can0", 500000);
   ecu::EcuPlatform ecu(kernel, "ecu");
@@ -198,13 +200,14 @@ TEST(AllocBudget, FastForwardedPollLoopAllocatesNothing) {
       beq  r5, r0, loop
       halt
   )");
-  // Warm-up past one watchdog period: until then each kick leaves one more
-  // stale timeout entry behind, and the timed queue grows.
+  // Warm-up past one watchdog period, so every queue has its capacity.
   kernel.run(Time::ms(3));
   const std::uint64_t ff_before = ecu.cpu().fast_forwarded();
+  const std::uint64_t inline_before = kernel.inline_steps();
   const std::uint64_t n = allocations_during([&] { kernel.run(Time::ms(8)); });
   EXPECT_EQ(n, 0u);
   EXPECT_GT(ecu.cpu().fast_forwarded(), ff_before + 100'000u);  // 5 ms of polling
+  EXPECT_GT(kernel.inline_steps(), inline_before + 400u);       // of 500 quantum syncs
   EXPECT_EQ(ecu.watchdog().timeout_count(), 0u);
   EXPECT_EQ(ecu.cpu().state(), hw::Cpu::State::kRunning);
 }

@@ -221,7 +221,10 @@ Fields state_of(Rig& r) {
   add("wdg.ctrl", w.ctrl);
   add("wdg.period_us", w.period_us);
   add("wdg.timeouts", w.timeouts);
-  add("wdg.armed", w.armed);
+  add("wdg.sleeping", w.sleeping);
+  add("wdg.deadline", w.deadline.picoseconds());
+  add("wdg.deadline_seq", w.deadline_seq);
+  add("wdg.kick_delta", w.kick_delta);
   const hw::Timer::Snapshot t = r.ecu.timer().snapshot();
   add("timer.ctrl", t.ctrl);
   add("timer.period_us", t.period_us);

@@ -9,8 +9,6 @@
 // the heap's array order may differ), and the model state. Positive cases
 // must take inline steps; negative cases must not take one at the wait
 // under test. Budgeted runs must trip with the same RunStatus and counters.
-// Event::renotify, the watchdog's counted re-kick, is checked against k
-// notify() calls the same way, with and without an observer.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +23,9 @@
 #include <utility>
 #include <vector>
 
+#include "vps/can/bus.hpp"
 #include "vps/ecu/os.hpp"
+#include "vps/ecu/platform.hpp"
 #include "vps/hw/uart.hpp"
 #include "vps/sim/kernel.hpp"
 #include "vps/sim/signal.hpp"
@@ -73,8 +73,13 @@ Fields kernel_fields(const sim::Kernel& kernel) {
     }
   }
   std::vector<sim::KernelSnapshot::TimedImage> timed = s.timed;
+  // A reserved seq may key stale entries beside the valid one, so the key
+  // alone does not order them.
   std::sort(timed.begin(), timed.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.when, a.seq) < std::tie(b.when, b.seq);
+    return std::tie(a.when, a.seq, a.event_ordinal, a.event_generation, a.process_ordinal,
+                    a.process_generation) < std::tie(b.when, b.seq, b.event_ordinal,
+                                                     b.event_generation, b.process_ordinal,
+                                                     b.process_generation);
   });
   for (const auto& t : timed) {
     add(f, "timed.when", t.when.picoseconds());
@@ -322,6 +327,111 @@ TEST(KernelInlineStep, RestoredTwinContinuesIdentically) {
     }
     EXPECT_GT(twin.kernel.inline_steps(), 0u);
   }
+}
+
+// --- the CAPS CPU on its firmware loop ----------------------------------------
+
+/// E4's kick-and-poll firmware (bench_decoupling): kick the watchdog, poll
+/// the CAN RX count, and add each frame's payload to RAM at 0x2000.
+constexpr const char* kKickAndPoll = R"(
+    li   r1, 0x40005000
+    li   r2, 0x40002000
+    addi r3, r0, 2000
+    sw   r3, 4(r2)
+    addi r3, r0, 1
+    sw   r3, 0(r2)
+  loop:
+    sw   r0, 8(r2)        ; kick
+    lw   r5, 20(r1)       ; RX_COUNT
+    beq  r5, r0, loop
+    lw   r6, 32(r1)
+    sw   r0, 40(r1)       ; RX_POP
+    lw   r7, 0x2000(r0)
+    add  r7, r7, r6
+    sw   r7, 0x2000(r0)   ; sum of frame payloads
+    j    loop
+)";
+
+/// Puts a one-byte frame on the bus every millisecond, like the CAPS
+/// sensor node.
+class FrameSource final : public can::CanNode {
+ public:
+  FrameSource(sim::Kernel& kernel, can::CanBus& bus) : bus_(bus) {
+    bus.attach(*this);
+    kernel.spawn("source", run());
+  }
+  void on_frame(const can::CanFrame&) override {}
+
+ private:
+  [[nodiscard]] sim::Coro run() {
+    for (std::uint8_t n = 1;; ++n) {
+      co_await sim::delay(Time::ms(1));
+      const std::uint8_t payload[1] = {n};
+      bus_.submit(*this, can::CanFrame::make(0x050, payload));
+    }
+  }
+
+  can::CanBus& bus_;
+};
+
+/// E4's kick-and-poll platform: an EcuPlatform with a 10 us quantum on a
+/// 500 kbit/s CAN bus, a frame every 1 ms. A CAPS replay's CPU and
+/// watchdog, where nearly every quantum sync is the only activation due.
+struct KickAndPoll {
+  sim::Kernel kernel;
+  can::CanBus bus{kernel, "can0", 500000};
+  mutable ecu::EcuPlatform ecu{kernel, "ecu"};  // its accessors are non-const
+  std::unique_ptr<FrameSource> source;
+
+  KickAndPoll() {
+    ecu.attach_can(bus);
+    ecu.load_program(kKickAndPoll);
+    source = std::make_unique<FrameSource>(kernel, bus);
+  }
+
+  [[nodiscard]] Fields model() const {
+    Fields f;
+    const hw::Cpu::Snapshot c = ecu.cpu().snapshot();
+    add(f, "cpu.state", static_cast<std::uint64_t>(c.state));
+    add(f, "cpu.pc", c.pc);
+    for (std::size_t i = 0; i < c.regs.size(); ++i) add(f, "cpu.r" + std::to_string(i), c.regs[i]);
+    add(f, "cpu.instructions", c.stats.instructions);
+    add(f, "cpu.loads", c.stats.loads);
+    add(f, "cpu.stores", c.stats.stores);
+    add(f, "cpu.branches_taken", c.stats.branches_taken);
+    add(f, "cpu.irqs_taken", c.stats.irqs_taken);
+    add(f, "cpu.dmi_accesses", c.stats.dmi_accesses);
+    add(f, "cpu.bus_accesses", c.stats.bus_accesses);
+    add(f, "cpu.fast_forwarded", ecu.cpu().fast_forwarded());
+    add(f, "cpu.qk.local", c.qk.local.picoseconds());
+    add(f, "cpu.qk.sync_count", c.qk.sync_count);
+    const hw::Watchdog::Snapshot w = ecu.watchdog().snapshot();
+    add(f, "wdg.ctrl", w.ctrl);
+    add(f, "wdg.period_us", w.period_us);
+    add(f, "wdg.timeouts", w.timeouts);
+    add(f, "wdg.sleeping", w.sleeping);
+    add(f, "wdg.deadline", w.deadline.picoseconds());
+    add(f, "wdg.deadline_seq", w.deadline_seq);
+    add(f, "wdg.kick_delta", w.kick_delta);
+    add(f, "ram[0x2000]", ecu.ram().peek32(0x2000));
+    return f;
+  }
+};
+
+TEST(KernelInlineStep, KickAndPollFirmwareMatchesQueuedPath) {
+  // The watchdog's kick moves a deadline and notifies nothing, so the
+  // CPU's sync at a quantum boundary is an inline step unless a frame, the
+  // guard's wake or a segment end is due first.
+  Pair<KickAndPoll> p;
+  p.run(segments(Time::us(2'500), Time::us(2'500)));  // to 20 ms
+  const sim::Kernel& k = p.fast->kernel;
+  EXPECT_GE(inline_share(k), 0.9) << k.inline_steps() << " of " << k.stats().timed_steps;
+  // E4's counts: the ISS work did not move, the kicks notify nothing.
+  EXPECT_EQ(p.fast->ecu.cpu().snapshot().stats.instructions, 428'725u);
+  EXPECT_EQ(p.fast->ecu.cpu().fast_forwarded(), 410'601u);
+  EXPECT_EQ(p.fast->ecu.ram().peek32(0x2000), 190u);  // frames 1..19
+  EXPECT_LE(k.stats().notifications, 100u);
+  EXPECT_EQ(p.fast->ecu.watchdog().timeout_count(), 0u);
 }
 
 // --- wait_with_timeout --------------------------------------------------------
@@ -639,50 +749,6 @@ TEST(KernelInlineStep, LivelockBudgetTripsLikeQueuedPath) {
     if (!same(state_of(*p.fast), state_of(*p.ref), t.to_string())) return;
   }
   EXPECT_GT(p.fast->kernel.inline_steps(), 100u);
-}
-
-// --- counted re-notify -----------------------------------------------------------
-
-/// Counts the notifications an observer is shown.
-struct NotifyCounter final : sim::KernelObserver {
-  std::uint64_t seen = 0;
-  void on_event_notified(const sim::Event&, Time) override { ++seen; }
-};
-
-TEST(KernelRenotify, CountsLikeRepeatedNotify) {
-  // Event::renotify(k) must leave what k notify() calls leave, and an
-  // attached observer must be shown each of them.
-  for (const bool observed : {false, true}) {
-    sim::Kernel a;
-    sim::Kernel b;
-    sim::Event ea(a, "e");
-    sim::Event eb(b, "e");
-    NotifyCounter oa;
-    NotifyCounter ob;
-    if (observed) {
-      a.add_observer(oa);
-      b.add_observer(ob);
-    }
-    const auto renotify = [&](std::uint64_t k) {
-      ea.renotify(k);
-      for (std::uint64_t i = 0; i < k; ++i) eb.notify();
-      EXPECT_EQ(ea.delta_pending(), eb.delta_pending());
-      EXPECT_EQ(a.stats().notifications, b.stats().notifications);
-      EXPECT_EQ(oa.seen, ob.seen);
-    };
-    renotify(3);  // not delta-pending: the first call queues the notification
-    renotify(5);  // delta-pending: only counts
-    (void)a.run(Time::us(1));
-    (void)b.run(Time::us(1));
-    renotify(0);
-    renotify(4);
-    (void)a.run(Time::us(2));
-    (void)b.run(Time::us(2));
-    EXPECT_TRUE(same(kernel_fields(a), kernel_fields(b), observed ? "observed" : "plain"));
-    EXPECT_EQ(ea.fire_count(), 2u);
-    EXPECT_EQ(a.stats().notifications, 12u);
-    EXPECT_EQ(oa.seen, observed ? 12u : 0u);
-  }
 }
 
 }  // namespace

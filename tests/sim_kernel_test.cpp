@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "vps/hw/peripherals.hpp"
 #include "vps/sim/fifo.hpp"
 #include "vps/sim/kernel.hpp"
 #include "vps/sim/module.hpp"
@@ -948,6 +949,34 @@ TEST(KernelRestore, SnapshotNeedsADeltaBoundarySinceConstructionOrRestore) {
   EXPECT_THROW((void)twin.snapshot(), vps::support::InvariantError);
   (void)twin.run(2_ms);
   EXPECT_NO_THROW((void)twin.snapshot());
+}
+
+// ---------------------------------------------------------------------------
+// Dynamic waiters
+// ---------------------------------------------------------------------------
+
+TEST(KernelWaiters, PeriodicTimerLeavesNoStaleWaiters) {
+  // A periodic timer re-arms a wait_with_timeout on its reconfiguration
+  // event every period, and that event fires only on a register write.
+  // Each wait used to leave its entry behind (10,001 after 100 ms at
+  // 10 us), and every snapshot() copied them all; a process's new wait now
+  // replaces its stale entry.
+  Kernel kernel;
+  vps::hw::Timer timer(kernel, "timer");
+  const auto write = [&timer](std::uint32_t offset, std::uint32_t value) {
+    vps::tlm::GenericPayload p(vps::tlm::Command::kWrite, offset, 4);
+    p.set_value_le(value);
+    Time delay;
+    timer.b_transport(p, delay);
+  };
+  write(vps::hw::Timer::kPeriodUs, 10);
+  write(vps::hw::Timer::kCtrl, 3);  // enabled, periodic
+  (void)kernel.run(100_ms);
+  EXPECT_GE(timer.expiry_count(), 9'999u);
+  const KernelSnapshot s = kernel.snapshot();
+  for (std::size_t i = 0; i < s.events.size(); ++i) {
+    EXPECT_LE(s.events[i].dynamic_waiters.size(), s.processes.size()) << "event " << i;
+  }
 }
 
 }  // namespace

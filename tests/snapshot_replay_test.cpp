@@ -97,6 +97,33 @@ TEST(SnapshotReplay, BmsRunawayProvenance) { check_scenario("bms:runaway:quick:p
 
 TEST(SnapshotReplay, BmsNominal) { check_scenario("bms:nominal:quick", 16, 7); }
 
+TEST(SnapshotReplay, CapsCrashSeed3007Run142RebootsWithAOneMicrosecondWatchdog) {
+  // Run 142 of caps:crash at seed 3007 (campaign_bench's config): the PC
+  // upset (PC ^= 0x20) re-runs the boot code with r3 = 1, which sets a
+  // 1 us watchdog period, re-enables it and kicks, all in one activation.
+  // The watchdog must time out 1 us after that kick, as the event-based
+  // guard did, and the reset recovers the firmware. A deadline that slept
+  // through the shortened period timed out at the old deadline instead,
+  // and the run became a hazard.
+  FaultDescriptor fault;
+  fault.id = 143;
+  fault.type = fault::FaultType::kPcCorruption;
+  fault.persistence = fault::Persistence::kTransient;
+  fault.inject_at = Time::ps(8'007'885'225);
+  fault.location = "pc_corruption/bucket2";
+  fault.address = 5'327'290;
+  fault.bit = 21;
+  for (const bool forked : {false, true}) {
+    auto scenario = apps::make_scenario("caps:crash");
+    scenario->set_snapshot_replay(forked);
+    const Observation golden = scenario->run(nullptr, 3007);
+    const Observation faulty = scenario->run(&fault, 3007);
+    const std::string context = forked ? "forked" : "full";
+    EXPECT_EQ(fault::classify(golden, faulty), fault::Outcome::kDetectedCorrected) << context;
+    EXPECT_EQ(faulty.resets, 1u) << context;
+  }
+}
+
 void expect_same_records(const fault::CampaignResult& want, const fault::CampaignResult& got,
                          const std::string& context) {
   ASSERT_EQ(want.records.size(), got.records.size()) << context;
