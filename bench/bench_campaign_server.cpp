@@ -6,9 +6,11 @@
 // (first submission pays the SETUP/HELLO handshake), on a warm pool
 // (fleet spin-up amortized away), and with two tenants sharing the pool
 // concurrently. Every configuration must reproduce the baseline bitwise.
-// The plain warm-pool campaign and each taxed E21/E22 row run five times.
-// A tax is the taxed row's median over its reference's median, and it
-// reads as unresolved while the two rows' min–max ranges overlap.
+// The plain warm-pool campaign and each taxed E21/E22 campaign run five
+// rounds, alternated run by run on standing fleets, so host drift lands
+// on both sides of a tax. A tax is the taxed row's median over its
+// reference's median, and it reads as unresolved while the two rows'
+// min–max ranges overlap.
 //
 // Usage: bench_campaign_server [runs]   (default 96; a bad argument prints
 // a usage line and exits 64)
@@ -19,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -54,9 +57,12 @@ fault::ScenarioFactory caps_factory() {
   return [] { return apps::make_scenario("caps:crash"); };
 }
 
+/// Pool worker on a single session. Like fork_chaos_worker, it drops every
+/// inherited fd: the other standing servers' listeners among them.
 pid_t fork_pool_worker(std::uint16_t port) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
+  for (int fd = 3; fd < 1024; ++fd) ::close(fd);
   int code = 3;
   {
     dist::Channel channel(dist::tcp_connect(kHost, port));
@@ -195,13 +201,42 @@ int main(int argc, char** argv) {
     if (!identical(result, baseline)) return 1;
   }
 
-  // Standing pool behind the campaign server. Workers are forked before the
-  // server thread starts (fork safety); the bound listener's backlog holds
-  // their connects until the serve loop accepts.
+  // Four standing pools, each behind its own campaign server: plain (E20
+  // and the reference of the taxes), chaos armed inert on every link
+  // (E21), and the self-healing worker path with tracing off and on
+  // (E22). All stay up to the end, so the taxed campaigns can alternate
+  // with the plain one. Every worker is forked before any server thread
+  // starts (fork safety); a bound listener's backlog holds the connects
+  // until its serve loop accepts.
+  dist::ChaosConfig inert;
+  inert.seed = 7;
+  inert.drop_frame = inert.corrupt_frame = inert.delay_frame = inert.disconnect = 0.0;
+  dist::ChaosConfig active;
+  active.seed = 7;
+  const char* trace_dir = "bench_trace_e22";
+  std::error_code ec;
+  std::filesystem::remove_all(trace_dir, ec);
+  std::filesystem::create_directory(trace_dir);
+
   dist::CampaignServer server{dist::ServerConfig{}};
+  dist::ServerConfig chaos_sc;
+  chaos_sc.chaos = inert;
+  dist::CampaignServer chaos_server{chaos_sc};
+  dist::CampaignServer off_server{dist::ServerConfig{}};
+  dist::ServerConfig on_sc;
+  on_sc.trace_dir = trace_dir;
+  dist::CampaignServer on_server{on_sc};
   std::vector<pid_t> pool;
   for (int i = 0; i < 4; ++i) pool.push_back(fork_pool_worker(server.port()));
-  server.start();
+  for (int i = 0; i < 4; ++i) pool.push_back(fork_chaos_worker(chaos_server.port(), inert));
+  for (int i = 0; i < 4; ++i) pool.push_back(fork_chaos_worker(off_server.port(), {}));
+  for (int i = 0; i < 4; ++i) pool.push_back(fork_chaos_worker(on_server.port(), {}, trace_dir));
+  for (dist::CampaignServer* s : {&server, &chaos_server, &off_server, &on_server}) s->start();
+  const auto teardown = [&] {
+    for (dist::CampaignServer* s : {&server, &chaos_server, &off_server, &on_server}) s->stop();
+    reap_all(pool);
+    std::filesystem::remove_all(trace_dir, ec);
+  };
 
   // Cold submission: pool is standing but this job still pays its
   // SETUP/HELLO handshake on every worker.
@@ -210,31 +245,8 @@ int main(int argc, char** argv) {
     const auto result = submit(server.port(), "cold", cfg);
     row("server, cold pool", runs, seconds_since(t0), base_per_run_us,
         identical(result, baseline));
-    if (!identical(result, baseline)) return 1;
+    if (!identical(result, baseline)) return teardown(), 1;
   }
-
-  // Runs one configuration kRepeats times, printing a row each; nullopt
-  // when a fold differs from the baseline.
-  const auto repeated = [&](const char* label, const auto& submit_once) -> std::optional<Spread> {
-    std::vector<double> per_run_us;
-    for (int i = 1; i <= kRepeats; ++i) {
-      const auto t0 = Clock::now();
-      const auto result = submit_once();
-      const double s = seconds_since(t0);
-      per_run_us.push_back(s / static_cast<double>(runs) * 1e6);
-      const std::string name = std::string(label) + ", run " + std::to_string(i);
-      row(name.c_str(), runs, s, base_per_run_us, identical(result, baseline));
-      if (!identical(result, baseline)) return std::nullopt;
-    }
-    return spread_of(per_run_us);
-  };
-
-  // Warm submission: same standing pool, fleet spin-up fully amortized —
-  // this is the steady-state cost a tenant of a long-lived server sees.
-  // Its runs are the reference of the E21 and E22 taxes.
-  const std::optional<Spread> warm =
-      repeated("server, warm pool", [&] { return submit(server.port(), "warm", cfg); });
-  if (!warm) return 1;
 
   // Two tenants sharing the pool concurrently: per-tenant wall time roughly
   // doubles (half the pool each under fair share) but both folds must stay
@@ -249,46 +261,57 @@ int main(int argc, char** argv) {
     const double s = seconds_since(t0);
     const bool same = identical(a, baseline) && identical(b, baseline);
     row("server, 2 tenants x same load", 2 * runs, s, base_per_run_us, same);
-    if (!same) return 1;
+    if (!same) return teardown(), 1;
   }
 
-  server.stop();
-  for (const pid_t pid : pool) {
-    int status = 0;
-    pid_t r;
-    do {
-      r = ::waitpid(pid, &status, 0);
-    } while (r < 0 && errno == EINTR);
+  // The taxed fleets' first submissions pay their SETUP/HELLO handshakes.
+  (void)submit(chaos_server.port(), "e21-warmup", cfg, inert);
+  (void)submit(off_server.port(), "e22-warmup", cfg);
+  (void)submit(on_server.port(), "e22-warmup", cfg, {}, trace_dir);
+
+  // Warm submissions, one of each configuration per round. The plain one
+  // is the steady-state cost a tenant of a long-lived server sees, and
+  // the reference of the E21 and E22 taxes.
+  struct Config {
+    const char* label;
+    std::function<fault::CampaignResult()> submit_once;
+    std::vector<double> per_run_us;
+  };
+  std::vector<Config> configs = {
+      {"server, warm pool", [&] { return submit(server.port(), "warm", cfg); }, {}},
+      {"server, warm, chaos inert",
+       [&] { return submit(chaos_server.port(), "e21-inert", cfg, inert); }, {}},
+      {"server, warm, tracing off", [&] { return submit(off_server.port(), "e22-off", cfg); }, {}},
+      {"server, warm, tracing on",
+       [&] { return submit(on_server.port(), "e22-on", cfg, {}, trace_dir); }, {}},
+  };
+  std::printf("\n== E20-E22: warm pools, %d rounds alternating the configurations ==\n\n",
+              kRepeats);
+  for (int round = 1; round <= kRepeats; ++round) {
+    for (Config& c : configs) {
+      const auto t0 = Clock::now();
+      const auto result = c.submit_once();
+      const double s = seconds_since(t0);
+      c.per_run_us.push_back(s / static_cast<double>(runs) * 1e6);
+      const std::string name = std::string(c.label) + ", run " + std::to_string(round);
+      row(name.c_str(), runs, s, base_per_run_us, identical(result, baseline));
+      if (!identical(result, baseline)) return teardown(), 1;
+    }
   }
+  const Spread warm = spread_of(configs[0].per_run_us);
+  const Spread inert_row = spread_of(configs[1].per_run_us);
+  const Spread off_row = spread_of(configs[2].per_run_us);
+  const Spread on_row = spread_of(configs[3].per_run_us);
 
   // E21 — chaos instrumentation tax. Every link (server, workers, client)
   // carries an *armed but inert* ChaosPolicy: seed nonzero so the per-frame
   // action roll and counters run, every fault probability zero so nothing is
   // injected. The delta vs the plain warm row is the price of shipping the
   // injector always-attached; the target is ≤2 % per run. A second row arms
-  // the default fault mix to show what a healed run actually costs.
+  // the default fault mix on the client link to show what a healed run
+  // actually costs.
   std::printf("\n== E21: chaos shim tax (same load, warm pool) ==\n\n");
-  dist::ChaosConfig inert;
-  inert.seed = 7;
-  inert.drop_frame = inert.corrupt_frame = inert.delay_frame = inert.disconnect = 0.0;
-  dist::ChaosConfig active;
-  active.seed = 7;
-
-  dist::ServerConfig chaos_sc;
-  chaos_sc.chaos = inert;
-  dist::CampaignServer chaos_server{chaos_sc};
-  std::vector<pid_t> chaos_pool;
-  for (int i = 0; i < 4; ++i) chaos_pool.push_back(fork_chaos_worker(chaos_server.port(), inert));
-  chaos_server.start();
-
-  (void)submit(chaos_server.port(), "e21-warmup", cfg, inert);  // amortize SETUP/HELLO
-  {
-    const std::optional<Spread> inert_row = repeated(
-        "server, warm, chaos inert",
-        [&] { return submit(chaos_server.port(), "e21-inert", cfg, inert); });
-    if (!inert_row) return 1;
-    tax_line("shim tax vs plain warm pool", *inert_row, *warm, "<= 2 %", 2.0);
-  }
+  tax_line("shim tax vs plain warm pool", inert_row, warm, "<= 2 %", 2.0);
   {
     dist::DistConfig probe;  // client-side healing knobs for the active row
     probe.campaign = cfg;
@@ -305,58 +328,22 @@ int main(int argc, char** argv) {
     const auto result = campaign.run();
     row("server, warm, chaos active", runs, seconds_since(t0), base_per_run_us,
         identical(result, baseline));
-    if (!identical(result, baseline)) return 1;
+    if (!identical(result, baseline)) return teardown(), 1;
   }
 
-  // The active row's faults only hit the client link: the pool and server
-  // were armed inert above so the two E21 rows share one fleet. Tear down.
-  chaos_server.stop();
-  reap_all(chaos_pool);
-
-  // E22 — run-lifecycle tracing tax. Both rows use the same PoolConfig
-  // worker path so the comparison is apples to apples; only the trace
-  // directory differs. Disabled tracing is one null-pointer test per
-  // emission site plus the skipped v3 wire fields — the delta vs its own
-  // untraced fleet must stay within noise. The enabled row pays JSONL
+  // E22 — run-lifecycle tracing tax. Both E22 fleets use the same
+  // PoolConfig worker path so the comparison is apples to apples; only the
+  // trace directory differs. Disabled tracing is one null-pointer test per
+  // emission site plus the skipped v3 wire fields — the delta vs the plain
+  // warm pool must stay within noise. The enabled row pays JSONL
   // formatting and a flush per span on every tier; its overhead is the
   // price of a fully traced fleet.
   std::printf("\n== E22: run-lifecycle tracing tax (same load, warm pool) ==\n\n");
-  std::optional<Spread> off_row;
-  {
-    dist::CampaignServer off_server{dist::ServerConfig{}};
-    std::vector<pid_t> off_pool;
-    for (int i = 0; i < 4; ++i) off_pool.push_back(fork_chaos_worker(off_server.port(), {}));
-    off_server.start();
-    (void)submit(off_server.port(), "e22-warmup", cfg);  // amortize SETUP/HELLO
-    off_row = repeated("server, warm, tracing off",
-                       [&] { return submit(off_server.port(), "e22-off", cfg); });
-    off_server.stop();
-    reap_all(off_pool);
-    if (!off_row) return 1;
-    tax_line("disabled-tracing tax vs plain warm pool", *off_row, *warm, "noise", std::nullopt);
-  }
-  {
-    const char* dir = "bench_trace_e22";
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-    std::filesystem::create_directory(dir);
-    dist::ServerConfig sc;
-    sc.trace_dir = dir;
-    dist::CampaignServer on_server{sc};
-    std::vector<pid_t> on_pool;
-    for (int i = 0; i < 4; ++i) on_pool.push_back(fork_chaos_worker(on_server.port(), {}, dir));
-    on_server.start();
-    (void)submit(on_server.port(), "e22-warmup", cfg, {}, dir);
-    const std::optional<Spread> on_row = repeated(
-        "server, warm, tracing on", [&] { return submit(on_server.port(), "e22-on", cfg, {}, dir); });
-    on_server.stop();
-    reap_all(on_pool);
-    if (!on_row) return 1;
-    tax_line("enabled-tracing tax vs tracing off (all tiers traced)", *on_row, *off_row, nullptr,
-             std::nullopt);
-    std::filesystem::remove_all(dir, ec);
-  }
+  tax_line("disabled-tracing tax vs plain warm pool", off_row, warm, "noise", std::nullopt);
+  tax_line("enabled-tracing tax vs tracing off (all tiers traced)", on_row, off_row, nullptr,
+           std::nullopt);
 
+  teardown();
   std::printf("\nevery server-mode configuration reproduced the in-process result bitwise\n");
   return 0;
 }

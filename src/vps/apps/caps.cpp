@@ -117,6 +117,17 @@ struct CapsState {
   Time deploy_time = Time::max();
 };
 
+/// The firmware image of the link variant, assembled once per process:
+/// every golden run and replay builds a fresh CapsSystem.
+const hw::Program& firmware(bool protected_link) {
+  if (protected_link) {
+    static const hw::Program program = hw::assemble(kProtectedFirmware);
+    return program;
+  }
+  static const hw::Program program = hw::assemble(kUnprotectedFirmware);
+  return program;
+}
+
 /// Accelerometer node: C++-level CAN node sampling the analog channel every
 /// millisecond and publishing protected frames. Its frame counter and owed
 /// sample live in the system's CapsState.
@@ -212,9 +223,7 @@ struct CapsSystem {
       : seed(seed),
         bus(kernel, "can0", 500000),
         airbag(kernel, "airbag", platform_config(cfg)),
-        wired((airbag.attach_can(bus),
-               airbag.load_program(cfg.protected_link ? kProtectedFirmware : kUnprotectedFirmware),
-               true)),
+        wired((airbag.attach_can(bus), airbag.load_program(firmware(cfg.protected_link)), true)),
         state{.noise_rng = support::Xorshift(seed)},
         // Physical crash pulse: low-g driving noise, then a 35g pulse.
         accel([this, cfg]() {

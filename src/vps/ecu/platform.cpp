@@ -34,9 +34,10 @@ void EcuPlatform::attach_can(can::CanBus& bus) {
   can_->set_on_rx([this] { intc_->raise(EcuIrqLines::kCanRx); });
 }
 
-void EcuPlatform::load_program(const std::string& source) {
-  const hw::Program prog = hw::assemble(source);
-  ram_->load(prog.origin, prog.image);
+void EcuPlatform::load_program(const std::string& source) { load_program(hw::assemble(source)); }
+
+void EcuPlatform::load_program(const hw::Program& program) {
+  ram_->load(program.origin, program.image);
 }
 
 }  // namespace vps::ecu

@@ -55,6 +55,8 @@ class EcuPlatform {
 
   /// Assembles and loads a program into RAM at its origin.
   void load_program(const std::string& source);
+  /// Loads an assembled program into RAM at its origin.
+  void load_program(const hw::Program& program);
 
   /// Power-on/watchdog/brownout reset of the core (RAM contents survive).
   void reset() {

@@ -213,8 +213,9 @@ TEST(AllocBudget, FastForwardedPollLoopAllocatesNothing) {
 }
 
 TEST(AllocBudget, UartFrameShiftedByInlineStepsAllocatesNothing) {
-  // A lone UART is the next and only activation at every line bit, so the
-  // kernel applies each bit's wait in place: no timed entry, no suspend.
+  // A lone UART is the next and only activation at every frame's last bit,
+  // so the kernel applies each clean frame's one wait in place: no timed
+  // entry, no suspend.
   sim::Kernel kernel;
   hw::Uart uart(kernel, "uart");
   std::uint64_t received = 0;
@@ -236,7 +237,7 @@ TEST(AllocBudget, UartFrameShiftedByInlineStepsAllocatesNothing) {
   EXPECT_EQ(n, 0u);
   EXPECT_EQ(uart.bytes_delivered(), 96u);
   EXPECT_EQ(received, 3u * (31u * 32u / 2u));
-  EXPECT_EQ(kernel.inline_steps() - inline_before, 32u * 11u);  // every line bit
+  EXPECT_EQ(kernel.inline_steps() - inline_before, 32u);  // one per byte
 }
 
 TEST(AllocBudget, BmsRunawayProvGoldenRunPerExtraTenSeconds) {
