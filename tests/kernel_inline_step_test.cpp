@@ -245,6 +245,8 @@ struct BmsLike {
     add(f, "uart.fifo", u.tx_fifo.size());
     add(f, "uart.shifting", u.shifting);
     add(f, "uart.bit_pending", u.bit_pending);
+    add(f, "uart.frame_owed", u.frame_owed);
+    add(f, "uart.frame_start", u.frame_start.picoseconds());
     add(f, "uart.bit_index", u.bit_index);
     add(f, "uart.rx_frame", u.rx_frame);
     add(f, "uart.corrupt_remaining", u.corrupt_remaining);
