@@ -320,9 +320,9 @@ int main(int argc, char** argv) {
     probe.tenant = "e21-active";
     probe.scenario_spec = "caps:crash";
     probe.chaos = active;
-    probe.heartbeat_timeout_ms = 1000;
-    probe.reconnect_backoff_ms = 50;
-    probe.reconnect_backoff_max_ms = 500;
+    probe.heartbeat_timeout_ms = 100;
+    probe.reconnect_backoff_ms = 5;
+    probe.reconnect_backoff_max_ms = 50;
     dist::DistCampaign campaign(caps_factory(), probe);
     const auto t0 = Clock::now();
     const auto result = campaign.run();

@@ -161,7 +161,8 @@ void Memory::b_transport(tlm::GenericPayload& payload, sim::Time& delay) {
     }
     std::uint32_t v = (word & mask) >> shift;
     for (std::size_t i = 0; i < n; ++i) payload.data()[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    payload.set_repeatable(status == EccStatus::kOk && provenance_ == nullptr);
+    payload.set_effect(status == EccStatus::kOk && provenance_ == nullptr ? tlm::Effect::kStatistics
+                                                                          : tlm::Effect::kState);
   } else if (payload.command() == tlm::Command::kWrite) {
     ++state_.writes;
     std::uint32_t word = 0;

@@ -92,8 +92,8 @@ class Memory final : public tlm::BlockingTransport, public tlm::DmiProvider {
   [[nodiscard]] std::uint64_t corrected_errors() const noexcept { return state_.corrected; }
   [[nodiscard]] std::uint64_t uncorrectable_errors() const noexcept { return state_.uncorrectable; }
 
-  /// A read that decodes clean (ECC included) with no tracker attached is
-  /// flagged repeatable(): it changed nothing but reads().
+  /// A read that decodes clean (ECC included) with no tracker attached
+  /// answers Effect::kStatistics: it changed nothing but reads().
   void b_transport(tlm::GenericPayload& payload, sim::Time& delay) override;
   /// Counts k more reads; only reads are ever flagged.
   void repeat(tlm::GenericPayload& payload, std::uint64_t k) override;

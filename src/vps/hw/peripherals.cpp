@@ -29,16 +29,16 @@ void RegisterDevice::b_transport(tlm::GenericPayload& payload, Time& delay) {
     return;
   }
   const auto offset = static_cast<std::uint32_t>(addr);
-  bool pure = false;
+  tlm::Effect effect = tlm::Effect::kState;
   if (payload.command() == tlm::Command::kRead) {
-    pure = pure_reads_;
+    if (pure_reads_) effect = tlm::Effect::kStatistics;
     payload.set_value_le(read_register(offset, delay));
   } else if (payload.command() == tlm::Command::kWrite) {
-    pure = pure_write(offset);
+    effect = write_effect(offset);
     write_register(offset, static_cast<std::uint32_t>(payload.value_le()), delay);
   }
   payload.set_response(tlm::Response::kOk);
-  payload.set_repeatable(pure);
+  payload.set_effect(effect);
 }
 
 // ---------------------------------------------------------------------------
@@ -205,6 +205,17 @@ void Watchdog::arm() {
   state_.deadline = kernel().now() + Time::us(state_.period_us);
   state_.deadline_seq = kernel().reserve_seq();
   state_.kick_delta = kNoKick;  // a kick after this arm re-arms again
+}
+
+tlm::Effect Watchdog::write_effect(std::uint32_t offset) const {
+  if (offset != kKick) return tlm::Effect::kState;
+  const Time now = kernel().now();
+  if (!armed() || now >= state_.deadline || kernel().stats().delta_cycles == state_.kick_delta) {
+    return tlm::Effect::kStatistics;
+  }
+  // resolve_kick() moves the deadline later and notifies nothing.
+  return enabled() && now + Time::us(state_.period_us) > state_.deadline ? tlm::Effect::kRearm
+                                                                          : tlm::Effect::kState;
 }
 
 void Watchdog::kick() {

@@ -20,16 +20,17 @@ namespace vps::hw {
 /// alignment checks, concrete devices implement word read/write.
 class RegisterDevice : public sim::Module, public tlm::BlockingTransport {
  public:
-  /// `pure_reads`: no register read changes device state, so every read is
-  /// flagged repeatable() (see Cpu loop fast-forward). A device with a read
-  /// side effect (a conversion, a pop, clear-on-read) passes false.
+  /// `pure_reads`: no register read changes device state, so every read
+  /// answers Effect::kStatistics (see Cpu loop fast-forward). A device
+  /// with a read side effect (a conversion, a pop, clear-on-read) passes
+  /// false.
   RegisterDevice(sim::Kernel& kernel, std::string name, sim::Time access_latency,
                  bool pure_reads = false);
 
   [[nodiscard]] tlm::TargetSocket& socket() noexcept { return socket_; }
 
-  /// Flags pure reads, and writes pure_write() called pure beforehand,
-  /// repeatable().
+  /// Answers pure reads with Effect::kStatistics, and a write with the
+  /// write_effect() asked before it.
   void b_transport(tlm::GenericPayload& payload, sim::Time& delay) final;
   /// A pure register access moves no statistic, so its repeats move none.
   void repeat(tlm::GenericPayload& payload, std::uint64_t k) final {
@@ -42,11 +43,12 @@ class RegisterDevice : public sim::Module, public tlm::BlockingTransport {
   virtual void write_register(std::uint32_t offset, std::uint32_t value, sim::Time& delay) = 0;
   /// Highest valid register offset + 4.
   [[nodiscard]] virtual std::uint32_t register_space() const = 0;
-  /// True when a write to `offset`, made now, would change no device state
-  /// and no statistic. Asked before the write. Default: no write is pure.
-  [[nodiscard]] virtual bool pure_write(std::uint32_t offset) const {
+  /// What a write to `offset`, made now, would do: kStatistics when it
+  /// would change no device state and no statistic, kRearm for a re-arm
+  /// write (tlm::Effect). Asked before the write. Default: kState.
+  [[nodiscard]] virtual tlm::Effect write_effect(std::uint32_t offset) const {
     (void)offset;
-    return false;
+    return tlm::Effect::kState;
   }
 
  private:
@@ -194,12 +196,12 @@ class Watchdog final : public RegisterDevice {
   std::uint32_t read_register(std::uint32_t offset, sim::Time& delay) override;
   void write_register(std::uint32_t offset, std::uint32_t value, sim::Time& delay) override;
   [[nodiscard]] std::uint32_t register_space() const override { return 0x10; }
-  /// A kick that moves nothing: disarmed, at or past the deadline, or a
-  /// repeat within the phase of the last kick.
-  [[nodiscard]] bool pure_write(std::uint32_t offset) const override {
-    return offset == kKick && (!armed() || kernel().now() >= state_.deadline ||
-                               kernel().stats().delta_cycles == state_.kick_delta);
-  }
+  /// A kick that moves nothing (disarmed, at or past the deadline, or a
+  /// repeat within the phase of the last kick) changes no state; one that
+  /// moves an enabled deadline later is a re-arm: it sets the deadline,
+  /// its seq and kick_delta from now, the delta count, the seq counter and
+  /// PERIOD_US, which no register read returns.
+  [[nodiscard]] tlm::Effect write_effect(std::uint32_t offset) const override;
 
  private:
   [[nodiscard]] sim::Coro run();

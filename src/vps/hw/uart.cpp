@@ -65,11 +65,13 @@ void Uart::resume_bitwise() {
   const Time at = state_.frame_start + bit_time_ * (state_.bit_index + 1);
   // Never a delta notification: a call between runs must leave the kernel
   // quiescent for snapshot(). Only a call from a process leaves a bit due
-  // now, and that bit is shifted in the current evaluate phase.
+  // now, and that bit is shifted in the current evaluate phase. The timed
+  // wake takes a reserved seq, so it leaves the seq restore() reserves for
+  // a forked injection to that injection.
   if (at == now()) {
     wake_.notify_immediate();
   } else {
-    wake_.notify(at - now());
+    wake_.notify(at - now(), kernel().reserve_seq());
   }
 }
 

@@ -79,14 +79,16 @@ void Event::notify() {
   kernel_.queue_delta_notification(*this);
 }
 
-void Event::notify(Time delay) {
+void Event::notify(Time delay) { notify(delay, Kernel::kDrawSeq); }
+
+void Event::notify(Time delay, std::uint64_t seq) {
   ++kernel_.stats_.notifications;
   for (KernelObserver* o : kernel_.observers_) o->on_event_notified(*this, kernel_.now_);
   // Note: unlike IEEE-1666 (where a later notification at an earlier time
   // overrides a pending one), every timed notification matures unless the
   // event is cancelled. All models in this repository are written against
   // these semantics.
-  kernel_.queue_timed_notification(*this, delay);
+  kernel_.queue_timed_notification(*this, delay, seq);
 }
 
 void Event::cancel() noexcept {
@@ -285,10 +287,10 @@ std::uint64_t Kernel::take_seq() {
   return init_seq_mark_;
 }
 
-void Kernel::queue_timed_notification(Event& event, Time delay) {
+void Kernel::queue_timed_notification(Event& event, Time delay, std::uint64_t seq) {
   TimedEntry entry;
   entry.when = now_ + delay;
-  entry.seq = take_seq();
+  entry.seq = seq == kDrawSeq ? take_seq() : seq;
   entry.event = &event;
   entry.event_generation = event.notify_generation_;
   timed_.push(entry);

@@ -22,6 +22,21 @@ enum class Response : std::uint8_t {
   kGenericError,
 };
 
+/// What an access did to its target, as far as an initiator may repeat it
+/// without making it again (GenericPayload::effect()).
+enum class Effect : std::uint8_t {
+  /// Changed target state, or nothing is promised: each access is made.
+  kState,
+  /// Changed nothing but statistics, so the identical access made again
+  /// returns the identical data with the identical delay: repeatable().
+  kStatistics,
+  /// A re-arm write: it set state only from the kernel's now, delta count
+  /// and seq counter and from configuration it leaves alone, and no
+  /// kStatistics access reads that state. Made again at a later instant,
+  /// after nothing but kStatistics and re-arm accesses, it re-arms again.
+  kRearm,
+};
+
 [[nodiscard]] constexpr const char* to_string(Response r) noexcept {
   switch (r) {
     case Response::kIncomplete: return "INCOMPLETE";
@@ -69,13 +84,15 @@ class GenericPayload {
   [[nodiscard]] bool dmi_allowed() const noexcept { return dmi_allowed_; }
   void set_dmi_allowed(bool v) noexcept { dmi_allowed_ = v; }
 
-  /// Set by a target whose access changed no state except its statistics,
-  /// so that repeating the identical access returns the identical result.
-  /// An initiator may then apply further repetitions in bulk through
-  /// BlockingTransport::repeat. InitiatorSocket::b_transport clears it
-  /// before each call, so only the target that answered can set it.
-  [[nodiscard]] bool repeatable() const noexcept { return repeatable_; }
-  void set_repeatable(bool v) noexcept { repeatable_ = v; }
+  /// Set by the target that answered (see Effect).
+  /// InitiatorSocket::b_transport resets it to kState before each call, so
+  /// only that target can set it. An initiator may apply further
+  /// repetitions of a kStatistics access in bulk through
+  /// BlockingTransport::repeat, and must make a kRearm write again through
+  /// b_transport (hw::Cpu's quantum replay, DESIGN.md §14).
+  [[nodiscard]] Effect effect() const noexcept { return effect_; }
+  void set_effect(Effect e) noexcept { effect_ = e; }
+  [[nodiscard]] bool repeatable() const noexcept { return effect_ == Effect::kStatistics; }
 
   /// Fault-injection metadata: marks the payload as corrupted by an injector
   /// with the given campaign fault id; monitors use it for fault-to-failure
@@ -113,7 +130,7 @@ class GenericPayload {
   std::size_t size_ = 0;
   Response response_ = Response::kIncomplete;
   bool dmi_allowed_ = false;
-  bool repeatable_ = false;
+  Effect effect_ = Effect::kState;
   bool poisoned_ = false;
   std::uint64_t poison_id_ = 0;
 };

@@ -31,7 +31,9 @@ class QuantumKeeper {
 
   /// Awaitable behind sync(): no coroutine frame, so a sync allocates
   /// nothing. It waits exactly like `co_await sim::delay(t)`, inline timed
-  /// step included.
+  /// step included. `co_await` yields true when the sync let no other
+  /// process run: it had nothing to flush, or the kernel applied its wait
+  /// in place (hw::Cpu's quantum replay, DESIGN.md §14).
   class SyncAwaiter {
    public:
     explicit SyncAwaiter(QuantumKeeper& qk) noexcept : qk_(qk) {}
@@ -42,12 +44,16 @@ class QuantumKeeper {
       ++qk_.state_.sync_count;
       return false;
     }
-    bool await_suspend(sim::Coro::Handle h) { return pending_.await_suspend(h); }
-    void await_resume() const noexcept {}
+    bool await_suspend(sim::Coro::Handle h) {
+      suspended_ = pending_.await_suspend(h);
+      return suspended_;
+    }
+    bool await_resume() const noexcept { return !suspended_; }
 
    private:
     QuantumKeeper& qk_;
     sim::DelayAwaiter pending_{sim::Time::zero()};
+    bool suspended_ = false;
   };
 
   /// Yields to the kernel for the accumulated local time. A zero quantum

@@ -69,13 +69,13 @@ void Router::b_transport(GenericPayload& payload, sim::Time& delay) {
   w->out.b_transport(payload, delay);
   payload.set_address(original);
   // A poisoned crossing is a provenance contact and a probed one a span:
-  // neither may be repeated unseen.
+  // neither may be repeated unseen, in bulk or as a re-arm.
   if (payload.poisoned()) {
-    payload.set_repeatable(false);
+    payload.set_effect(Effect::kState);
     if (provenance_ != nullptr) provenance_->touch(payload.poison_id(), "bus:" + name_);
   }
   if (probe_ != nullptr) {
-    payload.set_repeatable(false);
+    payload.set_effect(Effect::kState);
     // Annotated LT timing: the transaction occupies [now + delay_before,
     // now + delay_after) of simulated time.
     probe_->record("tlm", transaction_name(payload), probe_->kernel().now() + delay_before,

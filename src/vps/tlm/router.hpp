@@ -42,8 +42,8 @@ class Router final : public BlockingTransport, public DmiProvider {
   /// detaches; disabled cost is one pointer test per transaction.
   void set_provenance(obs::ProvenanceTracker* tracker) noexcept { provenance_ = tracker; }
 
-  /// Forwards to the decoded target. A probe or a poisoned payload clears
-  /// the target's repeatable() flag: each such access must be seen.
+  /// Forwards to the decoded target. A probe or a poisoned payload resets
+  /// the target's effect() to kState: each such access must be seen.
   void b_transport(GenericPayload& payload, sim::Time& delay) override;
   /// Counts k more forwarded accesses and passes the repetition on.
   void repeat(GenericPayload& payload, std::uint64_t k) override;

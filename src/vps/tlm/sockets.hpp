@@ -17,8 +17,8 @@ class BlockingTransport {
   virtual ~BlockingTransport() = default;
   virtual void b_transport(GenericPayload& payload, sim::Time& delay) = 0;
   /// Applies k further repetitions of an access this target answered with
-  /// GenericPayload::repeatable() set: only the statistics such an access
-  /// moves advance, k times over. A target that never sets the flag keeps
+  /// Effect::kStatistics: only the statistics such an access moves
+  /// advance, k times over. A target that never sets the flag keeps
   /// this default, which reports the misuse.
   virtual void repeat(GenericPayload& payload, std::uint64_t k) {
     (void)k;
@@ -115,7 +115,7 @@ class InitiatorSocket {
     if (target_ == nullptr || target_->blocking_ == nullptr) [[unlikely]] {
       support::fail("b_transport on unbound socket " + name_);
     }
-    payload.set_repeatable(false);
+    payload.set_effect(Effect::kState);
     target_->blocking_->b_transport(payload, delay);
   }
 

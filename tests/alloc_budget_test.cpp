@@ -179,10 +179,13 @@ TEST(AllocBudget, CapsCrashGoldenRunPerExtraTenMs) {
 
 TEST(AllocBudget, FastForwardedPollLoopAllocatesNothing) {
   // The CAPS kick-and-poll loop with no frame arriving: after a warm-up,
-  // each 10 us quantum is a few interpreted iterations, one fast-forward
-  // and the quantum keeper's sync, which the kernel applies in place unless
-  // the watchdog guard's once-a-period wake is due first. A kick only
-  // moves the watchdog's deadline.
+  // nearly every 10 us quantum is replayed from the record of an earlier
+  // one (DESIGN.md §14): a re-arming kick through b_transport, two
+  // aggregated repeats and the quantum keeper's sync, which the kernel
+  // applies in place unless the watchdog guard's once-a-period wake is due
+  // first. After such a wake the next three quanta are interpreted (a few
+  // iterations and one fast-forward each) and recorded. A kick only moves
+  // the watchdog's deadline. So the 5 ms window is mostly replayed quanta.
   sim::Kernel kernel;
   can::CanBus bus(kernel, "can0", 500000);
   ecu::EcuPlatform ecu(kernel, "ecu");
@@ -203,10 +206,12 @@ TEST(AllocBudget, FastForwardedPollLoopAllocatesNothing) {
   // Warm-up past one watchdog period, so every queue has its capacity.
   kernel.run(Time::ms(3));
   const std::uint64_t ff_before = ecu.cpu().fast_forwarded();
+  const std::uint64_t replayed_before = ecu.cpu().replayed_quanta();
   const std::uint64_t inline_before = kernel.inline_steps();
   const std::uint64_t n = allocations_during([&] { kernel.run(Time::ms(8)); });
   EXPECT_EQ(n, 0u);
   EXPECT_GT(ecu.cpu().fast_forwarded(), ff_before + 100'000u);  // 5 ms of polling
+  EXPECT_GT(ecu.cpu().replayed_quanta(), replayed_before + 400u);  // of 500 quanta
   EXPECT_GT(kernel.inline_steps(), inline_before + 400u);       // of 500 quantum syncs
   EXPECT_EQ(ecu.watchdog().timeout_count(), 0u);
   EXPECT_EQ(ecu.cpu().state(), hw::Cpu::State::kRunning);

@@ -1,13 +1,22 @@
-// Loop fast-forward in the AR32 ISS (hw::Cpu), checked against
-// per-instruction stepping. The reference is the same platform with a
-// no-op trace hook: a hook sees every instruction, so it turns
-// fast-forward off. Both platforms run in lock step and, at every quantum
-// boundary, every architectural and statistical state a fast-forward moves
-// must agree: the CPU snapshot (registers, PC, stats, quantum keeper), the
-// kernel stats, the router and RAM counters, and the watchdog, timer,
-// interrupt-controller, GPIO, ADC and CAN images. Positive cases must
-// fast-forward; negative cases (including a probed bus) must not
-// (Cpu::fast_forwarded() == 0).
+// Loop fast-forward and quantum replay in the AR32 ISS (hw::Cpu), checked
+// against per-instruction stepping. The reference is the same platform
+// with a no-op trace hook: a hook sees every instruction, so it turns both
+// off. Both platforms run in lock step and, at the end of every run(until)
+// segment, every architectural and statistical state either moves must
+// agree: the CPU snapshot (registers, PC, stats, quantum keeper), the
+// kernel stats, next_seq and inline steps, the router and RAM counters, and
+// the watchdog, timer, interrupt-controller, GPIO, ADC and CAN images.
+//
+// Loop fast-forward (DESIGN.md §10) is checked at every quantum boundary.
+// Positive cases must fast-forward; negative cases (including a probed
+// bus) must not (Cpu::fast_forwarded() == 0).
+//
+// Quantum replay (DESIGN.md §14) needs syncs the kernel applies in place,
+// and a sync that crosses a run(until) end never is. So its cases run in
+// 1 ms segments and in odd 333 us ones, whose ends fall mid-chain. Positive
+// cases must replay (Cpu::replayed_quanta() > 0, more than 99 % of their
+// instructions not interpreted); chain breakers must match the reference
+// across the break; the rest must never replay.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +30,7 @@
 #include "vps/can/bus.hpp"
 #include "vps/ecu/platform.hpp"
 #include "vps/obs/probe.hpp"
+#include "vps/obs/provenance.hpp"
 
 namespace {
 
@@ -154,6 +164,7 @@ struct Options {
   Time quantum = Time::us(10);
   hw::EccMode ecc = hw::EccMode::kNone;
   Time frame_period = Time::zero();  ///< zero: no frame source
+  Time segment = Time::zero();       ///< run(until) step; zero: one quantum
 };
 
 struct Rig {
@@ -205,6 +216,7 @@ Fields state_of(Rig& r) {
   add("cpu.dmi_held", c.dmi_held);
   const sim::KernelStats& k = r.kernel.stats();
   add("kernel.now", r.kernel.now().picoseconds());
+  add("kernel.next_seq", r.kernel.snapshot().next_seq);
   add("kernel.activations", k.activations);
   add("kernel.delta_cycles", k.delta_cycles);
   add("kernel.timed_steps", k.timed_steps);
@@ -265,9 +277,21 @@ struct Lockstep {
   std::uint64_t ref_hook_calls = 0;
 };
 
+/// Reports the first field that differs; true when all agree.
+bool same_state(Rig& a, Rig& b, const std::string& where) {
+  const Fields x = state_of(a);
+  const Fields y = state_of(b);
+  EXPECT_EQ(x.size(), y.size());
+  for (std::size_t i = 0; i < x.size() && i < y.size(); ++i) {
+    EXPECT_EQ(x[i].second, y[i].second) << x[i].first << " at " << where;
+    if (x[i].second != y[i].second) return false;
+  }
+  return x.size() == y.size();
+}
+
 /// Runs `program` for `duration` on a fast-forwarding platform and on the
-/// hook-stepped reference, comparing their states at every quantum
-/// boundary.
+/// hook-stepped reference, comparing their states at the end of every
+/// segment (every quantum boundary by default).
 Lockstep run_lockstep(const char* program, const Options& opt, Time duration,
                       const std::vector<Injection>& injections = {}) {
   Lockstep ls;
@@ -275,7 +299,8 @@ Lockstep run_lockstep(const char* program, const Options& opt, Time duration,
   ls.ref = std::make_unique<Rig>(program, opt);
   ls.ref->ecu.cpu().set_trace_hook(
       [&calls = ls.ref_hook_calls](std::uint32_t, const hw::Decoded&) { ++calls; });
-  const Time step = opt.quantum == Time::zero() ? Time::us(10) : opt.quantum;
+  const Time quantum = opt.quantum == Time::zero() ? Time::us(10) : opt.quantum;
+  const Time step = opt.segment == Time::zero() ? quantum : opt.segment;
   for (Time t = step; t <= duration; t += step) {
     ls.ff->kernel.run(t);
     ls.ref->kernel.run(t);
@@ -285,17 +310,11 @@ Lockstep run_lockstep(const char* program, const Options& opt, Time duration,
         inj.apply(*ls.ref);
       }
     }
-    const Fields a = state_of(*ls.ff);
-    const Fields b = state_of(*ls.ref);
-    EXPECT_EQ(a.size(), b.size());
-    bool same = a.size() == b.size();
-    for (std::size_t i = 0; same && i < a.size(); ++i) {
-      EXPECT_EQ(a[i].second, b[i].second) << a[i].first << " at " << t.to_string();
-      same = a[i].second == b[i].second;
-    }
-    if (!same) break;  // one divergence is enough to report
+    EXPECT_EQ(ls.ff->kernel.inline_steps(), ls.ref->kernel.inline_steps()) << t.to_string();
+    if (!same_state(*ls.ff, *ls.ref, t.to_string())) break;  // one divergence is enough
   }
   EXPECT_EQ(ls.ref->ecu.cpu().fast_forwarded(), 0u);
+  EXPECT_EQ(ls.ref->ecu.cpu().replayed_quanta(), 0u);
   EXPECT_EQ(ls.ref_hook_calls, ls.ref->ecu.cpu().stats().instructions);
   return ls;
 }
@@ -416,6 +435,343 @@ TEST(IssFastForward, ZeroQuantumIsNeverFastForwarded) {
   Lockstep ls = run_lockstep(kKickAndPoll, opt, Time::us(600));
   EXPECT_EQ(ls.ff->ecu.cpu().fast_forwarded(), 0u);
   EXPECT_GT(ls.ff->ecu.ram().peek32(0x2000), 2u);
+}
+
+// --- quantum replay: positive cases -----------------------------------------
+
+/// The segments every replay case runs in: 1 ms, and an odd 333 us whose
+/// ends fall mid-chain.
+const Time kSegments[] = {Time::ms(1), Time::us(333)};
+
+/// A poll loop of 200 ns, which divides the 10 us quantum: every quantum
+/// starts at the loop's top, a cycle of one record.
+constexpr const char* kDividingPoll = R"(
+      li   r1, 0x40005000
+      li   r2, 0x40002000
+      addi r3, r0, 2000
+      sw   r3, 4(r2)
+      addi r3, r0, 1
+      sw   r3, 0(r2)
+    loop:
+      sw   r0, 8(r2)         ; kick
+      lw   r5, 20(r1)        ; RX_COUNT
+      nop
+      nop
+      nop
+      beq  r5, r0, loop
+      halt
+)";
+
+/// Kick-and-poll with the watchdog never enabled: every kick changes
+/// nothing, so a quantum makes no re-arm write.
+constexpr const char* kPureKicks = R"(
+      li   r1, 0x40005000
+      li   r2, 0x40002000
+    loop:
+      sw   r0, 8(r2)         ; kick a disabled watchdog
+      lw   r5, 20(r1)        ; RX_COUNT
+      beq  r5, r0, loop
+      lw   r6, 32(r1)
+      sw   r0, 40(r1)        ; RX_POP
+      lw   r7, 0x2000(r0)
+      addi r7, r7, 1
+      sw   r7, 0x2000(r0)
+      j    loop
+)";
+
+void expect_replayed(Rig& r) {
+  EXPECT_GT(r.ecu.cpu().replayed_quanta(), 0u);
+  EXPECT_GT(ff_share(r), 0.99) << "interpreted "
+                               << r.ecu.cpu().stats().instructions - r.ecu.cpu().fast_forwarded();
+}
+
+TEST(IssQuantumReplay, KickAndPollWithCanFramesReplays) {
+  // A 10 us quantum is no multiple of the loop's 140 ns period: quanta
+  // start at three loop positions in turn, a cycle of three records.
+  for (const Time segment : kSegments) {
+    SCOPED_TRACE(segment.to_string());
+    Options opt;
+    opt.frame_period = Time::ms(1);
+    opt.segment = segment;
+    Lockstep ls = run_lockstep(kKickAndPoll, opt, Time::ms(10));
+    EXPECT_EQ(ls.ff->ecu.ram().peek32(0x2000), 9u);  // frames sent at 1..9 ms
+    EXPECT_EQ(ls.ff->ecu.watchdog().timeout_count(), 0u);
+    expect_replayed(*ls.ff);
+  }
+}
+
+TEST(IssQuantumReplay, LoopWhosePeriodDividesTheQuantumReplays) {
+  for (const Time segment : kSegments) {
+    SCOPED_TRACE(segment.to_string());
+    Options opt;
+    opt.segment = segment;
+    Lockstep ls = run_lockstep(kDividingPoll, opt, Time::ms(10));
+    expect_replayed(*ls.ff);
+    // A cycle of one: after each break one quantum is recorded and the
+    // next already replays.
+    hw::Cpu& cpu = ls.ff->ecu.cpu();
+    EXPECT_GT(cpu.replayed_quanta() * 10, cpu.quantum_keeper().sync_count() * 8)
+        << cpu.replayed_quanta() << " of " << cpu.quantum_keeper().sync_count();
+  }
+}
+
+TEST(IssQuantumReplay, DisabledWatchdogReplaysPureKicks) {
+  for (const Time segment : kSegments) {
+    SCOPED_TRACE(segment.to_string());
+    Options opt;
+    opt.frame_period = Time::ms(1);
+    opt.segment = segment;
+    Lockstep ls = run_lockstep(kPureKicks, opt, Time::ms(10));
+    EXPECT_FALSE(ls.ff->ecu.watchdog().enabled());
+    EXPECT_EQ(ls.ff->ecu.ram().peek32(0x2000), 9u);  // frames sent at 1..9 ms
+    expect_replayed(*ls.ff);
+  }
+}
+
+TEST(IssQuantumReplay, EccMemoryWithFetchesThroughTlmReplays) {
+  for (const Time segment : kSegments) {
+    SCOPED_TRACE(segment.to_string());
+    Options opt;
+    opt.frame_period = Time::ms(1);
+    opt.ecc = hw::EccMode::kSecded;
+    opt.segment = segment;
+    // Flipped bits in the loop's words: the next fetch corrects and
+    // scrubs each, which no record may hold.
+    const std::vector<Injection> inj = {
+        {segment * 2, [](Rig& r) { r.ecu.ram().flip_bit(0x20, 3); }},
+        {segment * 4, [](Rig& r) { r.ecu.ram().flip_bit(0x28, 0); }},
+        {segment * 5, [](Rig& r) { r.ecu.ram().flip_bit(0x24, 7); }},
+    };
+    Lockstep ls = run_lockstep(kKickAndPoll, opt, Time::ms(10), inj);
+    EXPECT_GE(ls.ff->ecu.ram().corrected_errors(), 3u);
+    EXPECT_EQ(ls.ff->ecu.cpu().stats().dmi_accesses, 0u);  // fetches took the bus
+    expect_replayed(*ls.ff);
+  }
+}
+
+TEST(IssQuantumReplay, InjectionsBetweenSegmentsReplay) {
+  for (const Time segment : kSegments) {
+    SCOPED_TRACE(segment.to_string());
+    Options opt;
+    opt.frame_period = Time::ms(1);
+    opt.segment = segment;
+    const std::vector<Injection> inj = {
+        {segment * 1, [](Rig& r) { r.ecu.cpu().corrupt_register(5, 1u << 0); }},
+        {segment * 2, [](Rig& r) { r.ecu.cpu().corrupt_register(7, 1u << 4); }},
+        {segment * 3, [](Rig& r) { r.ecu.cpu().corrupt_pc(1u << 3); }},
+        {segment * 4, [](Rig& r) { r.ecu.ram().flip_bit(0x2000, 1); }},
+        {segment * 5, [](Rig& r) { r.ecu.cpu().set_reg(6, 0xDEAD); }},
+    };
+    Lockstep ls = run_lockstep(kKickAndPoll, opt, Time::ms(10), inj);
+    expect_replayed(*ls.ff);
+  }
+}
+
+TEST(IssQuantumReplay, TimerIrqWaitReplaysBetweenTicks) {
+  // IRQs are enabled, but between two timer ticks only the CPU runs, so
+  // the IRQ line cannot rise: the quanta of the wait loop take no IRQ and
+  // replay. Each tick's entry breaks the chain, and the quantum after it
+  // takes the IRQ on the same instruction as the reference.
+  for (const Time segment : kSegments) {
+    SCOPED_TRACE(segment.to_string());
+    Options opt;
+    opt.segment = segment;
+    Lockstep ls = run_lockstep(kTimerIrqWait, opt, Time::ms(4));
+    EXPECT_GT(ls.ff->ecu.cpu().stats().irqs_taken, 40u);
+    EXPECT_EQ(ls.ff->ecu.ram().peek32(0x2000), ls.ff->ecu.cpu().stats().irqs_taken);
+    EXPECT_GT(ls.ff->ecu.cpu().replayed_quanta(), 100u);
+  }
+}
+
+// --- quantum replay: chain breakers -----------------------------------------
+
+TEST(IssQuantumReplay, OneMicrosecondWatchdogWakesTheGuardEveryQuantum) {
+  // The guard's deadline falls inside every quantum, so no sync is applied
+  // in place and every kick ends in a timeout and a reboot.
+  constexpr const char* kShortPeriod = R"(
+      li   r1, 0x40005000
+      li   r2, 0x40002000
+      addi r3, r0, 1
+      sw   r3, 4(r2)         ; period 1 us
+      sw   r3, 0(r2)         ; enable
+      lw   r4, 0x2000(r0)
+      addi r4, r4, 1
+      sw   r4, 0x2000(r0)    ; boot count
+    loop:
+      sw   r0, 8(r2)
+      lw   r5, 20(r1)
+      beq  r5, r0, loop
+      j    loop
+  )";
+  for (const Time segment : kSegments) {
+    SCOPED_TRACE(segment.to_string());
+    Options opt;
+    opt.segment = segment;
+    Lockstep ls = run_lockstep(kShortPeriod, opt, Time::ms(2));
+    EXPECT_GT(ls.ff->ecu.watchdog().timeout_count(), 100u);
+    EXPECT_GT(ls.ff->ecu.ram().peek32(0x2000), 100u);
+  }
+}
+
+TEST(IssQuantumReplay, CanFramesBreakChains) {
+  // A frame every 157 us lands at every position of the three-record
+  // cycle; the quantum after it must see the frame, not replay a poll.
+  for (const Time segment : kSegments) {
+    SCOPED_TRACE(segment.to_string());
+    Options opt;
+    opt.frame_period = Time::us(157);
+    opt.segment = segment;
+    Lockstep ls = run_lockstep(kKickAndPoll, opt, Time::ms(6));
+    EXPECT_GT(ls.ff->ecu.ram().peek32(0x2000), 30u);
+    EXPECT_GT(ls.ff->ecu.cpu().replayed_quanta(), 0u);
+  }
+}
+
+TEST(IssQuantumReplay, RunEndsMidChain) {
+  // 77 us segments: each run ends some eight quanta into a chain.
+  Options opt;
+  opt.frame_period = Time::us(470);
+  opt.segment = Time::us(77);
+  Lockstep ls = run_lockstep(kKickAndPoll, opt, Time::ms(3));
+  EXPECT_GT(ls.ff->ecu.cpu().replayed_quanta(), 0u);
+}
+
+TEST(IssQuantumReplay, SnapshotRestoredMidChainOntoFreshTwin) {
+  // The twin starts with no chain; it must run on like the platform it
+  // came from and like the reference, and replay as many quanta as its
+  // origin does from there.
+  Options opt;
+  const Time segment = Time::us(333);
+  Rig origin(kKickAndPoll, opt);
+  Rig ref(kKickAndPoll, opt);
+  ref.ecu.cpu().set_trace_hook([](std::uint32_t, const hw::Decoded&) {});
+  Time t = segment;
+  for (; t <= segment * 3; t += segment) {
+    origin.kernel.run(t);
+    ref.kernel.run(t);
+  }
+  EXPECT_GT(origin.ecu.cpu().replayed_quanta(), 0u);
+  const std::uint64_t replayed_at_fork = origin.ecu.cpu().replayed_quanta();
+  const std::uint64_t inline_at_fork = origin.kernel.inline_steps();
+  Rig twin(kKickAndPoll, opt);
+  twin.kernel.restore(origin.kernel.snapshot());
+  twin.bus.restore(origin.bus.snapshot());
+  twin.ecu.restore(origin.ecu.snapshot());
+  for (; t <= Time::ms(4); t += segment) {
+    origin.kernel.run(t);
+    twin.kernel.run(t);
+    ref.kernel.run(t);
+    if (!same_state(origin, ref, "origin at " + t.to_string())) break;
+    if (!same_state(twin, ref, "twin at " + t.to_string())) break;
+  }
+  EXPECT_GT(twin.ecu.cpu().replayed_quanta(), 0u);
+  EXPECT_EQ(twin.ecu.cpu().replayed_quanta(), origin.ecu.cpu().replayed_quanta() - replayed_at_fork);
+  EXPECT_EQ(twin.kernel.inline_steps(), origin.kernel.inline_steps() - inline_at_fork);
+}
+
+// --- quantum replay: never -------------------------------------------------
+
+/// Runs the never-replay lock step in 1 ms segments.
+Lockstep run_never(const char* program, Options opt, Time duration) {
+  opt.segment = Time::ms(1);
+  Lockstep ls = run_lockstep(program, opt, duration);
+  EXPECT_EQ(ls.ff->ecu.cpu().replayed_quanta(), 0u);
+  return ls;
+}
+
+TEST(IssQuantumReplay, TxSendLoopNeverReplays) {
+  Lockstep ls = run_never(kTxSendLoop, Options{}, Time::ms(2));
+  EXPECT_GT(ls.ff->bus.stats().frames_delivered, 0u);
+}
+
+TEST(IssQuantumReplay, AdcPollingNeverReplays) {
+  Lockstep ls = run_never(kAdcPoll, Options{}, Time::ms(2));
+  EXPECT_GT(ls.ff->ecu.adc().conversions(), 100u);
+}
+
+TEST(IssQuantumReplay, DmiStoreLoopNeverReplays) {
+  Lockstep ls = run_never(kDmiStoreLoop, Options{}, Time::ms(2));
+  EXPECT_GT(ls.ff->ecu.cpu().stats().dmi_accesses, 1000u);
+}
+
+TEST(IssQuantumReplay, LoopWhoseRegistersAdvanceNeverReplays) {
+  // A 2.5 us loop runs four times a quantum, too few misses to fall back
+  // to stepping, and reads only repeatable registers, so every quantum
+  // qualifies and starts at the same pc (a cycle of one by pc). But r9
+  // counts the iterations, so no quantum starts in a core state an
+  // earlier one started in.
+  std::string program = R"(
+      li   r2, 0x40002000
+    loop:
+      addi r9, r9, 1
+  )";
+  for (int i = 0; i < 30; ++i) program += "      lw   r5, 4(r2)\n";  // PERIOD_US, 55 ns
+  for (int i = 0; i < 40; ++i) program += "      nop\n";                // 20 ns
+  program += "      j    loop\n";
+  Lockstep ls = run_never(program.c_str(), Options{}, Time::ms(2));
+  EXPECT_GT(ls.ff->ecu.cpu().reg(9), 500u);
+}
+
+TEST(IssQuantumReplay, ProbedBusNeverReplays) {
+  // A probe sees every access, so the router resets each one to kState.
+  // That holds for a re-arm too: a 10.005 us loop run at a 10.005 us
+  // quantum, whose every quantum makes one bus access, the re-arming kick,
+  // must not replay either.
+  std::string slow_kick = R"(
+      li   r2, 0x40002000
+      addi r3, r0, 2000
+      sw   r3, 4(r2)
+      addi r3, r0, 1
+      sw   r3, 0(r2)
+    loop:
+      sw   r0, 8(r2)
+  )";
+  for (int i = 0; i < 496; ++i) slow_kick += "      nop\n";  // kick 55 ns, nop 20 ns, j 30 ns
+  slow_kick += "      j    loop\n";
+  const std::pair<std::string, Time> cases[] = {{kKickAndPoll, Time::us(10)},
+                                                {slow_kick, Time::ns(10'005)}};
+  for (const auto& [program, quantum] : cases) {
+    Options opt;
+    opt.frame_period = Time::us(470);
+    opt.quantum = quantum;
+    Rig ff(program.c_str(), opt);
+    Rig ref(program.c_str(), opt);
+    obs::TransactionProbe ff_probe(ff.kernel, "bus");
+    obs::TransactionProbe ref_probe(ref.kernel, "bus");
+    ff.ecu.bus().set_probe(&ff_probe);
+    ref.ecu.bus().set_probe(&ref_probe);
+    ref.ecu.cpu().set_trace_hook([](std::uint32_t, const hw::Decoded&) {});
+    for (Time t = Time::ms(1); t <= Time::ms(3); t += Time::ms(1)) {
+      ff.kernel.run(t);
+      ref.kernel.run(t);
+      if (!same_state(ff, ref, t.to_string())) break;
+    }
+    EXPECT_EQ(ff.ecu.cpu().replayed_quanta(), 0u);
+    EXPECT_EQ(ff_probe.transactions(), ref_probe.transactions());
+    EXPECT_EQ(ff_probe.transactions(), ff.ecu.bus().forwarded());
+  }
+}
+
+TEST(IssQuantumReplay, ProvenanceTrackerNeverReplays) {
+  Options opt;
+  opt.frame_period = Time::us(470);
+  Rig ff(kKickAndPoll, opt);
+  Rig ref(kKickAndPoll, opt);
+  obs::ProvenanceTracker ff_tracker(ff.kernel);
+  obs::ProvenanceTracker ref_tracker(ref.kernel);
+  for (auto [rig, tracker] : {std::pair{&ff, &ff_tracker}, std::pair{&ref, &ref_tracker}}) {
+    rig->ecu.cpu().set_provenance(tracker);
+    rig->ecu.ram().set_provenance(tracker);
+    rig->ecu.bus().set_provenance(tracker);
+  }
+  ref.ecu.cpu().set_trace_hook([](std::uint32_t, const hw::Decoded&) {});
+  for (Time t = Time::ms(1); t <= Time::ms(3); t += Time::ms(1)) {
+    ff.kernel.run(t);
+    ref.kernel.run(t);
+    if (!same_state(ff, ref, t.to_string())) break;
+  }
+  EXPECT_EQ(ff.ecu.cpu().replayed_quanta(), 0u);
+  EXPECT_EQ(ff.ecu.cpu().fast_forwarded(), 0u);
 }
 
 }  // namespace

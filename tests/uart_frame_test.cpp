@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -482,6 +483,45 @@ TEST(UartFrame, SnapshotMidFrameAndMidBurstRestoresOntoATwin) {
     EXPECT_EQ(twin.uart.framing_errors(), ref.uart.framing_errors()) << from;
     EXPECT_EQ(twin.uart.bytes_delivered(), 5u) << from;
   }
+}
+
+TEST(UartFrame, BurstFromOutsideAProcessRightAfterRestoreLeavesTheReservedSeq) {
+  // A burst between restore() and the next run(), during a clean frame,
+  // wakes the shift process through a timed entry. That entry must leave
+  // the seq restore() reserves to the process spawned next (a forked
+  // injection), which must neither throw at its first wait nor order
+  // otherwise than one spawned last at elaboration of the uncut run.
+  const Time half = kBit / 2;
+  const Time cut = bit_at(1, 4) - kBit / 3;  // mid clean frame
+  const Time probe_at = bit_at(3, 10);       // frame 3's last bit: its delivery
+  Rig<hw::Uart> origin;
+  Rig<BitUart> ref;
+  origin.send(0x71, 6);
+  ref.send(0x71, 6);
+  ref.probe_after(probe_at, "probe");  // last at elaboration
+  (void)origin.kernel.run(cut);
+  (void)ref.kernel.run(cut);
+
+  Rig<hw::Uart> twin;
+  twin.kernel.restore(origin.kernel.snapshot());
+  twin.uart.restore(origin.uart.snapshot());
+  twin.log = origin.log;
+  ref.burst(2);
+  twin.burst(2);
+  twin.probe_after(probe_at - cut, "probe");  // a forked injection's slot
+
+  for (Time t = half * (cut / half + 1); t <= kFrame * 7; t += half) {
+    (void)ref.kernel.run(t);
+    ASSERT_NO_THROW((void)twin.kernel.run(t)) << t.to_string();
+    ASSERT_EQ(ref.log, twin.log) << t.to_string();
+    ASSERT_EQ(ref.uart.bits_shifted(), twin.uart.bits_shifted()) << t.to_string();
+    ASSERT_EQ(ref.uart.idle(), twin.uart.idle()) << t.to_string();
+  }
+  EXPECT_EQ(twin.uart.frames_corrupted(), 1u);
+  EXPECT_EQ(twin.uart.bytes_delivered(), ref.uart.bytes_delivered());
+  EXPECT_NE(std::find(twin.log.begin(), twin.log.end(),
+                      std::pair<std::uint64_t, std::string>{probe_at.picoseconds(), "probe"}),
+            twin.log.end());
 }
 
 // --- the two residuals (DESIGN.md §13) ------------------------------------------------------
