@@ -59,8 +59,9 @@ class Uart final : public sim::Module {
   /// parity/stop alike). A non-zero poison_id attributes the corruption
   /// for provenance tracking. Called from a process at a bit's instant,
   /// the burst starts with that bit; called between run() calls, with the
-  /// first bit not yet due. During a clean frame it makes a timed entry,
-  /// so right after Kernel::restore it takes the seq restore() hands out.
+  /// first bit not yet due. During a clean frame it makes a timed entry
+  /// keyed by a reserved seq, so right after Kernel::restore it leaves the
+  /// seq restore() hands out to the process spawned next.
   void corrupt_bits(std::uint32_t count, std::uint64_t poison_id = 0);
 
   /// nullptr detaches.

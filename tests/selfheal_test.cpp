@@ -492,7 +492,10 @@ TEST(SelfHealingTest, ServerCrashRestartRecoversJobAndClientReattaches) {
 
   const ScenarioFactory factory = [] { return vps::apps::make_scenario("caps:crash"); };
   CampaignConfig cfg;
-  cfg.runs = 400;
+  // The crash lands up to ~75 ms after the job shows up (a 25 ms metric
+  // poll, then 50 ms), so the campaign must outlast that: 1,600 CAPS runs
+  // take some 300 ms on a 4-worker pool at 0.2 ms per replay.
+  cfg.runs = 1600;
   cfg.seed = 5;
   cfg.batch_size = 16;
   const CampaignResult solo = ParallelCampaign(factory, cfg).run();
