@@ -146,6 +146,7 @@ struct PollSample {
   hw::Cpu::Snapshot cpu;
   std::uint64_t fast_forwarded;
   std::uint64_t replayed_quanta;
+  std::uint64_t bulk_quanta;
   sim::KernelStats kernel;
   std::uint64_t forwarded;
   std::uint32_t sum;
@@ -166,6 +167,7 @@ PollSample run_kick_and_poll(bool hooked) {
                     ecu.cpu().snapshot(),
                     ecu.cpu().fast_forwarded(),
                     ecu.cpu().replayed_quanta(),
+                    ecu.cpu().bulk_quanta(),
                     kernel.stats(),
                     ecu.bus().forwarded(),
                     ecu.ram().peek32(0x2000)};
@@ -227,7 +229,7 @@ int main(int argc, char** argv) {
   const PollSample stepped = run_kick_and_poll(/*hooked=*/true);
   const PollSample fast = run_kick_and_poll(/*hooked=*/false);
   support::Table poll({"ISS", "wall [s]", "retired instr", "interpreted instr",
-                       "fast-forwarded", "replayed quanta", "state identical"});
+                       "fast-forwarded", "replayed quanta", "in bulk", "state identical"});
   const bool poll_identical = same_state(fast, stepped);
   for (const PollSample* p : {&stepped, &fast}) {
     char wall[32], share[32];
@@ -240,7 +242,7 @@ int main(int argc, char** argv) {
                   std::to_string(p->cpu.stats.instructions - p->fast_forwarded), share,
                   std::to_string(p->replayed_quanta) + " of " +
                       std::to_string(p->cpu.qk.sync_count),
-                  poll_identical ? "yes" : "NO"});
+                  std::to_string(p->bulk_quanta), poll_identical ? "yes" : "NO"});
   }
   std::printf("%s\n", poll.render().c_str());
   std::printf("Speedup %.1fx. Inside one CPU activation nothing else runs, so a poll\n"
@@ -248,7 +250,9 @@ int main(int argc, char** argv) {
               "fixed point: its repeats up to the quantum are applied at once. And\n"
               "while the kernel applies the CPU's syncs in place, nothing else runs\n"
               "between quanta either, so a quantum that starts where an earlier one\n"
-              "of the chain started is replayed from that one's record.\n\n",
+              "of the chain started is replayed from that one's record. A run of\n"
+              "quanta that goes round a closed cycle of records, each sync one the\n"
+              "kernel would apply in place, is applied in bulk (\"in bulk\").\n\n",
               stepped.wall_seconds / fast.wall_seconds);
 
   int status = 0;
@@ -280,6 +284,15 @@ int main(int argc, char** argv) {
                 "fast-forward or quantum replay no longer engages\n",
                 static_cast<unsigned long long>(interpreted),
                 static_cast<unsigned long long>(fast.cpu.stats.instructions));
+    status = 1;
+  }
+  // Also deterministic: nearly every replayed quantum lies in a run that
+  // goes round the loop's cycle of three records between two foreign events.
+  if (fast.bulk_quanta * 10 < fast.replayed_quanta * 9) {
+    std::printf("BUG: the fast poll loop applied %llu of its %llu replayed quanta in bulk\n"
+                "(< 90 %%): the bulk replay of a record cycle no longer engages\n",
+                static_cast<unsigned long long>(fast.bulk_quanta),
+                static_cast<unsigned long long>(fast.replayed_quanta));
     status = 1;
   }
   return status;

@@ -1,5 +1,6 @@
 #include "vps/can/frame.hpp"
 
+#include <array>
 #include <cstdio>
 
 #include "vps/support/crc.hpp"
@@ -34,6 +35,34 @@ namespace {
 void push_bits(std::vector<bool>& bits, std::uint32_t value, int count) {
   for (int i = count - 1; i >= 0; --i) bits.push_back(((value >> i) & 1u) != 0);
 }
+
+/// The stuffed region of a standard frame, SOF..CRC, in a fixed buffer:
+/// at most 19 header bits, 64 data bits and 15 CRC bits. The frame's wire
+/// time needs only its length, so counting it touches no heap.
+struct StuffedRegion {
+  std::array<bool, 19 + 64 + 15> bit{};
+  std::size_t size = 0;
+
+  void push(std::uint32_t value, int count) noexcept {
+    for (int i = count - 1; i >= 0; --i) bit[size++] = ((value >> i) & 1u) != 0;
+  }
+  [[nodiscard]] std::span<const bool> bits() const noexcept { return {bit.data(), size}; }
+};
+
+/// SOF..data field, the CRC-15 input; frame_bits_unstuffed's bits.
+StuffedRegion header_and_data(const CanFrame& frame) {
+  ensure(frame.id <= kMaxStandardId && frame.dlc <= 8, "frame_bits: malformed frame");
+  StuffedRegion r;
+  r.push(0, 1);                // SOF (dominant)
+  r.push(frame.id, 11);        // identifier
+  r.push(frame.remote, 1);     // RTR
+  r.push(0, 2);                // IDE = standard, r0
+  r.push(frame.dlc, 4);        // DLC
+  if (!frame.remote) {
+    for (std::uint8_t i = 0; i < frame.dlc; ++i) r.push(frame.data[i], 8);
+  }
+  return r;
+}
 }  // namespace
 
 std::vector<bool> frame_bits_unstuffed(const CanFrame& frame) {
@@ -52,12 +81,14 @@ std::vector<bool> frame_bits_unstuffed(const CanFrame& frame) {
 }
 
 std::uint16_t frame_crc(const CanFrame& frame) {
-  return support::crc15_can(frame_bits_unstuffed(frame));
+  return support::crc15_can(header_and_data(frame).bits());
 }
 
+// The reference encoder: frame_bit_count and frame_crc must agree with it.
 std::vector<bool> serialize_frame(const CanFrame& frame) {
   std::vector<bool> unstuffed = frame_bits_unstuffed(frame);
-  push_bits(unstuffed, frame_crc(frame), 15);
+  const std::uint16_t crc = support::crc15_can(unstuffed);
+  push_bits(unstuffed, crc, 15);
 
   // Bit stuffing: after five identical bits, insert the complement.
   std::vector<bool> wire;
@@ -87,7 +118,31 @@ std::vector<bool> serialize_frame(const CanFrame& frame) {
   return wire;
 }
 
-std::size_t frame_bit_count(const CanFrame& frame) { return serialize_frame(frame).size(); }
+std::size_t frame_bit_count(const CanFrame& frame) {
+  StuffedRegion r = header_and_data(frame);
+  r.push(support::crc15_can(r.bits()), 15);
+  // serialize_frame's stuffing, counted: after five identical bits comes
+  // one stuff bit, the complement, which starts the next run.
+  std::size_t stuffed = 0;
+  int run = 0;
+  bool run_value = false;
+  for (std::size_t i = 0; i < r.size; ++i) {
+    const bool b = r.bit[i];
+    if (i != 0 && b == run_value) {
+      ++run;
+    } else {
+      run_value = b;
+      run = 1;
+    }
+    if (run == 5) {
+      ++stuffed;
+      run_value = !b;
+      run = 1;
+    }
+  }
+  // CRC delimiter, ACK slot, ACK delimiter, EOF (7) and IFS (3).
+  return r.size + stuffed + 13;
+}
 
 std::optional<CanFrame> deserialize_frame(const std::vector<bool>& wire) {
   // 1. Destuff: after five identical bits the next must be the complement;

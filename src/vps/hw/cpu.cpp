@@ -409,20 +409,20 @@ bool Cpu::replay_quantum() {
     return false;
   }
   const CoreKey key = core_key();
-  const QuantumRecord* record = nullptr;
-  for (std::size_t i = 0; i < chain_size_ && record == nullptr; ++i) {
-    const std::size_t slot = (chain_hint_ + i) % chain_size_;
-    if (chain_[slot].start == key) {
-      record = &chain_[slot];
-      chain_hint_ = slot + 1;
-    }
+  std::size_t slot = kChainRecords;
+  for (std::size_t i = 0; i < chain_size_ && slot == kChainRecords; ++i) {
+    const std::size_t s = (chain_hint_ + i) % chain_size_;
+    if (chain_[s].start == key) slot = s;
   }
-  if (record == nullptr) return false;
+  if (slot == kChainRecords) return false;
+  slot = apply_cycle(slot);
+  chain_hint_ = slot + 1;
+  const QuantumRecord& record = chain_[slot];
   // Nothing but this core ran since the record's quantum started, and it
   // left every target as that quantum found it but for statistics and
   // re-arm state, so this quantum repeats it (DESIGN.md §14).
-  for (std::size_t i = 0; i < record->accesses; ++i) {
-    const QuantumAccess& access = record->access[i];
+  for (std::size_t i = 0; i < record.accesses; ++i) {
+    const QuantumAccess& access = record.access[i];
     tlm::GenericPayload payload(access.command, access.address, access.size);
     if (access.effect == tlm::Effect::kStatistics) {
       socket_.repeat(payload, access.count);
@@ -436,13 +436,74 @@ bool Cpu::replay_quantum() {
                     payload.to_string());
     }
   }
-  for (const auto field : kStatsFields) core_.stats.*field += record->stats.*field;
-  fast_forwarded_ += record->stats.instructions;
+  for (const auto field : kStatsFields) core_.stats.*field += record.stats.*field;
+  fast_forwarded_ += record.stats.instructions;
   ++replayed_quanta_;
-  core_.pc = record->end.pc;
-  core_.regs = record->end.regs;
-  qk_.inc(record->length);
+  core_.pc = record.end.pc;
+  core_.regs = record.end.regs;
+  qk_.inc(record.length);
   return true;
+}
+
+bool Cpu::same_rearms(const QuantumRecord& a, const QuantumRecord& b) noexcept {
+  const auto next = [](const QuantumRecord& r, std::size_t i) {
+    while (i < r.accesses && r.access[i].effect != tlm::Effect::kRearm) ++i;
+    return i;
+  };
+  std::size_t i = next(a, 0);
+  std::size_t j = next(b, 0);
+  for (; i < a.accesses && j < b.accesses; i = next(a, i + 1), j = next(b, j + 1)) {
+    if (!(a.access[i] == b.access[j])) return false;
+  }
+  return i == a.accesses && j == b.accesses;
+}
+
+std::size_t Cpu::apply_cycle(std::size_t slot) {
+  // Follow each record to the one that starts where it ends (start keys
+  // are unique in a chain) until the links lead back to `slot`. Every
+  // record of the cycle must make `slot`'s re-arm writes: the quantum
+  // after the run then makes each one a skipped quantum would have made
+  // again, for real, before anything can read the state it sets.
+  std::array<std::size_t, kChainRecords> cycle{};
+  std::array<sim::Kernel::InlineWait, kChainRecords> waits{};
+  std::size_t n = 0;
+  std::size_t s = slot;
+  do {
+    if (n == chain_size_ || !same_rearms(chain_[s], chain_[slot])) return slot;
+    cycle[n] = s;
+    waits[n] = {chain_[s].length, chain_[s].seqs};
+    ++n;
+    const std::size_t from = s;
+    s = kChainRecords;
+    for (std::size_t i = 0; i < chain_size_; ++i) {
+      if (chain_[i].start == chain_[from].end) s = i;
+    }
+    if (s == kChainRecords) return slot;
+  } while (s != slot);
+  // The kernel applies the syncs of the quanta the cycle repeats while
+  // each would be an inline step. Those quanta make their accesses'
+  // statistics only: a skipped re-arm write's state is set again by the
+  // real quantum after them.
+  const std::uint64_t applied = kernel().inline_waits({waits.data(), n});
+  if (applied == 0) return slot;
+  for (std::size_t i = 0; i < n && i < applied; ++i) {
+    const std::uint64_t times = applied / n + (i < applied % n ? 1 : 0);
+    const QuantumRecord& record = chain_[cycle[i]];
+    for (const auto field : kStatsFields) core_.stats.*field += times * record.stats.*field;
+    fast_forwarded_ += times * record.stats.instructions;
+    for (std::size_t a = 0; a < record.accesses; ++a) {
+      const QuantumAccess& access = record.access[a];
+      tlm::GenericPayload payload(access.command, access.address, access.size);
+      socket_.repeat(payload, access.count * times);  // a re-arm write's count is 1
+    }
+  }
+  replayed_quanta_ += applied;
+  bulk_quanta_ += applied;
+  qk_.add_syncs(applied);
+  const std::size_t next = cycle[applied % n];
+  core_.pc = chain_[next].start.pc;
+  core_.regs = chain_[next].start.regs;
+  return next;
 }
 
 void Cpu::begin_record() noexcept {
@@ -450,6 +511,7 @@ void Cpu::begin_record() noexcept {
   r.ok = qk_.local_time() == sim::Time::zero() && core_.taint_mask == 0;
   r.start = core_key();
   r.stats = core_.stats;
+  r.seqs = kernel().next_seq();
   r.accesses = 0;
 }
 
@@ -463,6 +525,7 @@ void Cpu::close_record() noexcept {
     return;
   }
   for (const auto field : kStatsFields) r.stats.*field = core_.stats.*field - r.stats.*field;
+  r.seqs = kernel().next_seq() - r.seqs;
   r.length = qk_.local_time();
   chain_head_ = (chain_head_ + 1) % kChainRecords;
   chain_size_ = std::min(chain_size_ + 1, kChainRecords);

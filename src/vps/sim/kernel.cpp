@@ -312,42 +312,86 @@ bool Kernel::timed_wait(Process& process, Coro::Handle h, Time delay, std::uint6
   return true;
 }
 
+// The conditions of an inline timed step that no step moves: nothing but
+// the current process `p` is due at the next delta boundary, and nothing
+// must see that boundary.
+bool Kernel::quiet_for(const Process& p) const {
+  return runnable_empty() && delta_notifications_.empty() && update_requests_.empty() &&
+         observers_.empty() && seq_phase_ == SeqPhase::kSteady && current_ == &p &&
+         p.state_ != Process::State::kTerminated && !stop_requested_ && !pending_error_;
+}
+
+// The conditions of the `k`-th inline step in a row (0: the first), whose
+// wait ends at `when`: it ends within the run, the delta boundary and the
+// activation it skips trip no limit, and no valid timed entry is due by
+// `when`. A valid entry due by then pops first on the queued path. The
+// stale ones due by then are exactly those advance_time would pop; popping
+// them here changes nothing the queued path would not.
+bool Kernel::step_fits(Time when, std::uint64_t k) {
+  if (when > run_until_) return false;
+  const std::uint64_t without_advance = k == 0 ? deltas_without_advance_ : 0;
+  if ((activation_limit_ != 0 && stats_.activations + k >= activation_limit_) ||
+      (delta_limit_ != 0 && stats_.delta_cycles + k + 1 >= delta_limit_) ||
+      (max_deltas_without_advance_ != 0 && without_advance + 1 >= max_deltas_without_advance_)) {
+    return false;
+  }
+  while (!timed_.empty() && timed_.top().when <= when) {
+    if (entry_valid(timed_.top())) return false;
+    timed_.pop();
+  }
+  return true;
+}
+
+// What `steps` inline steps in a row of process `p`, the last ending at
+// `when`, leave: per step a delta cycle, a time advance and an activation.
+void Kernel::apply_steps(Process& p, Time when, std::uint64_t steps, bool timeout_flag) {
+  stats_.delta_cycles += steps;
+  deltas_without_advance_ = 0;
+  now_ = when;
+  stats_.timed_steps += steps;
+  stats_.activations += steps;
+  p.activations_ += steps;
+  p.last_wait_timed_out_ = timeout_flag;
+  inline_steps_ += steps;
+}
+
 // An inline timed step. The current process waits until `when`; if nothing
 // else can happen by then, the queued path's next steps are fixed: an
 // empty delta boundary, a time advance that pops only this entry (and the
 // stale ones ahead of it) and an evaluate phase that runs only this
 // process. Apply them here and let the process go on without suspending.
 bool Kernel::inline_step(Process& p, Time when, bool timeout_flag, bool draw_seq) {
-  if (!runnable_empty() || !delta_notifications_.empty() || !update_requests_.empty() ||
-      !observers_.empty() || seq_phase_ != SeqPhase::kSteady || current_ != &p ||
-      p.state_ == Process::State::kTerminated || stop_requested_ || pending_error_ ||
-      when > run_until_) {
-    return false;
-  }
-  // The skipped delta boundary and the activation must trip no limit.
-  if ((activation_limit_ != 0 && stats_.activations >= activation_limit_) ||
-      (delta_limit_ != 0 && stats_.delta_cycles + 1 >= delta_limit_) ||
-      (max_deltas_without_advance_ != 0 &&
-       deltas_without_advance_ + 1 >= max_deltas_without_advance_)) {
-    return false;
-  }
-  // A valid entry due by `when` pops first on the queued path. The stale
-  // ones due by then are exactly those advance_time would pop; popping
-  // them here changes nothing the queued path would not.
-  while (!timed_.empty() && timed_.top().when <= when) {
-    if (entry_valid(timed_.top())) return false;
-    timed_.pop();
-  }
+  if (!quiet_for(p) || !step_fits(when, 0)) return false;
   if (draw_seq) ++next_seq_;  // the entry's seq
-  ++stats_.delta_cycles;
-  deltas_without_advance_ = 0;
-  now_ = when;
-  ++stats_.timed_steps;
-  ++stats_.activations;
-  ++p.activations_;
-  p.last_wait_timed_out_ = timeout_flag;
-  ++inline_steps_;
+  apply_steps(p, when, 1, timeout_flag);
   return true;
+}
+
+// A run of inline steps, each checked at its own end as inline_step checks
+// one. The process's slices between them make no timed entry, notify
+// nothing and draw only the given seqs, so the conditions no step moves
+// hold for the whole run.
+std::uint64_t Kernel::inline_waits(std::span<const InlineWait> cycle) {
+  Process* p = current_;
+  if (p == nullptr || p->kind_ != Process::Kind::kThread || cycle.empty() || !quiet_for(*p)) {
+    return 0;
+  }
+  std::uint64_t applied = 0;
+  std::uint64_t seqs = 0;
+  Time end = now_;
+  for (std::size_t i = 0;; i = i + 1 == cycle.size() ? 0 : i + 1) {
+    const InlineWait& wait = cycle[i];
+    const Time when = end + wait.delay;
+    if (wait.delay == Time::zero() || !step_fits(when, applied)) break;
+    seqs += wait.seqs + 1;  // the slice's draws and the wait entry's own seq
+    end = when;
+    ++applied;
+  }
+  if (applied == 0) return 0;
+  next_seq_ += seqs;
+  p->wait_generation_ += applied;  // each co_await delay() bumps it
+  apply_steps(*p, end, applied, /*timeout_flag=*/false);
+  return applied;
 }
 
 void Kernel::make_runnable(Process& process) {

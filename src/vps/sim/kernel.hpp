@@ -13,6 +13,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -423,6 +424,25 @@ class Kernel {
   /// leaves alone.
   [[nodiscard]] std::uint64_t inline_steps() const noexcept { return inline_steps_; }
 
+  /// One wait of a run inline_waits() applies: the wait's delay, and how
+  /// many seqs the process draws (reserve_seq) in the slice before it.
+  struct InlineWait {
+    Time delay;
+    std::uint64_t seqs = 0;
+  };
+  /// Applies in place a run of timed waits of the current thread process,
+  /// as `co_await delay(...)` each: wait i lasts cycle[i % n].delay and
+  /// follows the slice that draws cycle[i % n].seqs seqs. Each wait must
+  /// pass every condition an inline timed step checks (DESIGN.md §11) at
+  /// its own end; the first that does not ends the run, and the caller
+  /// makes that slice and wait for real. Each applied wait moves what its
+  /// inline step would: the seqs, the stats, the process's activations and
+  /// wait generation, the stale timed entries due by its end and
+  /// inline_steps(). Returns the number of waits applied (DESIGN.md §14).
+  [[nodiscard]] std::uint64_t inline_waits(std::span<const InlineWait> cycle);
+  /// The seq the next timed entry or reserve_seq() draws.
+  [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
+
   /// Marks a timed wait that draws its seq when it is made.
   static constexpr std::uint64_t kDrawSeq = ~std::uint64_t{0};
   /// Draws now the seq of a timed entry made later by wait_with_timeout
@@ -504,10 +524,13 @@ class Kernel {
   bool evaluate_phase();
   void update_phase();
   void delta_notification_phase();
-  // Inline (defined in kernel.cpp only): all three sit on the per-wait path.
+  // Inline (defined in kernel.cpp only): all of these sit on the per-wait path.
   [[nodiscard]] inline bool entry_valid(const TimedEntry& e) const;
   [[nodiscard]] inline std::uint64_t take_seq();
   bool advance_time(Time until);
+  [[nodiscard]] inline bool quiet_for(const Process& p) const;
+  [[nodiscard]] inline bool step_fits(Time when, std::uint64_t k);
+  inline void apply_steps(Process& p, Time when, std::uint64_t steps, bool timeout_flag);
   [[nodiscard]] inline bool inline_step(Process& p, Time when, bool timeout_flag, bool draw_seq);
   void rethrow_pending_error();
   RunStatus budget_trip(StopReason reason);

@@ -12,9 +12,10 @@ namespace vps::support {
 
 /// CRC-15 as specified by CAN 2.0 (poly x^15+x^14+x^10+x^8+x^7+x^4+x^3+1,
 /// i.e. 0x4599). Operates on a bit sequence because CAN computes the CRC
-/// over the unstuffed bit stream. (vector<bool> rather than span: the bit
-/// streams come straight from frame serialization, which uses vector<bool>.)
+/// over the unstuffed bit stream: a vector<bool> from frame serialization,
+/// or a fixed bit buffer (can::frame_crc, can::frame_bit_count).
 [[nodiscard]] std::uint16_t crc15_can(const std::vector<bool>& bits);
+[[nodiscard]] std::uint16_t crc15_can(std::span<const bool> bits);
 
 /// CRC-32 (IEEE 802.3, reflected). Used for memory-image signatures when
 /// comparing golden vs faulty simulation state.

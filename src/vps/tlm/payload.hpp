@@ -88,8 +88,10 @@ class GenericPayload {
   /// InitiatorSocket::b_transport resets it to kState before each call, so
   /// only that target can set it. An initiator may apply further
   /// repetitions of a kStatistics access in bulk through
-  /// BlockingTransport::repeat, and must make a kRearm write again through
-  /// b_transport (hw::Cpu's quantum replay, DESIGN.md §14).
+  /// BlockingTransport::repeat. It must make a kRearm write again through
+  /// b_transport, but may apply the statistics of repetitions whose state
+  /// that later write supersedes through repeat (hw::Cpu's quantum replay
+  /// and bulk replay, DESIGN.md §14).
   [[nodiscard]] Effect effect() const noexcept { return effect_; }
   void set_effect(Effect e) noexcept { effect_ = e; }
   [[nodiscard]] bool repeatable() const noexcept { return effect_ == Effect::kStatistics; }

@@ -31,9 +31,11 @@ class QuantumKeeper {
 
   /// Awaitable behind sync(): no coroutine frame, so a sync allocates
   /// nothing. It waits exactly like `co_await sim::delay(t)`, inline timed
-  /// step included. `co_await` yields true when the sync let no other
-  /// process run: it had nothing to flush, or the kernel applied its wait
-  /// in place (hw::Cpu's quantum replay, DESIGN.md §14).
+  /// step included, so a run of syncs the kernel would apply in place can
+  /// be applied as `sim::Kernel::inline_waits` with add_syncs(). `co_await`
+  /// yields true when the sync let no other process run: it had nothing to
+  /// flush, or the kernel applied its wait in place (hw::Cpu's quantum
+  /// replay, DESIGN.md §14).
   class SyncAwaiter {
    public:
     explicit SyncAwaiter(QuantumKeeper& qk) noexcept : qk_(qk) {}
@@ -70,6 +72,9 @@ class QuantumKeeper {
 
   /// Number of actual kernel yields performed by sync().
   [[nodiscard]] std::uint64_t sync_count() const noexcept { return state_.sync_count; }
+  /// Counts `n` syncs the kernel applied in place in one run
+  /// (sim::Kernel::inline_waits, hw::Cpu's bulk replay, DESIGN.md §14).
+  void add_syncs(std::uint64_t n) noexcept { state_.sync_count += n; }
 
   /// Value-type image for snapshot-and-fork replay, and the keeper's state.
   struct Snapshot {

@@ -36,7 +36,9 @@ void Router::map(std::uint64_t base, std::uint64_t size, TargetSocket& target) {
   ensure(base + size - 1 >= base, "Router::map: window wraps the address space");
   for (const auto& w : map_) {
     const bool disjoint = base + size <= w->base || w->base + w->size <= base;
-    ensure(disjoint, "Router::map: window overlaps existing mapping in " + name_);
+    if (!disjoint) [[unlikely]] {
+      support::fail("Router::map: window overlaps existing mapping in " + name_);
+    }
   }
   auto window = std::make_unique<Window>(base, size, name_ + ".out" + std::to_string(map_.size()));
   window->out.bind(target);

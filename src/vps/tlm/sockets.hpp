@@ -17,9 +17,12 @@ class BlockingTransport {
   virtual ~BlockingTransport() = default;
   virtual void b_transport(GenericPayload& payload, sim::Time& delay) = 0;
   /// Applies k further repetitions of an access this target answered with
-  /// Effect::kStatistics: only the statistics such an access moves
-  /// advance, k times over. A target that never sets the flag keeps
-  /// this default, which reports the misuse.
+  /// Effect::kStatistics or Effect::kRearm: only the statistics such an
+  /// access moves advance, k times over. For a re-arm write that is all a
+  /// repetition does here: its state is set again by the same write made
+  /// later through b_transport (hw::Cpu's bulk replay, DESIGN.md §14). A
+  /// target that never sets either effect keeps this default, which
+  /// reports the misuse.
   virtual void repeat(GenericPayload& payload, std::uint64_t k) {
     (void)k;
     support::fail("repeat of an access the target never flagged repeatable: " +

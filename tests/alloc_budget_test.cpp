@@ -170,22 +170,28 @@ std::uint64_t allocations_per_extra_duration(Config config, Time d) {
 }
 
 TEST(AllocBudget, CapsCrashGoldenRunPerExtraTenMs) {
-  // What is left after construction is the CAN frame encoder's bit vectors
-  // (three per frame, ten frames per 10 ms); every quantum is free.
+  // Nothing grows with simulated time: every quantum is free, and the CAN
+  // frame encoder, which built three bit vectors per frame to time it (30
+  // allocations per 10 ms, ten frames), now counts a frame's wire bits in
+  // a fixed buffer.
   apps::CapsConfig config;
   config.crash = true;
-  EXPECT_LE((allocations_per_extra_duration<apps::CapsScenario>(config, Time::ms(10))), 100u);
+  EXPECT_EQ((allocations_per_extra_duration<apps::CapsScenario>(config, Time::ms(10))), 0u);
 }
 
 TEST(AllocBudget, FastForwardedPollLoopAllocatesNothing) {
   // The CAPS kick-and-poll loop with no frame arriving: after a warm-up,
   // nearly every 10 us quantum is replayed from the record of an earlier
-  // one (DESIGN.md §14): a re-arming kick through b_transport, two
-  // aggregated repeats and the quantum keeper's sync, which the kernel
-  // applies in place unless the watchdog guard's once-a-period wake is due
-  // first. After such a wake the next three quanta are interpreted (a few
-  // iterations and one fast-forward each) and recorded. A kick only moves
-  // the watchdog's deadline. So the 5 ms window is mostly replayed quanta.
+  // one (DESIGN.md §14). After the watchdog guard's once-a-period wake the
+  // next three quanta are interpreted (a few iterations and one
+  // fast-forward each) and recorded, a cycle of three records. From the
+  // fourth on, the quanta up to the guard's next wake are applied in bulk:
+  // one run of inline steps in the kernel and the records' statistics
+  // multiplied out. The quantum after such a run is replayed for real: a
+  // re-arming kick through b_transport, the aggregated repeats and the
+  // quantum keeper's sync, which the kernel queues. A kick only moves the
+  // watchdog's deadline. So the 5 ms window is mostly quanta applied in
+  // bulk.
   sim::Kernel kernel;
   can::CanBus bus(kernel, "can0", 500000);
   ecu::EcuPlatform ecu(kernel, "ecu");
@@ -207,11 +213,13 @@ TEST(AllocBudget, FastForwardedPollLoopAllocatesNothing) {
   kernel.run(Time::ms(3));
   const std::uint64_t ff_before = ecu.cpu().fast_forwarded();
   const std::uint64_t replayed_before = ecu.cpu().replayed_quanta();
+  const std::uint64_t bulk_before = ecu.cpu().bulk_quanta();
   const std::uint64_t inline_before = kernel.inline_steps();
   const std::uint64_t n = allocations_during([&] { kernel.run(Time::ms(8)); });
   EXPECT_EQ(n, 0u);
   EXPECT_GT(ecu.cpu().fast_forwarded(), ff_before + 100'000u);  // 5 ms of polling
   EXPECT_GT(ecu.cpu().replayed_quanta(), replayed_before + 400u);  // of 500 quanta
+  EXPECT_GT(ecu.cpu().bulk_quanta(), bulk_before + 400u);          // of those
   EXPECT_GT(kernel.inline_steps(), inline_before + 400u);       // of 500 quantum syncs
   EXPECT_EQ(ecu.watchdog().timeout_count(), 0u);
   EXPECT_EQ(ecu.cpu().state(), hw::Cpu::State::kRunning);

@@ -15,8 +15,10 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "campaign_compare.hpp"
 #include "checkpoint_saves.hpp"
@@ -366,6 +368,50 @@ ScenarioFactory caps_factory(bool crash, bool provenance = false) {
   };
 }
 
+/// A 10 ms CAPS scenario whose pool worker SIGKILLs itself at the start
+/// of its `nth` faulty replay, once across the fleet: the first worker to
+/// get there creates `marker` (O_EXCL) and dies holding that run; any
+/// other finds the file and goes on. In the test's own process (a
+/// baseline campaign, the coordinator's golden run) it is inert. So the
+/// death lands while the worker holds a run, however fast a replay is.
+class DyingWorkerScenario final : public Scenario {
+ public:
+  DyingWorkerScenario(std::string marker, std::size_t nth, pid_t test_pid)
+      : inner_(CapsConfig{.crash = false, .duration = Time::ms(10)}),
+        marker_(std::move(marker)),
+        nth_(nth),
+        test_pid_(test_pid) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] Time duration() const override { return inner_.duration(); }
+  [[nodiscard]] std::vector<FaultType> fault_types() const override {
+    return inner_.fault_types();
+  }
+  [[nodiscard]] Observation run(const FaultDescriptor* fault, std::uint64_t seed) override {
+    if (fault != nullptr && ::getpid() != test_pid_ && ++replays_ == nth_) {
+      const int fd = ::open(marker_.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0600);
+      if (fd >= 0) ::raise(SIGKILL);
+    }
+    inner_.set_snapshot_replay(snapshot_replay());
+    return inner_.run(fault, seed);
+  }
+
+ private:
+  CapsScenario inner_;
+  std::string marker_;
+  std::size_t nth_;
+  pid_t test_pid_;
+  std::size_t replays_ = 0;
+};
+
+/// Builds DyingWorkerScenarios around a fresh marker at `marker`.
+ScenarioFactory dying_worker_factory(const std::string& marker, std::size_t nth) {
+  (void)::unlink(marker.c_str());
+  return [marker, nth, test_pid = ::getpid()] {
+    return std::make_unique<DyingWorkerScenario>(marker, nth, test_pid);
+  };
+}
+
 CampaignConfig small_config(Strategy strategy) {
   CampaignConfig cfg;
   cfg.runs = 24;
@@ -415,16 +461,18 @@ TEST(DistCampaignTest, WorkerSigkillMidCampaignDoesNotChangeTheResult) {
   const CampaignConfig cfg = small_config(Strategy::kGuided);
   const CampaignResult baseline = ParallelCampaign(caps_factory(false), cfg).run();
 
+  const std::string marker = vps_test::temp_path("dist_test.worker_death");
   for (const std::size_t fleet : {2u, 4u}) {
     SCOPED_TRACE("fleet=" + std::to_string(fleet));
     DistConfig dc;
     dc.campaign = cfg;
     dc.workers = fleet;
-    dc.kill_after_results = 5;  // SIGKILL the 5th result's worker mid-shard
     vps::obs::MetricRegistry metrics;
-    DistCampaign campaign(caps_factory(false), dc);
+    // The first worker to start its 2nd replay dies holding it.
+    DistCampaign campaign(dying_worker_factory(marker, 2), dc);
     campaign.set_metrics(&metrics);
     const CampaignResult dist = campaign.run();
+    (void)::unlink(marker.c_str());
     expect_identical(baseline, dist);
     EXPECT_EQ(campaign.fleet_stats().worker_deaths, 1u);
     EXPECT_GE(campaign.fleet_stats().requeued_runs, 1u);
@@ -440,9 +488,10 @@ TEST(DistCampaignTest, ExhaustedRequeueBudgetQuarantinesTheRun) {
   dc.campaign = cfg;
   dc.workers = 2;
   dc.max_requeues = 0;  // any requeue attempt exceeds the budget
-  dc.kill_after_results = 3;
-  DistCampaign campaign(caps_factory(false), dc);
+  const std::string marker = vps_test::temp_path("dist_test.requeue_budget");
+  DistCampaign campaign(dying_worker_factory(marker, 2), dc);
   const CampaignResult result = campaign.run();
+  (void)::unlink(marker.c_str());
 
   EXPECT_EQ(result.runs_executed, cfg.runs);
   ASSERT_GE(result.quarantine.size(), 1u);

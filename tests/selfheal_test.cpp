@@ -9,10 +9,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -492,9 +494,8 @@ TEST(SelfHealingTest, ServerCrashRestartRecoversJobAndClientReattaches) {
 
   const ScenarioFactory factory = [] { return vps::apps::make_scenario("caps:crash"); };
   CampaignConfig cfg;
-  // The crash lands up to ~75 ms after the job shows up (a 25 ms metric
-  // poll, then 50 ms), so the campaign must outlast that: 1,600 CAPS runs
-  // take some 300 ms on a 4-worker pool at 0.2 ms per replay.
+  // The crash lands at the tenant's first batch barrier (CrashGate below),
+  // so the campaign is in flight at the crash however fast a replay is.
   cfg.runs = 1600;
   cfg.seed = 5;
   cfg.batch_size = 16;
@@ -523,6 +524,29 @@ TEST(SelfHealingTest, ServerCrashRestartRecoversJobAndClientReattaches) {
   dc.reconnect_backoff_max_ms = 500;
   DistCampaign campaign(factory, dc);
 
+  // At its first barrier the tenant signals the test thread and waits
+  // until the server has crashed; every later barrier passes.
+  struct CrashGate final : vps::obs::CampaignMonitor {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool at_barrier = false;
+    bool released = false;
+    void on_progress(const vps::obs::CampaignProgress&) override {
+      std::unique_lock<std::mutex> lock(mutex);
+      if (at_barrier) return;
+      at_barrier = true;
+      cv.notify_all();
+      cv.wait(lock, [this] { return released; });
+    }
+    void on_complete(const vps::obs::CampaignProgress&) override {}
+    void release() {
+      const std::lock_guard<std::mutex> lock(mutex);
+      released = true;
+      cv.notify_all();
+    }
+  } gate;
+  campaign.set_monitor(&gate);
+
   CampaignResult recovered;
   std::thread tenant([&] {
     try {
@@ -531,22 +555,31 @@ TEST(SelfHealingTest, ServerCrashRestartRecoversJobAndClientReattaches) {
       ADD_FAILURE() << "tenant threw: " << e.what();
     }
   });
-  // Whatever goes wrong below, `tenant` must be joined before it unwinds —
-  // destroying a joinable thread is std::terminate, not a test failure.
+  // Whatever goes wrong below, `tenant` must be released and joined before
+  // it unwinds — destroying a joinable thread is std::terminate, not a test
+  // failure.
   struct Joiner {
     std::thread& t;
+    CrashGate& gate;
     ~Joiner() {
+      gate.release();
       if (t.joinable()) t.join();
     }
-  } join_guard{tenant};
+  } join_guard{tenant, gate};
 
-  // Kill the server only once the campaign is demonstrably in flight, then
-  // play the restart. Any exception here is a test failure, not an abort.
+  // Kill the server only once the campaign is demonstrably in flight (its
+  // job active, its first batch folded), then play the restart. Any
+  // exception here is a test failure, not an abort.
   try {
     EXPECT_TRUE(wait_for_metric(port, "server.jobs_active", 1.0));
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    {
+      std::unique_lock<std::mutex> lock(gate.mutex);
+      EXPECT_TRUE(gate.cv.wait_for(lock, std::chrono::seconds(60), [&] { return gate.at_barrier; }))
+          << "the tenant never reached its first batch barrier";
+    }
     server->crash();
     server.reset();  // releases the listener; incremental state stays on disk
+    gate.release();
 
     ServerConfig sc2 = sc;
     sc2.port = port;  // same address, same state dir: the restarted server
@@ -556,6 +589,7 @@ TEST(SelfHealingTest, ServerCrashRestartRecoversJobAndClientReattaches) {
     ADD_FAILURE() << "restart choreography threw: " << e.what();
   }
 
+  gate.release();
   tenant.join();
   ASSERT_TRUE(server.has_value());
   server->stop();
