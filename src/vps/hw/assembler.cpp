@@ -1,8 +1,6 @@
 #include "vps/hw/assembler.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <functional>
 #include <optional>
 
 #include "vps/hw/isa.hpp"
@@ -102,6 +100,15 @@ std::uint16_t check_imm16_unsigned(std::int64_t v, std::size_t line) {
   return static_cast<std::uint16_t>(v);
 }
 
+/// The opcode whose mnemonic is `m`, if any.
+std::optional<Opcode> find_opcode(const std::string& m) {
+  for (std::size_t raw = 0; raw < kOpcodeTable.size(); ++raw) {
+    const char* mnemonic = kOpcodeTable[raw].mnemonic;
+    if (mnemonic != nullptr && m == mnemonic) return static_cast<Opcode>(raw);
+  }
+  return std::nullopt;
+}
+
 /// Per-mnemonic instruction size in bytes (for the first pass).
 std::size_t instruction_size(const std::string& m) {
   if (m == "li" || m == "call") return 8;  // expands to two instructions
@@ -121,18 +128,11 @@ Program assemble(const std::string& source, std::uint32_t origin) {
   prog.origin = origin;
 
   // --- tokenize into logical lines --------------------------------------
-  std::vector<Line> lines;
   std::map<std::string, std::uint32_t> labels;
   std::uint32_t pc = origin;
   std::size_t line_no = 0;
 
-  struct Pending {
-    std::size_t index;   // into lines
-    std::uint32_t addr;  // instruction address
-  };
-
   std::vector<std::pair<Line, std::uint32_t>> placed;  // line + address
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> words;  // .word (addr, value placeholder)
 
   for (const auto& raw_line : support::split(source, '\n')) {
     ++line_no;
@@ -236,23 +236,6 @@ Program assemble(const std::string& source, std::uint32_t origin) {
     return static_cast<unsigned>(l.operands[i].reg);
   };
 
-  static const std::map<std::string, Opcode> kRType = {
-      {"add", Opcode::kAdd}, {"sub", Opcode::kSub},  {"and", Opcode::kAnd}, {"or", Opcode::kOr},
-      {"xor", Opcode::kXor}, {"shl", Opcode::kShl},  {"shr", Opcode::kShr}, {"sra", Opcode::kSra},
-      {"mul", Opcode::kMul}, {"slt", Opcode::kSlt},  {"sltu", Opcode::kSltu}};
-  static const std::map<std::string, Opcode> kIType = {
-      {"addi", Opcode::kAddi}, {"andi", Opcode::kAndi}, {"ori", Opcode::kOri},
-      {"xori", Opcode::kXori}, {"shli", Opcode::kShli}, {"shri", Opcode::kShri},
-      {"slti", Opcode::kSlti}};
-  static const std::map<std::string, Opcode> kLoad = {{"lw", Opcode::kLw},   {"lb", Opcode::kLb},
-                                                      {"lbu", Opcode::kLbu}, {"lh", Opcode::kLh},
-                                                      {"lhu", Opcode::kLhu}};
-  static const std::map<std::string, Opcode> kStore = {
-      {"sw", Opcode::kSw}, {"sh", Opcode::kSh}, {"sb", Opcode::kSb}};
-  static const std::map<std::string, Opcode> kBranch = {
-      {"beq", Opcode::kBeq},   {"bne", Opcode::kBne},   {"blt", Opcode::kBlt},
-      {"bge", Opcode::kBge},   {"bltu", Opcode::kBltu}, {"bgeu", Opcode::kBgeu}};
-
   for (const auto& [l, addr] : placed) {
     const auto& m = l.mnemonic;
     if (m == ".word") {
@@ -265,45 +248,57 @@ Program assemble(const std::string& source, std::uint32_t origin) {
     }
     if (m == ".space") continue;  // already zero-filled
 
-    if (const auto it = kRType.find(m); it != kRType.end()) {
-      want(l, 3);
-      put32(addr, encode_r(it->second, reg_of(l, 0), reg_of(l, 1), reg_of(l, 2)));
-    } else if (const auto it2 = kIType.find(m); it2 != kIType.end()) {
-      want(l, 3);
-      const std::int64_t v = resolve(l.operands[2], l.number);
-      const bool logical = m == "andi" || m == "ori" || m == "xori";
-      const std::uint16_t imm =
-          logical ? check_imm16_unsigned(v, l.number) : check_imm16_signed(v, l.number);
-      put32(addr, encode_i(it2->second, reg_of(l, 0), reg_of(l, 1), imm));
-    } else if (m == "lui") {
-      want(l, 2);
-      const std::int64_t v = resolve(l.operands[1], l.number);
-      put32(addr, encode_i(Opcode::kLui, reg_of(l, 0), 0, check_imm16_unsigned(v, l.number)));
-    } else if (const auto it3 = kLoad.find(m); it3 != kLoad.end()) {
-      want(l, 2);
-      if (l.operands[1].kind != Operand::Kind::kMemory) throw AsmError(l.number, "need off(reg)");
-      put32(addr, encode_i(it3->second, reg_of(l, 0), static_cast<unsigned>(l.operands[1].reg),
-                           check_imm16_signed(l.operands[1].value, l.number)));
-    } else if (const auto it4 = kStore.find(m); it4 != kStore.end()) {
-      want(l, 2);
-      if (l.operands[1].kind != Operand::Kind::kMemory) throw AsmError(l.number, "need off(reg)");
-      put32(addr, encode_i(it4->second, reg_of(l, 0), static_cast<unsigned>(l.operands[1].reg),
-                           check_imm16_signed(l.operands[1].value, l.number)));
-    } else if (const auto it5 = kBranch.find(m); it5 != kBranch.end()) {
-      want(l, 3);
-      const std::int64_t target = resolve(l.operands[2], l.number);
-      const std::int64_t off = target - static_cast<std::int64_t>(addr);
-      put32(addr, encode_i(it5->second, reg_of(l, 0), reg_of(l, 1),
-                           check_imm16_signed(off, l.number)));
-    } else if (m == "jal") {
-      want(l, 2);
-      const std::int64_t target = resolve(l.operands[1], l.number);
-      const std::int64_t off = target - static_cast<std::int64_t>(addr);
-      put32(addr, encode_i(Opcode::kJal, reg_of(l, 0), 0, check_imm16_signed(off, l.number)));
-    } else if (m == "jalr") {
-      want(l, 3);
-      put32(addr, encode_i(Opcode::kJalr, reg_of(l, 0), reg_of(l, 1),
-                           check_imm16_signed(resolve(l.operands[2], l.number), l.number)));
+    if (const auto op = find_opcode(m)) {
+      const Format format = operand_format(*op);
+      switch (format) {
+        case Format::kNone:
+          want(l, 0);
+          put32(addr, encode_i(*op, 0, 0, 0));
+          break;
+        case Format::kReg:
+          want(l, 3);
+          put32(addr, encode_r(*op, reg_of(l, 0), reg_of(l, 1), reg_of(l, 2)));
+          break;
+        case Format::kSignedImm:
+        case Format::kUnsignedImm: {
+          want(l, 3);
+          const std::int64_t v = resolve(l.operands[2], l.number);
+          const std::uint16_t imm = format == Format::kSignedImm
+                                        ? check_imm16_signed(v, l.number)
+                                        : check_imm16_unsigned(v, l.number);
+          put32(addr, encode_i(*op, reg_of(l, 0), reg_of(l, 1), imm));
+          break;
+        }
+        case Format::kUpperImm: {
+          want(l, 2);
+          const std::int64_t v = resolve(l.operands[1], l.number);
+          put32(addr, encode_i(*op, reg_of(l, 0), 0, check_imm16_unsigned(v, l.number)));
+          break;
+        }
+        case Format::kLoad:
+        case Format::kStore:
+          want(l, 2);
+          if (l.operands[1].kind != Operand::Kind::kMemory) {
+            throw AsmError(l.number, "need off(reg)");
+          }
+          put32(addr, encode_i(*op, reg_of(l, 0), static_cast<unsigned>(l.operands[1].reg),
+                               check_imm16_signed(l.operands[1].value, l.number)));
+          break;
+        case Format::kBranch: {
+          want(l, 3);
+          const std::int64_t target = resolve(l.operands[2], l.number);
+          const std::int64_t off = target - static_cast<std::int64_t>(addr);
+          put32(addr, encode_i(*op, reg_of(l, 0), reg_of(l, 1), check_imm16_signed(off, l.number)));
+          break;
+        }
+        case Format::kJump: {
+          want(l, 2);
+          const std::int64_t target = resolve(l.operands[1], l.number);
+          const std::int64_t off = target - static_cast<std::int64_t>(addr);
+          put32(addr, encode_i(*op, reg_of(l, 0), 0, check_imm16_signed(off, l.number)));
+          break;
+        }
+      }
     } else if (m == "j") {
       want(l, 1);
       const std::int64_t off = resolve(l.operands[0], l.number) - static_cast<std::int64_t>(addr);
@@ -327,18 +322,6 @@ Program assemble(const std::string& source, std::uint32_t origin) {
     } else if (m == "mov") {
       want(l, 2);
       put32(addr, encode_i(Opcode::kAddi, reg_of(l, 0), reg_of(l, 1), 0));
-    } else if (m == "nop") {
-      put32(addr, encode_i(Opcode::kNop, 0, 0, 0));
-    } else if (m == "halt") {
-      put32(addr, encode_i(Opcode::kHalt, 0, 0, 0));
-    } else if (m == "wfi") {
-      put32(addr, encode_i(Opcode::kWfi, 0, 0, 0));
-    } else if (m == "ei") {
-      put32(addr, encode_i(Opcode::kEi, 0, 0, 0));
-    } else if (m == "di") {
-      put32(addr, encode_i(Opcode::kDi, 0, 0, 0));
-    } else if (m == "reti") {
-      put32(addr, encode_i(Opcode::kReti, 0, 0, 0));
     } else {
       throw AsmError(l.number, "unknown mnemonic '" + m + "'");
     }

@@ -2,7 +2,7 @@
 
 /// Two-pass assembler for the AR32 ISA. Supports labels, .org/.word/.space
 /// directives, numeric literals (decimal, hex, 'char'), comments (';' or
-/// '#'), and the pseudo-instructions li / mov / j / call / ret / inc / dec.
+/// '#'), and the pseudo-instructions li / mov / j / call / ret.
 
 #include <cstdint>
 #include <map>

@@ -16,101 +16,6 @@ constexpr std::uint64_t Cpu::Stats::*kStatsFields[] = {
 
 }  // namespace
 
-const char* mnemonic(Opcode op) noexcept {
-  switch (op) {
-    case Opcode::kNop: return "nop";
-    case Opcode::kHalt: return "halt";
-    case Opcode::kWfi: return "wfi";
-    case Opcode::kEi: return "ei";
-    case Opcode::kDi: return "di";
-    case Opcode::kReti: return "reti";
-    case Opcode::kAdd: return "add";
-    case Opcode::kSub: return "sub";
-    case Opcode::kAnd: return "and";
-    case Opcode::kOr: return "or";
-    case Opcode::kXor: return "xor";
-    case Opcode::kShl: return "shl";
-    case Opcode::kShr: return "shr";
-    case Opcode::kSra: return "sra";
-    case Opcode::kMul: return "mul";
-    case Opcode::kSlt: return "slt";
-    case Opcode::kSltu: return "sltu";
-    case Opcode::kAddi: return "addi";
-    case Opcode::kAndi: return "andi";
-    case Opcode::kOri: return "ori";
-    case Opcode::kXori: return "xori";
-    case Opcode::kShli: return "shli";
-    case Opcode::kShri: return "shri";
-    case Opcode::kLui: return "lui";
-    case Opcode::kSlti: return "slti";
-    case Opcode::kLw: return "lw";
-    case Opcode::kLb: return "lb";
-    case Opcode::kLbu: return "lbu";
-    case Opcode::kLh: return "lh";
-    case Opcode::kLhu: return "lhu";
-    case Opcode::kSw: return "sw";
-    case Opcode::kSh: return "sh";
-    case Opcode::kSb: return "sb";
-    case Opcode::kBeq: return "beq";
-    case Opcode::kBne: return "bne";
-    case Opcode::kBlt: return "blt";
-    case Opcode::kBge: return "bge";
-    case Opcode::kBltu: return "bltu";
-    case Opcode::kBgeu: return "bgeu";
-    case Opcode::kJal: return "jal";
-    case Opcode::kJalr: return "jalr";
-  }
-  return "?";
-}
-
-bool is_valid_opcode(std::uint8_t raw) noexcept {
-  const auto op = static_cast<Opcode>(raw);
-  switch (op) {
-    case Opcode::kNop:
-    case Opcode::kHalt:
-    case Opcode::kWfi:
-    case Opcode::kEi:
-    case Opcode::kDi:
-    case Opcode::kReti:
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kShl:
-    case Opcode::kShr:
-    case Opcode::kSra:
-    case Opcode::kMul:
-    case Opcode::kSlt:
-    case Opcode::kSltu:
-    case Opcode::kAddi:
-    case Opcode::kAndi:
-    case Opcode::kOri:
-    case Opcode::kXori:
-    case Opcode::kShli:
-    case Opcode::kShri:
-    case Opcode::kLui:
-    case Opcode::kSlti:
-    case Opcode::kLw:
-    case Opcode::kLb:
-    case Opcode::kLbu:
-    case Opcode::kLh:
-    case Opcode::kLhu:
-    case Opcode::kSw:
-    case Opcode::kSh:
-    case Opcode::kSb:
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kBltu:
-    case Opcode::kBgeu:
-    case Opcode::kJal:
-    case Opcode::kJalr: return true;
-  }
-  return false;
-}
-
 const char* to_string(Cpu::State s) noexcept {
   switch (s) {
     case Cpu::State::kRunning: return "RUNNING";
@@ -179,62 +84,20 @@ void Cpu::track_taint(const Decoded& d) {
   bool reads_rs2 = false;   // 'b' operand
   bool reads_rd = false;    // rdv operand (stores, branches)
   bool writes_rd = false;
-  bool is_store = false;
-  switch (d.opcode) {
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kShl:
-    case Opcode::kShr:
-    case Opcode::kSra:
-    case Opcode::kMul:
-    case Opcode::kSlt:
-    case Opcode::kSltu:
-      reads_rs1 = reads_rs2 = writes_rd = true;
-      break;
-    case Opcode::kAddi:
-    case Opcode::kAndi:
-    case Opcode::kOri:
-    case Opcode::kXori:
-    case Opcode::kShli:
-    case Opcode::kShri:
-    case Opcode::kSlti:
+  const Format format = operand_format(d.opcode);
+  switch (format) {
+    case Format::kNone: break;
+    case Format::kReg: reads_rs1 = reads_rs2 = writes_rd = true; break;
+    case Format::kSignedImm:
+    case Format::kUnsignedImm:
+    case Format::kLoad:  // a load's address register feeds the result
       reads_rs1 = writes_rd = true;
       break;
-    case Opcode::kLui:
-      writes_rd = true;
-      break;
-    case Opcode::kLw:
-    case Opcode::kLb:
-    case Opcode::kLbu:
-    case Opcode::kLh:
-    case Opcode::kLhu:
-      reads_rs1 = writes_rd = true;  // address register feeds the result
-      break;
-    case Opcode::kSw:
-    case Opcode::kSh:
-    case Opcode::kSb:
-      reads_rs1 = reads_rd = true;  // address + data registers
-      is_store = true;
-      break;
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kBltu:
-    case Opcode::kBgeu:
-      reads_rs1 = reads_rd = true;  // branches compare rd with rs1
-      break;
-    case Opcode::kJal:
-      writes_rd = true;
-      break;
-    case Opcode::kJalr:
-      reads_rs1 = true;
-      writes_rd = true;
-      break;
-    default:
+    case Format::kUpperImm:
+    case Format::kJump: writes_rd = true; break;
+    case Format::kStore:   // address + data registers
+    case Format::kBranch:  // branches compare rd with rs1
+      reads_rs1 = reads_rd = true;
       break;
   }
 
@@ -255,7 +118,9 @@ void Cpu::track_taint(const Decoded& d) {
     provenance_->touch(fault_id, "cpu:" + name() + ".r" + std::to_string(source));
   }
   // Stores forward the data register's taint onto the outgoing payload.
-  if (is_store && (core_.taint_mask & (1u << d.rd)) != 0) store_poison_ = core_.reg_taint[d.rd];
+  if (format == Format::kStore && (core_.taint_mask & (1u << d.rd)) != 0) {
+    store_poison_ = core_.reg_taint[d.rd];
+  }
   // Writes either propagate the consumed taint or clean the destination.
   if (writes_rd && d.rd != 0) {
     if (fault_id != 0) {

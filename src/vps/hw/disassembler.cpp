@@ -14,64 +14,29 @@ std::string disassemble(std::uint32_t word) {
   }
   const Decoded d = decode(word);
   const char* m = mnemonic(d.opcode);
-  switch (d.opcode) {
-    case Opcode::kNop:
-    case Opcode::kHalt:
-    case Opcode::kWfi:
-    case Opcode::kEi:
-    case Opcode::kDi:
-    case Opcode::kReti:
-      return m;
-    case Opcode::kAdd:
-    case Opcode::kSub:
-    case Opcode::kAnd:
-    case Opcode::kOr:
-    case Opcode::kXor:
-    case Opcode::kShl:
-    case Opcode::kShr:
-    case Opcode::kSra:
-    case Opcode::kMul:
-    case Opcode::kSlt:
-    case Opcode::kSltu:
+  switch (operand_format(d.opcode)) {
+    case Format::kNone: return m;
+    case Format::kReg:
       std::snprintf(buf, sizeof buf, "%s r%u, r%u, r%u", m, d.rd, d.rs1, d.rs2);
       return buf;
-    case Opcode::kLui:
-      std::snprintf(buf, sizeof buf, "%s r%u, 0x%X", m, d.rd, d.uimm());
+    case Format::kSignedImm:
+      std::snprintf(buf, sizeof buf, "%s r%u, r%u, %d", m, d.rd, d.rs1, d.simm());
       return buf;
-    case Opcode::kAndi:
-    case Opcode::kOri:
-    case Opcode::kXori:
-    case Opcode::kShli:
-    case Opcode::kShri:
+    case Format::kUnsignedImm:
       std::snprintf(buf, sizeof buf, "%s r%u, r%u, 0x%X", m, d.rd, d.rs1, d.uimm());
       return buf;
-    case Opcode::kAddi:
-    case Opcode::kSlti:
-      std::snprintf(buf, sizeof buf, "%s r%u, r%u, %d", m, d.rd, d.rs1, d.simm());
+    case Format::kUpperImm:
+      std::snprintf(buf, sizeof buf, "%s r%u, 0x%X", m, d.rd, d.uimm());
       return buf;
-    case Opcode::kLw:
-    case Opcode::kLb:
-    case Opcode::kLbu:
-    case Opcode::kLh:
-    case Opcode::kLhu:
-    case Opcode::kSw:
-    case Opcode::kSh:
-    case Opcode::kSb:
+    case Format::kLoad:
+    case Format::kStore:
       std::snprintf(buf, sizeof buf, "%s r%u, %d(r%u)", m, d.rd, d.simm(), d.rs1);
       return buf;
-    case Opcode::kBeq:
-    case Opcode::kBne:
-    case Opcode::kBlt:
-    case Opcode::kBge:
-    case Opcode::kBltu:
-    case Opcode::kBgeu:
+    case Format::kBranch:
       std::snprintf(buf, sizeof buf, "%s r%u, r%u, %+d", m, d.rd, d.rs1, d.simm());
       return buf;
-    case Opcode::kJal:
+    case Format::kJump:
       std::snprintf(buf, sizeof buf, "%s r%u, %+d", m, d.rd, d.simm());
-      return buf;
-    case Opcode::kJalr:
-      std::snprintf(buf, sizeof buf, "%s r%u, r%u, %d", m, d.rd, d.rs1, d.simm());
       return buf;
   }
   return "?";

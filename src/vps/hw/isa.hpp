@@ -13,6 +13,7 @@
 /// r0 reads as zero and ignores writes. Branches compare rd with rs1 and
 /// jump pc-relative by imm16 (signed, in bytes). JAL links into rd.
 
+#include <array>
 #include <cstdint>
 
 namespace vps::hw {
@@ -100,7 +101,93 @@ struct Decoded {
   return d;
 }
 
-[[nodiscard]] const char* mnemonic(Opcode op) noexcept;
-[[nodiscard]] bool is_valid_opcode(std::uint8_t raw) noexcept;
+/// How an instruction's operands read in assembly, which fields of its
+/// word they fill, and so which registers it reads and writes.
+enum class Format : std::uint8_t {
+  kNone,         ///< no operands: nop, halt, wfi, ei, di, reti
+  kReg,          ///< rd, rs1, rs2
+  kSignedImm,    ///< rd, rs1, simm16 (addi, slti, jalr)
+  kUnsignedImm,  ///< rd, rs1, uimm16 (andi, ori, xori, shli, shri)
+  kUpperImm,     ///< rd, uimm16 (lui)
+  kLoad,         ///< rd, simm16(rs1)
+  kStore,        ///< rd, simm16(rs1): stores rd
+  kBranch,       ///< rd, rs1, target
+  kJump,         ///< rd, target (jal)
+};
+
+struct OpcodeInfo {
+  const char* mnemonic = nullptr;  ///< null: the byte is no opcode
+  Format format = Format::kNone;
+};
+
+/// The AR32 opcodes, indexed by opcode byte. The ISS's decoder, the
+/// assembler, the disassembler and the taint tracker all read this table.
+inline constexpr std::array<OpcodeInfo, 256> kOpcodeTable = [] {
+  std::array<OpcodeInfo, 256> table{};
+  const auto def = [&table](Opcode op, const char* mnemonic, Format format) {
+    table[static_cast<std::uint8_t>(op)] = {mnemonic, format};
+  };
+  def(Opcode::kNop, "nop", Format::kNone);
+  def(Opcode::kHalt, "halt", Format::kNone);
+  def(Opcode::kWfi, "wfi", Format::kNone);
+  def(Opcode::kEi, "ei", Format::kNone);
+  def(Opcode::kDi, "di", Format::kNone);
+  def(Opcode::kReti, "reti", Format::kNone);
+
+  def(Opcode::kAdd, "add", Format::kReg);
+  def(Opcode::kSub, "sub", Format::kReg);
+  def(Opcode::kAnd, "and", Format::kReg);
+  def(Opcode::kOr, "or", Format::kReg);
+  def(Opcode::kXor, "xor", Format::kReg);
+  def(Opcode::kShl, "shl", Format::kReg);
+  def(Opcode::kShr, "shr", Format::kReg);
+  def(Opcode::kSra, "sra", Format::kReg);
+  def(Opcode::kMul, "mul", Format::kReg);
+  def(Opcode::kSlt, "slt", Format::kReg);
+  def(Opcode::kSltu, "sltu", Format::kReg);
+
+  def(Opcode::kAddi, "addi", Format::kSignedImm);
+  def(Opcode::kAndi, "andi", Format::kUnsignedImm);
+  def(Opcode::kOri, "ori", Format::kUnsignedImm);
+  def(Opcode::kXori, "xori", Format::kUnsignedImm);
+  def(Opcode::kShli, "shli", Format::kUnsignedImm);
+  def(Opcode::kShri, "shri", Format::kUnsignedImm);
+  def(Opcode::kLui, "lui", Format::kUpperImm);
+  def(Opcode::kSlti, "slti", Format::kSignedImm);
+
+  def(Opcode::kLw, "lw", Format::kLoad);
+  def(Opcode::kLb, "lb", Format::kLoad);
+  def(Opcode::kLbu, "lbu", Format::kLoad);
+  def(Opcode::kLh, "lh", Format::kLoad);
+  def(Opcode::kLhu, "lhu", Format::kLoad);
+  def(Opcode::kSw, "sw", Format::kStore);
+  def(Opcode::kSh, "sh", Format::kStore);
+  def(Opcode::kSb, "sb", Format::kStore);
+
+  def(Opcode::kBeq, "beq", Format::kBranch);
+  def(Opcode::kBne, "bne", Format::kBranch);
+  def(Opcode::kBlt, "blt", Format::kBranch);
+  def(Opcode::kBge, "bge", Format::kBranch);
+  def(Opcode::kBltu, "bltu", Format::kBranch);
+  def(Opcode::kBgeu, "bgeu", Format::kBranch);
+
+  def(Opcode::kJal, "jal", Format::kJump);
+  def(Opcode::kJalr, "jalr", Format::kSignedImm);
+  return table;
+}();
+
+[[nodiscard]] constexpr bool is_valid_opcode(std::uint8_t raw) noexcept {
+  return kOpcodeTable[raw].mnemonic != nullptr;
+}
+
+/// "?" for a byte that is no opcode.
+[[nodiscard]] constexpr const char* mnemonic(Opcode op) noexcept {
+  const char* m = kOpcodeTable[static_cast<std::uint8_t>(op)].mnemonic;
+  return m != nullptr ? m : "?";
+}
+
+[[nodiscard]] constexpr Format operand_format(Opcode op) noexcept {
+  return kOpcodeTable[static_cast<std::uint8_t>(op)].format;
+}
 
 }  // namespace vps::hw

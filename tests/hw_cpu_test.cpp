@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "vps/hw/assembler.hpp"
 #include "vps/hw/cpu.hpp"
 #include "vps/hw/memory.hpp"
 #include "vps/hw/peripherals.hpp"
+#include "vps/obs/provenance.hpp"
 #include "vps/tlm/router.hpp"
 
 namespace {
@@ -83,11 +86,15 @@ TEST(Assembler, EncodesBasicProgram) {
 }
 
 TEST(Assembler, ErrorsCarryLineNumbers) {
-  try {
-    (void)assemble("nop\nbogus r1, r2\n");
-    FAIL() << "expected AsmError";
-  } catch (const AsmError& e) {
-    EXPECT_EQ(e.line(), 2u);
+  // An unknown mnemonic, and operands on instructions that take none.
+  for (const char* source :
+       {"nop\nbogus r1, r2\n", "nop\nhalt r1\n", "nop\nnop r1, r2\n", "nop\nreti 5\n"}) {
+    try {
+      (void)assemble(source);
+      ADD_FAILURE() << "expected AsmError: " << source;
+    } catch (const AsmError& e) {
+      EXPECT_EQ(e.line(), 2u) << source;
+    }
   }
   EXPECT_THROW((void)assemble("addi r1, r0, 99999"), AsmError);   // imm range
   EXPECT_THROW((void)assemble("add r1, r2"), AsmError);           // arity
@@ -374,6 +381,157 @@ TEST(Cpu, RegisterInjectionChangesResult) {
   soc.kernel.run(Time::ms(10));
   EXPECT_EQ(soc.cpu.state(), Cpu::State::kHalted);
   EXPECT_EQ(soc.cpu.reg(5), 100u + 200u + 8u - 0u);  // 100^8=108 -> 308
+}
+
+/// Which registers an instruction's taint tracking reads, writes and
+/// stores, listed per opcode independently of the opcode table's formats
+/// that hw::Cpu derives them from.
+struct TaintRoles {
+  bool reads_rs1 = false;
+  bool reads_rs2 = false;
+  bool reads_rd = false;
+  bool writes_rd = false;
+  bool is_store = false;
+};
+
+TaintRoles reference_taint_roles(Opcode op) {
+  TaintRoles r;
+  switch (op) {
+    case Opcode::kAdd:
+    case Opcode::kSub:
+    case Opcode::kAnd:
+    case Opcode::kOr:
+    case Opcode::kXor:
+    case Opcode::kShl:
+    case Opcode::kShr:
+    case Opcode::kSra:
+    case Opcode::kMul:
+    case Opcode::kSlt:
+    case Opcode::kSltu:
+      r.reads_rs1 = r.reads_rs2 = r.writes_rd = true;
+      break;
+    case Opcode::kAddi:
+    case Opcode::kAndi:
+    case Opcode::kOri:
+    case Opcode::kXori:
+    case Opcode::kShli:
+    case Opcode::kShri:
+    case Opcode::kSlti:
+      r.reads_rs1 = r.writes_rd = true;
+      break;
+    case Opcode::kLui:
+      r.writes_rd = true;
+      break;
+    case Opcode::kLw:
+    case Opcode::kLb:
+    case Opcode::kLbu:
+    case Opcode::kLh:
+    case Opcode::kLhu:
+      r.reads_rs1 = r.writes_rd = true;  // address register feeds the result
+      break;
+    case Opcode::kSw:
+    case Opcode::kSh:
+    case Opcode::kSb:
+      r.reads_rs1 = r.reads_rd = true;  // address + data registers
+      r.is_store = true;
+      break;
+    case Opcode::kBeq:
+    case Opcode::kBne:
+    case Opcode::kBlt:
+    case Opcode::kBge:
+    case Opcode::kBltu:
+    case Opcode::kBgeu:
+      r.reads_rs1 = r.reads_rd = true;  // branches compare rd with rs1
+      break;
+    case Opcode::kJal:
+      r.writes_rd = true;
+      break;
+    case Opcode::kJalr:
+      r.reads_rs1 = true;
+      r.writes_rd = true;
+      break;
+    default:
+      break;
+  }
+  return r;
+}
+
+TEST(Cpu, TaintFollowsEveryOpcodesOperandRoles) {
+  // One instruction with rd = r1, rs1 = r2 and rs2 = r3 (also the top
+  // nibble of the immediate, which formats without rs2 ignore), with r1, r2
+  // and r3 carrying faults 1, 2 and 3 in every combination. Every path out
+  // of the instruction lands on a halt: fall-through, the branch and jal
+  // target 0x3008, and the jalr target and load/store address 0x3108.
+  constexpr std::uint16_t kImm = 0x3008;
+  constexpr std::uint32_t kAddress = 0x100 + kImm;
+  int opcodes = 0;
+  for (unsigned raw = 0; raw < kOpcodeTable.size(); ++raw) {
+    if (!is_valid_opcode(static_cast<std::uint8_t>(raw))) continue;
+    ++opcodes;
+    const auto op = static_cast<Opcode>(raw);
+    const TaintRoles roles = reference_taint_roles(op);
+    for (unsigned tainted = 0; tainted < 8; ++tainted) {
+      SCOPED_TRACE(std::string(mnemonic(op)) + ", tainted set " + std::to_string(tainted));
+      Soc soc;
+      vps::obs::ProvenanceTracker tracker(soc.kernel);
+      soc.cpu.set_provenance(&tracker);
+      soc.ram.set_provenance(&tracker);
+      soc.ram.poke32(0, encode_i(op, 1, 2, kImm));
+      for (const std::uint32_t halt_at : {4u, std::uint32_t{kImm}, kAddress}) {
+        soc.ram.poke32(halt_at, encode_i(Opcode::kHalt, 0, 0, 0));
+      }
+      soc.cpu.set_reg(2, 0x100);
+      std::uint32_t mask = 0;
+      for (int r = 1; r <= 3; ++r) {
+        tracker.begin_fault(static_cast<std::uint64_t>(r), "f" + std::to_string(r), "inject");
+        if ((tainted & (1u << (r - 1))) != 0) {
+          soc.cpu.corrupt_register(r, 0, static_cast<std::uint64_t>(r));
+          mask |= 1u << r;
+        }
+      }
+      soc.kernel.run(Time::us(50));
+
+      // The reference: the first tainted operand read (rs1, rs2, rd) is
+      // the contact, a store carries rd's fault, and a write of rd gives
+      // it the contact's fault or cleans it. Fault r is register r's.
+      const auto tainted_reg = [&](int r) { return (mask & (1u << r)) != 0 ? r : 0; };
+      int source = 0;
+      if (roles.reads_rs1 && tainted_reg(2) != 0) {
+        source = 2;
+      } else if (roles.reads_rs2 && tainted_reg(3) != 0) {
+        source = 3;
+      } else if (roles.reads_rd && tainted_reg(1) != 0) {
+        source = 1;
+      }
+      const auto store_poison = static_cast<std::uint64_t>(roles.is_store ? tainted_reg(1) : 0);
+      if (roles.writes_rd) mask = source != 0 ? mask | 2u : mask & ~2u;
+
+      std::vector<std::pair<std::uint64_t, std::string>> contacts;
+      for (const auto& fault : tracker.faults()) {
+        for (const auto& node : fault.nodes) {
+          if (node.site.starts_with("cpu:")) contacts.emplace_back(fault.fault_id, node.site);
+        }
+      }
+      std::vector<std::pair<std::uint64_t, std::string>> want_contacts;
+      if (source != 0) {
+        want_contacts.emplace_back(static_cast<std::uint64_t>(source),
+                                   "cpu:cpu.r" + std::to_string(source));
+      }
+      EXPECT_EQ(contacts, want_contacts);
+      const Cpu::Snapshot core = soc.cpu.snapshot();
+      EXPECT_EQ(core.taint_mask, mask);
+      if ((mask & 2u) != 0) {
+        EXPECT_EQ(core.reg_taint[1], static_cast<std::uint64_t>(roles.writes_rd ? source : 1));
+      }
+      const auto poison = soc.ram.snapshot().word_poison;
+      if (store_poison != 0) {
+        EXPECT_EQ(poison, (decltype(poison){{kAddress / 4, store_poison}}));
+      } else {
+        EXPECT_TRUE(poison.empty());
+      }
+    }
+  }
+  EXPECT_EQ(opcodes, 41);
 }
 
 TEST(Cpu, QuantumSizeDoesNotChangeArchitecturalResult) {

@@ -177,7 +177,9 @@ def main():
             "compiler": host["compiler"],
         }
         rows.append(row)
-        print("%-14s parent %10.3f [%.3f, %.3f]  change %10.3f [%.3f, %.3f]  won %d/%d"
+        # Significant digits, not decimals: setup_s is a fraction of a
+        # millisecond and runs_per_s is in the tens of thousands.
+        print("%-14s parent %10.5g [%.5g, %.5g]  change %10.5g [%.5g, %.5g]  won %d/%d"
               "  first_won %d/%d %s"
               % (m["name"], row["parent"]["median"], row["parent"]["q1"], row["parent"]["q3"],
                  row["change"]["median"], row["change"]["q1"], row["change"]["q3"], won,
