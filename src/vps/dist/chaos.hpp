@@ -7,8 +7,8 @@
 ///
 ///   drop        the frame is silently discarded (never written). The peer
 ///               sees a healthy but quiet link; healing is whatever bounds
-///               silence — heartbeat deadlines, hello timeouts, the client's
-///               silence budget.
+///               silence — the server's silence and hello deadlines, the
+///               client's re-ASSIGN window and silence budget.
 ///   corrupt     one byte of the encoded frame (CRC field or payload —
 ///               never the magic/length, which would only delay detection)
 ///               is bit-flipped before the write. The receiver's CRC-32

@@ -63,6 +63,8 @@ struct Conn {
 
   Channel channel;
   Role role = Role::kSniffing;
+  /// The silence clock: restarted by every frame the peer sends and, for a
+  /// worker, when dispatch() hands it work while it holds none.
   Clock::time_point last_heard = Clock::now();
   bool dead = false;
   /// Chaos activity already folded into the server metrics (delta folding:
@@ -104,6 +106,7 @@ struct Job {
   support::Histogram replay_ms = support::Histogram(0.0, 5000.0, 500);
   std::uint64_t requeued = 0;
   std::map<std::uint64_t, std::uint64_t> worker_runs;  ///< results per worker pid
+  std::map<std::uint64_t, std::string> crashed;  ///< run → its synthesized verdict
 };
 
 }  // namespace
@@ -260,9 +263,18 @@ struct CampaignServer::Impl {
     metrics.gauge("server.jobs_active").set(static_cast<double>(jobs.size()));
   }
 
+  /// Streams one verdict to the job's client, if it has a live one.
+  void stream(Job& job, const std::string& payload) {
+    if (job.client == nullptr || job.client->dead) return;
+    if (!job.client->channel.send_frame(MsgType::kResultStream, payload)) {
+      on_client_death(*job.client);
+    }
+  }
+
   /// Sends the synthesized kSimCrash verdict for a run whose requeue budget
   /// is exhausted — the tenant's campaign completes with the verdict the
-  /// in-process drivers give a replay that keeps crashing, never stalls.
+  /// in-process drivers give a replay that keeps crashing, never stalls —
+  /// and keeps it for a re-sent ASSIGN of the run, which never runs again.
   void synthesize_crash(Job& job, const Inflight& entry) {
     ResultMsg crash;
     crash.job = job.id;
@@ -278,11 +290,8 @@ struct CampaignServer::Impl {
       trace->event("crash_synthesized", job.submit.job_token, entry.run, dist_now_ns(),
                    {{"job", job.id}, {"requeues", entry.requeues}});
     }
-    if (job.client != nullptr && !job.client->dead) {
-      if (!job.client->channel.send_frame(MsgType::kResultStream, encode_result(crash))) {
-        on_client_death(*job.client);
-      }
-    }
+    job.crashed[entry.run] = encode_result(crash);
+    stream(job, job.crashed[entry.run]);
   }
 
   /// Drops a job: releases every worker's cached scenario, forgets pending
@@ -431,13 +440,13 @@ struct CampaignServer::Impl {
         }
         if (best_any != nullptr && w.ready_jobs.count(best_any->id) == 0 &&
             w.pending_setup.count(best_any->id) == 0) {
-          SetupMsg setup;
-          setup.job = best_any->id;
-          setup.scenario_spec = best_any->submit.scenario_spec;
-          setup.seed = best_any->submit.config.seed;
-          setup.crash_retries = best_any->submit.config.crash_retries;
-          setup.job_token = best_any->submit.job_token;
-          setup.golden = best_any->submit.golden;
+          const SubmitMsg& submit = best_any->submit;
+          const SetupMsg setup{.job = best_any->id,
+                               .scenario_spec = submit.scenario_spec,
+                               .seed = submit.config.seed,
+                               .crash_retries = submit.config.crash_retries,
+                               .job_token = submit.job_token,
+                               .golden = submit.golden};
           if (!w.channel.send_frame(MsgType::kHello, encode_setup(setup))) {
             on_worker_death(w);
             continue;
@@ -461,6 +470,8 @@ struct CampaignServer::Impl {
                       queue_ns);
         }
         ++best_ready->inflight;
+        // An idle worker had nothing to say; its silence counts from now.
+        if (w.inflight.empty()) w.last_heard = Clock::now();
         w.inflight.push_back(std::move(entry));
         progressed = true;
       }
@@ -471,19 +482,15 @@ struct CampaignServer::Impl {
 
   void handle_worker_frame(Conn& w, Frame& frame) {
     switch (frame.type) {
-      case MsgType::kHeartbeat:
-        break;  // liveness only; last_heard already updated
       case MsgType::kHello: {
         const HelloMsg hello = decode_hello(frame.payload);
-        auto pending = w.pending_setup.find(hello.job);
-        if (pending == w.pending_setup.end()) {
+        if (w.pending_setup.erase(hello.job) == 0) {
           std::fprintf(stderr, "vps-serverd: worker pid %llu sent HELLO for job %llu it was never SETUP for\n",
                        static_cast<unsigned long long>(w.pid),
                        static_cast<unsigned long long>(hello.job));
           kill_conn(w);
           return;
         }
-        w.pending_setup.erase(pending);
         auto it = jobs.find(hello.job);
         if (it != jobs.end() && hello.scenario != it->second.submit.scenario) {
           // The spec, not the worker, is wrong: every worker would build the
@@ -538,19 +545,14 @@ struct CampaignServer::Impl {
         // Refresh the on-disk watermark occasionally — cheap insurance, not
         // a correctness requirement (the client re-ASSIGNs unverdicted runs).
         if (job.results_relayed % 256 == 0) persist_state();
-        if (job.client != nullptr && !job.client->dead) {
-          // Splice the server-measured queue wait into the relayed payload so
-          // the client can split queue vs replay time without a re-encode of
-          // the verdict fields it must relay byte-exactly.
-          std::string relayed = frame.payload;
-          if (queue_ns != 0 && !relayed.empty() && relayed.back() == '}') {
-            relayed.pop_back();
-            relayed += ",\"queue_ns\":" + std::to_string(queue_ns) + "}";
-          }
-          if (!job.client->channel.send_frame(MsgType::kResultStream, relayed)) {
-            on_client_death(*job.client);
-          }
+        // Splice the server-measured queue wait into the relayed payload so
+        // the client can split queue vs replay time without a re-encode of
+        // the verdict fields it must relay byte-exactly.
+        if (queue_ns != 0 && !frame.payload.empty() && frame.payload.back() == '}') {
+          frame.payload.pop_back();
+          frame.payload += ",\"queue_ns\":" + std::to_string(queue_ns) + "}";
         }
+        stream(job, frame.payload);
         if (result_hook) result_hook(w.pid);
         break;
       }
@@ -575,10 +577,17 @@ struct CampaignServer::Impl {
           kill_conn(c);
           return;
         }
-        // A reattached client re-ASSIGNs every run it has no verdict for;
-        // skip the ones this server still has queued or on a worker so a run
-        // is never doubled up (double execution would be wasted work — the
-        // duplicate RESULT is first-verdict-wins on the client anyway).
+        // A client re-ASSIGNs every run it has no verdict for after a
+        // reattach or a heartbeat window without a frame. A run past its
+        // requeue budget gets its kept verdict again, never a worker; a run
+        // still queued or on a worker is skipped, so it is never doubled up
+        // (double execution would be wasted work — the duplicate RESULT is
+        // first-verdict-wins on the client anyway).
+        if (const auto crash = it->second.crashed.find(msg.run);
+            crash != it->second.crashed.end()) {
+          stream(it->second, crash->second);
+          return;
+        }
         for (const Inflight& e : it->second.pending) {
           if (e.run == msg.run) return;
         }
@@ -612,16 +621,25 @@ struct CampaignServer::Impl {
     }
   }
 
+  /// Answers `c` with REJECT and drops it when the send fails or `close`
+  /// asks to (a peer speaking another protocol has nothing more to say).
+  static void reject(Conn& c, const std::string& reason, bool close) {
+    if (!c.channel.send_frame(MsgType::kReject, encode_reject(RejectMsg{reason})) || close) {
+      c.dead = true;
+    }
+  }
+
+  static std::string version_mismatch(std::uint32_t version) {
+    return "protocol v" + std::to_string(version) + ", server speaks v" +
+           std::to_string(kProtocolVersion);
+  }
+
   /// First frame of a framed peer decides its role.
   void handle_first_frame(Conn& c, Frame& frame) {
     if (frame.type == MsgType::kRegister) {
       const RegisterMsg reg = decode_register(frame.payload);
       if (reg.version != kProtocolVersion) {
-        (void)c.channel.send_frame(
-            MsgType::kReject, encode_reject(RejectMsg{
-                                  "protocol v" + std::to_string(reg.version) + ", server speaks v" +
-                                  std::to_string(kProtocolVersion)}));
-        c.dead = true;
+        reject(c, version_mismatch(reg.version), /*close=*/true);
         return;
       }
       c.role = Conn::Role::kWorker;
@@ -639,11 +657,7 @@ struct CampaignServer::Impl {
       SubmitMsg submit = decode_submit(frame.payload);
       if (submit.version != kProtocolVersion) {
         metrics.counter("server.jobs_rejected").add(1);
-        (void)c.channel.send_frame(
-            MsgType::kReject,
-            encode_reject(RejectMsg{"protocol v" + std::to_string(submit.version) +
-                                    ", server speaks v" + std::to_string(kProtocolVersion)}));
-        c.dead = true;  // a peer speaking the wrong protocol has nothing more to say
+        reject(c, version_mismatch(submit.version), /*close=*/true);
         return;
       }
       c.role = Conn::Role::kClient;
@@ -676,22 +690,16 @@ struct CampaignServer::Impl {
       }
       if (draining) {
         metrics.counter("server.jobs_rejected").add(1);
-        if (!c.channel.send_frame(MsgType::kReject,
-                                  encode_reject(RejectMsg{"server draining — not admitting new "
-                                                          "campaigns, resubmit elsewhere"}))) {
-          c.dead = true;
-        }
+        reject(c, "server draining — not admitting new campaigns, resubmit elsewhere",
+               /*close=*/false);
         return;
       }
       if (jobs.size() >= config.max_jobs) {
         metrics.counter("server.jobs_rejected").add(1);
-        if (!c.channel.send_frame(
-                MsgType::kReject,
-                encode_reject(RejectMsg{"job table full (" + std::to_string(jobs.size()) + "/" +
-                                        std::to_string(config.max_jobs) +
-                                        " campaigns admitted) — resubmit later"}))) {
-          c.dead = true;
-        }
+        reject(c,
+               "job table full (" + std::to_string(jobs.size()) + "/" +
+                   std::to_string(config.max_jobs) + " campaigns admitted) — resubmit later",
+               /*close=*/false);
         return;
       }
       const std::uint64_t id = next_job++;
@@ -840,6 +848,27 @@ struct CampaignServer::Impl {
 
   // --- the loop ------------------------------------------------------------
 
+  struct Deadline { Clock::time_point at; const char* reason; };
+
+  /// When `c` is overdue, and why: silent a heartbeat window while holding
+  /// work, stuck that long mid-frame or before its first frame, or a SETUP
+  /// unanswered past the hello timeout. The poll timeout waits for the
+  /// earliest such deadline and the wedge sweep drops a peer past it.
+  [[nodiscard]] std::optional<Deadline> overdue(const Conn& c) const {
+    const auto hb = std::chrono::milliseconds(config.heartbeat_timeout_ms);
+    std::optional<Deadline> first;
+    const auto consider = [&first](Clock::time_point at, const char* reason) {
+      if (!first || at < first->at) first = Deadline{at, reason};
+    };
+    if (c.role == Conn::Role::kWorker && !c.inflight.empty()) {
+      consider(c.last_heard + hb, "silent while holding work");
+    }
+    if (c.role == Conn::Role::kSniffing) consider(c.last_heard + hb, "never spoke");
+    if (const auto since = c.channel.partial_since()) consider(*since + hb, "stuck mid-frame");
+    for (const auto& [job, due] : c.pending_setup) consider(due, "never answered SETUP");
+    return first;
+  }
+
   void serve(const std::atomic<bool>& stop_flag, const std::atomic<bool>* drain_flag,
              const std::atomic<bool>& abrupt_flag) {
     while (!stop_flag.load(std::memory_order_relaxed)) {
@@ -848,31 +877,18 @@ struct CampaignServer::Impl {
 
       std::vector<struct pollfd> pfds;
       std::vector<Conn*> polled;
+      std::vector<Clock::time_point> deadlines;
       pfds.push_back({listener.fd, POLLIN, 0});
       for (auto& c : conns) {
         if (c->dead) continue;
         pfds.push_back({c->channel.fd(), POLLIN, 0});
         polled.push_back(c.get());
-      }
-
-      const auto now = Clock::now();
-      const auto hb = std::chrono::milliseconds(config.heartbeat_timeout_ms);
-      std::vector<Clock::time_point> deadlines;
-      for (const Conn* c : polled) {
-        if (c->role == Conn::Role::kWorker && !c->inflight.empty()) {
-          deadlines.push_back(c->last_heard + hb);
-        }
-        // A peer that connected but never completed a first frame (e.g. its
-        // REGISTER/SUBMIT was chaos-dropped) must not hold a sniffing slot
-        // forever — bound it like any other silence.
-        if (c->role == Conn::Role::kSniffing) deadlines.push_back(c->last_heard + hb);
-        if (const auto since = c->channel.partial_since()) deadlines.push_back(*since + hb);
-        for (const auto& [job, due] : c->pending_setup) deadlines.push_back(due);
+        if (const auto due = overdue(*c)) deadlines.push_back(due->at);
       }
       for (const auto& [id, job] : jobs) {
         if (job.orphan_deadline) deadlines.push_back(*job.orphan_deadline);
       }
-      const int timeout = poll_timeout_ms(now, deadlines, 200);
+      const int timeout = poll_timeout_ms(Clock::now(), deadlines, 200);
       const int rc = ::poll(pfds.data(), pfds.size(), timeout);
       if (rc < 0) {
         if (errno == EINTR) continue;
@@ -922,26 +938,12 @@ struct CampaignServer::Impl {
         if (!stream_ok && !c.dead) kill_conn(c);
       }
 
-      // Wedge sweep: silent-while-busy workers, anyone stuck mid-frame,
-      // workers that never answered a job SETUP, and sniffing peers that
-      // never produced a first frame.
+      // Wedge sweep: drop every peer past its deadline.
       const auto sweep_now = Clock::now();
       for (Conn* c : polled) {
         if (c->dead) continue;
-        const auto since = c->channel.partial_since();
-        const bool wedged_partial = since.has_value() && sweep_now - *since > hb;
-        const bool busy_silent = c->role == Conn::Role::kWorker && !c->inflight.empty() &&
-                                 sweep_now - c->last_heard > hb;
-        const bool mute_sniffer =
-            c->role == Conn::Role::kSniffing && sweep_now - c->last_heard > hb;
-        bool hello_overdue = false;
-        for (const auto& [job, due] : c->pending_setup) hello_overdue |= sweep_now > due;
-        if (wedged_partial || busy_silent || hello_overdue || mute_sniffer) {
-          std::fprintf(stderr, "vps-serverd: dropping wedged peer (%s)\n",
-                       wedged_partial ? "stuck mid-frame"
-                       : busy_silent  ? "silent while holding work"
-                       : hello_overdue ? "never answered SETUP"
-                                       : "never spoke");
+        if (const auto due = overdue(*c); due && sweep_now > due->at) {
+          std::fprintf(stderr, "vps-serverd: dropping wedged peer (%s)\n", due->reason);
           kill_conn(*c);
         }
       }

@@ -34,7 +34,7 @@
 /// worker slot always goes to the admitted job with the fewest runs in
 /// flight.
 ///
-/// Supervision: a worker that hangs up, fails a send, goes silent past the
+/// Supervision: a worker that hangs up, fails a send, sends no frame for the
 /// heartbeat window while holding work, sits on a partial frame that long
 /// or leaves a SETUP unanswered past the hello timeout is declared dead and
 /// dropped; its in-flight runs are requeued (bounded per run — exhaustion

@@ -203,7 +203,7 @@ bool Channel::send_frame(MsgType type, std::string_view payload) {
       case ChaosPolicy::Action::kDrop:
         // Pretend the frame left: from this endpoint's view the send
         // succeeded; the peer just never hears it. Healing is the silence
-        // supervision (heartbeats, hello deadlines, client silence budget).
+        // supervision (server deadlines, the client's re-ASSIGN and budget).
         ++chaos_->counters().frames_dropped;
         ++stats_.frames_sent;
         stats_.bytes_sent += frame.size();

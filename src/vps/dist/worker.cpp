@@ -93,10 +93,7 @@ SessionEnd serve_pool_session(Channel& channel, const ScenarioBuilder& build,
                        ::getpid(), setup.scenario_spec.c_str());
           return SessionEnd::kFatal;
         }
-        HelloMsg hello;
-        hello.job = setup.job;
-        hello.pid = static_cast<std::uint64_t>(::getpid());
-        hello.scenario = state.scenario->name();
+        const HelloMsg hello{setup.job, state.scenario->name()};
         state.setup = std::move(setup);
         jobs[state.setup.job] = std::move(state);
         if (!channel.send_frame(MsgType::kHello, encode_hello(hello))) return SessionEnd::kLost;
@@ -113,8 +110,6 @@ SessionEnd serve_pool_session(Channel& channel, const ScenarioBuilder& build,
                         " this worker was never SETUP for");
         }
         const JobState& job = it->second;
-        if (!channel.send_frame(MsgType::kHeartbeat, encode_heartbeat({runs_done})))
-          return SessionEnd::kLost;
         ResultMsg result;
         result.job = assign.job;
         result.run = assign.run;

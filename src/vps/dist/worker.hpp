@@ -25,9 +25,8 @@ using ScenarioBuilder = std::function<std::unique_ptr<fault::Scenario>(const Set
 /// Runs one pool session on `channel`: the worker speaks first with
 /// REGISTER, then serves many campaigns at once — each job-tagged SETUP
 /// builds (and caches, keyed by job id) that job's scenario and answers
-/// HELLO; each ASSIGN is bracketed by a HEARTBEAT before the replay and a
-/// RESULT after it; RELEASE drops a finished job's cache; SHUTDOWN ends
-/// the session.
+/// HELLO; each ASSIGN is answered by a RESULT after its replay; RELEASE
+/// drops a finished job's cache; SHUTDOWN ends the session.
 ///
 /// Returns the process exit code: 0 after a clean SHUTDOWN, 2 when the
 /// server vanished (EOF), 3 on a protocol violation or scenario-build

@@ -19,19 +19,21 @@ struct Operand {
   std::string symbol;    // kSymbol
 };
 
-int parse_register(std::string_view tok, std::size_t line) {
-  std::string t = support::to_lower(std::string(trim(tok)));
+/// The register `tok` names, if any: r0–r15 in plain decimal, zero, sp or
+/// ra (any case). One rule for register operands and memory-operand bases.
+std::optional<int> register_number(std::string_view tok) {
+  const std::string t = support::to_lower(std::string(trim(tok)));
   if (t == "zero") return 0;
   if (t == "sp") return 14;
   if (t == "ra") return 13;
-  if (t.size() >= 2 && t[0] == 'r') {
-    try {
-      const long long n = support::parse_int(t.substr(1));
-      if (n >= 0 && n < kRegisterCount) return static_cast<int>(n);
-    } catch (const std::invalid_argument&) {
-    }
+  if (t.size() < 2 || t.size() > 3 || t[0] != 'r') return std::nullopt;
+  int n = 0;
+  for (const char c : t.substr(1)) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
+    n = 10 * n + (c - '0');
   }
-  throw AsmError(line, "bad register '" + std::string(tok) + "'");
+  if (n >= kRegisterCount) return std::nullopt;
+  return n;
 }
 
 std::optional<std::int64_t> try_parse_number(std::string_view tok) {
@@ -58,26 +60,16 @@ Operand parse_operand(std::string_view tok, std::size_t line) {
     const auto off = trim(std::string_view(t).substr(0, open));
     op.value = off.empty() ? 0 : try_parse_number(off).value_or(0);
     if (!off.empty() && !try_parse_number(off)) throw AsmError(line, "bad offset '" + t + "'");
-    op.reg = parse_register(t.substr(open + 1, t.size() - open - 2), line);
+    const std::string base = t.substr(open + 1, t.size() - open - 2);
+    const auto reg = register_number(base);
+    if (!reg) throw AsmError(line, "bad register '" + base + "'");
+    op.reg = *reg;
     return op;
   }
   if (const auto num = try_parse_number(t)) {
     return Operand{Operand::Kind::kImmediate, 0, *num, {}};
   }
-  // Register?
-  const std::string lower = support::to_lower(t);
-  if (lower == "zero" || lower == "sp" || lower == "ra" ||
-      (lower.size() >= 2 && lower[0] == 'r' &&
-       std::isdigit(static_cast<unsigned char>(lower[1])))) {
-    bool numeric_tail = lower.size() <= 3;
-    if (numeric_tail) {
-      try {
-        return Operand{Operand::Kind::kRegister, parse_register(t, line), 0, {}};
-      } catch (const AsmError&) {
-        // fall through to symbol
-      }
-    }
-  }
+  if (const auto reg = register_number(t)) return Operand{Operand::Kind::kRegister, *reg, 0, {}};
   Operand op;
   op.kind = Operand::Kind::kSymbol;
   op.symbol = t;
@@ -129,8 +121,17 @@ Program assemble(const std::string& source, std::uint32_t origin) {
 
   // --- tokenize into logical lines --------------------------------------
   std::map<std::string, std::uint32_t> labels;
-  std::uint32_t pc = origin;
+  std::uint64_t pc = origin;  // 64 bits wide, so that no directive can wrap it
   std::size_t line_no = 0;
+  // Every move of the location counter stays inside the 32-bit address
+  // space and the image under kMaxImageBytes.
+  const auto move_to = [&](std::uint64_t to) {
+    if (to > 0xFFFFFFFFu) throw AsmError(line_no, "location counter past 0xFFFFFFFF");
+    if (to - origin > kMaxImageBytes) {
+      throw AsmError(line_no, "image larger than " + std::to_string(kMaxImageBytes) + " bytes");
+    }
+    pc = to;
+  };
 
   std::vector<std::pair<Line, std::uint32_t>> placed;  // line + address
 
@@ -161,8 +162,10 @@ Program assemble(const std::string& source, std::uint32_t origin) {
       if (dir == ".org") {
         if (toks.size() != 2) throw AsmError(line_no, ".org needs one operand");
         const auto v = try_parse_number(toks[1]);
-        if (!v || *v < pc) throw AsmError(line_no, ".org must not move backwards");
-        pc = static_cast<std::uint32_t>(*v);
+        if (!v || *v < static_cast<std::int64_t>(pc)) {
+          throw AsmError(line_no, ".org must not move backwards");
+        }
+        move_to(static_cast<std::uint64_t>(*v));
         continue;
       }
       if (dir == ".word" || dir == ".space") {
@@ -171,17 +174,18 @@ Program assemble(const std::string& source, std::uint32_t origin) {
         for (const auto& part : support::split(rest, ',')) {
           if (!trim(part).empty()) l.operands.push_back(parse_operand(part, line_no));
         }
+        std::uint64_t size = 4 * l.operands.size();
         if (dir == ".space") {
-          if (l.operands.size() != 1 || l.operands[0].kind != Operand::Kind::kImmediate) {
-            throw AsmError(line_no, ".space needs an immediate size");
+          if (l.operands.size() != 1 || l.operands[0].kind != Operand::Kind::kImmediate ||
+              l.operands[0].value < 0) {
+            throw AsmError(line_no, ".space needs a non-negative immediate size");
           }
-          placed.emplace_back(std::move(l), pc);
-          pc += static_cast<std::uint32_t>(placed.back().first.operands[0].value);
-        } else {
-          if (l.operands.empty()) throw AsmError(line_no, ".word needs operands");
-          placed.emplace_back(std::move(l), pc);
-          pc += 4 * static_cast<std::uint32_t>(placed.back().first.operands.size());
+          size = static_cast<std::uint64_t>(l.operands[0].value);
+        } else if (l.operands.empty()) {
+          throw AsmError(line_no, ".word needs operands");
         }
+        placed.emplace_back(std::move(l), pc);
+        move_to(pc + size);
         continue;
       }
       throw AsmError(line_no, "unknown directive " + dir);
@@ -197,12 +201,11 @@ Program assemble(const std::string& source, std::uint32_t origin) {
     }
     const auto size = instruction_size(l.mnemonic);
     placed.emplace_back(std::move(l), pc);
-    pc += static_cast<std::uint32_t>(size);
+    move_to(pc + size);
   }
 
   // --- second pass: encode ----------------------------------------------
-  const std::uint32_t image_end = pc;
-  prog.image.assign(image_end - origin, 0);
+  prog.image.assign(pc - origin, 0);
   prog.labels = labels;
 
   auto put32 = [&](std::uint32_t addr, std::uint32_t value) {

@@ -12,6 +12,10 @@
 
 namespace vps::hw {
 
+/// Largest image assemble() lays out (origin to the end of the last item),
+/// far above any firmware in this repository (at most a few hundred bytes).
+inline constexpr std::uint64_t kMaxImageBytes = 16u << 20;
+
 /// Assembled image plus symbol table.
 struct Program {
   std::uint32_t origin = 0;

@@ -83,6 +83,10 @@ TEST(Assembler, EncodesBasicProgram) {
   EXPECT_EQ(d.opcode, Opcode::kAddi);
   EXPECT_EQ(d.rd, 1);
   EXPECT_EQ(d.imm16, 5);
+
+  // Register operands and memory-operand bases take the same names.
+  EXPECT_EQ(assemble("add r1, zero, r2\naddi sp, ZERO, 1\nlw r1, 0(zero)\nsw ra, 4(sp)").image,
+            assemble("add r1, r0, r2\naddi r14, r0, 1\nlw r1, 0(r0)\nsw r13, 4(r14)").image);
 }
 
 TEST(Assembler, ErrorsCarryLineNumbers) {
@@ -101,6 +105,24 @@ TEST(Assembler, ErrorsCarryLineNumbers) {
   EXPECT_THROW((void)assemble("x: nop\nx: nop"), AsmError);       // dup label
   EXPECT_THROW((void)assemble("j nowhere"), AsmError);            // undefined
   EXPECT_THROW((void)assemble(".org 8\n.org 0"), AsmError);       // backwards
+
+  // A register is r0-r15 in plain decimal, zero, sp or ra; no sign, no hex.
+  // The location counter may not wrap past 2^32 nor the image grow past
+  // kMaxImageBytes (the second pass allocates it).
+  const std::string too_big = std::to_string(kMaxImageBytes + 1);
+  for (const std::string& source : std::vector<std::string>{
+           "nop\nlw r1, 8(r+1)\n", "nop\nlw r1, 8(r0x5)\n", "nop\nlw r1, 8(r16)\n",
+           "nop\nnop\n.space -4\n", "nop\nnop\n.org 0x100000004\nhere: nop\n",
+           "nop\nnop\n.org 0x100000000\nnop\n", "nop\nnop\n.space " + too_big + "\n",
+           "nop\nnop\n.org " + too_big + "\n"}) {
+    try {
+      (void)assemble(source);
+      ADD_FAILURE() << "expected AsmError: " << source;
+    } catch (const AsmError& e) {
+      EXPECT_EQ(e.line(), source.starts_with("nop\nnop\n") ? 3u : 2u) << source;
+    }
+  }
+  EXPECT_EQ(assemble(".space " + std::to_string(kMaxImageBytes)).size(), kMaxImageBytes);
 }
 
 TEST(Assembler, DirectivesAndLiterals) {

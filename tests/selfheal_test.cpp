@@ -223,7 +223,7 @@ TEST(TransportTest, LargeTransferSurvivesASignalStorm) {
   });
 
   bool sent = false;
-  std::thread sender([&] { sent = tx.send_frame(MsgType::kHeartbeat, payload); });
+  std::thread sender([&] { sent = tx.send_frame(MsgType::kResult, payload); });
   std::optional<Frame> frame;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (!frame.has_value() && std::chrono::steady_clock::now() < deadline) {
@@ -236,7 +236,7 @@ TEST(TransportTest, LargeTransferSurvivesASignalStorm) {
 
   EXPECT_TRUE(sent);
   ASSERT_TRUE(frame.has_value()) << "transfer never completed under the storm";
-  EXPECT_EQ(frame->type, MsgType::kHeartbeat);
+  EXPECT_EQ(frame->type, MsgType::kResult);
   EXPECT_EQ(frame->payload, payload);
 }
 
@@ -248,16 +248,20 @@ TEST(CampaignServerTest, V1ClientSubmitGetsRejectThenClose) {
   CampaignServer server{ServerConfig{}};
   server.start();
 
-  Channel c(tcp_connect(kHost, server.port()));
-  SubmitMsg submit = tiny_submit("old");
-  submit.version = 1;
-  ASSERT_TRUE(c.send_frame(MsgType::kSubmit, encode_submit(submit)));
-  const auto reply = c.wait_frame(5000);
-  ASSERT_TRUE(reply.has_value()) << "a version mismatch must answer, not hang";
-  ASSERT_EQ(reply->type, MsgType::kReject);
-  EXPECT_NE(decode_reject(reply->payload).reason.find("protocol"), std::string::npos);
-  EXPECT_FALSE(c.wait_frame(5000).has_value());
-  EXPECT_FALSE(c.open()) << "a v1 peer must be disconnected after the REJECT";
+  // v3 (the last protocol with HEARTBEAT) is turned away like v1.
+  for (const std::uint32_t version : {1u, 3u}) {
+    Channel c(tcp_connect(kHost, server.port()));
+    SubmitMsg submit = tiny_submit("old");
+    submit.version = version;
+    ASSERT_TRUE(c.send_frame(MsgType::kSubmit, encode_submit(submit)));
+    const auto reply = c.wait_frame(5000);
+    ASSERT_TRUE(reply.has_value()) << "a version mismatch must answer, not hang";
+    ASSERT_EQ(reply->type, MsgType::kReject);
+    EXPECT_NE(decode_reject(reply->payload).reason.find("protocol v" + std::to_string(version)),
+              std::string::npos);
+    EXPECT_FALSE(c.wait_frame(5000).has_value());
+    EXPECT_FALSE(c.open()) << "a v" << version << " peer must be disconnected after the REJECT";
+  }
   server.stop();
 }
 
@@ -265,17 +269,20 @@ TEST(CampaignServerTest, V1WorkerRegisterGetsRejectThenClose) {
   CampaignServer server{ServerConfig{}};
   server.start();
 
-  Channel w(tcp_connect(kHost, server.port()));
-  RegisterMsg reg;
-  reg.version = 1;
-  reg.pid = 123;
-  ASSERT_TRUE(w.send_frame(MsgType::kRegister, encode_register(reg)));
-  const auto reply = w.wait_frame(5000);
-  ASSERT_TRUE(reply.has_value());
-  ASSERT_EQ(reply->type, MsgType::kReject);
-  EXPECT_NE(decode_reject(reply->payload).reason.find("protocol"), std::string::npos);
-  EXPECT_FALSE(w.wait_frame(5000).has_value());
-  EXPECT_FALSE(w.open());
+  for (const std::uint32_t version : {1u, 3u}) {
+    Channel w(tcp_connect(kHost, server.port()));
+    RegisterMsg reg;
+    reg.version = version;
+    reg.pid = 123;
+    ASSERT_TRUE(w.send_frame(MsgType::kRegister, encode_register(reg)));
+    const auto reply = w.wait_frame(5000);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::kReject);
+    EXPECT_NE(decode_reject(reply->payload).reason.find("protocol v" + std::to_string(version)),
+              std::string::npos);
+    EXPECT_FALSE(w.wait_frame(5000).has_value());
+    EXPECT_FALSE(w.open()) << "a v" << version << " peer must be disconnected after the REJECT";
+  }
   server.stop();
 }
 
