@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -133,7 +134,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(fs.chaos_frames_dropped),
       static_cast<unsigned long long>(fs.chaos_bytes_corrupted));
 
+  // Every campaign is folded. A pool worker between sessions would retry the
+  // stopped server's port until its reconnect budget ran out: end the pool.
   server.stop();
+  for (pid_t pid : pool) ::kill(pid, SIGTERM);
   for (pid_t pid : pool) reap(pid);
 
   // 5. The verdict CI depends on: byte-identical folded JSONL.

@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -164,7 +165,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fa.chaos_frames_dropped + fb.chaos_frames_dropped),
               static_cast<unsigned long long>(fa.chaos_bytes_corrupted + fb.chaos_bytes_corrupted));
 
+  // Every campaign is folded. A pool worker between sessions would retry the
+  // stopped server's port until its reconnect budget ran out: end the pool.
   server.stop();
+  for (pid_t pid : pool) ::kill(pid, SIGTERM);
   for (pid_t pid : pool) reap(pid);
 
   // 5. Determinism verdict: both traced chaotic folds byte-identical to solo.

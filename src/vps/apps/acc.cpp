@@ -39,7 +39,7 @@ struct Plant {
 /// so epoch capture is a copy).
 struct AccState {
   Plant plant{};
-  support::Xorshift noise{0};  ///< radar measurement noise
+  std::size_t noise_cursor = 0;  ///< index of the next radar noise draw
   double commanded_accel = 0.0;
   Time last_command = Time::zero();
   std::uint64_t stale_command_events = 0;
@@ -68,6 +68,7 @@ struct AccEpochSnapshot {
 struct AccSystem {
   sim::Kernel kernel;
   ecu::OsScheduler os;
+  support::NormalTape& noise;  ///< the seed's radar noise, shared by every replay
   AccState state;
   fault::AnalogChannel radar;
   fault::InjectorHub hub;
@@ -75,13 +76,15 @@ struct AccSystem {
   double desired_gap = 0.0;
   Time staleness_limit;
 
-  AccSystem(const AccConfig& cfg, std::uint64_t seed)
+  AccSystem(const AccConfig& cfg, std::uint64_t /*seed*/, support::NormalTape& radar_noise)
       : os(kernel, "acc_os"),
+        noise(radar_noise),
         state{.plant = {cfg.initial_gap_m, cfg.ego_speed_mps, 0.0, cfg.ego_speed_mps, 0.0,
-                        cfg.initial_gap_m},
-              .noise = support::Xorshift(seed)},
+                        cfg.initial_gap_m}},
         // Radar distance sensor with seed-dependent measurement noise.
-        radar([this] { return state.plant.gap_m + state.noise.normal(0.0, 0.05); }),
+        radar([this] {
+          return state.plant.gap_m + noise.draw(state.noise_cursor++, 0.0, 0.05);
+        }),
         hub(kernel),
         desired_gap(0.9 * cfg.ego_speed_mps),  // ~0.9s time gap
         staleness_limit(cfg.control_period * 3) {

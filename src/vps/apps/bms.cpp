@@ -269,6 +269,7 @@ double mission_runaway(const BmsConfig& cfg, Time t) {
 
 /// Plain-data ECU software state (one struct so epoch capture is a copy).
 struct EcuState {
+  std::size_t noise_cursor = 0;  ///< the next sensor reading's draw on the noise tape
   std::array<double, kCells> meas_v{};
   std::array<double, kCells> meas_t{};
   double meas_i = 0.0;
@@ -321,7 +322,6 @@ struct BmsEpochSnapshot {
   sim::KernelSnapshot kernel;
   ecu::OsScheduler::Snapshot os;
   Pack pack{};
-  support::Xorshift noise{0};
   std::array<fault::AnalogChannel::Snapshot, kChannelCount> channels{};
   hw::Uart::Snapshot uart;
   sim::Signal<bool>::Snapshot relay;
@@ -338,7 +338,7 @@ struct BmsSystem {
   sim::Kernel kernel;
   ecu::OsScheduler os;
   Pack pack;
-  support::Xorshift noise;
+  support::NormalTape& noise;  ///< the seed's sensor noise, read at ecu.noise_cursor
   std::vector<fault::AnalogChannel> channels;
   hw::Uart uart;
   sim::Signal<bool> relay;
@@ -352,10 +352,10 @@ struct BmsSystem {
   ecu::TaskId soc_task = 0;
   ecu::TaskId telemetry_task = 0;
 
-  BmsSystem(const BmsConfig& config, std::uint64_t seed)
+  BmsSystem(const BmsConfig& config, std::uint64_t /*seed*/, support::NormalTape& sensor_noise)
       : cfg(config),
         os(kernel, "bms_os"),
-        noise(seed),
+        noise(sensor_noise),
         uart(kernel, "bms_uart"),
         relay(kernel, "bms.contactor", true),
         engine(config.correlation),
@@ -365,14 +365,17 @@ struct BmsSystem {
     // current — the fault space addresses them by this index.
     channels.reserve(kChannelCount);
     for (std::size_t i = 0; i < kCells; ++i) {
-      channels.emplace_back(
-          [this, i] { return pack.cell_voltage(i) + noise.normal(0.0, 0.003); });
+      channels.emplace_back([this, i] {
+        return pack.cell_voltage(i) + noise.draw(ecu.noise_cursor++, 0.0, 0.003);
+      });
     }
     for (std::size_t i = 0; i < kCells; ++i) {
-      channels.emplace_back(
-          [this, i] { return pack.cells[i].temp_c + noise.normal(0.0, 0.1); });
+      channels.emplace_back([this, i] {
+        return pack.cells[i].temp_c + noise.draw(ecu.noise_cursor++, 0.0, 0.1);
+      });
     }
-    channels.emplace_back([this] { return pack.current_a + noise.normal(0.0, 0.3); });
+    channels.emplace_back(
+        [this] { return pack.current_a + noise.draw(ecu.noise_cursor++, 0.0, 0.3); });
 
     // Physical world (the plant does not miss deadlines).
     kernel.spawn("bms.plant", plant_loop());
@@ -591,7 +594,6 @@ struct BmsSystem {
     e.kernel = kernel.snapshot();
     e.os = os.snapshot();
     e.pack = pack;
-    e.noise = noise;
     for (std::size_t i = 0; i < kChannelCount; ++i) e.channels[i] = channels[i].snapshot();
     e.uart = uart.snapshot();
     e.relay = relay.snapshot();
@@ -603,7 +605,6 @@ struct BmsSystem {
     kernel.restore(e.kernel);
     os.restore(e.os);
     pack = e.pack;
-    noise = e.noise;
     for (std::size_t i = 0; i < kChannelCount; ++i) channels[i].restore(e.channels[i]);
     uart.restore(e.uart);
     relay.restore(e.relay);

@@ -219,7 +219,9 @@ struct CapsSystem {
   obs::ProvenanceTracker tracker;
   obs::ProvenanceTracker* prov = nullptr;
 
-  CapsSystem(const CapsConfig& cfg, std::uint64_t seed)
+  /// Takes the seed's noise tape and leaves it alone: road noise is one
+  /// cheap uniform() draw per sample.
+  CapsSystem(const CapsConfig& cfg, std::uint64_t seed, support::NormalTape& /*noise*/)
       : seed(seed),
         bus(kernel, "can0", 500000),
         airbag(kernel, "airbag", platform_config(cfg)),

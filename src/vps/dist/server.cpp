@@ -577,6 +577,15 @@ struct CampaignServer::Impl {
           kill_conn(c);
           return;
         }
+        if (msg.run >= it->second.submit.config.runs) {
+          std::fprintf(stderr,
+                       "vps-serverd: ASSIGN of run %llu in job %llu of %zu runs — dropping "
+                       "client\n",
+                       static_cast<unsigned long long>(msg.run),
+                       static_cast<unsigned long long>(msg.job), it->second.submit.config.runs);
+          kill_conn(c);
+          return;
+        }
         // A client re-ASSIGNs every run it has no verdict for after a
         // reattach or a heartbeat window without a frame. A run past its
         // requeue budget gets its kept verdict again, never a worker; a run

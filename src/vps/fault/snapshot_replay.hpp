@@ -2,13 +2,16 @@
 
 /// Snapshot-and-fork replay core shared by every scenario twin (DESIGN.md
 /// sec. 6 "Replay engine"). A twin defines only its system model; this class
-/// owns the per-seed golden epoch cache, the choice of the epoch a faulty
-/// replay forks from, and the full-replay fallbacks.
+/// owns the two per-seed caches, the golden epochs and the seed's noise tape,
+/// the choice of the epoch a faulty replay forks from, and the full-replay
+/// fallbacks.
 ///
 /// System contract:
-///   - `System(const Config&, std::uint64_t seed)` builds a fresh system in a
-///     fixed construction order (kernel ordinal identity is the restore
-///     precondition);
+///   - `System(const Config&, std::uint64_t seed, support::NormalTape& noise)`
+///     builds a fresh system in a fixed construction order (kernel ordinal
+///     identity is the restore precondition); `noise` holds the normal
+///     stream of `Xorshift(seed)`, and a system that draws from it keeps its
+///     cursor in the state it captures and restores;
 ///   - a `sim::Kernel kernel` member;
 ///   - `inject(const FaultDescriptor&)` spawns one process that schedules the
 ///     fault — during elaboration on a full replay, right after restore() on
@@ -27,6 +30,7 @@
 #include "vps/fault/descriptor.hpp"
 #include "vps/fault/scenario.hpp"
 #include "vps/sim/kernel.hpp"
+#include "vps/support/rng.hpp"
 
 namespace vps::fault {
 
@@ -47,16 +51,23 @@ class SnapshotReplay {
   /// suffix — everything at exactly inject_at must still execute after the
   /// injection. A cold cache or one for another seed is captured first; with
   /// no epoch before the injection, or after a golden livelock, the run is a
-  /// full replay. Bitwise identical results either way.
+  /// full replay. Bitwise identical results either way. Every system built
+  /// here, golden, forked or full, reads the one noise tape of `seed`.
   template <class Config, class Finish>
   Observation run(const Config& cfg, const FaultDescriptor* fault, std::uint64_t seed, bool fork,
                   Finish&& finish) {
-    if (fork && fault != nullptr && !(valid_ && seed_ == seed)) {
-      System golden(cfg, seed);
-      (void)capture(golden, cfg, seed);
+    if (seed != seed_) {
+      seed_ = seed;
+      valid_ = false;
+      epochs_.clear();
+      noise_.reset(seed);
     }
-    System sys(cfg, seed);
-    if (fork && fault == nullptr) return finish(sys, capture(sys, cfg, seed));
+    if (fork && fault != nullptr && !valid_) {
+      System golden(cfg, seed, noise_);
+      (void)capture(golden, cfg);
+    }
+    System sys(cfg, seed, noise_);
+    if (fork && fault == nullptr) return finish(sys, capture(sys, cfg));
     if (fault != nullptr) {
       const Snapshot* epoch = nullptr;
       for (const Snapshot& e : epochs_) {
@@ -74,9 +85,8 @@ class SnapshotReplay {
   /// where Kernel::run returns, never the event order. A budget trip (a
   /// golden livelock) leaves no cache and is reported as-is.
   template <class Config>
-  sim::RunStatus capture(System& sys, const Config& cfg, std::uint64_t seed) {
+  sim::RunStatus capture(System& sys, const Config& cfg) {
     valid_ = false;
-    seed_ = seed;
     epochs_.clear();
     epochs_.reserve(kReplayEpochs - 1);
     for (std::size_t k = 1; k < kReplayEpochs; ++k) {
@@ -93,9 +103,10 @@ class SnapshotReplay {
     return status;
   }
 
-  std::uint64_t seed_ = 0;
+  std::uint64_t seed_ = 0;  ///< the seed both caches hold
   bool valid_ = false;
   std::vector<Snapshot> epochs_;  ///< quiescent at epochs_[i].kernel.now, increasing
+  support::NormalTape noise_{seed_};
 };
 
 }  // namespace vps::fault

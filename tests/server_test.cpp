@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -679,8 +680,9 @@ bool dropped(Channel& link) {
 TEST(CampaignServerTest, EachProtocolBreachCostsOnlyItsOwnConnection) {
   // Three scripted workers each take two runs of a tenant's campaign and
   // then break the protocol: a HELLO for a job never SETUP, a frame only
-  // clients send, a frame type v4 does not define. Two scripted clients
-  // ASSIGN into a job they do not own and send a frame only workers send.
+  // clients send, a frame type v4 does not define. Three scripted clients
+  // ASSIGN into a job they do not own, send a frame only workers send, and
+  // ASSIGN a run their own job does not have.
   // Each must lose exactly its own connection, a dropped worker's runs must
   // requeue, and the tenant must fold as it does solo once a real pool
   // worker joins.
@@ -781,6 +783,13 @@ TEST(CampaignServerTest, EachProtocolBreachCostsOnlyItsOwnConnection) {
         ASSERT_TRUE(client.send_frame(MsgType::kResult, result_for(own_job, 0)));
         EXPECT_TRUE(dropped(client)) << "a client sent RESULT";
       }
+    }
+    // Runs 0-3 are all a 4-run job has; one past them or far past costs the
+    // link before anything is queued.
+    for (const std::uint64_t run : {std::uint64_t{4}, std::numeric_limits<std::uint64_t>::max()}) {
+      auto [client, own_job] = submit_job(server.port(), tiny_submit("rogue"));
+      ASSERT_TRUE(assign(client, own_job, run));
+      EXPECT_TRUE(dropped(client)) << "ASSIGN of run " << run << " into a 4-run job";
     }
   };
   breach();

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "vps/obs/provenance.hpp"
 #include "vps/sim/kernel.hpp"
 #include "vps/support/ensure.hpp"
+#include "vps/support/rng.hpp"
 
 namespace {
 
@@ -191,10 +195,12 @@ TEST(SnapshotReplay, ParallelCampaignEquivalenceAcrossWorkers) {
 // --------------------------------------------------------------------------
 
 /// What the toy system's restore() saw: how often it ran, and the instant
-/// of the last epoch it overlaid.
+/// of the last epoch it overlaid; and the first noise value the last run
+/// from time zero drew.
 struct ToyProbe {
   std::size_t restores = 0;
   Time restored_from = Time::max();
+  double first_noise = 0.0;
 };
 
 struct ToyConfig {
@@ -208,22 +214,27 @@ struct ToyConfig {
 struct ToySnapshot {
   sim::KernelSnapshot kernel;
   std::uint64_t counter = 0;
+  std::size_t noise_cursor = 0;
   bool tick_pending = false;
 };
 
 /// The smallest system the replay core accepts: a 1 ms tick folds the time
-/// into a seed-dependent counter, and the fault XORs its id into the counter
-/// at inject_at. The tick does not commute with the XOR, so an injection
-/// ordered one event early or late changes the result.
+/// and one draw of the seed's noise tape into a seed-dependent counter, and
+/// the fault XORs its id into the counter at inject_at. The tick does not
+/// commute with the XOR, so an injection ordered one event early or late
+/// changes the result; a tape left on another seed's stream, or a cursor a
+/// restore does not carry over, does too.
 struct ToySystem {
   sim::Kernel kernel;
   sim::Event storm{kernel, "toy.storm"};
   ToyProbe* probe;
+  support::NormalTape& noise;
   std::uint64_t counter;
+  std::size_t noise_cursor = 0;
   bool tick_pending = false;
 
-  ToySystem(const ToyConfig& cfg, std::uint64_t seed)
-      : probe(cfg.probe), counter(seed) {
+  ToySystem(const ToyConfig& cfg, std::uint64_t seed, support::NormalTape& tape)
+      : probe(cfg.probe), noise(tape), counter(seed) {
     kernel.spawn("toy.tick", tick_loop());
     if (cfg.storm_at != Time::max()) {
       kernel.method("toy.feedback", [this] { storm.notify(); }, {&storm}, /*initialize=*/false);
@@ -235,7 +246,10 @@ struct ToySystem {
     for (;;) {
       if (tick_pending) {
         tick_pending = false;
-        counter = counter * 6364136223846793005ULL + kernel.now().picoseconds();
+        const double z = noise.draw(noise_cursor++, 0.0, 1.0);
+        if (noise_cursor == 1) probe->first_noise = z;
+        counter = counter * 6364136223846793005ULL + kernel.now().picoseconds() +
+                  std::bit_cast<std::uint64_t>(z);
       }
       tick_pending = true;
       co_await sim::delay(Time::ms(1));
@@ -252,12 +266,14 @@ struct ToySystem {
   void capture(ToySnapshot& s) const {
     s.kernel = kernel.snapshot();
     s.counter = counter;
+    s.noise_cursor = noise_cursor;
     s.tick_pending = tick_pending;
   }
 
   void restore(const ToySnapshot& s) {
     kernel.restore(s.kernel);
     counter = s.counter;
+    noise_cursor = s.noise_cursor;
     tick_pending = s.tick_pending;
     ++probe->restores;
     probe->restored_from = s.kernel.now;
@@ -332,6 +348,10 @@ TEST(SnapshotReplayCore, AlternatingSeedsRecaptureOnOneInstance) {
   for (const std::uint64_t seed : {std::uint64_t{11}, std::uint64_t{22}, std::uint64_t{11}}) {
     (void)check_toy(forked, cfg, &fault, seed, "seed " + std::to_string(seed));
     EXPECT_EQ(probe.restores, ++restores) << "seed " << seed;
+    // The systems of both instances read the tape of the seed they ran.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(probe.first_noise),
+              std::bit_cast<std::uint64_t>(support::Xorshift(seed).normal()))
+        << "seed " << seed;
   }
 }
 

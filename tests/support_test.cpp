@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -108,6 +110,63 @@ TEST(Rng, NormalMoments) {
   for (int i = 0; i < 100000; ++i) acc.add(rng.normal(5.0, 2.0));
   EXPECT_NEAR(acc.mean(), 5.0, 0.05);
   EXPECT_NEAR(acc.stddev(), 2.0, 0.05);
+}
+
+TEST(NormalTape, IsXorshiftNormalBitForBit) {
+  // The twins' sensor scales (BMS cell voltage, cell temperature, pack
+  // current; ACC radar gap) and a few nonzero means, cycled per draw.
+  constexpr std::array<std::array<double, 2>, 7> kScales{{{0.0, 0.003},
+                                                          {0.0, 0.1},
+                                                          {0.0, 0.3},
+                                                          {0.0, 0.05},
+                                                          {3.7, 0.003},
+                                                          {-20.0, 0.1},
+                                                          {120.0, 2.5}}};
+  constexpr std::size_t kDraws = 100'000;
+  constexpr std::uint64_t kSeed = 2026;
+  Xorshift rng(kSeed);
+  std::vector<std::uint64_t> want(kDraws);
+  for (std::size_t k = 0; k < kDraws; ++k) {
+    const auto [mean, stddev] = kScales[k % kScales.size()];
+    want[k] = std::bit_cast<std::uint64_t>(rng.normal(mean, stddev));
+  }
+  const auto mismatches = [&](NormalTape& tape, std::size_t from, std::size_t to) {
+    std::size_t bad = 0;
+    for (std::size_t k = from; k < to; ++k) {
+      const auto [mean, stddev] = kScales[k % kScales.size()];
+      if (std::bit_cast<std::uint64_t>(tape.draw(k, mean, stddev)) != want[k]) ++bad;
+    }
+    return bad;
+  };
+
+  NormalTape tape(kSeed);
+  EXPECT_EQ(mismatches(tape, 0, kDraws), 0u) << "front to back";
+  EXPECT_EQ(mismatches(tape, 0, kDraws), 0u) << "second pass over the filled tape";
+
+  // A first read mid-stream, at an even and at an odd cursor (a restored
+  // epoch's cursor can sit mid-pair), fills a fresh tape up to it.
+  for (const std::size_t start : {std::size_t{40'000}, std::size_t{40'001}}) {
+    NormalTape fresh(kSeed);
+    EXPECT_EQ(mismatches(fresh, start, kDraws), 0u) << "first read at " << start;
+  }
+
+  // A copied cursor resumes where its original stopped, mid-pair included.
+  NormalTape shared(kSeed);
+  std::size_t cursor = 0;
+  while (cursor < 12'345) {
+    const auto [mean, stddev] = kScales[cursor % kScales.size()];
+    const double got = shared.draw(cursor, mean, stddev);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got), want[cursor]) << "draw " << cursor;
+    ++cursor;
+  }
+  const std::size_t copy = cursor;
+  EXPECT_EQ(mismatches(shared, copy, kDraws), 0u) << "resumed at " << copy;
+
+  // reset() puts a tape that holds another seed's stream back on this one.
+  NormalTape reused(kSeed + 1);
+  (void)reused.draw(999, 0.0, 1.0);
+  reused.reset(kSeed);
+  EXPECT_EQ(mismatches(reused, 0, kDraws), 0u) << "after reset";
 }
 
 TEST(Rng, WeightedFollowsWeights) {
