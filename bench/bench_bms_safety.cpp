@@ -13,6 +13,8 @@
 //   (d) Snapshot-and-fork replay cost: median per-run wall time, full
 //       replay vs forking from the cached golden epoch, on the same
 //       fault list — equivalence of the results is asserted, not assumed.
+//       The full replays' UART bytes landed in place (DESIGN.md sec. 13)
+//       must be at least 90 % of those delivered.
 //
 // Usage: bench_bms_safety [runs]   (faults per mission, default 240; a
 // bad argument prints a usage line and exits 64)
@@ -145,8 +147,19 @@ bool same_observation(const fault::Observation& a, const fault::Observation& b) 
          a.provenance.size() == b.provenance.size();
 }
 
-/// Returns the number of forked replays that differ from their full replay.
-std::size_t bench_fork_cost(std::size_t runs) {
+struct ForkCost {
+  std::size_t mismatches = 0;  ///< forked replays that differ from their full replay
+  std::uint64_t bytes_delivered = 0;  ///< UART bytes of the full replays
+  std::uint64_t bytes_in_place = 0;   ///< of them, landed in place
+};
+
+double in_place_share(const ForkCost& cost) {
+  return cost.bytes_delivered == 0 ? 0.0
+                                   : static_cast<double>(cost.bytes_in_place) /
+                                         static_cast<double>(cost.bytes_delivered);
+}
+
+ForkCost bench_fork_cost(std::size_t runs) {
   const apps::BmsConfig config = mission_config(apps::BmsMission::kThermalRunaway, false);
   apps::BmsScenario full(config);
   apps::BmsScenario forked(config);
@@ -166,22 +179,27 @@ std::size_t bench_fork_cost(std::size_t runs) {
   (void)forked.run(nullptr, cfg.seed);
 
   std::vector<double> t_full, t_forked;
-  std::size_t mismatches = 0;
+  ForkCost cost;
   for (const auto& f : faults) {
     auto t0 = Clock::now();
     const auto a = full.run(&f, cfg.seed);
     t_full.push_back(seconds_since(t0));
+    cost.bytes_delivered += full.last_diagnostics().uart_bytes_delivered;
+    cost.bytes_in_place += full.last_diagnostics().uart_bytes_in_place;
     t0 = Clock::now();
     const auto b = forked.run(&f, cfg.seed);
     t_forked.push_back(seconds_since(t0));
-    mismatches += same_observation(a, b) ? 0 : 1;
+    cost.mismatches += same_observation(a, b) ? 0 : 1;
   }
   const double mf = median(t_full), mk = median(t_forked);
   std::printf("== snapshot-and-fork replay cost (runaway, %zu faults) ==\n\n", faults.size());
   std::printf("  full replay     median %7.2f ms/run\n", mf * 1e3);
-  std::printf("  forked replay   median %7.2f ms/run   speedup %.2fx   mismatches: %zu\n\n",
-              mk * 1e3, mk > 0 ? mf / mk : 0.0, mismatches);
-  return mismatches;
+  std::printf("  forked replay   median %7.2f ms/run   speedup %.2fx   mismatches: %zu\n",
+              mk * 1e3, mk > 0 ? mf / mk : 0.0, cost.mismatches);
+  std::printf("  UART bytes landed in place (full replays): %llu of %llu delivered (%.1f %%)\n\n",
+              static_cast<unsigned long long>(cost.bytes_in_place),
+              static_cast<unsigned long long>(cost.bytes_delivered), 100.0 * in_place_share(cost));
+  return cost;
 }
 
 }  // namespace
@@ -229,7 +247,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", per_type.render().c_str());
 
   report_fmeda(runaway, 12.0);
-  const std::size_t mismatches = bench_fork_cost(std::min<std::size_t>(runs, 32));
+  const ForkCost cost = bench_fork_cost(std::min<std::size_t>(runs, 32));
 
   std::printf(
       "Expected shape: UART line errors are caught by the parity/framing/CRC\n"
@@ -241,8 +259,13 @@ int main(int argc, char** argv) {
       "detection is fast. Killing the thermal task is the dangerous\n"
       "population: the runaway reaches the hazard temperature with the\n"
       "contactor still closed.\n");
-  if (mismatches != 0) {
-    std::printf("BUG: %zu forked replays differ from their full replay\n", mismatches);
+  if (cost.mismatches != 0) {
+    std::printf("BUG: %zu forked replays differ from their full replay\n", cost.mismatches);
+    return 1;
+  }
+  if (in_place_share(cost) < 0.9) {
+    std::printf("BUG: only %.1f %% of the UART bytes landed in place (floor 90 %%)\n",
+                100.0 * in_place_share(cost));
     return 1;
   }
   return 0;

@@ -661,6 +661,8 @@ struct BmsSystem {
   d.telemetry_timeouts = sys.ecu.telemetry_timeouts;
   d.uart_parity_errors = sys.uart.parity_errors();
   d.uart_framing_errors = sys.uart.framing_errors();
+  d.uart_bytes_delivered = sys.uart.bytes_delivered();
+  d.uart_bytes_in_place = sys.uart.bytes_in_place();
   d.deadline_misses = sys.os.total_deadline_misses();
   return d;
 }

@@ -191,6 +191,10 @@ struct BmsDiagnostics {
   std::uint64_t telemetry_timeouts = 0;
   std::uint64_t uart_parity_errors = 0;
   std::uint64_t uart_framing_errors = 0;
+  std::uint64_t uart_bytes_delivered = 0;
+  /// Of this run's bytes: those landed in place (hw::Uart::bytes_in_place,
+  /// counted from the fork on a forked replay, from time 0 on a full one).
+  std::uint64_t uart_bytes_in_place = 0;
   std::uint64_t deadline_misses = 0;
 };
 

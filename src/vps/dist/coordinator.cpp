@@ -92,7 +92,7 @@ void publish_fleet(const FleetStats& stats, obs::MetricRegistry& metrics) {
 class LocalPool {
  public:
   LocalPool(const fault::ScenarioFactory& factory, const DistConfig& config)
-      : server_(private_server_config(config)) {
+      : server_(private_server_config(config)), window_(config.heartbeat_timeout_ms) {
     server_.on_worker_death([this](const CampaignServer::WorkerDeath& death) {
       const std::lock_guard<std::mutex> lock(mutex_);
       dropped_.push_back(death);
@@ -148,7 +148,7 @@ class LocalPool {
       stats.requeued_runs += death.requeued;
       stats.crashed_runs += death.crashed;
       for (pid_t& child : children_) {
-        if (child > 0 && static_cast<std::uint64_t>(child) == death.pid) reap(child, SIGKILL);
+        if (child > 0 && static_cast<std::uint64_t>(child) == death.pid) reap(child);
       }
     }
     dropped_.clear();
@@ -164,12 +164,22 @@ class LocalPool {
   }
 
   /// Orderly end, after the client RELEASEd its job: the server SHUTDOWNs
-  /// every live worker, and each child is waited for, never killed — a pool
-  /// worker destroys its scenarios on RELEASE and SHUTDOWN before it exits.
+  /// every live worker, and the children get one heartbeat window to exit
+  /// on their own — a pool worker destroys its scenarios on RELEASE and
+  /// SHUTDOWN before it exits. A child still alive then is SIGKILLed and
+  /// reaped: one still replaying a run the client re-sent after its
+  /// verdict was on the wire, or one whose teardown hangs, must not hold
+  /// the campaign.
   void shutdown(FleetStats& stats) {
     server_.stop();
     collect_deaths(stats);
-    for (pid_t& child : children_) reap(child, 0);
+    const Clock::time_point deadline = Clock::now() + window_;
+    Clock::duration pause = std::chrono::microseconds(50);
+    for (Clock::time_point now = Clock::now(); any_alive() && now < deadline; now = Clock::now()) {
+      std::this_thread::sleep_for(std::min(pause, deadline - now));
+      pause = std::min<Clock::duration>(pause * 2, std::chrono::milliseconds(5));
+    }
+    for (pid_t& child : children_) reap(child);
   }
 
   /// Asks the server to exit once the job table is empty, so that the
@@ -208,10 +218,10 @@ class LocalPool {
     ::_exit(code);
   }
 
-  /// Waits for `child` after sending it `signal` (0 = none); clears the pid.
-  static void reap(pid_t& child, int signal) {
+  /// SIGKILLs `child` and waits for it; clears the pid.
+  static void reap(pid_t& child) {
     if (child <= 0) return;
-    if (signal != 0) ::kill(child, signal);
+    ::kill(child, SIGKILL);
     while (::waitpid(child, nullptr, 0) < 0 && errno == EINTR) {
     }
     child = -1;
@@ -219,10 +229,11 @@ class LocalPool {
 
   void kill_all() {
     server_.stop();
-    for (pid_t& child : children_) reap(child, SIGKILL);
+    for (pid_t& child : children_) reap(child);
   }
 
   CampaignServer server_;
+  std::chrono::milliseconds window_;  ///< the heartbeat window shutdown() grants
   std::mutex mutex_;
   std::vector<pid_t> children_;  ///< -1 once reaped; set under mutex_ while the server runs
   std::vector<CampaignServer::WorkerDeath> dropped_;  ///< guarded by mutex_

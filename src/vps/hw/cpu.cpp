@@ -346,10 +346,11 @@ std::size_t Cpu::apply_cycle(std::size_t slot) {
     if (s == kChainRecords) return slot;
   } while (s != slot);
   // The kernel applies the syncs of the quanta the cycle repeats while
-  // each would be an inline step. Those quanta make their accesses'
-  // statistics only: a skipped re-arm write's state is set again by the
-  // real quantum after them.
-  const std::uint64_t applied = kernel().inline_waits({waits.data(), n});
+  // each would be an inline step; nothing lands at their ends. Those
+  // quanta make their accesses' statistics only: a skipped re-arm write's
+  // state is set again by the real quantum after them.
+  const std::uint64_t applied =
+      kernel().inline_waits({waits.data(), n}, [](sim::Time) { return true; });
   if (applied == 0) return slot;
   for (std::size_t i = 0; i < n && i < applied; ++i) {
     const std::uint64_t times = applied / n + (i < applied % n ? 1 : 0);

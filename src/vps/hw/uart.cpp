@@ -1,7 +1,6 @@
 #include "vps/hw/uart.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "vps/support/ensure.hpp"
 
@@ -9,6 +8,20 @@ namespace vps::hw {
 
 using sim::Time;
 using support::ensure;
+
+namespace {
+
+// 1 when `x` holds an odd number of ones. Folded by hand: std::popcount
+// is a libgcc call on a baseline x86-64 build.
+constexpr std::uint16_t odd_ones(std::uint16_t x) noexcept {
+  x ^= x >> 8;
+  x ^= x >> 4;
+  x ^= x >> 2;
+  x ^= x >> 1;
+  return x & 1u;
+}
+
+}  // namespace
 
 Uart::Uart(sim::Kernel& kernel, std::string name, UartConfig config)
     : Module(kernel, std::move(name)),
@@ -21,7 +34,10 @@ Uart::Uart(sim::Kernel& kernel, std::string name, UartConfig config)
 }
 
 void Uart::transmit(const std::uint8_t* data, std::size_t n) {
-  state_.tx_fifo.insert(state_.tx_fifo.end(), data, data + n);
+  std::vector<std::uint8_t>& fifo = state_.tx_fifo;
+  fifo.erase(fifo.begin(), fifo.begin() + static_cast<std::ptrdiff_t>(state_.tx_head));
+  state_.tx_head = 0;
+  fifo.insert(fifo.end(), data, data + n);
   state_.bytes_enqueued += n;
   tx_enqueued_.notify();
 }
@@ -76,12 +92,15 @@ void Uart::resume_bitwise() {
 }
 
 void Uart::load_frame() {
-  const std::uint16_t data = state_.tx_fifo.front();
-  state_.tx_fifo.erase(state_.tx_fifo.begin());
+  const std::uint16_t data = state_.tx_fifo[state_.tx_head++];
+  if (!queued()) {  // drained: keep the capacity for the next transmit()
+    state_.tx_fifo.clear();
+    state_.tx_head = 0;
+  }
   // Bit 0 = start (0), bits 1..8 = data LSB-first, then [even parity,] stop (1).
   std::uint16_t frame = static_cast<std::uint16_t>(data << 1);
   if (config_.parity) {
-    frame |= static_cast<std::uint16_t>((std::popcount(data) & 1) << 9);
+    frame |= static_cast<std::uint16_t>(odd_ones(data) << 9);
     frame |= 1u << 10;  // stop
   } else {
     frame |= 1u << 9;  // stop
@@ -91,6 +110,27 @@ void Uart::load_frame() {
   state_.bit_index = 0;
   state_.frame_start = now();
   state_.shifting = true;
+}
+
+// The clean frames queued behind one that just landed, landed in place:
+// each at its own end, with now() there, while each one's wait would be an
+// inline timed step (DESIGN.md sec. 13, "In-place runs"). on_byte_ may
+// transmit, corrupt or notify, so the kernel checks every wait after the
+// landing before it. The first frame whose wait would be queued is left
+// loaded, and the shift loop waits for it as for any clean frame.
+void Uart::land_queued_frames() {
+  if (!clean_frame_queued()) return;
+  load_frame();
+  const sim::Kernel::InlineWait frame_wait{byte_time()};
+  bytes_in_place_ += kernel().inline_waits(
+      {&frame_wait, 1},
+      [this](Time) {
+        shift_clean(frame_bits());
+        if (!clean_frame_queued()) return false;
+        load_frame();
+        return true;
+      },
+      &wake_);
 }
 
 // Lands bits [bit_index, end) as driven, in one step.
@@ -143,7 +183,7 @@ void Uart::finish_frame() {
   }
   // Even parity: the data bits (1..8) and the parity bit (9) hold an even
   // number of ones.
-  if (config_.parity && (std::popcount(state_.rx_frame & 0x3FEu) & 1) != 0) {
+  if (config_.parity && odd_ones(state_.rx_frame & 0x3FEu) != 0) {
     ++state_.parity_errors;
     if (provenance_ != nullptr && was_corrupted && state_.corrupt_poison != 0) {
       provenance_->detect(state_.corrupt_poison, "uart.parity:" + name());
@@ -161,6 +201,7 @@ sim::Coro Uart::shift_loop() {
     if (state_.frame_owed) {
       state_.frame_owed = false;
       shift_clean(frame_bits());
+      land_queued_frames();
     } else if (state_.bit_pending) {
       state_.bit_pending = false;
       shift_bit();
@@ -177,7 +218,7 @@ sim::Coro Uart::shift_loop() {
       }
       continue;
     }
-    if (!state_.tx_fifo.empty()) {
+    if (queued()) {
       load_frame();
       continue;
     }

@@ -18,7 +18,10 @@
 /// bits already due clean and wakes the shift process at the next bit,
 /// from where it shifts bit by bit until no corruption is pending, then
 /// owes the frame's clean rest at its end again (DESIGN.md sec. 13, which
-/// also names the two orderings that differ from a bit-level UART).
+/// also names the two orderings that differ from a bit-level UART). When a
+/// clean frame lands, the clean frames queued behind it land in the same
+/// activation, each at its own end, while each one's wait would be an
+/// inline timed step (Kernel::inline_waits).
 ///
 /// The shift process is written restore-safe (DESIGN.md sec. 6): what is
 /// owed at the next resume — one bit or the rest of the frame — is named
@@ -69,7 +72,7 @@ class Uart final : public sim::Module {
 
   [[nodiscard]] sim::Time bit_time() const noexcept { return bit_time_; }
   [[nodiscard]] sim::Time byte_time() const noexcept { return bit_time_ * frame_bits(); }
-  [[nodiscard]] bool idle() const noexcept { return !state_.shifting && state_.tx_fifo.empty(); }
+  [[nodiscard]] bool idle() const noexcept { return !state_.shifting && !queued(); }
 
   [[nodiscard]] std::uint64_t bytes_enqueued() const noexcept { return state_.bytes_enqueued; }
   [[nodiscard]] std::uint64_t bytes_delivered() const noexcept { return state_.bytes_delivered; }
@@ -78,10 +81,14 @@ class Uart final : public sim::Module {
   [[nodiscard]] std::uint64_t parity_errors() const noexcept { return state_.parity_errors; }
   [[nodiscard]] std::uint64_t framing_errors() const noexcept { return state_.framing_errors; }
   [[nodiscard]] std::uint64_t frames_corrupted() const noexcept { return state_.frames_corrupted; }
+  /// Bytes landed in place behind another frame in the same activation: a
+  /// diagnostic, outside Snapshot, that restore() leaves alone.
+  [[nodiscard]] std::uint64_t bytes_in_place() const noexcept { return bytes_in_place_; }
 
   // --- snapshot-and-fork replay -------------------------------------------
   struct Snapshot {
-    std::vector<std::uint8_t> tx_fifo;
+    std::vector<std::uint8_t> tx_fifo;  ///< bytes from tx_head on are queued
+    std::size_t tx_head = 0;
     bool shifting = false;
     bool bit_pending = false;  ///< a line bit is owed at the next resume
     bool frame_owed = false;   ///< the frame's clean rest is owed at its last bit
@@ -106,9 +113,14 @@ class Uart final : public sim::Module {
  private:
   [[nodiscard]] std::uint32_t frame_bits() const noexcept { return config_.parity ? 11 : 10; }
   [[nodiscard]] sim::Time frame_end() const noexcept { return state_.frame_start + byte_time(); }
+  [[nodiscard]] bool queued() const noexcept { return state_.tx_head != state_.tx_fifo.size(); }
+  [[nodiscard]] bool clean_frame_queued() const noexcept {
+    return queued() && state_.corrupt_remaining == 0;
+  }
   [[nodiscard]] std::uint32_t bits_due(bool before_now) const noexcept;
   [[nodiscard]] sim::Coro shift_loop();
   void load_frame();
+  void land_queued_frames();
   void shift_clean(std::uint32_t end);
   void shift_bit();
   void finish_frame();
@@ -121,6 +133,7 @@ class Uart final : public sim::Module {
   std::function<void(std::uint8_t)> on_byte_;
   obs::ProvenanceTracker* provenance_ = nullptr;
   Snapshot state_;
+  std::uint64_t bytes_in_place_ = 0;
 };
 
 }  // namespace vps::hw

@@ -5,19 +5,38 @@
 namespace vps::support {
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// Slicing-by-8: table 0 is the bytewise table; entry i of table k is the
+// CRC of byte i followed by k zero bytes, so one step folds eight bytes
+// with eight independent lookups.
+constexpr Crc32Tables make_crc32_tables() {
+  Crc32Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-const std::array<std::uint32_t, 256> kCrc32Table = make_crc32_table();
+constexpr Crc32Tables kCrc32 = make_crc32_tables();
+
+// Folds the eight bytes of `word`, least significant first, into `crc`.
+constexpr std::uint32_t crc32_step8(std::uint32_t crc, std::uint64_t word) noexcept {
+  const std::uint32_t lo = crc ^ static_cast<std::uint32_t>(word);
+  const auto hi = static_cast<std::uint32_t>(word >> 32);
+  return kCrc32[7][lo & 0xFFu] ^ kCrc32[6][(lo >> 8) & 0xFFu] ^ kCrc32[5][(lo >> 16) & 0xFFu] ^
+         kCrc32[4][lo >> 24] ^ kCrc32[3][hi & 0xFFu] ^ kCrc32[2][(hi >> 8) & 0xFFu] ^
+         kCrc32[1][(hi >> 16) & 0xFFu] ^ kCrc32[0][hi >> 24];
+}
 
 }  // namespace
 
@@ -56,15 +75,16 @@ std::uint32_t crc32_ieee(std::span<const std::uint8_t> data) {
 }
 
 void Crc32::update(std::span<const std::uint8_t> data) noexcept {
-  for (std::uint8_t byte : data) {
-    state_ = kCrc32Table[(state_ ^ byte) & 0xFFu] ^ (state_ >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    std::uint64_t word = 0;  // little-endian whatever the host: p[0] is the low byte
+    for (int i = 0; i < 8; ++i) word |= std::uint64_t{p[i]} << (8 * i);
+    state_ = crc32_step8(state_, word);
   }
+  for (; n > 0; --n, ++p) state_ = kCrc32[0][(state_ ^ *p) & 0xFFu] ^ (state_ >> 8);
 }
 
-void Crc32::update_u64(std::uint64_t v) noexcept {
-  std::array<std::uint8_t, 8> bytes{};
-  for (int i = 0; i < 8; ++i) bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
-  update(bytes);
-}
+void Crc32::update_u64(std::uint64_t v) noexcept { state_ = crc32_step8(state_, v); }
 
 }  // namespace vps::support

@@ -546,6 +546,57 @@ TEST(DistCampaignTest, SilentWorkerIsKilledByTheHeartbeatTimeout) {
   expect_no_children();
 }
 
+/// A 10 ms CAPS scenario whose teardown hangs for 30 s in a forked pool
+/// worker, never in the test's own process (the reference campaign, the
+/// coordinator's golden run): a worker that outlives the campaign's end.
+class HangingTeardownScenario final : public Scenario {
+ public:
+  explicit HangingTeardownScenario(pid_t test_pid)
+      : inner_(CapsConfig{.crash = false, .duration = Time::ms(10)}), test_pid_(test_pid) {}
+  ~HangingTeardownScenario() override {
+    if (::getpid() != test_pid_) std::this_thread::sleep_for(std::chrono::seconds(30));
+  }
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] Time duration() const override { return inner_.duration(); }
+  [[nodiscard]] std::vector<FaultType> fault_types() const override {
+    return inner_.fault_types();
+  }
+  [[nodiscard]] Observation run(const FaultDescriptor* fault, std::uint64_t seed) override {
+    inner_.set_snapshot_replay(snapshot_replay());
+    return inner_.run(fault, seed);
+  }
+
+ private:
+  CapsScenario inner_;
+  pid_t test_pid_;
+};
+
+TEST(DistCampaignTest, PoolWorkerStillAliveOneWindowAfterShutdownIsKilled) {
+  // Each pool worker tears its scenario down on RELEASE and SHUTDOWN and
+  // hangs there. The pool grants one heartbeat window, then SIGKILLs it:
+  // run() returns within a few windows, not after the 30 s teardown.
+  const CampaignConfig cfg = small_config(Strategy::kMonteCarlo);
+  const ScenarioFactory factory = [test_pid = ::getpid()] {
+    return std::make_unique<HangingTeardownScenario>(test_pid);
+  };
+  const CampaignResult reference = ParallelCampaign(factory, cfg).run();
+  DistConfig dc;
+  dc.campaign = cfg;
+  dc.workers = 2;
+  dc.heartbeat_timeout_ms = 500;
+  DistCampaign campaign(factory, dc);
+  const auto started = std::chrono::steady_clock::now();
+  const CampaignResult dist = campaign.run();
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  expect_identical(reference, dist);
+  EXPECT_EQ(campaign.fleet_stats().worker_deaths, 0u);
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
+            5 * dc.heartbeat_timeout_ms)
+      << "a worker hanging in its teardown held run()";
+  expect_no_children();
+}
+
 // Wedges only the first generated fault (ids are 1-based run order), so in
 // a two-worker fleet exactly one worker goes silent while the other keeps
 // producing results — the staggered-deadline case.

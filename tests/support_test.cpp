@@ -233,6 +233,38 @@ TEST(Crc32, KnownCheckValue) {
   EXPECT_EQ(crc32_ieee(digits), 0xCBF43926u);
 }
 
+/// CRC-32 one bit at a time, from the reflected polynomial alone.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0..300 cover no full eight-byte step, many, and every tail;
+  // offsets 0..7 cover every alignment of the eight-byte loads.
+  Xorshift rng(32);
+  std::vector<std::uint8_t> buf(300 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const auto data = std::span<const std::uint8_t>(buf).subspan(offset, len);
+      ASSERT_EQ(crc32_ieee(data), crc32_bitwise(data)) << "offset " << offset << " len " << len;
+    }
+  }
+  // update_u64 folds the value's bytes least significant first.
+  Crc32 words;
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t v : {0x0ull, 0x0123456789ABCDEFull, ~0ull, 0x8000000000000001ull}) {
+    words.update_u64(v);
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  EXPECT_EQ(words.value(), crc32_bitwise(bytes));
+}
+
 TEST(Crc32, IncrementalMatchesOneShot) {
   Xorshift rng(31);
   std::vector<std::uint8_t> msg(128);

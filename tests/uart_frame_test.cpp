@@ -2,10 +2,13 @@
 // replaced, kept here as a test-only reference model (BitUart): there the
 // shift process made one timed wait per line bit. Both run the same
 // traffic and the same line bursts, each on its own kernel, in lock step
-// over short run(until) segments; after every segment the delivered bytes
-// and their instants, the error counters, bits_shifted(), idle() and the
-// provenance DAGs must agree. The two orderings DESIGN.md §13 names as
-// residuals pin the stated difference instead.
+// over run(until) segments; after every segment the delivered bytes and
+// their instants, the error counters, bits_shifted(), idle() and the
+// provenance DAGs must agree. A third leg runs hw::Uart on a kernel with
+// an observer attached, so that every wait takes the timed queue: the
+// frame-step UART's inline steps and in-place runs must leave its kernel
+// and UART images exactly as that queued path does. The two orderings
+// DESIGN.md §13 names as residuals pin the stated difference instead.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "kernel_image.hpp"
 #include "vps/hw/uart.hpp"
 #include "vps/obs/provenance.hpp"
 #include "vps/sim/kernel.hpp"
@@ -25,6 +29,9 @@ namespace {
 
 using namespace vps;
 using sim::Time;
+using vps_test::kernel_fields;
+using vps_test::stats_fields;
+using vps_test::uart_fields;
 
 /// The bit-level UART, as hw::Uart was before a clean frame took one step.
 class BitUart final : public sim::Module {
@@ -185,6 +192,7 @@ template <typename U>
 struct Rig {
   sim::Kernel kernel;
   U uart;
+  sim::Event ev{kernel, "ev"};
   obs::ProvenanceTracker tracker{kernel};
   Log log;
 
@@ -222,29 +230,58 @@ struct Rig {
       r.mark(std::move(what));
     }(*this, wait, what));
   }
-};
 
-/// The bit-level reference and the frame-step UART fed the same traffic.
-struct Lockstep {
-  Rig<BitUart> ref;
-  Rig<hw::Uart> dut;
-
-  explicit Lockstep(hw::UartConfig config = {}) : ref(config), dut(config) {}
-
-  template <typename F>
-  void both(F f) {
-    f(ref);
-    f(dut);
+  /// A process that marks `what` each time `ev` fires.
+  void listen(std::string what) {
+    kernel.spawn(what, [](Rig& r, std::string what) -> sim::Coro {
+      for (;;) {
+        co_await r.ev;
+        r.mark(what);
+      }
+    }(*this, what));
   }
 
-  /// Runs both to `t` and compares; false at the first divergence.
+  /// Makes the k-th delivered byte (from 1) run `act(*this)` from the
+  /// delivery callback, after it is logged.
+  template <typename Act>
+  void at_byte(std::uint64_t k, Act act) {
+    uart.set_on_byte([this, k, act, n = std::uint64_t{0}](std::uint8_t b) mutable {
+      mark("byte " + std::to_string(b));
+      if (++n == k) act(*this);
+    });
+  }
+};
+
+struct NopObserver final : sim::KernelObserver {};
+
+/// The bit-level reference and the frame-step UART fed the same traffic,
+/// the latter also on a kernel whose observer queues every wait.
+struct Lockstep {
+  NopObserver observer;
+  Rig<BitUart> ref;
+  Rig<hw::Uart> dut;
+  Rig<hw::Uart> queued;
+
+  explicit Lockstep(hw::UartConfig config = {}) : ref(config), dut(config), queued(config) {
+    queued.kernel.add_observer(observer);
+  }
+
+  template <typename F>
+  void all(F f) {
+    f(ref);
+    f(dut);
+    f(queued);
+  }
+
+  /// Runs all three to `t` and compares; false at the first divergence.
   bool step(Time t) {
     (void)ref.kernel.run(t);
     (void)dut.kernel.run(t);
+    (void)queued.kernel.run(t);
     return same("at " + t.to_string());
   }
 
-  /// Steps both to `end` in half bit times from now, so that every
+  /// Steps all three to `end` in half bit times from now, so that every
   /// segment ends on a bit instant or halfway between two.
   bool run(Time end) {
     for (Time t = next_half_bit(); t <= end; t += dut.uart.bit_time() / 2) {
@@ -269,10 +306,15 @@ struct Lockstep {
     EXPECT_EQ(r.bits_shifted(), d.bits_shifted()) << where;
     EXPECT_EQ(r.idle(), d.idle()) << where;
     EXPECT_EQ(ref.tracker.to_jsonl(), dut.tracker.to_jsonl()) << where;
+    EXPECT_EQ(queued.log, dut.log) << where;
+    EXPECT_EQ(queued.tracker.to_jsonl(), dut.tracker.to_jsonl()) << where;
     return ref.log == dut.log && r.bytes_delivered() == d.bytes_delivered() &&
            r.parity_errors() == d.parity_errors() && r.framing_errors() == d.framing_errors() &&
            r.frames_corrupted() == d.frames_corrupted() && r.bits_shifted() == d.bits_shifted() &&
-           r.idle() == d.idle() && ref.tracker.to_jsonl() == dut.tracker.to_jsonl();
+           r.idle() == d.idle() && ref.tracker.to_jsonl() == dut.tracker.to_jsonl() &&
+           queued.log == dut.log && queued.tracker.to_jsonl() == dut.tracker.to_jsonl() &&
+           vps_test::same(kernel_fields(dut.kernel), kernel_fields(queued.kernel), where) &&
+           vps_test::same(uart_fields(dut.uart), uart_fields(queued.uart), where);
   }
 };
 
@@ -282,9 +324,9 @@ std::uint64_t errors(const hw::Uart& u) { return u.parity_errors() + u.framing_e
 
 TEST(UartFrame, CleanBurstsMatchBitLevelInOneTimedStepPerByte) {
   Lockstep ls;
-  ls.both([](auto& r) { r.send(3, 24); });
+  ls.all([](auto& r) { r.send(3, 24); });
   ASSERT_TRUE(ls.run(kFrame * 30));
-  ls.both([](auto& r) { r.send(200, 9); });  // a second burst onto an idle line
+  ls.all([](auto& r) { r.send(200, 9); });  // a second burst onto an idle line
   ASSERT_TRUE(ls.run(kFrame * 45));
   EXPECT_EQ(ls.dut.uart.bytes_delivered(), 33u);
   EXPECT_TRUE(ls.dut.uart.idle());
@@ -296,7 +338,7 @@ TEST(UartFrame, CleanBurstsMatchBitLevelInOneTimedStepPerByte) {
 
 TEST(UartFrame, UnalignedSegmentsReadTheBitsDueByTheirEnd) {
   Lockstep ls;
-  ls.both([](auto& r) { r.send(0x55, 6); });
+  ls.all([](auto& r) { r.send(0x55, 6); });
   for (Time t = Time::ns(1'300); t <= kFrame * 7; t += Time::ns(1'300)) {
     ASSERT_TRUE(ls.step(t));
   }
@@ -308,13 +350,13 @@ TEST(UartFrame, TenBitFramesAtAnotherBaudMatchBitLevel) {
   const hw::UartConfig config{.baud = 9600, .parity = false};
   Lockstep ls(config);
   const Time bit = ls.dut.uart.bit_time();
-  ls.both([&](auto& r) {
+  ls.all([&](auto& r) {
     r.send(0x3A, 6);
     r.burst_after(bit * 14, 3, 51);             // frame 1's bits 3..5
     r.burst_after(bit * 39 + bit / 3, 12, 52);  // frame 3's bit 9 to frame 5's bit 0
   });
   ASSERT_TRUE(ls.run(bit * 15 + bit / 2));
-  ls.both([](auto& r) { r.burst(2, 53); });  // mid-burst: bits 6 and 7 as well
+  ls.all([](auto& r) { r.burst(2, 53); });  // mid-burst: bits 6 and 7 as well
   ASSERT_TRUE(ls.run(bit * 70));
   EXPECT_EQ(ls.dut.uart.bytes_delivered() + ls.dut.uart.framing_errors(), 6u);
   EXPECT_GE(ls.dut.uart.frames_corrupted(), 3u);
@@ -325,7 +367,7 @@ TEST(UartFrame, TenBitFramesAtAnotherBaudMatchBitLevel) {
 
 TEST(UartFrame, BurstOnAnIdleLineShiftsTheNextFrameBitByBit) {
   Lockstep ls;
-  ls.both([](auto& r) {
+  ls.all([](auto& r) {
     r.burst(3, 1);  // idle: the next frame's start bit and data bits 0, 1
     r.send(0x5A, 2);
   });
@@ -340,10 +382,10 @@ TEST(UartFrame, BurstMidFrameBetweenBitsFromOutsideAProcess) {
   for (std::uint64_t bit = 0; bit < 11; ++bit) {
     for (std::uint32_t count : {1u, 2u, 4u}) {
       Lockstep ls;
-      ls.both([](auto& r) { r.send(0xA5, 3); });
+      ls.all([](auto& r) { r.send(0xA5, 3); });
       ASSERT_TRUE(ls.run(kFrame));  // frame 1 starts at kFrame
       ASSERT_TRUE(ls.step(bit_at(1, bit) - kBit / 2)) << "bit " << bit;
-      ls.both([&](auto& r) { r.burst(count, 7); });
+      ls.all([&](auto& r) { r.burst(count, 7); });
       ASSERT_TRUE(ls.run(kFrame * 4)) << "bit " << bit << " count " << count;
       EXPECT_EQ(ls.dut.uart.frames_corrupted(), bit + count > 11 ? 2u : 1u)
           << "bit " << bit << " count " << count;
@@ -354,7 +396,7 @@ TEST(UartFrame, BurstMidFrameBetweenBitsFromOutsideAProcess) {
 TEST(UartFrame, BurstMidFrameBetweenBitsFromAProcess) {
   for (std::uint64_t bit = 0; bit < 11; ++bit) {
     Lockstep ls;
-    ls.both([&](auto& r) {
+    ls.all([&](auto& r) {
       r.send(0x0F, 3);
       r.burst_after(bit_at(1, bit) - kBit / 3, 2, 9);
     });
@@ -370,7 +412,7 @@ TEST(UartFrame, BurstAtABitInstantFromAProcessQueuedAtElaborationTakesThatBit) {
   // made a bit time earlier: the burst takes that bit on both sides.
   for (std::uint64_t bit = 0; bit < 11; ++bit) {
     Lockstep ls;
-    ls.both([&](auto& r) {
+    ls.all([&](auto& r) {
       r.burst_after(bit_at(1, bit), 2, 3);
       r.send(0xC3, 3);
     });
@@ -385,9 +427,9 @@ TEST(UartFrame, BurstAtARunEndInstantFromOutsideAProcessTakesTheNextBit) {
   for (std::uint64_t bit = 0; bit < 11; ++bit) {
     for (std::uint32_t count : {1u, 3u}) {
       Lockstep ls;
-      ls.both([](auto& r) { r.send(0x96, 3); });
+      ls.all([](auto& r) { r.send(0x96, 3); });
       ASSERT_TRUE(ls.step(bit_at(1, bit))) << "bit " << bit;
-      ls.both([&](auto& r) { r.burst(count, 5); });
+      ls.all([&](auto& r) { r.burst(count, 5); });
       ASSERT_TRUE(ls.run(kFrame * 4)) << "bit " << bit << " count " << count;
     }
   }
@@ -397,7 +439,7 @@ TEST(UartFrame, BurstAtARunEndInstantFromOutsideAProcessTakesTheNextBit) {
 
 TEST(UartFrame, BurstSpanningTwoFrames) {
   Lockstep ls;
-  ls.both([](auto& r) {
+  ls.all([](auto& r) {
     r.send(0x3C, 4);
     r.burst_after(bit_at(1, 7) - kBit / 4, 9, 11);  // bits 7..10 and the next frame's 0..4
   });
@@ -407,7 +449,7 @@ TEST(UartFrame, BurstSpanningTwoFrames) {
 
 TEST(UartFrame, TwoBurstsInOneFrame) {
   Lockstep ls;
-  ls.both([](auto& r) {
+  ls.all([](auto& r) {
     r.send(0x81, 3);
     r.burst_after(bit_at(1, 1) - kBit / 2, 2, 21);  // bits 1, 2
     r.burst_after(bit_at(1, 6) - kBit / 2, 1, 22);  // bit 6, after the clean bits 3..5
@@ -419,9 +461,9 @@ TEST(UartFrame, TwoBurstsInOneFrame) {
 
 TEST(UartFrame, BurstEndingMidFrameLeavesOneWaitForTheRest) {
   Lockstep ls;
-  ls.both([](auto& r) { r.send(0x24, 1); });
+  ls.all([](auto& r) { r.send(0x24, 1); });
   ASSERT_TRUE(ls.step(bit_at(0, 2) - kBit / 2));
-  ls.both([](auto& r) { r.burst(2, 31); });  // bits 2 and 3
+  ls.all([](auto& r) { r.burst(2, 31); });  // bits 2 and 3
   ASSERT_TRUE(ls.run(kFrame * 2));
   // The wake at bit 2, a wait for bit 3, then one wait for bits 4..10.
   EXPECT_EQ(ls.dut.kernel.stats().timed_steps, 3u);
@@ -551,14 +593,14 @@ Log delivery_and_probe(bool probe_first) {
 
 TEST(UartFrame, EntryDueAtTheLastBitMadeBeforeTheFrameRunsFirstOnBothSides) {
   Lockstep ls;
-  ls.both([](auto& r) { probe_at_frame_end(r, kSendAt - kBit / 2); });
+  ls.all([](auto& r) { probe_at_frame_end(r, kSendAt - kBit / 2); });
   ASSERT_TRUE(ls.run(kSendAt + kFrame * 2));
   EXPECT_EQ(ls.dut.log, delivery_and_probe(/*probe_first=*/true));
 }
 
 TEST(UartFrame, EntryDueAtTheLastBitMadeAfterTheLastButOneBitRunsAfterOnBothSides) {
   Lockstep ls;
-  ls.both([](auto& r) { probe_at_frame_end(r, kSendAt + kBit * 10 + kBit / 2); });
+  ls.all([](auto& r) { probe_at_frame_end(r, kSendAt + kBit * 10 + kBit / 2); });
   ASSERT_TRUE(ls.run(kSendAt + kFrame * 2));
   EXPECT_EQ(ls.dut.log, delivery_and_probe(/*probe_first=*/false));
 }
@@ -606,6 +648,160 @@ TEST(UartFrame, BurstAtABitInstantFromAWaitMadeWithinTheLastBitIsTheCatchUpResid
   ASSERT_EQ(dut.tracker.faults().size(), 1u);
   EXPECT_EQ(dut.tracker.faults()[0].nodes.back().at, bit_at(0, 5));
   EXPECT_EQ(ref.tracker.faults()[0].nodes.back().at, bit_at(0, 6));
+}
+
+// --- in-place runs (DESIGN.md §13) ----------------------------------------------------------
+//
+// A clean frame that lands lands the clean frames queued behind it in the
+// same activation, while each one's wait would be an inline step. A wait
+// must end within the run(until), so these cases step in frames, not in
+// half bits.
+
+TEST(UartFrame, FourQueuedFramesLandInPlaceBehindTheFirst) {
+  Lockstep ls;
+  ls.all([](auto& r) { r.send(0x11, 4); });
+  ASSERT_TRUE(ls.step(kFrame * 5));
+  EXPECT_EQ(ls.dut.uart.bytes_delivered(), 4u);
+  // The first frame's wait is made in the first evaluate phase, which
+  // queues it; its landing lands the other three in one activation.
+  EXPECT_EQ(ls.dut.uart.bytes_in_place(), 3u);
+  EXPECT_EQ(ls.dut.kernel.inline_steps(), 3u);
+  EXPECT_EQ(ls.dut.kernel.stats().timed_steps, 4u);
+  EXPECT_EQ(ls.queued.uart.bytes_in_place(), 0u);
+}
+
+TEST(UartFrame, ProbeDueAtAMidBurstByteEndOrInsideAByteStopsTheRunBeforeIt) {
+  // Probes made at elaboration, due at byte 2's end or inside byte 2: the
+  // bit-level UART runs the probe first, as its entry is the older. The
+  // run stops at byte 2's wait, which is queued behind the probe, and byte
+  // 2's landing starts the next run. A probe at byte 2's end ends in the
+  // same evaluate phase and notifies its terminated event, so byte 3's
+  // wait is queued too.
+  const std::pair<Time, std::uint64_t> cases[] = {
+      {kFrame * 3, 3},             // bytes 1, 4 and 5 in place
+      {kFrame * 2 + kBit * 5, 4},  // bytes 1, 3, 4 and 5
+  };
+  for (const auto& [at, in_place] : cases) {
+    Lockstep ls;
+    ls.all([&](auto& r) {
+      r.send(0x5C, 6);
+      r.probe_after(at, "probe");
+    });
+    ASSERT_TRUE(ls.step(kFrame * 7)) << at.to_string();
+    EXPECT_EQ(ls.dut.uart.bytes_delivered(), 6u) << at.to_string();
+    EXPECT_EQ(ls.dut.uart.bytes_in_place(), in_place) << at.to_string();
+  }
+}
+
+TEST(UartFrame, OnByteThatTransmitsCorruptsOrNotifiesInsideARunMatches) {
+  // The delivery callback runs inside a run: whatever it does that the
+  // next wait could see ends the run there, as the queued path would.
+  for (const std::uint64_t k : {1u, 2u, 3u, 5u}) {
+    const std::string at = "at byte " + std::to_string(k);
+    {
+      Lockstep ls;
+      ls.all([&](auto& r) {
+        r.send(0x21, 6);
+        r.at_byte(k, [](auto& r) { r.send(0xE0, 2); });
+      });
+      ASSERT_TRUE(ls.step(kFrame * 4)) << "transmit " << at;
+      ASSERT_TRUE(ls.step(kFrame * 10)) << "transmit " << at;
+      EXPECT_EQ(ls.dut.uart.bytes_delivered(), 8u) << at;
+    }
+    {
+      Lockstep ls;
+      ls.all([&](auto& r) {
+        r.send(0x21, 6);
+        r.at_byte(k, [](auto& r) { r.burst(3, 61); });  // the next frame's bits 0..2
+      });
+      ASSERT_TRUE(ls.step(kFrame * 8)) << "corrupt_bits " << at;
+      EXPECT_EQ(ls.dut.uart.frames_corrupted(), 1u) << at;
+      EXPECT_EQ(ls.dut.uart.framing_errors(), 1u) << at;
+    }
+    {
+      Lockstep ls;
+      ls.all([&](auto& r) {
+        r.send(0x21, 6);
+        r.listen("heard");
+        r.at_byte(k, [](auto& r) { r.ev.notify(); });
+      });
+      ASSERT_TRUE(ls.step(kFrame * 8)) << "notify " << at;
+      const std::pair<std::uint64_t, std::string> heard{(kFrame * k).picoseconds(), "heard"};
+      EXPECT_NE(std::find(ls.dut.log.begin(), ls.dut.log.end(), heard), ls.dut.log.end()) << at;
+    }
+  }
+}
+
+TEST(UartFrame, RunEndingAtAByteEndOrMidByteRestoresOntoATwinMidBurst) {
+  // A run(until) ending at a byte end lands that byte in place and queues
+  // the next wait; one ending mid-byte queues that byte's wait. Restored
+  // onto a fresh twin, either image goes on like the bit-level UART, and
+  // like the origin in every kernel and UART field.
+  for (const Time cut : {kFrame * 3, kFrame * 3 + kBit * 4 + kBit / 3}) {
+    const std::string from = "twin from " + cut.to_string();
+    Rig<BitUart> ref;
+    Rig<hw::Uart> origin;
+    ref.send(0x47, 9);
+    origin.send(0x47, 9);
+    (void)ref.kernel.run(cut);
+    (void)origin.kernel.run(cut);
+    EXPECT_EQ(origin.uart.bytes_in_place(), 2u) << from;  // bytes 1 and 2
+
+    Rig<hw::Uart> twin;
+    twin.kernel.restore(origin.kernel.snapshot());
+    twin.uart.restore(origin.uart.snapshot());
+    twin.log = origin.log;
+    for (const Time t : {cut + kFrame, kFrame * 8 + kBit * 2, kFrame * 11}) {
+      (void)ref.kernel.run(t);
+      (void)origin.kernel.run(t);
+      (void)twin.kernel.run(t);
+      const std::string where = from + " at " + t.to_string();
+      ASSERT_EQ(ref.log, twin.log) << where;
+      ASSERT_EQ(ref.uart.bits_shifted(), twin.uart.bits_shifted()) << where;
+      ASSERT_EQ(ref.uart.idle(), twin.uart.idle()) << where;
+      ASSERT_EQ(origin.log, twin.log) << where;
+      ASSERT_TRUE(vps_test::same(kernel_fields(twin.kernel), kernel_fields(origin.kernel), where));
+      ASSERT_TRUE(vps_test::same(uart_fields(twin.uart), uart_fields(origin.uart), where));
+    }
+    EXPECT_EQ(twin.uart.bytes_delivered(), 9u) << from;
+    // Bytes 5..7: the twin's first activation, before its first delta
+    // boundary, lands byte 3 alone, and the segment end queues byte 8.
+    EXPECT_EQ(twin.uart.bytes_in_place(), 3u) << from;
+  }
+}
+
+TEST(UartFrame, BudgetTripsInsideAnInPlaceRunLikeTheQueuedPath) {
+  // Budgeted run(until) calls, each stopping on its budget inside a run of
+  // frames landed in place: the trip's reason and instant, the counters,
+  // the delivered bytes and the UART image equal the queued path's.
+  sim::RunBudget activations;
+  activations.max_activations = 7;
+  sim::RunBudget deltas;
+  deltas.max_delta_cycles = 9;
+  for (const sim::RunBudget& budget : {activations, deltas}) {
+    NopObserver observer;
+    Rig<hw::Uart> fast;
+    Rig<hw::Uart> queued;
+    queued.kernel.add_observer(observer);
+    fast.send(0x33, 60);
+    queued.send(0x33, 60);
+    int trips = 0;
+    for (int i = 0; i < 100; ++i) {
+      const sim::RunStatus a = fast.kernel.run(kFrame * 61, budget);
+      const sim::RunStatus b = queued.kernel.run(kFrame * 61, budget);
+      const std::string where = "run " + std::to_string(i);
+      ASSERT_EQ(a.reason, b.reason) << where;
+      ASSERT_EQ(a.time, b.time) << where;
+      ASSERT_EQ(fast.log, queued.log) << where;
+      ASSERT_TRUE(vps_test::same(stats_fields(fast.kernel), stats_fields(queued.kernel), where));
+      ASSERT_TRUE(vps_test::same(uart_fields(fast.uart), uart_fields(queued.uart), where));
+      if (!a.budget_exhausted()) break;
+      ++trips;
+    }
+    EXPECT_GT(trips, 5);
+    EXPECT_EQ(fast.uart.bytes_delivered(), 60u);
+    EXPECT_GT(fast.uart.bytes_in_place(), 30u);
+  }
 }
 
 }  // namespace
